@@ -1,17 +1,21 @@
 """Nuisance learners: closed-form OLS and from-scratch gradient-boosted
 regression trees, plus k-fold utilities and a small grid search.
 
-Both learners are deterministic given their inputs. Trees use exact greedy
-variance-reduction splits with fixed tie-breaking (lowest feature index, then
-lowest threshold), so refitting on identical data reproduces the model
-bit-for-bit.
+Both learners are deterministic given their inputs. Trees find splits on
+histograms: each ensemble bins every column once, one bin per distinct value
+when a column has at most MAX_BINS of them (its splits are then exactly the
+greedy midpoint splits) and at most MAX_BINS quantile bins otherwise. Ties
+break to the lowest feature index, then the lowest threshold, so refitting
+on identical data reproduces the model bit-for-bit. The grid search fits the
+largest of the candidates that differ only in n_trees and scores the others
+on its stage prefixes.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import astuple, dataclass, field, replace
 
 import numpy as np
 
@@ -113,84 +117,149 @@ def ols_fit(X, y) -> LinearModel:
     return LinearModel(intercept=float(beta[0]), coefficients=beta[1:])
 
 
-def _presort(X: np.ndarray, rows: np.ndarray) -> list[np.ndarray]:
-    """Row indices sorted per feature (stable, so equal values keep row order).
+MAX_BINS = 256  # a column with at most this many distinct values is split exactly
 
-    Sorting happens once per fitted ensemble; tree growth only partitions
-    these arrays, never re-sorts.
+
+@dataclass
+class _Bins:
+    """One training matrix's columns cut into at most MAX_BINS value ranges.
+
+    codes[i, j] is row i's bin in column j plus j * width, so one flat
+    bincount over a node's rows fills every column's histogram. lo[j, b] and
+    hi[j, b] are the smallest and largest training value in bin b of column j;
+    a column with fewer than `width` bins leaves the rest empty.
     """
-    return [rows[np.argsort(X[rows, j], kind="stable")] for j in range(X.shape[1])]
+
+    codes: np.ndarray  # (n, p) flat bin index
+    lo: np.ndarray  # (p, width)
+    hi: np.ndarray  # (p, width)
+
+
+def _bin_columns(X: np.ndarray) -> _Bins:
+    """One bin per distinct value for columns with at most MAX_BINS of them;
+    otherwise at most MAX_BINS quantile bins."""
+    n, p = X.shape
+    los, his = [], []
+    for j in range(p):
+        xs = np.sort(X[:, j])
+        distinct = np.unique(xs)
+        if distinct.size <= MAX_BINS:
+            upper = distinct[:-1]
+        else:
+            upper = np.unique(xs[np.arange(1, MAX_BINS) * n // MAX_BINS])
+            upper = upper[upper < xs[-1]]
+        # bin b holds the values in (upper[b-1], upper[b]]
+        his.append(np.r_[upper, xs[-1]])
+        los.append(np.r_[xs[0], xs[np.searchsorted(xs, upper, side="right")]])
+    width = max((h.size for h in his), default=1)
+    lo = np.full((p, width), np.nan)
+    hi = np.full((p, width), np.nan)
+    codes = np.empty((n, p), dtype=np.intp)
+    for j, (l, h) in enumerate(zip(los, his)):
+        lo[j, : l.size] = l
+        hi[j, : h.size] = h
+        codes[:, j] = np.searchsorted(h[:-1], X[:, j]) + j * width
+    return _Bins(codes, lo, hi)
+
+
+def _histogram(bins: _Bins, resid: np.ndarray, rows: np.ndarray):
+    """Residual sums and row counts per (column, bin) over `rows`."""
+    shape = bins.lo.shape
+    flat = np.take(bins.codes, rows, axis=0).ravel()
+    sums = np.bincount(flat, weights=np.repeat(resid[rows], shape[0]), minlength=bins.lo.size)
+    counts = np.bincount(flat, minlength=bins.lo.size)
+    return sums.reshape(shape), counts.reshape(shape)
 
 
 def _best_split(
-    X: np.ndarray, y: np.ndarray, orders: list[np.ndarray], min_leaf: int
+    bins: _Bins, hist, total: float, n: int, min_leaf: int
 ) -> tuple[int, float] | None:
-    """Exact greedy search over all features and midpoint thresholds.
+    """Best variance-reduction split point over a node's histograms.
 
-    `orders` holds the node's rows sorted by each feature. Maximizes the
-    variance-reduction gain; ties break to the lowest feature index and then
-    the lowest threshold (argmax returns the first maximum in each
-    direction). Returns None when no split has strictly positive gain with
-    both children >= min_leaf.
+    A split point is the upper end of a bin that is non-empty in the node.
+    Candidates are scanned in one flat argmax, feature-major with bins
+    ascending, so ties break to the lowest feature index and then the lowest
+    threshold. The threshold is the midpoint between the left bin's largest
+    value and the smallest value of the next bin non-empty in the node; on a
+    column with one bin per value that is the exact greedy threshold. Returns
+    None when no split has strictly positive gain with both children
+    >= min_leaf.
     """
-    n = orders[0].size
-    if n < 2 * min_leaf:
+    sums, counts = hist
+    left_n = np.cumsum(counts, axis=1)
+    cand = np.flatnonzero((counts > 0) & (left_n >= min_leaf) & (left_n <= n - min_leaf))
+    if cand.size == 0:
         return None
-    xs = np.stack([X[o, j] for j, o in enumerate(orders)], axis=1)
-    csum = np.cumsum(np.stack([y[o] for o in orders], axis=1), axis=0)
-    total = float(y[orders[0]].sum())
-    parent_score = total * total / n
-    # splitting after sorted position i-1 puts i rows on the left
-    counts = np.arange(1, n)[:, None]
-    left_sum = csum[:-1]
+    left_sum = np.cumsum(sums, axis=1).ravel()[cand]
+    left_n = left_n.ravel()[cand]
     right_sum = total - left_sum
     gain = (
-        left_sum * left_sum / counts
-        + right_sum * right_sum / (n - counts)
-        - parent_score
+        left_sum * left_sum / left_n
+        + right_sum * right_sum / (n - left_n)
+        - total * total / n
     )
-    valid = (counts >= min_leaf) & (n - counts >= min_leaf) & (xs[1:] > xs[:-1])
-    if not valid.any():
+    k = int(np.argmax(gain))
+    if not gain[k] > 0.0:
         return None
-    gain = np.where(valid, gain, -np.inf)
-    best_pos = np.argmax(gain, axis=0)
-    cols = np.arange(len(orders))
-    best_gain = gain[best_pos, cols]
-    j = int(np.argmax(best_gain))
-    if not best_gain[j] > 0.0:
-        return None
-    i = int(best_pos[j])
-    return j, float((xs[i, j] + xs[i + 1, j]) / 2.0)
+    j, b = divmod(int(cand[k]), sums.shape[1])
+    nxt = b + 1 + int(np.flatnonzero(counts[j, b + 1 :])[0])
+    return j, float((bins.hi[j, b] + bins.lo[j, nxt]) / 2.0)
 
 
 def _fit_tree(
-    X: np.ndarray, y: np.ndarray, orders: list[np.ndarray], max_depth: int, min_leaf: int
+    X: np.ndarray,
+    bins: _Bins,
+    resid: np.ndarray,
+    rows: np.ndarray,
+    max_depth: int,
+    min_leaf: int,
+    step: np.ndarray,
 ) -> RegressionTree:
+    """Grow one tree on `rows`, writing each row's leaf value into `step`.
+
+    Only the smaller child of a split gets its own histogram; the larger
+    one's is the parent's minus the smaller's. Rows are routed by the stored
+    threshold, so `predict` sends every training row to the leaf it grew in.
+    """
     feature: list[int] = []
     threshold: list[float] = []
     left: list[int] = []
     right: list[int] = []
     value: list[float] = []
 
-    def grow(node_orders: list[np.ndarray], depth: int) -> int:
+    def can_split(node_rows: np.ndarray, depth: int) -> bool:
+        return depth < max_depth and node_rows.size >= 2 * min_leaf
+
+    # depth first, left child first: (rows, histogram, depth, parent, parent's
+    # child list -- left or right -- that gets this node's index)
+    stack = [(rows, _histogram(bins, resid, rows) if can_split(rows, 0) else None, 0, 0, None)]
+    while stack:
+        node_rows, hist, depth, parent, child_of = stack.pop()
         idx = len(feature)
+        if child_of is not None:
+            child_of[parent] = idx
+        total = float(resid[node_rows].sum())
         feature.append(0)
         threshold.append(np.inf)
         left.append(idx)
         right.append(idx)
-        value.append(float(y[node_orders[0]].mean()))
-        if depth < max_depth:
-            split = _best_split(X, y, node_orders, min_leaf)
-            if split is not None:
-                j, thr = split
-                go_left = [X[o, j] <= thr for o in node_orders]
-                feature[idx] = j
-                threshold[idx] = thr
-                left[idx] = grow([o[m] for o, m in zip(node_orders, go_left)], depth + 1)
-                right[idx] = grow([o[~m] for o, m in zip(node_orders, go_left)], depth + 1)
-        return idx
-
-    grow(orders, 0)
+        value.append(total / node_rows.size)
+        split = None if hist is None else _best_split(bins, hist, total, node_rows.size, min_leaf)
+        if split is None:
+            step[node_rows] = value[idx]
+            continue
+        feature[idx], threshold[idx] = split
+        go_left = X[node_rows, feature[idx]] <= threshold[idx]
+        children = [node_rows[go_left], node_rows[~go_left]]
+        hists = [None, None]
+        big = int(children[1].size > children[0].size)
+        if can_split(children[big], depth + 1):
+            small = _histogram(bins, resid, children[1 - big])
+            hists[big] = (hist[0] - small[0], hist[1] - small[1])
+            if can_split(children[1 - big], depth + 1):
+                hists[1 - big] = small
+        stack.append((children[1], hists[1], depth + 1, idx, right))
+        stack.append((children[0], hists[0], depth + 1, idx, left))
     return RegressionTree(
         np.asarray(feature, dtype=np.int64),
         np.asarray(threshold, dtype=float),
@@ -207,8 +276,9 @@ def gbt_fit(X, y, params: HyperParams | None = None, seed: int = 0) -> GbtModel:
     The model starts at the training mean; each stage fits a depth-limited
     tree to the current residuals and the prediction moves by learning_rate
     times the leaf mean. Leaf values are stored unscaled; the learning rate
-    is applied at prediction time. With subsample < 1 each stage fits on a
-    seeded row subsample but residuals update on all rows.
+    is applied at prediction time. X is binned once for all stages. With
+    subsample < 1 each stage fits on a seeded row subsample but residuals
+    update on all rows.
     """
     params = params or HyperParams()
     params.validate()
@@ -228,20 +298,22 @@ def gbt_fit(X, y, params: HyperParams | None = None, seed: int = 0) -> GbtModel:
         n_features=X.shape[1],
     )
     fitted = np.full(n, model.base_score)
-    all_rows = np.arange(n)
-    base_orders = _presort(X, all_rows)
+    bins = _bin_columns(X) if params.n_trees > 0 else None
+    rows = np.arange(n)
+    step = np.empty(n)
     n_sub = max(1, int(params.subsample * n))
     for _ in range(params.n_trees):
         resid = y - fitted
-        if n_sub == n:
-            orders = base_orders
-        else:
+        if n_sub < n:
             member = np.zeros(n, dtype=bool)
             member[rng.choice(n, size=n_sub, replace=False)] = True
-            orders = [o[member[o]] for o in base_orders]
-        tree = _fit_tree(X, resid, orders, params.max_depth, params.min_samples_leaf)
+            rows = np.flatnonzero(member)
+        tree = _fit_tree(X, bins, resid, rows, params.max_depth, params.min_samples_leaf, step)
+        if n_sub < n:
+            left_out = np.flatnonzero(~member)
+            step[left_out] = tree.predict(X[left_out])
         model.trees.append(tree)
-        fitted += params.learning_rate * tree.predict(X)
+        fitted += params.learning_rate * step
     return model
 
 
@@ -369,6 +441,30 @@ class CvRow:
     failed: bool = False
 
 
+def _staged_cv_scores(X, y, pairs, n_trees: list[int], params: HyperParams, seed: int):
+    """Mean out-of-fold (mse, r2) after each of the stage counts in n_trees.
+
+    One ensemble of max(n_trees) trees is fitted per fold; a shorter
+    ensemble is its prefix, because stages draw from the seeded generator
+    in order. Test predictions add up stage by stage as in `predict`, so
+    each score equals that of a separate fit bit for bit.
+    """
+    stops = set(n_trees)
+    losses = {t: [] for t in stops}
+    scores = {t: [] for t in stops}
+    for train, test in pairs:
+        model = gbt_fit(X[train], y[train], replace(params, n_trees=max(stops)), seed=seed)
+        X_test, y_test = X[test], y[test]
+        pred = np.full(test.size, model.base_score)
+        for stage in range(len(model.trees) + 1):
+            if stage > 0:
+                pred += model.learning_rate * model.trees[stage - 1].predict(X_test)
+            if stage in stops:
+                losses[stage].append(mse(y_test, pred))
+                scores[stage].append(r2(y_test, pred))
+    return [(float(np.mean(losses[t])), float(np.mean(scores[t]))) for t in n_trees]
+
+
 def grid_search_cv(
     X,
     y,
@@ -378,32 +474,45 @@ def grid_search_cv(
 ) -> tuple[HyperParams, list[CvRow]]:
     """Pick boosted-tree settings by k-fold out-of-fold MSE.
 
-    A candidate whose fit fails on any fold is marked failed (infinite MSE)
-    rather than aborting the search. Ties break by (mse, n_trees, max_depth)
-    so the winner is deterministic.
+    Candidates that differ only in n_trees share one fit per fold of the
+    largest (see _staged_cv_scores). A candidate whose fit fails on any fold
+    is marked failed (infinite MSE) rather than aborting the search; when a
+    shared fit fails, each candidate of its group is scored on its own, so a
+    failure marks only the candidates that fail by themselves. Ties break by
+    (mse, n_trees, max_depth) so the winner is deterministic.
     """
     grid = DEFAULT_GRID if grid is None else grid
     if not grid:
         raise ConfigError("hyperparameter grid is empty")
     X, y = _as_xy(X, y)
     pairs = train_test_folds(kfold_split(X.shape[0], k, seed))
-    table: list[CvRow] = []
-    for params in grid:
-        losses, scores = [], []
-        failed = False
-        for train, test in pairs:
-            try:
-                model = gbt_fit(X[train], y[train], params, seed=seed)
-                pred = predict(model, X[test])
-                losses.append(mse(y[test], pred))
-                scores.append(r2(y[test], pred))
-            except Exception:
-                failed = True
-                break
-        if failed:
-            table.append(CvRow(replace(params), float("inf"), float("-inf"), True))
-        else:
-            table.append(CvRow(replace(params), float(np.mean(losses)), float(np.mean(scores))))
+
+    def score(batch: list[int]) -> list[tuple[float, float]]:
+        for i in batch:
+            grid[i].validate()
+        params = grid[batch[0]]
+        return _staged_cv_scores(X, y, pairs, [grid[i].n_trees for i in batch], params, seed)
+
+    groups: dict[tuple, list[int]] = {}
+    for i, params in enumerate(grid):
+        groups.setdefault(astuple(replace(params, n_trees=0)), []).append(i)
+    cv: dict[int, tuple[float, float] | None] = {}
+    for members in groups.values():
+        try:
+            cv.update(zip(members, score(members)))
+        except Exception:
+            # score each alone, so only the candidates that fail by themselves are marked
+            for i in members:
+                try:
+                    cv[i] = score([i])[0]
+                except Exception:
+                    cv[i] = None
+    table = [
+        CvRow(replace(params), float("inf"), float("-inf"), True)
+        if cv[i] is None
+        else CvRow(replace(params), *cv[i])
+        for i, params in enumerate(grid)
+    ]
     best = min(table, key=lambda row: (row.cv_mse, row.params.n_trees, row.params.max_depth))
     return replace(best.params), table
 

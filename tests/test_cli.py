@@ -279,3 +279,15 @@ def test_exit_code_reaches_the_shell(small_fx, tmp_path):
     )
     assert proc.returncode == EXIT_DATA
     assert proc.stderr.startswith("code=2")
+
+
+def test_python_dash_m_macrodml_runs_the_cli(small_fx, tmp_path):
+    root, fx = small_fx
+    proc = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "macrodml", "run",
+         "--funds", fx["funds_csv"], "--macro", fx["macro_csv"], "--meta", fx["meta_csv"],
+         "--treatment", "nope", "--out", str(tmp_path / "o")],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == EXIT_DATA
+    assert proc.stderr.startswith("code=2")

@@ -1,8 +1,11 @@
+import gc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from macrodml import learners
 from macrodml.errors import (
     BadK,
     ConfigError,
@@ -14,6 +17,7 @@ from macrodml.errors import (
 )
 from macrodml.learners import (
     DEFAULT_GRID,
+    MAX_BINS,
     HyperParams,
     LinearModel,
     gbt_fit,
@@ -175,6 +179,96 @@ def test_constant_feature_never_splits():
     assert np.all(predict(model, X) == predict(model, X)[0])
 
 
+def _leaf_of(tree, X):
+    """Leaf index each row reaches, routed like RegressionTree.predict."""
+    node = np.zeros(X.shape[0], dtype=np.int64)
+    for _ in range(tree.depth):
+        go_left = X[np.arange(X.shape[0]), tree.feature[node]] <= tree.threshold[node]
+        node = np.where(go_left, tree.left[node], tree.right[node])
+    return node
+
+
+def _exact_root_split(X, y, min_leaf):
+    """Brute-force greedy search over every midpoint between distinct values."""
+    n, total = y.size, y.sum()
+    found = []
+    for j in range(X.shape[1]):
+        values = np.unique(X[:, j])
+        for lo, hi in zip(values[:-1], values[1:]):
+            thr = (lo + hi) / 2.0
+            go_left = X[:, j] <= thr
+            n_left = int(go_left.sum())
+            if n_left < min_leaf or n - n_left < min_leaf:
+                continue
+            s_left, s_right = y[go_left].sum(), y[~go_left].sum()
+            gain = s_left**2 / n_left + s_right**2 / (n - n_left) - total**2 / n
+            found.append((gain, j, thr))
+    found.sort(key=lambda g: -g[0])
+    return found
+
+
+def test_root_split_matches_exact_search_on_few_valued_columns(rng):
+    # every column has at most MAX_BINS distinct values, so binning is exact
+    X = rng.integers(0, 60, size=(400, 4)).astype(float)
+    y = np.sin(X[:, 2] / 9.0) + 0.5 * (X[:, 0] > 30) + 0.3 * rng.standard_normal(400)
+    assert max(np.unique(col).size for col in X.T) <= MAX_BINS
+    model = gbt_fit(X, y, HyperParams(n_trees=1, max_depth=1, learning_rate=1.0,
+                                      min_samples_leaf=15))
+    found = _exact_root_split(X, y - model.base_score, 15)
+    (best_gain, j, thr), runner_up = found[0], found[1]
+    assert best_gain - runner_up[0] > 1e-9 * best_gain  # no gain ties
+    assert model.trees[0].feature[0] == j
+    assert model.trees[0].threshold[0] == thr
+
+
+def test_binned_thresholds_route_training_rows_to_their_leaves(rng):
+    X = rng.standard_normal((1000, 3))
+    y = X[:, 0] ** 2 + np.sin(3.0 * X[:, 1]) + 0.2 * rng.standard_normal(1000)
+    assert min(np.unique(col).size for col in X.T) > MAX_BINS  # really binned
+    model = gbt_fit(X, y, HyperParams(n_trees=1, max_depth=4, learning_rate=1.0,
+                                      min_samples_leaf=5))
+    tree = model.trees[0]
+    leaf = _leaf_of(tree, X)
+    assert np.unique(leaf).size >= 8
+    for node in np.unique(leaf):
+        assert model.base_score + tree.value[node] == pytest.approx(
+            y[leaf == node].mean(), rel=1e-12, abs=1e-12
+        )
+
+
+def test_subsampled_stage_routes_left_out_rows_with_predict(rng):
+    X = rng.standard_normal((200, 2))
+    y = X[:, 0] + 0.1 * rng.standard_normal(200)
+    params = HyperParams(n_trees=2, max_depth=2, learning_rate=0.5, min_samples_leaf=5,
+                         subsample=0.5)
+    model = gbt_fit(X, y, params, seed=3)
+    draws = np.random.default_rng(3)  # stages draw their rows in order
+    draws.choice(200, size=100, replace=False)
+    second = np.zeros(200, dtype=bool)
+    second[draws.choice(200, size=100, replace=False)] = True
+    # stage two fits what stage one left on every row, seen by stage one or not
+    resid = y - (model.base_score + model.learning_rate * model.trees[0].predict(X))
+    tree = model.trees[1]
+    leaf = _leaf_of(tree, X)
+    for node in np.unique(leaf[second]):
+        in_node = second & (leaf == node)
+        assert tree.value[node] == pytest.approx(resid[in_node].mean(), rel=1e-12, abs=1e-12)
+
+
+def test_gbt_fit_leaves_no_reference_cycles(rng):
+    # each tree's working arrays must go when the tree is grown, not wait for
+    # the cycle collector; waiting raised peak memory over repeated fits
+    X = rng.standard_normal((100, 3))
+    y = rng.standard_normal(100)
+    gc.collect()
+    gc.disable()
+    try:
+        gbt_fit(X, y, HyperParams(n_trees=5, max_depth=3, min_samples_leaf=5))
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
 def test_gbt_deterministic_and_seed_sensitive(rng):
     X = rng.standard_normal((120, 3))
     y = rng.standard_normal(120)
@@ -309,6 +403,45 @@ def test_grid_tie_prefers_smaller_model(rng):
     best, table = grid_search_cv(X, y, grid, k=2)
     assert table[0].cv_mse == table[1].cv_mse
     assert best.max_depth == 2
+
+
+def test_grid_table_matches_separate_fits(rng):
+    X = rng.standard_normal((240, 3))
+    y = np.sin(2.0 * X[:, 0]) + X[:, 1] + 0.3 * rng.standard_normal(240)
+    best, table = grid_search_cv(X, y, k=2, seed=3)
+    pairs = train_test_folds(kfold_split(240, 2, seed=3))
+    for params, row in zip(DEFAULT_GRID, table):
+        preds = [predict(gbt_fit(X[tr], y[tr], params, seed=3), X[te]) for tr, te in pairs]
+        assert row.params == params and not row.failed
+        assert row.cv_mse == float(np.mean([mse(y[te], p) for (_, te), p in zip(pairs, preds)]))
+        assert row.cv_r2 == float(np.mean([r2(y[te], p) for (_, te), p in zip(pairs, preds)]))
+    assert best == min(table, key=lambda r: (r.cv_mse, r.params.n_trees, r.params.max_depth)).params
+
+
+def test_grid_fits_largest_of_each_n_trees_group_once_per_fold(rng, monkeypatch):
+    fitted = []
+
+    def counting_fit(X, y, params, seed=0):
+        fitted.append(params.n_trees)
+        return gbt_fit(X, y, params, seed=seed)
+
+    monkeypatch.setattr(learners, "gbt_fit", counting_fit)
+    grid_search_cv(rng.standard_normal((80, 2)), rng.standard_normal(80), k=2)
+    assert sorted(fitted) == [200] * 8  # 4 (depth, rate) groups x 2 folds
+
+
+def test_grouped_grid_keeps_per_candidate_failures(rng):
+    X = rng.standard_normal((60, 2))
+    y = rng.standard_normal(60)
+    grid = [
+        HyperParams(n_trees=0, max_depth=1, learning_rate=0.1, min_samples_leaf=10_000),
+        HyperParams(n_trees=2, max_depth=1, learning_rate=0.1, min_samples_leaf=10_000),
+    ]
+    best, table = grid_search_cv(X, y, grid, k=2)
+    # the 0-tree candidate fits on its own although its group's 2-tree fit fails
+    assert not table[0].failed and np.isfinite(table[0].cv_mse)
+    assert table[1].failed and table[1].cv_mse == float("inf")
+    assert best == grid[0]
 
 
 def test_grid_from_json_round_trip():
