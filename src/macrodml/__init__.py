@@ -69,7 +69,6 @@ from .preprocess import (
     StationarityScreen,
     adf_critical_values,
     adf_test,
-    build_lags,
     correlation_matrix,
     difference_matrix,
     first_difference,

@@ -15,6 +15,7 @@ import io
 import json
 import os
 import sys
+from collections.abc import Iterable
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -158,7 +159,7 @@ class _Artifacts:
     def add(self, name: str, content: str) -> None:
         self.files[name] = content
 
-    def add_csv(self, name: str, header: list[str], rows: list[list]) -> None:
+    def add_csv(self, name: str, header: list[str], rows: Iterable[Iterable]) -> None:
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(header)
@@ -330,19 +331,17 @@ def run_pipeline(config: PipelineConfig) -> dict:
     art.add_csv("r2.csv", ["model", "r2_y", "r2_d"], r2_rows)
 
     table, summary = residual_diagnostics(diagnostics_res, diagnostics_res.g_hat)
-    art.add_csv(
-        "residuals.csv",
-        ["fitted", "residual"],
-        [[repr(float(f)), repr(float(r))] for f, r in table],
-    )
+    # csv writes a Python float as str(), which is its shortest round-trip repr()
+    art.add_csv("residuals.csv", ["fitted", "residual"], table.tolist())
     art.add_csv(
         "nuisance_residuals.csv",
         ["row", "fold", "u", "v"],
-        [
-            [str(i), str(int(diagnostics_res.fold_of[i])),
-             repr(float(diagnostics_res.u[i])), repr(float(diagnostics_res.v[i]))]
-            for i in range(panel.n_rows)
-        ],
+        zip(
+            range(panel.n_rows),
+            diagnostics_res.fold_of.tolist(),
+            diagnostics_res.u.tolist(),
+            diagnostics_res.v.tolist(),
+        ),
     )
 
     manifest = {

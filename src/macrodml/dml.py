@@ -134,10 +134,31 @@ def unit_blocked_split(unit_ids, k: int, seed: int = 0) -> list[np.ndarray]:
     return [np.flatnonzero(np.isin(unit_ids, block)) for block in blocks]
 
 
-def _fit_predict(kind, params, seed, X_tr, y_tr, X_te) -> np.ndarray:
-    if kind == "linear":
-        return predict(ols_fit(X_tr, y_tr), X_te)
-    return predict(gbt_fit(X_tr, y_tr, params, seed=seed), X_te)
+def _fit_predict(learner: LearnerSpec, X, y, d, train, test) -> tuple[np.ndarray, np.ndarray]:
+    """Predictions on X[test] of the y task (g) and the d task (m), both fit
+    on the `train` rows; an error names the task that failed.
+
+    A linear learner fits both tasks from one QR of X[train], and gathers
+    X[test] only after that fit, so the two copies never coexist. Only
+    X[train] can make that fit fail, and the y task meets it first, so its
+    errors name the y task, as they would when the tasks are fit in turn.
+    """
+    if learner.kind == "linear":
+        try:
+            g, m = predict(ols_fit(X[train], np.stack([y[train], d[train]])), X[test])
+        except Exception as exc:
+            raise type(exc)(f"y-task: {exc}") from exc
+        return g, m
+    X_tr, X_te = X[train], X[test]
+    preds = []
+    for task, target in (("y", y), ("d", d)):
+        try:
+            preds.append(
+                predict(gbt_fit(X_tr, target[train], learner.params, seed=learner.seed), X_te)
+            )
+        except Exception as exc:
+            raise type(exc)(f"{task}-task: {exc}") from exc
+    return preds[0], preds[1]
 
 
 def encode_features(problem: PlrProblem, train_mask: np.ndarray,
@@ -207,14 +228,12 @@ def cross_fit_nuisance(
             X = encode_features(problem, mask, unit_means, outcome_mean)
         else:
             X = problem.x
-        for task, target, out in (("y", problem.y, g_hat), ("d", problem.d, m_hat)):
-            try:
-                out[test] = _fit_predict(
-                    learner.kind, learner.params, learner.seed,
-                    X[train], target[train], X[test],
-                )
-            except Exception as exc:
-                raise type(exc)(f"fold {i}, {task}-task: {exc}") from exc
+        try:
+            g_hat[test], m_hat[test] = _fit_predict(
+                learner, X, problem.y, problem.d, train, test
+            )
+        except Exception as exc:
+            raise type(exc)(f"fold {i}, {exc}") from exc
         fold_of[test] = i
     u = problem.y - g_hat
     v = problem.d - m_hat
@@ -246,8 +265,8 @@ def fit_nuisance_nosplit(
         if encode
         else problem.x
     )
-    g_hat = _fit_predict(learner.kind, learner.params, learner.seed, X, problem.y, X)
-    m_hat = _fit_predict(learner.kind, learner.params, learner.seed, X, problem.d, X)
+    every_row = slice(None)
+    g_hat, m_hat = _fit_predict(learner, X, problem.y, problem.d, every_row, every_row)
     u = problem.y - g_hat
     v = problem.d - m_hat
     return NuisanceResiduals(

@@ -32,8 +32,10 @@ from .errors import (
 
 @dataclass
 class LinearModel:
-    intercept: float
-    coefficients: np.ndarray  # one weight per feature
+    """One fitted target, or several fitted on the same features (one row each)."""
+
+    intercept: float | np.ndarray  # (m,) for m targets
+    coefficients: np.ndarray  # one weight per feature; (m, features) for m targets
 
 
 @dataclass
@@ -86,14 +88,15 @@ class GbtModel:
     n_features: int = 0
 
 
-def _as_xy(X, y) -> tuple[np.ndarray, np.ndarray]:
+def _as_xy(X, y, multi: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    """X as a 2-D array and y as one target, or with `multi` one target per row."""
     X = np.asarray(X, dtype=float)
     if X.ndim == 1:
         X = X[:, None]
     y = np.asarray(y, dtype=float)
     if X.ndim != 2:
         raise DimensionMismatch("X must be 2-dimensional")
-    if y.ndim != 1 or y.size != X.shape[0]:
+    if y.ndim not in ((1, 2) if multi else (1,)) or y.shape[-1] != X.shape[0]:
         raise LengthMismatch(f"y has {y.size} entries for {X.shape[0]} rows of X")
     return X, y
 
@@ -101,10 +104,15 @@ def _as_xy(X, y) -> tuple[np.ndarray, np.ndarray]:
 def ols_fit(X, y) -> LinearModel:
     """Least squares with an intercept, solved by QR.
 
+    `y` is one target of shape (n,) or m targets of shape (m, n). The design
+    is factored once for all targets, and each target is solved on its own,
+    so every fit is bit-identical to fitting that target alone (a batched
+    Q.T @ Y rounds differently).
+
     Raises RankDeficient when the design (with intercept prepended) does not
     have full column rank -- constant features are the usual culprit.
     """
-    X, y = _as_xy(X, y)
+    X, y = _as_xy(X, y, multi=True)
     n, k = X.shape
     if n <= k + 1:
         raise TooFewRows(f"need more than {k + 1} rows to fit {k} features, got {n}")
@@ -113,8 +121,10 @@ def ols_fit(X, y) -> LinearModel:
     diag = np.abs(np.diag(R))
     if diag.min() <= max(n, k + 1) * np.finfo(float).eps * max(diag.max(), 1.0):
         raise RankDeficient("design matrix is rank deficient")
-    beta = np.linalg.solve(R, Q.T @ y)
-    return LinearModel(intercept=float(beta[0]), coefficients=beta[1:])
+    beta = np.stack([np.linalg.solve(R, Q.T @ target) for target in np.atleast_2d(y)])
+    if y.ndim == 1:
+        return LinearModel(intercept=float(beta[0, 0]), coefficients=beta[0, 1:])
+    return LinearModel(intercept=beta[:, 0], coefficients=beta[:, 1:])
 
 
 MAX_BINS = 256  # a column with at most this many distinct values is split exactly
@@ -318,18 +328,22 @@ def gbt_fit(X, y, params: HyperParams | None = None, seed: int = 0) -> GbtModel:
 
 
 def predict(model, X) -> np.ndarray:
-    """Evaluate a LinearModel or GbtModel on new rows."""
+    """Evaluate a LinearModel or GbtModel on new rows; a LinearModel of m
+    targets gives an (m, rows) array."""
     X = np.asarray(X, dtype=float)
     if X.ndim == 1:
         X = X[:, None]
     if X.ndim != 2:
         raise DimensionMismatch("X must be 2-dimensional")
     if isinstance(model, LinearModel):
-        if X.shape[1] != model.coefficients.size:
-            raise DimensionMismatch(
-                f"model expects {model.coefficients.size} features, got {X.shape[1]}"
-            )
-        return X @ model.coefficients + model.intercept
+        coef = model.coefficients
+        if X.shape[1] != coef.shape[-1]:
+            raise DimensionMismatch(f"model expects {coef.shape[-1]} features, got {X.shape[1]}")
+        if coef.ndim == 2:
+            # one row of predictions per target, each computed as a single
+            # target's model computes it
+            return np.stack([X @ c + b for c, b in zip(coef, model.intercept)])
+        return X @ coef + model.intercept
     if isinstance(model, GbtModel):
         if X.shape[1] != model.n_features:
             raise DimensionMismatch(

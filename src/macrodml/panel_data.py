@@ -334,7 +334,8 @@ def to_panel(
     One row per (fund, month) where the fund return, the treatment, all
     controls, and every one of the `lag_order` lags of (return, treatment,
     controls) are present. Months with any missing required value are dropped
-    per fund, not globally. Rows are ordered by fund ticker, then month.
+    per fund, not globally. Rows are ordered by fund ticker, then month. A lag
+    window longer than the series leaves the panel empty.
 
     The control vector is [controls at t] followed, for each lag j = 1..p,
     by [y_lag{j}, {treatment_name}_lag{j}, <control>_lag{j}...].
@@ -357,31 +358,30 @@ def to_panel(
         x_names.append(f"{treatment_name}_lag{j}")
         x_names.extend(f"{c}_lag{j}" for c in controls.columns)
 
-    unit_ids: list[str] = []
-    times: list[str] = []
-    y_rows: list[float] = []
-    d_rows: list[float] = []
-    x_rows: list[np.ndarray] = []
+    tickers = sorted(funds.columns)
+    Y = funds.select(tickers).values
+    ok = base_ok[:, None] & np.isfinite(Y)
+    # month t is valid when all p + 1 months of its window [t-p, t] are ok
+    valid = np.zeros_like(ok)
+    if T > p:
+        seen = np.zeros((T + 1, len(tickers)), dtype=np.int64)
+        np.cumsum(ok, axis=0, out=seen[1:])
+        valid[p:] = seen[p + 1 :] - seen[: T - p] == p + 1
+    f, t = np.nonzero(valid.T)  # fund-major, months ascending
 
-    for ticker in sorted(funds.columns):
-        y_f = funds.column(ticker)
-        ok = base_ok & np.isfinite(y_f)
-        if p == 0:
-            valid = ok
-        else:
-            window = np.convolve(ok.astype(int), np.ones(p + 1, dtype=int), mode="valid")
-            valid = np.zeros(T, dtype=bool)
-            valid[p:] = window == p + 1
-        for t in np.flatnonzero(valid):
-            parts = [X[t]]
-            for j in range(1, p + 1):
-                parts.append([y_f[t - j], d[t - j]])
-                parts.append(X[t - j])
-            unit_ids.append(ticker)
-            times.append(funds.time_index[t])
-            y_rows.append(y_f[t])
-            d_rows.append(d[t])
-            x_rows.append(np.concatenate(parts))
-
-    x = np.array(x_rows, dtype=float) if x_rows else np.empty((0, len(x_names)))
-    return PanelTable(unit_ids, times, np.array(y_rows), np.array(d_rows), x, x_names)
+    K = X.shape[1]
+    x = np.empty((f.size, len(x_names)))
+    x[:, :K] = X[t]
+    for j in range(1, p + 1):
+        col = K + (j - 1) * (K + 2)
+        x[:, col] = Y[t - j, f]
+        x[:, col + 1] = d[t - j]
+        x[:, col + 2 : col + 2 + K] = X[t - j]
+    return PanelTable(
+        [tickers[i] for i in f.tolist()],
+        [funds.time_index[i] for i in t.tolist()],
+        Y[t, f],
+        d[t],
+        x,
+        x_names,
+    )

@@ -1,6 +1,6 @@
 """Statistical preprocessing chain: differencing, unit-root screening,
-lag construction, VAR lag-order selection, per-unit mean encoding, and
-correlation/PCA diagnostics.
+VAR lag-order selection, per-unit mean encoding, and correlation/PCA
+diagnostics. Lag columns are built by panel_data.to_panel.
 """
 
 from __future__ import annotations
@@ -246,24 +246,6 @@ def select_lag_var_aic(vars: TimeSeriesMatrix, p_max: int) -> int:
         if best_aic is None or aic < best_aic:
             best_p, best_aic = p, aic
     return int(best_p)
-
-
-def build_lags(matrix: TimeSeriesMatrix, p: int) -> TimeSeriesMatrix:
-    """Widen a matrix with lag columns <var>_lag1 .. <var>_lagp.
-
-    The first j entries of each lag-j column are NaN, which marks those rows
-    invalid for panel construction downstream.
-    """
-    if p < 1:
-        raise ValueError("p must be >= 1")
-    names = list(matrix.columns)
-    cols = [matrix.values]
-    for j in range(1, p + 1):
-        shifted = np.full_like(matrix.values, np.nan)
-        shifted[j:] = matrix.values[:-j]
-        cols.append(shifted)
-        names.extend(f"{c}_lag{j}" for c in matrix.columns)
-    return TimeSeriesMatrix(list(matrix.time_index), names, np.hstack(cols))
 
 
 def unit_train_means(

@@ -253,6 +253,18 @@ def test_bad_lag_string_exits_config(small_fx, tmp_path, capsys):
     assert rc == EXIT_CONFIG
 
 
+def test_lag_longer_than_series_exits_data(small_fx, tmp_path):
+    root, fx = small_fx
+    proc = subprocess.run(
+        [sys.executable, "-m", "macrodml", *run_args(fx, tmp_path / "o", "--lag", "400")],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == EXIT_DATA
+    assert proc.stderr.startswith("code=2 error=DataError message=panel is empty")
+    assert proc.stderr.count("\n") == 1
+    assert "Traceback" not in proc.stderr
+
+
 def test_plots_on_empty_dir_exits_data(tmp_path, capsys):
     assert main(["plots", "--out", str(tmp_path)]) == EXIT_DATA
     assert capsys.readouterr().err.startswith("code=2 error=MissingInput")

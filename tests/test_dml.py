@@ -31,7 +31,14 @@ from macrodml.errors import (
     MissingInput,
     RankDeficient,
 )
-from macrodml.learners import HyperParams, ols_fit
+from macrodml import dml
+from macrodml.learners import (
+    HyperParams,
+    kfold_split,
+    ols_fit,
+    predict,
+    train_test_folds,
+)
 from macrodml.panel_data import PanelTable
 from macrodml.synth import SynthSpec, gen_plr
 
@@ -237,6 +244,27 @@ def test_learner_errors_tagged_with_fold_and_task():
     problem = PlrProblem(rng.standard_normal(50), rng.standard_normal(50), X)
     with pytest.raises(RankDeficient, match=r"fold 0, y-task"):
         cross_fit_nuisance(problem, LINEAR, k=2, seed=0)
+
+
+@pytest.mark.parametrize("panel", [False, True])
+def test_linear_cross_fit_one_ols_per_fold_matches_separate_fits(monkeypatch, panel):
+    if panel:
+        problem = _panel_problem()
+    else:
+        problem, _ = gen_plr(SynthSpec(kind="plr_linear", n=300, seed=4))
+    calls = []
+    monkeypatch.setattr(dml, "ols_fit", lambda X, y: calls.append(1) or ols_fit(X, y))
+    res = cross_fit_nuisance(problem, LINEAR, k=3, seed=1)
+    assert len(calls) == 3  # one fit per fold serves both tasks
+
+    n = problem.n_obs
+    for train, test in train_test_folds(kfold_split(n, 3, 1)):
+        X = problem.x
+        if panel:
+            X = encode_features(problem, np.isin(np.arange(n), train))
+        for target, fitted in ((problem.y, res.g_hat), (problem.d, res.m_hat)):
+            alone = predict(ols_fit(X[train], target[train]), X[test])
+            assert np.array_equal(fitted[test], alone)
 
 
 def test_mode_and_kind_are_validated():

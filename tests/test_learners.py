@@ -76,10 +76,38 @@ def test_ols_too_few_rows():
         ols_fit(np.eye(3)[:, :2], np.arange(3.0))
 
 
+@pytest.mark.parametrize("n, k, m", [(50, 3, 2), (400, 38, 3)])
+def test_ols_shared_design_matches_single_target_fits(rng, n, k, m):
+    X = rng.standard_normal((n, k))
+    Y = X[:, :m].T + rng.standard_normal((m, n))
+    X_new = rng.standard_normal((n // 2, k))
+    shared = ols_fit(X, Y)
+    assert shared.intercept.shape == (m,) and shared.coefficients.shape == (m, k)
+    preds = predict(shared, X_new)
+    assert preds.shape == (m, n // 2)
+    for j in range(m):
+        alone = ols_fit(X, Y[j].copy())
+        assert shared.intercept[j] == alone.intercept
+        assert np.array_equal(shared.coefficients[j], alone.coefficients)
+        assert np.array_equal(preds[j], predict(alone, X_new))
+
+
+def test_ols_shared_design_checks():
+    x = np.arange(10.0)
+    with pytest.raises(RankDeficient):
+        ols_fit(np.column_stack([x, 2.0 * x]), np.stack([x, -x]))
+    with pytest.raises(LengthMismatch):
+        ols_fit(x[:, None], np.zeros((2, 9)))
+    with pytest.raises(LengthMismatch):
+        ols_fit(x[:, None], np.zeros((1, 2, 10)))
+
+
 def test_predict_dimension_checks():
     model = LinearModel(0.0, np.array([1.0, 2.0, 3.0]))
     with pytest.raises(DimensionMismatch):
         predict(model, np.zeros((4, 2)))
+    with pytest.raises(DimensionMismatch):
+        predict(LinearModel(np.zeros(2), np.ones((2, 3))), np.zeros((4, 2)))
     with pytest.raises(TypeError):
         predict(object(), np.zeros((4, 2)))
 

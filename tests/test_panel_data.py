@@ -334,6 +334,88 @@ def test_to_panel_brute_force_enumeration(rng):
     assert list(zip(panel.unit_ids, panel.times)) == sorted(expected)
 
 
+def _reference_rows(funds_v, names, d_v, controls_v, p):
+    """to_panel's rows rebuilt one at a time: (ticker, month index, y, d, x)."""
+    rows = []
+    for ticker in sorted(names):
+        f = names.index(ticker)
+        for t in range(p, funds_v.shape[0]):
+            window = range(t - p, t + 1)
+            if all(
+                np.isfinite(funds_v[s, f]) and np.isfinite(d_v[s])
+                and np.all(np.isfinite(controls_v[s]))
+                for s in window
+            ):
+                x = list(controls_v[t])
+                for j in range(1, p + 1):
+                    x += [funds_v[t - j, f], d_v[t - j], *controls_v[t - j]]
+                rows.append((ticker, t, funds_v[t, f], d_v[t], x))
+    return rows
+
+
+@pytest.mark.parametrize("p", [0, 1, 3])
+def test_to_panel_values_match_row_loop(p):
+    rng = np.random.default_rng(40 + p)
+    T, k = 14, 2
+    names = ["FB", "FA"]  # not in sorted order
+    funds_v = rng.standard_normal((T, 2))
+    funds_v[[2, 9], 0] = np.nan  # each fund has its own gaps
+    funds_v[5, 1] = np.nan
+    controls_v = rng.standard_normal((T, k))
+    controls_v[12, 1] = np.nan
+    d_v = rng.standard_normal(T)
+    d_v[0] = np.nan
+
+    funds = make_tsm(funds_v, names=names)
+    controls = make_tsm(controls_v)
+    treatment = [(m, float(v)) for m, v in zip(funds.time_index, d_v)]
+    panel = to_panel(funds, treatment, controls, lag_order=p)
+
+    rows = _reference_rows(funds_v, names, d_v, controls_v, p)
+    assert rows and {r[0] for r in rows} == {"FA", "FB"}
+    assert panel.unit_ids == [r[0] for r in rows]
+    assert panel.times == [funds.time_index[r[1]] for r in rows]
+    assert np.array_equal(panel.y, [r[2] for r in rows])
+    assert np.array_equal(panel.d, [r[3] for r in rows])
+    ref_x = np.array([r[4] for r in rows])
+    assert panel.x.shape == ref_x.shape == (len(rows), len(panel.x_names))
+    for c, name in enumerate(panel.x_names):
+        assert np.array_equal(panel.x[:, c], ref_x[:, c]), name
+
+
+def _series_inputs(values):
+    """One fund holding `values`, treatment 10x and one control 100x it."""
+    values = np.asarray(values, dtype=float)
+    funds = make_tsm(values, names=["F"])
+    treatment = [(m, 10.0 * v) for m, v in zip(funds.time_index, values)]
+    return funds, treatment, make_tsm(100.0 * values, names=["c"])
+
+
+def test_to_panel_lag1_is_the_value_one_month_earlier():
+    funds, treatment, controls = _series_inputs([5.0, 6.0, 7.0])
+    panel = to_panel(funds, treatment, controls, lag_order=1)
+    assert panel.x_names == ["c", "y_lag1", "d_lag1", "c_lag1"]
+    assert panel.times == funds.time_index[1:]
+    assert np.array_equal(panel.y, [6.0, 7.0])
+    assert np.array_equal(panel.x, [[600.0, 5.0, 50.0, 500.0], [700.0, 6.0, 60.0, 600.0]])
+
+
+def test_to_panel_p2_keeps_only_the_last_of_three_months():
+    funds, treatment, controls = _series_inputs([1.0, 2.0, 3.0])
+    panel = to_panel(funds, treatment, controls, lag_order=2)
+    assert panel.times == [funds.time_index[2]]
+    assert np.array_equal(panel.x, [[300.0, 2.0, 20.0, 200.0, 1.0, 10.0, 100.0]])
+
+
+@pytest.mark.parametrize("p", [3, 4, 10])
+def test_to_panel_lag_window_longer_than_series_is_empty(p):
+    funds, treatment, controls = _full_inputs(T=3, n_funds=2, k=2)
+    assert to_panel(funds, treatment, controls, lag_order=2).n_rows == 2
+    panel = to_panel(funds, treatment, controls, lag_order=p)
+    assert panel.n_rows == 0
+    assert panel.x.shape == (0, 2 + p * (2 + 2)) == (0, len(panel.x_names))
+
+
 def test_to_panel_requires_shared_index():
     funds, treatment, controls = _full_inputs(T=6, n_funds=1)
     other = make_tsm(np.zeros((6, 2)), start="1990-01")

@@ -13,12 +13,11 @@ from macrodml.errors import (
     SingularRegression,
     TooShort,
 )
-from macrodml.panel_data import PanelTable, TimeSeriesMatrix
+from macrodml.panel_data import PanelTable, TimeSeriesMatrix, to_panel
 from macrodml.preprocess import (
     ADF_LEVELS,
     adf_critical_values,
     adf_test,
-    build_lags,
     correlation_matrix,
     difference_matrix,
     first_difference,
@@ -245,30 +244,26 @@ def test_select_lag_too_short():
 
 
 # ---------------------------------------------------------------------------
-# lag construction
+# lags (built by to_panel) and differences
 # ---------------------------------------------------------------------------
 
-def test_build_lags_shift():
-    mat = make_tsm(np.array([5.0, 6.0, 7.0]))
-    out = build_lags(mat, 1)
-    assert out.columns == ["c1", "c1_lag1"]
-    lag = out.column("c1_lag1")
-    assert np.isnan(lag[0]) and np.array_equal(lag[1:], [5.0, 6.0])
-
-
-def test_build_lags_p2_only_last_row_complete():
-    out = build_lags(make_tsm(np.array([1.0, 2.0, 3.0])), 2)
-    complete = np.all(np.isfinite(out.values), axis=1)
-    assert np.array_equal(complete, [False, False, True])
+def _lag1(matrix):
+    """The y_lag1 column to_panel builds for a one-fund matrix, on its months."""
+    no_controls = TimeSeriesMatrix(list(matrix.time_index), [], np.empty((matrix.n_months, 0)))
+    flat = [(m, 0.0) for m in matrix.time_index]
+    panel = to_panel(matrix, flat, no_controls, lag_order=1)
+    lag = panel.x[:, panel.x_names.index("y_lag1")]
+    return TimeSeriesMatrix(panel.times, ["lag1"], lag[:, None])
 
 
 def test_lag_and_difference_commute_on_ramp():
     ramp = make_tsm(3.0 + 2.0 * np.arange(10.0))
-    lag_of_diff = build_lags(difference_matrix(ramp), 1).column("c1_lag1")
-    diff_of_lag = difference_matrix(build_lags(ramp, 1)).column("c1_lag1")
-    # both equal the constant slope wherever defined
-    assert np.allclose(lag_of_diff[1:], 2.0)
-    assert np.allclose(diff_of_lag[1:], 2.0)
+    lag_of_diff = _lag1(difference_matrix(ramp))
+    diff_of_lag = difference_matrix(_lag1(ramp))
+    # both equal the constant slope wherever defined, on the same months
+    assert lag_of_diff.time_index == diff_of_lag.time_index == ramp.time_index[2:]
+    assert np.array_equal(lag_of_diff.values, diff_of_lag.values)
+    assert np.all(lag_of_diff.values == 2.0)
 
 
 # ---------------------------------------------------------------------------
