@@ -23,8 +23,6 @@ from .dml import (
     run_dml,
     unit_blocked_split,
     wald_inference,
-    write_residuals_csv,
-    write_results_csv,
 )
 from .learners import (
     DEFAULT_GRID,

@@ -23,6 +23,7 @@ import numpy as np
 from . import validation
 from .dml import (
     LearnerSpec,
+    design_rows,
     encode_features,
     problem_from_panel,
     residual_diagnostics,
@@ -34,6 +35,7 @@ from .errors import (
     ConfigError,
     DataError,
     MacrodmlError,
+    MalformedRow,
     MissingInput,
     NumericalError,
 )
@@ -149,6 +151,13 @@ def _series_of(matrix, name) -> Series:
     return [(t, float(v)) for t, v in zip(matrix.time_index, col)]
 
 
+def _cells(values: list) -> list[str]:
+    """Each value's CSV text, formatted in one call: a list's repr prints
+    every float with float.__repr__ (csv prints a float the same way) and
+    every int with int.__repr__."""
+    return repr(values)[1:-1].split(", ") if values else []
+
+
 class _Artifacts:
     """Staged outputs: everything renders to memory first and hits disk only
     after the whole pipeline has succeeded, so failures leave no partials."""
@@ -166,17 +175,24 @@ class _Artifacts:
         writer.writerows(rows)
         self.add(name, buf.getvalue())
 
-    def write_out(self, out_dir: str) -> dict[str, str]:
+    def add_columns(self, name: str, header: list[str], columns: list[list[str]]) -> None:
+        """A numeric table from per-column cell text (see `_cells`), with the
+        bytes csv.writer would write for those rows."""
+        self.add(name, "\n".join([",".join(header), *map(",".join, zip(*columns))]) + "\n")
+
+    def hashes(self) -> dict[str, str]:
+        return {name: hashlib.sha256(content.encode()).hexdigest()
+                for name, content in sorted(self.files.items())}
+
+    def write_out(self, out_dir: str) -> None:
         os.makedirs(out_dir, exist_ok=True)
         written: list[str] = []
-        hashes: dict[str, str] = {}
         try:
             for name, content in self.files.items():
                 path = os.path.join(out_dir, name)
                 with open(path, "w", newline="") as fh:
                     fh.write(content)
                 written.append(path)
-                hashes[name] = hashlib.sha256(content.encode()).hexdigest()
         except OSError:
             for path in written:
                 try:
@@ -184,7 +200,6 @@ class _Artifacts:
                 except OSError:
                     pass
             raise
-        return hashes
 
 
 def run_pipeline(config: PipelineConfig) -> dict:
@@ -282,10 +297,10 @@ def run_pipeline(config: PipelineConfig) -> dict:
             grid = DEFAULT_GRID
         # tuning features mirror the estimation features, with unit means
         # computed on the full sample (model selection, not inference)
-        tune_x = encode_features(
+        tune_x = design_rows(problem.x, encode_features(
             problem, np.ones(panel.n_rows, dtype=bool),
             config.unit_means, config.outcome_mean,
-        )
+        ))
         best_params, cv_table = grid_search_cv(
             tune_x, panel.y, grid, k=config.k, seed=config.seed
         )
@@ -330,18 +345,20 @@ def run_pipeline(config: PipelineConfig) -> dict:
     art.add_csv("per_1pct.csv", ["model", "per_1pct"], per_1pct_rows)
     art.add_csv("r2.csv", ["model", "r2_y", "r2_d"], r2_rows)
 
-    table, summary = residual_diagnostics(diagnostics_res, diagnostics_res.g_hat)
-    # csv writes a Python float as str(), which is its shortest round-trip repr()
-    art.add_csv("residuals.csv", ["fitted", "residual"], table.tolist())
-    art.add_csv(
-        "nuisance_residuals.csv",
-        ["row", "fold", "u", "v"],
-        zip(
-            range(panel.n_rows),
-            diagnostics_res.fold_of.tolist(),
-            diagnostics_res.u.tolist(),
-            diagnostics_res.v.tolist(),
-        ),
+    _, summary = residual_diagnostics(diagnostics_res, diagnostics_res.g_hat)
+    u_cells = _cells(diagnostics_res.u.tolist())
+    art.add_columns(
+        "residuals.csv", ["fitted", "residual"],
+        [_cells(diagnostics_res.g_hat.tolist()), u_cells],
+    )
+    art.add_columns(
+        "nuisance_residuals.csv", ["row", "fold", "u", "v"],
+        [
+            _cells(list(range(panel.n_rows))),
+            _cells(diagnostics_res.fold_of.tolist()),
+            u_cells,
+            _cells(diagnostics_res.v.tolist()),
+        ],
     )
 
     manifest = {
@@ -370,44 +387,85 @@ def run_pipeline(config: PipelineConfig) -> dict:
         "boosted_params": None if best_params is None else asdict(best_params),
         "residual_summary": summary,
     }
-    blob = json.dumps(manifest, sort_keys=True, indent=2)
-    art.add("manifest.json", blob)
-    hashes = art.write_out(config.output_dir)
-
-    # rewrite the manifest with file hashes included (hash covers all files
-    # except the manifest itself)
-    manifest["files"] = {k: v for k, v in sorted(hashes.items()) if k != "manifest.json"}
-    with open(os.path.join(config.output_dir, "manifest.json"), "w") as fh:
-        json.dump(manifest, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    # the hashes cover every file except the manifest itself
+    manifest["files"] = art.hashes()
+    art.add("manifest.json", json.dumps(manifest, sort_keys=True, indent=2) + "\n")
+    art.write_out(config.output_dir)
     return manifest
 
 
+def _read_text(path: str) -> str:
+    try:
+        with open(path, newline="") as fh:
+            return fh.read()
+    except FileNotFoundError:
+        raise MissingInput(f"missing input: {path}") from None
+
+
 def _read_csv_rows(path: str) -> tuple[list[str], list[list[str]]]:
-    if not os.path.exists(path):
-        raise MissingInput(f"missing input: {path}")
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        return header, list(reader)
+    reader = csv.reader(io.StringIO(_read_text(path)))
+    return next(reader, []), list(reader)
+
+
+def _read_numeric_csv(path: str, width: int) -> np.ndarray:
+    """The body of a CSV of `width` numeric columns as a (rows, width) array.
+
+    The body is parsed in one pass: every line must hold width - 1 commas,
+    and every cell goes through float(), as csv.reader and float() read it,
+    so a file `run` wrote comes back with the bits it was written from.
+    """
+    body = _read_text(path).partition("\n")[2]
+    if not body:
+        return np.empty((0, width))
+    if not body.endswith("\n"):
+        body += "\n"
+    chars = np.frombuffer(body.encode(), dtype=np.uint8)
+    seps = chars[(chars == ord(",")) | (chars == ord("\n"))]
+    # one line's separators, repeated: since the body ends in a newline, a
+    # full match means every line holds exactly `width` cells
+    expected = np.resize(np.frombuffer(b"," * (width - 1) + b"\n", dtype=np.uint8), seps.size)
+    bad = np.flatnonzero(seps != expected)
+    if bad.size:
+        line = 2 + np.count_nonzero(seps[:bad[0]] == ord("\n"))
+        raise MalformedRow(f"{path} line {line}: expected {width} cells")
+    try:
+        values = list(map(float, body[:-1].replace("\n", ",").split(",")))
+    except ValueError:
+        for line, text in enumerate(body[:-1].split("\n"), start=2):
+            for cell in text.split(","):
+                try:
+                    float(cell)
+                except ValueError:
+                    raise MalformedRow(
+                        f"{path} line {line}: cannot parse {cell!r} as a number"
+                    ) from None
+        raise
+    return np.array(values).reshape(-1, width)
 
 
 def emit_plots(output_dir: str) -> list[str]:
     """Render corr_heatmap.svg, pca_scree.svg, residuals_fitted.svg from the
     CSVs a previous `run` left in output_dir."""
-    header, rows = _read_csv_rows(os.path.join(output_dir, "corr.csv"))
-    labels = [row[0] for row in rows]
-    corr = np.array([[float(v) for v in row[1:]] for row in rows])
+    path = os.path.join(output_dir, "corr.csv")
+    header, rows = _read_csv_rows(path)
+    try:
+        labels = [row[0] for row in rows]
+        corr = np.array([[float(v) for v in row[1:]] for row in rows])
+    except (ValueError, IndexError) as exc:
+        raise MalformedRow(f"{path}: {exc}") from None
     heatmap = render_corr_heatmap(corr, labels)
 
-    header, rows = _read_csv_rows(os.path.join(output_dir, "pca.csv"))
-    explained = np.array([float(row[header.index("explained_ratio")]) for row in rows])
+    path = os.path.join(output_dir, "pca.csv")
+    header, rows = _read_csv_rows(path)
+    try:
+        at = header.index("explained_ratio")
+        explained = np.array([float(row[at]) for row in rows])
+    except (ValueError, IndexError) as exc:
+        raise MalformedRow(f"{path}: {exc}") from None
     scree = render_scree(explained)
 
-    header, rows = _read_csv_rows(os.path.join(output_dir, "residuals.csv"))
-    fitted = np.array([float(row[0]) for row in rows])
-    resid = np.array([float(row[1]) for row in rows])
-    scatter = render_residuals(fitted, resid)
+    table = _read_numeric_csv(os.path.join(output_dir, "residuals.csv"), 2)
+    scatter = render_residuals(table[:, 0], table[:, 1])
 
     out_names = []
     svg_hashes = {}

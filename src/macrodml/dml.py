@@ -9,7 +9,7 @@ first-order errors in either nuisance do not move theta.
 
 from __future__ import annotations
 
-import csv
+import functools
 import math
 from dataclasses import dataclass, field
 from decimal import Decimal
@@ -134,22 +134,24 @@ def unit_blocked_split(unit_ids, k: int, seed: int = 0) -> list[np.ndarray]:
     return [np.flatnonzero(np.isin(unit_ids, block)) for block in blocks]
 
 
-def _fit_predict(learner: LearnerSpec, X, y, d, train, test) -> tuple[np.ndarray, np.ndarray]:
-    """Predictions on X[test] of the y task (g) and the d task (m), both fit
-    on the `train` rows; an error names the task that failed.
+def _fit_predict(learner: LearnerSpec, rows_of, y, d, train, test) -> tuple[np.ndarray, np.ndarray]:
+    """Predictions on the `test` rows of the y task (g) and the d task (m),
+    both fit on the `train` rows; `rows_of(rows)` returns those rows of the
+    design. An error names the task that failed.
 
-    A linear learner fits both tasks from one QR of X[train], and gathers
-    X[test] only after that fit, so the two copies never coexist. Only
-    X[train] can make that fit fail, and the y task meets it first, so its
-    errors name the y task, as they would when the tasks are fit in turn.
+    A linear learner fits both tasks from one QR of the training rows, and
+    gathers the test rows only after that fit, so the two copies never
+    coexist. Only the training rows can make that fit fail, and the y task
+    meets it first, so its errors name the y task, as they would when the
+    tasks are fit in turn.
     """
     if learner.kind == "linear":
         try:
-            g, m = predict(ols_fit(X[train], np.stack([y[train], d[train]])), X[test])
+            g, m = predict(ols_fit(rows_of(train), np.stack([y[train], d[train]])), rows_of(test))
         except Exception as exc:
             raise type(exc)(f"y-task: {exc}") from exc
         return g, m
-    X_tr, X_te = X[train], X[test]
+    X_tr, X_te = rows_of(train), rows_of(test)
     preds = []
     for task, target in (("y", y), ("d", d)):
         try:
@@ -163,13 +165,14 @@ def _fit_predict(learner: LearnerSpec, X, y, d, train, test) -> tuple[np.ndarray
 
 def encode_features(problem: PlrProblem, train_mask: np.ndarray,
                     x_means: bool = False, y_mean: bool = True) -> np.ndarray:
-    """x augmented with per-unit training-mean columns (fixed-effect proxies).
+    """The per-unit training-mean columns (fixed-effect proxies) that encoding
+    appends to x, as an (n, c) block; `design_rows` joins the two.
 
-    `y_mean` appends the unit mean of the outcome (target encoding of the
-    unit id). `x_means` additionally appends one mean column per regressor;
-    note that with common-across-unit regressors those columns carry at most
-    one value per unit, so OLS needs more units than mean columns. Means use
-    train_mask rows only. With both toggles off, returns x unchanged.
+    `y_mean` gives the unit mean of the outcome (target encoding of the unit
+    id). `x_means` additionally gives one mean column per regressor; note
+    that with common-across-unit regressors those columns carry at most one
+    value per unit, so OLS needs more units than mean columns. Means use
+    train_mask rows only. With both toggles off, the block has no columns.
     """
     cols = []
     if x_means:
@@ -177,9 +180,19 @@ def encode_features(problem: PlrProblem, train_mask: np.ndarray,
     if y_mean:
         cols.append(problem.y[:, None])
     if not cols:
-        return problem.x
-    means = unit_train_means(problem.unit_ids, np.hstack(cols), train_mask)
-    return np.hstack([problem.x, means])
+        return np.empty((problem.n_obs, 0))
+    return unit_train_means(problem.unit_ids, np.hstack(cols), train_mask)
+
+
+def design_rows(x: np.ndarray, means: np.ndarray, rows=slice(None)) -> np.ndarray:
+    """x[rows] with means[rows] appended, copied straight into one array, so
+    selecting rows never builds the full encoded matrix first."""
+    rows = np.arange(x.shape[0])[rows]
+    p = x.shape[1]
+    out = np.empty((rows.size, p + means.shape[1]))
+    np.take(x, rows, axis=0, out=out[:, :p])
+    np.take(means, rows, axis=0, out=out[:, p:])
+    return out
 
 
 def _oof_r2(target: np.ndarray, resid: np.ndarray) -> float:
@@ -200,10 +213,11 @@ def cross_fit_nuisance(
     """Fit both nuisances with K-fold cross-fitting.
 
     Every row is predicted by models trained on the complement of its fold.
-    For problems with unit ids the feature matrix is re-encoded inside each
+    For problems with unit ids the unit means are recomputed inside each
     training complement (`unit_means` appends regressor means, `outcome_mean`
     the unit's y mean), so held-out rows never leak into the means they
-    receive. `fold_mode="unit"` keeps all rows of a unit in the same fold.
+    receive; the fold's training and test rows are copied straight from x and
+    that block. `fold_mode="unit"` keeps all rows of a unit in the same fold.
     The stored r2_y/r2_d are computed on the pooled out-of-fold predictions.
     """
     learner.validate()
@@ -221,16 +235,16 @@ def cross_fit_nuisance(
     g_hat = np.full(n, np.nan)
     m_hat = np.full(n, np.nan)
     fold_of = np.full(n, -1, dtype=np.int64)
+    rows_of = problem.x.__getitem__
     for i, (train, test) in enumerate(train_test_folds(folds)):
         if encode:
             mask = np.zeros(n, dtype=bool)
             mask[train] = True
-            X = encode_features(problem, mask, unit_means, outcome_mean)
-        else:
-            X = problem.x
+            means = encode_features(problem, mask, unit_means, outcome_mean)
+            rows_of = functools.partial(design_rows, problem.x, means)
         try:
             g_hat[test], m_hat[test] = _fit_predict(
-                learner, X, problem.y, problem.d, train, test
+                learner, rows_of, problem.y, problem.d, train, test
             )
         except Exception as exc:
             raise type(exc)(f"fold {i}, {exc}") from exc
@@ -260,13 +274,12 @@ def fit_nuisance_nosplit(
         raise MissingInput("problem has no unit_ids")
     n = problem.n_obs
     encode = problem.unit_ids is not None and (unit_means or outcome_mean)
-    X = (
-        encode_features(problem, np.ones(n, dtype=bool), unit_means, outcome_mean)
-        if encode
-        else problem.x
-    )
+    rows_of = problem.x.__getitem__
+    if encode:
+        means = encode_features(problem, np.ones(n, dtype=bool), unit_means, outcome_mean)
+        rows_of = functools.partial(design_rows, problem.x, means)
     every_row = slice(None)
-    g_hat, m_hat = _fit_predict(learner, X, problem.y, problem.d, every_row, every_row)
+    g_hat, m_hat = _fit_predict(learner, rows_of, problem.y, problem.d, every_row, every_row)
     u = problem.y - g_hat
     v = problem.d - m_hat
     return NuisanceResiduals(
@@ -416,23 +429,3 @@ def result_csv_row(model_name: str, result: DmlResult) -> list[str]:
         repr(result.per_1pct),
     ]
 
-
-def write_results_csv(rows: list[tuple[str, DmlResult]], path) -> None:
-    """Inference table, one row per fitted model."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(RESULT_CSV_HEADER)
-        for model_name, result in rows:
-            writer.writerow(result_csv_row(model_name, result))
-
-
-def write_residuals_csv(res: NuisanceResiduals, path) -> None:
-    """One row per observation: fold id and both nuisance residuals."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["row", "fold", "u", "v"])
-        for i in range(res.u.size):
-            writer.writerow(
-                [str(i), str(int(res.fold_of[i])), repr(float(res.u[i])),
-                 repr(float(res.v[i]))]
-            )

@@ -530,23 +530,3 @@ def grid_search_cv(
     best = min(table, key=lambda row: (row.cv_mse, row.params.n_trees, row.params.max_depth))
     return replace(best.params), table
 
-
-def write_grid_cv_csv(table: list[CvRow], path) -> None:
-    import csv
-
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["n_trees", "max_depth", "learning_rate", "min_samples_leaf", "cv_mse", "cv_r2"]
-        )
-        for row in table:
-            writer.writerow(
-                [
-                    row.params.n_trees,
-                    row.params.max_depth,
-                    repr(row.params.learning_rate),
-                    row.params.min_samples_leaf,
-                    repr(row.cv_mse),
-                    repr(row.cv_r2),
-                ]
-            )

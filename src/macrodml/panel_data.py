@@ -19,6 +19,7 @@ from .errors import (
     IndexMismatch,
     IrregularSpacing,
     MalformedRow,
+    MissingInput,
     NonMonotoneTime,
     TooFewPoints,
     UnparseableTime,
@@ -178,12 +179,19 @@ class PanelTable:
 # CSV ingestion
 # ---------------------------------------------------------------------------
 
+def _open_input(path):
+    try:
+        return open(path, newline="")
+    except FileNotFoundError:
+        raise MissingInput(f"missing input: {path}") from None
+
+
 def load_tscs_csv(path, time_column: str = "date") -> TimeSeriesMatrix:
     """Load a wide CSV (header row, one time column, one column per series).
 
     Empty cells become NaN. Column order follows the file.
     """
-    with open(path, newline="") as fh:
+    with _open_input(path) as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
@@ -238,13 +246,21 @@ def load_fund_meta_csv(path) -> list[FundMeta]:
     """Load the fund-metadata sidecar (ticker,asset_class,inception,aum_musd,managed)."""
     catalog = []
     seen = set()
-    with open(path, newline="") as fh:
-        for rec in csv.DictReader(fh):
+    with _open_input(path) as fh:
+        reader = csv.DictReader(fh)
+        for rec in reader:
+            try:
+                aum = float(rec["aum_musd"])
+            except (TypeError, ValueError):
+                raise MalformedRow(
+                    f"line {reader.line_num}: cannot parse aum_musd "
+                    f"{rec['aum_musd']!r} as a number"
+                ) from None
             meta = FundMeta(
                 ticker=rec["ticker"],
                 asset_class=rec["asset_class"],
                 inception=rec["inception"],
-                aum_musd=float(rec["aum_musd"]),
+                aum_musd=aum,
                 managed=rec["managed"],
             )
             if meta.ticker in seen:

@@ -120,10 +120,12 @@ def render_residuals(fitted: np.ndarray, residuals: np.ndarray) -> str:
     x_span = (x_hi - x_lo) if x_hi > x_lo else 1.0
     pad = 50.0
 
-    def sx(v: float) -> float:
+    # sx and sy map whole arrays: float64 ops round elementwise as they do on
+    # one scalar, and "%.4f" prints a float as f"{v:.4f}" does
+    def sx(v):
         return pad + (v - x_lo) / x_span * _SCATTER_W
 
-    def sy(v: float) -> float:
+    def sy(v):
         return pad + (1.0 - (v + y_lim) / (2.0 * y_lim)) * _SCATTER_H
 
     zero_y = sy(0.0)
@@ -137,10 +139,8 @@ def render_residuals(fitted: np.ndarray, residuals: np.ndarray) -> str:
         f"<text x='{pad:.1f}' y='{height - 12}' {_FONT}>fitted</text>",
         f"<text x='12' y='{pad:.1f}' {_FONT}>residual</text>",
     ]
-    for fv, rv in zip(fitted, residuals):
-        parts.append(
-            f"<circle cx='{sx(fv):.4f}' cy='{sy(rv):.4f}' r='2.5' "
-            "fill='steelblue' fill-opacity='0.55'/>"
-        )
+    circle = "<circle cx='%.4f' cy='%.4f' r='2.5' fill='steelblue' fill-opacity='0.55'/>"
+    centers = np.column_stack([sx(fitted), sy(residuals)]).ravel().tolist()
+    parts.append("\n".join([circle] * fitted.size) % tuple(centers))
     parts.append("</svg>")
     return "\n".join(parts)

@@ -5,7 +5,6 @@ diagnostics. Lag columns are built by panel_data.to_panel.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
@@ -196,17 +195,6 @@ def screen_stationarity(
         else:
             dropped.append((name, report))
     return StationarityScreen(vars.select(kept_names), dropped, reports)
-
-
-def write_screen_audit_csv(screen: StationarityScreen, path) -> None:
-    """Audit trail, one row per tested variable."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["variable", "adf_stat", "crit_5pct", "verdict"])
-        for name, report in screen.reports.items():
-            writer.writerow(
-                [name, repr(report.statistic), repr(report.critical_values["5%"]), report.verdict]
-            )
 
 
 def select_lag_var_aic(vars: TimeSeriesMatrix, p_max: int) -> int:

@@ -1,11 +1,16 @@
 import csv
 import hashlib
+import io
 import json
 import os
+import shutil
 import subprocess
 import sys
 
+import numpy as np
 import pytest
+
+from macrodml import cli
 
 from macrodml.cli import (
     EXIT_CONFIG,
@@ -17,48 +22,13 @@ from macrodml.cli import (
     main,
 )
 from macrodml.errors import ConfigError
-from macrodml.synth import gen_pipeline_fixture
 
-
-def read_csv(path):
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        return header, list(reader)
+from conftest import read_csv, run_args
 
 
 def read_manifest(out_dir):
     with open(os.path.join(out_dir, "manifest.json")) as fh:
         return json.load(fh)
-
-
-def run_args(fx, out_dir, *extra):
-    return [
-        "run",
-        "--funds", fx["funds_csv"],
-        "--macro", fx["macro_csv"],
-        "--meta", fx["meta_csv"],
-        "--treatment", "policy_rate",
-        "--out", str(out_dir),
-        *extra,
-    ]
-
-
-@pytest.fixture(scope="module")
-def full_run(tmp_path_factory):
-    """One full-size linear run shared by the read-only assertions below."""
-    root = tmp_path_factory.mktemp("cli_full")
-    fx = gen_pipeline_fixture(root / "inputs", seed=0)
-    out = root / "out"
-    assert main(run_args(fx, out, "--learner", "linear", "--lag", "7")) == EXIT_OK
-    return {"fx": fx, "out": str(out)}
-
-
-@pytest.fixture(scope="module")
-def small_fx(tmp_path_factory):
-    # 300 months keeps the ADF screen well-powered under Schwert auto lags
-    root = tmp_path_factory.mktemp("cli_small")
-    return root, gen_pipeline_fixture(root / "inputs", seed=5, n_funds=4, n_months=300)
 
 
 # ---------------------------------------------------------------------------
@@ -126,17 +96,8 @@ def test_plots_render_and_register_in_manifest(full_run):
         assert manifest["files"][name] == hashlib.sha256(blob).hexdigest()
 
 
-def test_both_learners_two_result_rows(small_fx, tmp_path):
-    root, fx = small_fx
-    grid_path = tmp_path / "grid.json"
-    grid_path.write_text(json.dumps([{
-        "n_trees": 15, "max_depth": 2,
-        "learning_rate": 0.3, "min_samples_leaf": 20,
-    }]))
-    out = tmp_path / "out"
-    rc = main(run_args(fx, out, "--learner", "both", "--lag", "2",
-                       "--grid", str(grid_path)))
-    assert rc == EXIT_OK
+def test_both_learners_two_result_rows(both_run):
+    out = both_run
     _, rows = read_csv(out / "results.csv")
     assert [r[0] for r in rows] == ["linear", "boosted"]
     _, r2_rows = read_csv(out / "r2.csv")
@@ -303,3 +264,127 @@ def test_python_dash_m_macrodml_runs_the_cli(small_fx, tmp_path):
     )
     assert proc.returncode == EXIT_DATA
     assert proc.stderr.startswith("code=2")
+
+
+def _macrodml(*args):
+    return subprocess.run([sys.executable, "-m", "macrodml", *args],
+                          capture_output=True, text=True)
+
+
+@pytest.mark.parametrize("missing", ["funds_csv", "macro_csv", "meta_csv"])
+def test_missing_input_file_exits_data(small_fx, tmp_path, missing):
+    root, fx = small_fx
+    proc = _macrodml(*run_args({**fx, missing: str(tmp_path / "absent.csv")}, tmp_path / "o"))
+    assert proc.returncode == EXIT_DATA
+    assert proc.stderr.startswith("code=2 error=MissingInput message=missing input: ")
+    assert "absent.csv" in proc.stderr and proc.stderr.count("\n") == 1
+    assert "Traceback" not in proc.stderr
+
+
+def test_non_numeric_aum_exits_data(small_fx, tmp_path):
+    root, fx = small_fx
+    lines = open(fx["meta_csv"]).read().split("\n")
+    cells = lines[2].split(",")
+    cells[3] = "lots"
+    lines[2] = ",".join(cells)
+    meta = tmp_path / "meta.csv"
+    meta.write_text("\n".join(lines))
+    proc = _macrodml(*run_args({**fx, "meta_csv": str(meta)}, tmp_path / "o"))
+    assert proc.returncode == EXIT_DATA
+    assert proc.stderr.startswith("code=2 error=MalformedRow message=line 3: ")
+    assert "'lots'" in proc.stderr and proc.stderr.count("\n") == 1
+    assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("bad_line, message", [
+    ("0.5,oops", "line 4: cannot parse 'oops' as a number"),
+    ("0.5,0.25,0.125", "line 4: expected 2 cells"),
+    ("0.5", "line 4: expected 2 cells"),
+])
+def test_plots_on_malformed_residuals_exits_data(full_run, tmp_path, bad_line, message):
+    out = tmp_path / "out"
+    shutil.copytree(full_run["out"], out)
+    lines = (out / "residuals.csv").read_text().split("\n")
+    lines[3] = bad_line
+    (out / "residuals.csv").write_text("\n".join(lines))
+    proc = _macrodml("plots", "--out", str(out))
+    assert proc.returncode == EXIT_DATA
+    assert proc.stderr.startswith("code=2 error=MalformedRow message=")
+    assert proc.stderr.rstrip().endswith(message) and proc.stderr.count("\n") == 1
+    assert "Traceback" not in proc.stderr
+
+
+def test_plots_on_non_numeric_corr_exits_data(full_run, tmp_path):
+    out = tmp_path / "out"
+    shutil.copytree(full_run["out"], out)
+    text = (out / "corr.csv").read_text()
+    (out / "corr.csv").write_text(text.replace("1.0", "one", 1))
+    proc = _macrodml("plots", "--out", str(out))
+    assert proc.returncode == EXIT_DATA
+    assert proc.stderr.startswith("code=2 error=MalformedRow message=")
+    assert "corr.csv" in proc.stderr and "Traceback" not in proc.stderr
+
+
+# ---------------------------------------------------------------------------
+# bulk-formatted tables: the bytes and bits of the per-row path
+# ---------------------------------------------------------------------------
+
+SPECIAL_FLOATS = [
+    float("nan"), float("inf"), float("-inf"), -0.0, 0.0, 5e-324, -5e-324, 1e-7, 1e16,
+    123456789.0, 1.0, -3.0, 2.0**53, 0.1, 1 / 3, -2.5e-310, 1.7976931348623157e308,
+]
+
+
+def test_numeric_table_text_matches_csv_writer():
+    rng = np.random.default_rng(3)
+    n = len(SPECIAL_FLOATS)
+    columns = [
+        SPECIAL_FLOATS,
+        list(reversed(SPECIAL_FLOATS)),
+        (rng.standard_normal(n) * 10.0 ** rng.integers(-12, 12, n)).tolist(),
+    ]
+    ints = list(range(n))
+    art = cli._Artifacts()
+    art.add_columns("t.csv", ["i", "a", "b", "c"], [cli._cells(c) for c in [ints, *columns]])
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["i", "a", "b", "c"])
+    writer.writerows(zip(ints, *columns))
+    assert art.files["t.csv"] == buf.getvalue()
+    assert cli._cells([]) == []
+
+
+def test_plots_reparse_returns_the_written_bits(full_run, tmp_path, monkeypatch):
+    rng = np.random.default_rng(4)
+    finite = [v for v in SPECIAL_FLOATS if abs(v) < 1e300]  # nan and inf fail the min/max scale
+    fitted = np.concatenate([finite, rng.standard_normal(500) * 1e3])
+    resid = np.concatenate([finite[::-1], rng.standard_normal(500) * 1e-5])
+    out = tmp_path / "out"
+    shutil.copytree(full_run["out"], out)
+    art = cli._Artifacts()
+    art.add_columns("residuals.csv", ["fitted", "residual"],
+                    [cli._cells(fitted.tolist()), cli._cells(resid.tolist())])
+    art.write_out(str(out))
+    seen = {}
+    real = cli.render_residuals
+    monkeypatch.setattr(cli, "render_residuals",
+                        lambda f, r: seen.update(f=f, r=r) or real(f, r))
+    cli.emit_plots(str(out))
+    assert np.array_equal(seen["f"].view(np.uint64), fitted.view(np.uint64))
+    assert np.array_equal(seen["r"].view(np.uint64), resid.view(np.uint64))
+
+
+def test_manifest_is_written_once(small_fx, tmp_path, monkeypatch):
+    root, fx = small_fx
+    opened = []
+    real_open = open
+
+    def tracking_open(path, mode="r", *args, **kwargs):
+        if "w" in mode:
+            opened.append(os.path.basename(path))
+        return real_open(path, mode, *args, **kwargs)
+
+    monkeypatch.setattr("builtins.open", tracking_open)
+    assert main(run_args(fx, tmp_path / "o", "--learner", "linear", "--lag", "2")) == EXIT_OK
+    assert opened.count("manifest.json") == 1
+    assert sorted(opened) == sorted(os.listdir(tmp_path / "o"))

@@ -1,4 +1,5 @@
 import math
+import os
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from macrodml.dml import (
     RESULT_CSV_HEADER,
     Z_975,
     cross_fit_nuisance,
+    design_rows,
     encode_features,
     plr_estimate,
     problem_from_panel,
@@ -19,8 +21,6 @@ from macrodml.dml import (
     run_dml,
     unit_blocked_split,
     wald_inference,
-    write_residuals_csv,
-    write_results_csv,
 )
 from macrodml.errors import (
     BadK,
@@ -260,8 +260,8 @@ def test_linear_cross_fit_one_ols_per_fold_matches_separate_fits(monkeypatch, pa
     n = problem.n_obs
     for train, test in train_test_folds(kfold_split(n, 3, 1)):
         X = problem.x
-        if panel:
-            X = encode_features(problem, np.isin(np.arange(n), train))
+        if panel:  # the full encoded matrix, as cross-fitting used to build it
+            X = np.hstack([X, encode_features(problem, np.isin(np.arange(n), train))])
         for target, fitted in ((problem.y, res.g_hat), (problem.d, res.m_hat)):
             alone = predict(ols_fit(X[train], target[train]), X[test])
             assert np.array_equal(fitted[test], alone)
@@ -326,16 +326,29 @@ def test_fold_mode_unit_constant_fold_per_unit():
 
 def test_encode_features_shapes():
     problem = _panel_problem()
-    mask = np.ones(problem.n_obs, dtype=bool)
-    assert encode_features(problem, mask, False, False).shape == problem.x.shape
+    n, p = problem.x.shape
+    mask = np.ones(n, dtype=bool)
+    assert encode_features(problem, mask, False, False).shape == (n, 0)
     with_y = encode_features(problem, mask, False, True)
-    assert with_y.shape == (problem.n_obs, problem.x.shape[1] + 1)
+    assert with_y.shape == (n, 1)
     full = encode_features(problem, mask, True, True)
-    assert full.shape == (problem.n_obs, 2 * problem.x.shape[1] + 1)
-    # the appended y-mean column is the per-unit outcome mean
+    assert full.shape == (n, p + 1)
+    assert design_rows(problem.x, full).shape == (n, 2 * p + 1)
+    # the y-mean column is the per-unit outcome mean
     ids = np.asarray(problem.unit_ids)
     unit0 = ids == ids[0]
     assert np.allclose(with_y[unit0, -1], problem.y[unit0].mean())
+
+
+def test_design_rows_copies_the_rows_of_the_joined_matrix():
+    problem = _panel_problem()
+    means = encode_features(problem, np.arange(problem.n_obs) % 3 > 0, True, True)
+    joined = np.hstack([problem.x, means])
+    for rows in (np.array([5, 0, 179, 5]), np.arange(0, problem.n_obs, 2), slice(None)):
+        got = design_rows(problem.x, means, rows)
+        assert got.flags.c_contiguous
+        assert np.array_equal(got.view(np.uint64), joined[rows].view(np.uint64))
+    assert design_rows(problem.x, means[:, :0], slice(3)).shape == (3, problem.x.shape[1])
 
 
 def test_target_encoding_improves_fixed_effect_fit():
@@ -361,28 +374,31 @@ def test_residual_diagnostics_gaussian_fraction():
         residual_diagnostics(res, np.zeros(5))
 
 
-def test_results_csv_layout(tmp_path):
-    result = DmlResult(-11.97, 2.522, -4.746233, 2.07e-6, -16.913, -7.027, 432, -0.1197)
-    path = tmp_path / "results.csv"
-    write_results_csv([("boosted", result)], path)
-    lines = path.read_text().strip().split("\n")
+def test_results_csv_layout(full_run):
+    with open(os.path.join(full_run["out"], "results.csv"), newline="") as fh:
+        lines = fh.read().split("\n")
     assert lines[0] == ",".join(RESULT_CSV_HEADER)
+    assert len(lines) == 3 and lines[2] == ""  # one row, "\n" line ends
     cells = lines[1].split(",")
-    assert cells[0] == "boosted"
-    assert float(cells[1]) == -11.97
-    assert cells[7] == "432"
-    assert float(cells[8]) == -0.1197
+    assert cells[0] == "linear"
+    assert cells[7] == str(16 * (500 - 1 - 7))
+    for cell in cells[1:7] + cells[8:]:
+        assert repr(float(cell)) == cell  # shortest round-trip text
+    assert float(cells[8]) == rescale_per_1pct(float(cells[1]))
 
 
-def test_residuals_csv_layout(tmp_path):
-    rng = np.random.default_rng(15)
-    u, v = rng.standard_normal(4), rng.standard_normal(4)
-    res = NuisanceResiduals(u, v, np.array([0, 1, 0, 1]), 0.0, 0.0, u, v)
-    path = tmp_path / "resid.csv"
-    write_residuals_csv(res, path)
-    lines = path.read_text().strip().split("\n")
+def test_residuals_csv_layout(full_run):
+    with open(os.path.join(full_run["out"], "nuisance_residuals.csv"), newline="") as fh:
+        lines = fh.read().split("\n")
+    with open(os.path.join(full_run["out"], "residuals.csv"), newline="") as fh:
+        scatter = fh.read().split("\n")
+    n = 16 * (500 - 1 - 7)
     assert lines[0] == "row,fold,u,v"
-    assert len(lines) == 5
-    cells = lines[3].split(",")
-    assert cells[0] == "2" and cells[1] == "0"
-    assert float(cells[2]) == u[2]  # repr round-trips exactly
+    assert len(lines) == n + 2 and lines[-1] == ""
+    rows = [line.split(",") for line in lines[1:-1]]
+    assert [r[0] for r in rows] == [str(i) for i in range(n)]
+    assert {r[1] for r in rows} == {"0", "1"}
+    # u is the scatter's residual column, printed with the same text
+    assert [r[2] for r in rows] == [line.split(",")[1] for line in scatter[1:-1]]
+    for cell in rows[2][2:] + rows[-1][2:]:
+        assert repr(float(cell)) == cell

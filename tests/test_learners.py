@@ -30,7 +30,6 @@ from macrodml.learners import (
     r2,
     staged_mse,
     train_test_folds,
-    write_grid_cv_csv,
 )
 
 
@@ -493,14 +492,10 @@ def test_grid_from_json_rejects_garbage():
         grid_from_json('[{"n_trees": -5}]')
 
 
-def test_grid_cv_csv_layout(tmp_path, rng):
-    X = rng.standard_normal((60, 2))
-    y = rng.standard_normal(60)
-    _, table = grid_search_cv(
-        X, y, [HyperParams(n_trees=2, max_depth=1, min_samples_leaf=5)], k=2
-    )
-    path = tmp_path / "grid.csv"
-    write_grid_cv_csv(table, path)
-    lines = path.read_text().strip().split("\n")
+def test_grid_cv_csv_layout(both_run):
+    lines = (both_run / "grid_cv.csv").read_text().split("\n")
     assert lines[0] == "n_trees,max_depth,learning_rate,min_samples_leaf,cv_mse,cv_r2"
-    assert lines[1].startswith("2,1,0.1,5,")
+    assert len(lines) == 3 and lines[2] == ""
+    assert lines[1].startswith("15,2,0.3,20,")
+    for cell in lines[1].split(",")[4:]:
+        assert repr(float(cell)) == cell

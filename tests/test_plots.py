@@ -130,3 +130,55 @@ def test_renderers_are_deterministic(rng):
     assert render_residuals(fitted, resid) == render_residuals(fitted, resid)
     corr = np.corrcoef(rng.standard_normal((4, 30)))
     assert render_corr_heatmap(corr, list("abcd")) == render_corr_heatmap(corr, list("abcd"))
+
+
+def _scatter_by_point(fitted, residuals):
+    """The scatter as it was assembled before it was rendered in bulk: one
+    scalar mapping and one f-string per point. Kept as the byte reference."""
+    fitted = np.asarray(fitted, dtype=float)
+    residuals = np.asarray(residuals, dtype=float)
+    x_lo, x_hi = float(fitted.min()), float(fitted.max())
+    r_max = float(np.max(np.abs(residuals)))
+    y_lim = r_max if r_max > 0 else 1.0
+    x_span = (x_hi - x_lo) if x_hi > x_lo else 1.0
+    pad = 50.0
+
+    def sx(v: float) -> float:
+        return pad + (v - x_lo) / x_span * 460.0
+
+    def sy(v: float) -> float:
+        return pad + (1.0 - (v + y_lim) / (2.0 * y_lim)) * 300.0
+
+    zero_y = sy(0.0)
+    width, height = int(460.0 + 2 * pad), int(300.0 + 2 * pad)
+    font = "font-family='monospace' font-size='11'"
+    parts = [
+        f"<svg xmlns='http://www.w3.org/2000/svg' width='{width}' height='{height}'>",
+        "<rect width='100%' height='100%' fill='white'/>",
+        f"<line x1='{pad:.1f}' y1='{zero_y:.4f}' x2='{pad + 460.0:.1f}' "
+        f"y2='{zero_y:.4f}' stroke='black' stroke-dasharray='4 3'/>",
+        f"<text x='{pad:.1f}' y='{height - 12}' {font}>fitted</text>",
+        f"<text x='12' y='{pad:.1f}' {font}>residual</text>",
+    ]
+    for fv, rv in zip(fitted, residuals):
+        parts.append(
+            f"<circle cx='{sx(fv):.4f}' cy='{sy(rv):.4f}' r='2.5' "
+            "fill='steelblue' fill-opacity='0.55'/>"
+        )
+    parts.append("</svg>")
+    return "\n".join(parts)
+
+
+@pytest.mark.parametrize("case", ["random", "scaled", "one_point", "zero_residuals", "constant_fitted"])
+def test_scatter_matches_the_per_point_reference(case):
+    rng = np.random.default_rng(21)
+    fitted, resid = rng.standard_normal(2000), rng.standard_normal(2000)
+    if case == "scaled":
+        fitted, resid = fitted * 1e6 - 3e7, resid * 1e-9
+    elif case == "one_point":
+        fitted, resid = np.array([0.37]), np.array([-1.25])
+    elif case == "zero_residuals":
+        resid = np.zeros_like(fitted)
+    elif case == "constant_fitted":
+        fitted = np.full_like(fitted, 2.5)
+    assert render_residuals(fitted, resid) == _scatter_by_point(fitted, resid)

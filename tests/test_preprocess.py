@@ -1,4 +1,5 @@
 import math
+import os
 
 import numpy as np
 import pytest
@@ -27,7 +28,6 @@ from macrodml.preprocess import (
     screen_stationarity,
     select_lag_var_aic,
     unit_train_means,
-    write_screen_audit_csv,
 )
 from macrodml.synth import SynthSpec, gen_unit_root, gen_var
 
@@ -190,16 +190,19 @@ def test_screen_error_names_the_column():
         screen_stationarity(mat)
 
 
-def test_screen_audit_csv_layout(tmp_path):
-    screen = screen_stationarity(_mixed_matrix())
-    path = tmp_path / "audit.csv"
-    write_screen_audit_csv(screen, path)
-    lines = path.read_text().strip().split("\n")
+def test_screen_audit_csv_layout(full_run):
+    lines = open(os.path.join(full_run["out"], "adf_screen.csv"), newline="").read().split("\n")
     assert lines[0] == "variable,adf_stat,crit_5pct,verdict"
-    assert len(lines) == 4
-    cells = lines[2].split(",")
-    assert cells[0] == "walk" and cells[3] == "non-stationary"
-    assert float(cells[1]) == screen.reports["walk"].statistic
+    names = full_run["fx"]["macro_names"]
+    assert len(lines) == len(names) + 2 and lines[-1] == ""
+    rows = {line.split(",")[0]: line.split(",") for line in lines[1:-1]}
+    assert list(rows) == names
+    assert rows["junk_rw"][3] == "non-stationary"
+    assert rows["policy_rate"][3] == "stationary"
+    for cells in rows.values():
+        assert repr(float(cells[1])) == cells[1]
+        # the run screens at 5%, so the verdict is the 5% comparison
+        assert (float(cells[1]) < float(cells[2])) == (cells[3] == "stationary")
 
 
 # ---------------------------------------------------------------------------
