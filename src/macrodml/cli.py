@@ -180,10 +180,6 @@ class _Artifacts:
         bytes csv.writer would write for those rows."""
         self.add(name, "\n".join([",".join(header), *map(",".join, zip(*columns))]) + "\n")
 
-    def hashes(self) -> dict[str, str]:
-        return {name: hashlib.sha256(content.encode()).hexdigest()
-                for name, content in sorted(self.files.items())}
-
     def write_out(self, out_dir: str) -> None:
         os.makedirs(out_dir, exist_ok=True)
         written: list[str] = []
@@ -388,7 +384,8 @@ def run_pipeline(config: PipelineConfig) -> dict:
         "residual_summary": summary,
     }
     # the hashes cover every file except the manifest itself
-    manifest["files"] = art.hashes()
+    manifest["files"] = {name: hashlib.sha256(content.encode()).hexdigest()
+                         for name, content in sorted(art.files.items())}
     art.add("manifest.json", json.dumps(manifest, sort_keys=True, indent=2) + "\n")
     art.write_out(config.output_dir)
     return manifest
@@ -421,12 +418,12 @@ def _read_numeric_csv(path: str, width: int) -> np.ndarray:
         body += "\n"
     chars = np.frombuffer(body.encode(), dtype=np.uint8)
     seps = chars[(chars == ord(",")) | (chars == ord("\n"))]
-    # one line's separators, repeated: since the body ends in a newline, a
-    # full match means every line holds exactly `width` cells
-    expected = np.resize(np.frombuffer(b"," * (width - 1) + b"\n", dtype=np.uint8), seps.size)
-    bad = np.flatnonzero(seps != expected)
-    if bad.size:
-        line = 2 + np.count_nonzero(seps[:bad[0]] == ord("\n"))
+    # every line's separators are width - 1 commas and its newline; the body
+    # ends in a newline, so any other sequence mismatches somewhere
+    line_seps = np.frombuffer(b"," * (width - 1) + b"\n", dtype=np.uint8)
+    if seps.size % width or not (seps.reshape(-1, width) == line_seps).all():
+        bad = np.flatnonzero(seps != np.resize(line_seps, seps.size))[0]
+        line = 2 + np.count_nonzero(seps[:bad] == ord("\n"))
         raise MalformedRow(f"{path} line {line}: expected {width} cells")
     try:
         values = list(map(float, body[:-1].replace("\n", ",").split(",")))

@@ -195,6 +195,15 @@ def design_rows(x: np.ndarray, means: np.ndarray, rows=slice(None)) -> np.ndarra
     return out
 
 
+def _design(problem: PlrProblem, train_mask, encode: bool, x_means: bool, y_mean: bool):
+    """rows -> those rows of the design: x itself, or x joined with the unit
+    means of the train_mask rows when `encode`."""
+    if not encode:
+        return problem.x.__getitem__
+    means = encode_features(problem, train_mask, x_means, y_mean)
+    return functools.partial(design_rows, problem.x, means)
+
+
 def _oof_r2(target: np.ndarray, resid: np.ndarray) -> float:
     centered = target - target.mean()
     tss = float(centered @ centered)
@@ -235,13 +244,10 @@ def cross_fit_nuisance(
     g_hat = np.full(n, np.nan)
     m_hat = np.full(n, np.nan)
     fold_of = np.full(n, -1, dtype=np.int64)
-    rows_of = problem.x.__getitem__
     for i, (train, test) in enumerate(train_test_folds(folds)):
-        if encode:
-            mask = np.zeros(n, dtype=bool)
-            mask[train] = True
-            means = encode_features(problem, mask, unit_means, outcome_mean)
-            rows_of = functools.partial(design_rows, problem.x, means)
+        mask = np.zeros(n, dtype=bool)
+        mask[train] = True
+        rows_of = _design(problem, mask, encode, unit_means, outcome_mean)
         try:
             g_hat[test], m_hat[test] = _fit_predict(
                 learner, rows_of, problem.y, problem.d, train, test
@@ -274,10 +280,7 @@ def fit_nuisance_nosplit(
         raise MissingInput("problem has no unit_ids")
     n = problem.n_obs
     encode = problem.unit_ids is not None and (unit_means or outcome_mean)
-    rows_of = problem.x.__getitem__
-    if encode:
-        means = encode_features(problem, np.ones(n, dtype=bool), unit_means, outcome_mean)
-        rows_of = functools.partial(design_rows, problem.x, means)
+    rows_of = _design(problem, np.ones(n, dtype=bool), encode, unit_means, outcome_mean)
     every_row = slice(None)
     g_hat, m_hat = _fit_predict(learner, rows_of, problem.y, problem.d, every_row, every_row)
     u = problem.y - g_hat

@@ -260,7 +260,7 @@ def test_linear_cross_fit_one_ols_per_fold_matches_separate_fits(monkeypatch, pa
     n = problem.n_obs
     for train, test in train_test_folds(kfold_split(n, 3, 1)):
         X = problem.x
-        if panel:  # the full encoded matrix, as cross-fitting used to build it
+        if panel:  # the whole encoded matrix is the reference for the row copies
             X = np.hstack([X, encode_features(problem, np.isin(np.arange(n), train))])
         for target, fitted in ((problem.y, res.g_hat), (problem.d, res.m_hat)):
             alone = predict(ols_fit(X[train], target[train]), X[test])
