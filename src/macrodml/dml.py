@@ -195,12 +195,14 @@ def design_rows(x: np.ndarray, means: np.ndarray, rows=slice(None)) -> np.ndarra
     return out
 
 
-def _design(problem: PlrProblem, train_mask, encode: bool, x_means: bool, y_mean: bool):
+def _design(problem: PlrProblem, train, encode: bool, x_means: bool, y_mean: bool):
     """rows -> those rows of the design: x itself, or x joined with the unit
-    means of the train_mask rows when `encode`."""
+    means of the `train` rows when `encode`."""
     if not encode:
         return problem.x.__getitem__
-    means = encode_features(problem, train_mask, x_means, y_mean)
+    mask = np.zeros(problem.n_obs, dtype=bool)
+    mask[train] = True
+    means = encode_features(problem, mask, x_means, y_mean)
     return functools.partial(design_rows, problem.x, means)
 
 
@@ -245,9 +247,7 @@ def cross_fit_nuisance(
     m_hat = np.full(n, np.nan)
     fold_of = np.full(n, -1, dtype=np.int64)
     for i, (train, test) in enumerate(train_test_folds(folds)):
-        mask = np.zeros(n, dtype=bool)
-        mask[train] = True
-        rows_of = _design(problem, mask, encode, unit_means, outcome_mean)
+        rows_of = _design(problem, train, encode, unit_means, outcome_mean)
         try:
             g_hat[test], m_hat[test] = _fit_predict(
                 learner, rows_of, problem.y, problem.d, train, test
@@ -280,8 +280,8 @@ def fit_nuisance_nosplit(
         raise MissingInput("problem has no unit_ids")
     n = problem.n_obs
     encode = problem.unit_ids is not None and (unit_means or outcome_mean)
-    rows_of = _design(problem, np.ones(n, dtype=bool), encode, unit_means, outcome_mean)
     every_row = slice(None)
+    rows_of = _design(problem, every_row, encode, unit_means, outcome_mean)
     g_hat, m_hat = _fit_predict(learner, rows_of, problem.y, problem.d, every_row, every_row)
     u = problem.y - g_hat
     v = problem.d - m_hat
