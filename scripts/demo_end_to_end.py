@@ -3,7 +3,8 @@
 Part 1 generates a panel fixture (macro levels whose differences are
 stationary growths, one deliberately non-stationary junk column, fund
 returns with effect -8.0), runs the full pipeline with the linear learner,
-renders the SVG figures, and prints the estimate table.
+renders the SVG figures, and prints the estimate table. All of it lives in a
+temporary directory that is removed when the run ends.
 
 Part 2 shows the boosted learner where it earns its keep: a cross-sectional
 partially linear problem with non-linear nuisances, which the linear learner
@@ -26,8 +27,9 @@ THETA_PANEL = -8.0
 THETA_PLR = 0.5
 SEED = 0
 
-if __name__ == "__main__":
-    work = tempfile.mkdtemp(prefix="macrodml_demo_")
+
+def panel_demo(work: str) -> None:
+    """The panel pipeline on a generated fixture, inputs and outputs under `work`."""
     fx = gen_pipeline_fixture(
         os.path.join(work, "inputs"), seed=SEED, n_funds=8, n_months=400,
         theta=THETA_PANEL,
@@ -58,9 +60,11 @@ if __name__ == "__main__":
             print(f"{rec['model']:>8}: coef {float(rec['coef']):8.4f}  "
                   f"se {float(rec['se']):.4f}  "
                   f"ci [{float(rec['ci_low']):.3f}, {float(rec['ci_high']):.3f}]")
-    print(f"outputs in {out_dir}")
 
-    print("\n== non-linear cross-section (true effect 0.5) ==")
+
+def cross_section_demo() -> None:
+    """Linear and boosted nuisances on a non-linear cross-section."""
+    print("== non-linear cross-section (true effect 0.5) ==")
     problem, _ = gen_plr(SynthSpec(kind="plr_nonlinear", theta_true=THETA_PLR,
                                    n=4000, noise_sd=0.5, seed=SEED))
     params = HyperParams(n_trees=200, max_depth=4, learning_rate=0.1,
@@ -69,3 +73,11 @@ if __name__ == "__main__":
         result, _ = run_dml(problem, spec, k=2, seed=SEED)
         print(f"{spec.kind:>8}: coef {result.theta:8.4f}  se {result.se:.4f}  "
               f"ci [{result.ci_low:.3f}, {result.ci_high:.3f}]")
+
+
+if __name__ == "__main__":
+    # inputs, outputs and figures live only as long as the run
+    with tempfile.TemporaryDirectory(prefix="macrodml_demo_") as work:
+        panel_demo(work)
+    print()
+    cross_section_demo()

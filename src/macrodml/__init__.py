@@ -70,7 +70,6 @@ from .preprocess import (
     correlation_matrix,
     difference_matrix,
     first_difference,
-    means_encode,
     pca_corr,
     schwert_lag,
     screen_stationarity,

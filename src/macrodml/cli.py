@@ -14,7 +14,9 @@ import hashlib
 import io
 import json
 import os
+import shutil
 import sys
+import tempfile
 from collections.abc import Iterable
 from dataclasses import asdict, dataclass, field
 
@@ -102,6 +104,13 @@ class PipelineConfig:
             raise ConfigError("config field treatment_name is required")
         if not self.output_dir:
             raise ConfigError("config field output_dir is required")
+        # a run replaces the whole output directory, so it must hold nothing else
+        out = os.path.realpath(self.output_dir)
+        if os.path.lexists(out) and not os.path.isdir(out):
+            raise ConfigError(f"output_dir {self.output_dir!r} is not a directory")
+        for path in (self.funds_csv, self.macro_csv, self.meta_csv, self.grid_path, os.getcwd()):
+            if path and os.path.commonpath([out, os.path.realpath(path)]) == out:
+                raise ConfigError(f"output_dir {self.output_dir!r} must not contain {path!r}")
         if isinstance(self.lag_order, str):
             if self.lag_order.lower() != "auto":
                 raise ConfigError(f"lag_order must be an integer or 'auto', got {self.lag_order!r}")
@@ -181,21 +190,33 @@ class _Artifacts:
         self.add(name, "\n".join([",".join(header), *map(",".join, zip(*columns))]) + "\n")
 
     def write_out(self, out_dir: str) -> None:
-        os.makedirs(out_dir, exist_ok=True)
-        written: list[str] = []
+        """Write every file into a new sibling of out_dir, then swap that in
+        for out_dir, which ends up holding exactly these files. A failure
+        before the swap leaves out_dir as it was."""
+        out_dir = os.path.realpath(out_dir)
+        parent, base = os.path.split(out_dir)
+        os.makedirs(parent, exist_ok=True)
+        stage = tempfile.mkdtemp(prefix=f".{base}.", dir=parent)
+        retired = stage + ".old"
         try:
+            umask = os.umask(0)
+            os.umask(umask)
+            os.chmod(stage, 0o777 & ~umask)  # the mode os.makedirs would give
             for name, content in self.files.items():
-                path = os.path.join(out_dir, name)
-                with open(path, "w", newline="") as fh:
+                with open(os.path.join(stage, name), "w", newline="") as fh:
                     fh.write(content)
-                written.append(path)
-        except OSError:
-            for path in written:
-                try:
-                    os.remove(path)
-                except OSError:
-                    pass
+            if os.path.lexists(out_dir):
+                os.rename(out_dir, retired)
+            try:
+                os.rename(stage, out_dir)
+            except OSError:
+                if os.path.lexists(retired):
+                    os.rename(retired, out_dir)
+                raise
+        except BaseException:
+            shutil.rmtree(stage, ignore_errors=True)
             raise
+        shutil.rmtree(retired, ignore_errors=True)
 
 
 def run_pipeline(config: PipelineConfig) -> dict:

@@ -59,12 +59,17 @@ class LearnerSpec:
 
 @dataclass
 class PlrProblem:
-    """One partially linear regression problem, optionally panel-aware."""
+    """One partially linear regression problem, optionally panel-aware.
+
+    unit_codes numbers the units 0, 1, ... in sorted id order, once per
+    problem, so per-fold encoding groups rows by integers, not strings.
+    """
 
     y: np.ndarray
     d: np.ndarray
     x: np.ndarray
     unit_ids: list | None = None
+    unit_codes: np.ndarray | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self.y = np.asarray(self.y, dtype=float)
@@ -77,6 +82,9 @@ class PlrProblem:
             raise DataError("x must be 2-dimensional")
         if self.unit_ids is not None and len(self.unit_ids) != n:
             raise LengthMismatch("unit_ids must match the number of rows")
+        self.unit_codes = None if self.unit_ids is None else (
+            np.unique(np.asarray(self.unit_ids), return_inverse=True)[1]
+        )
         if n and np.ptp(self.d) == 0.0:
             raise DegenerateTreatment("treatment is constant across rows")
 
@@ -86,7 +94,8 @@ class PlrProblem:
 
 
 def problem_from_panel(panel: PanelTable) -> PlrProblem:
-    return PlrProblem(panel.y, panel.d, panel.x, list(panel.unit_ids))
+    """The panel's arrays and unit ids, shared, not copied."""
+    return PlrProblem(panel.y, panel.d, panel.x, panel.unit_ids)
 
 
 @dataclass
@@ -136,18 +145,19 @@ def unit_blocked_split(unit_ids, k: int, seed: int = 0) -> list[np.ndarray]:
 
 def _fit_predict(learner: LearnerSpec, rows_of, y, d, train, test) -> tuple[np.ndarray, np.ndarray]:
     """Predictions on the `test` rows of the y task (g) and the d task (m),
-    both fit on the `train` rows; `rows_of(rows)` returns those rows of the
-    design. An error names the task that failed.
+    both fit on the `train` rows; `rows_of(rows, order)` returns those rows
+    of the design. An error names the task that failed.
 
-    A linear learner fits both tasks from one QR of the training rows, and
-    gathers the test rows only after that fit, so the two copies never
-    coexist. Only the training rows can make that fit fail, and the y task
-    meets it first, so its errors name the y task, as they would when the
-    tasks are fit in turn.
+    A linear learner fits both tasks from one QR of the training rows, copied
+    column-major for the QR, and gathers the test rows only after that fit,
+    so the two copies never coexist. Only the training rows can make that fit
+    fail, and the y task meets it first, so its errors name the y task, as
+    they would when the tasks are fit in turn.
     """
     if learner.kind == "linear":
         try:
-            g, m = predict(ols_fit(rows_of(train), np.stack([y[train], d[train]])), rows_of(test))
+            model = ols_fit(rows_of(train, "F"), np.stack([y[train], d[train]]))
+            g, m = predict(model, rows_of(test))
         except Exception as exc:
             raise type(exc)(f"y-task: {exc}") from exc
         return g, m
@@ -173,6 +183,8 @@ def encode_features(problem: PlrProblem, train_mask: np.ndarray,
     that with common-across-unit regressors those columns carry at most one
     value per unit, so OLS needs more units than mean columns. Means use
     train_mask rows only. With both toggles off, the block has no columns.
+    Units are grouped by the problem's integer unit codes, which give the
+    means the string ids give.
     """
     cols = []
     if x_means:
@@ -181,28 +193,40 @@ def encode_features(problem: PlrProblem, train_mask: np.ndarray,
         cols.append(problem.y[:, None])
     if not cols:
         return np.empty((problem.n_obs, 0))
-    return unit_train_means(problem.unit_ids, np.hstack(cols), train_mask)
+    return unit_train_means(problem.unit_codes, np.hstack(cols), train_mask)
 
 
-def design_rows(x: np.ndarray, means: np.ndarray, rows=slice(None)) -> np.ndarray:
+_ROW_BLOCK = 2048  # rows gathered per step of design_rows; a block stays in cache
+
+
+def design_rows(x: np.ndarray, means: np.ndarray, rows=slice(None),
+                order: str = "C") -> np.ndarray:
     """x[rows] with means[rows] appended, copied straight into one array, so
-    selecting rows never builds the full encoded matrix first."""
+    selecting rows never builds the full encoded matrix first.
+
+    The rows are copied a block at a time, so `order="F"` (the column-major
+    layout `ols_fit`'s QR reads) costs no more than a row-major copy.
+    """
     rows = np.arange(x.shape[0])[rows]
     p = x.shape[1]
-    out = np.empty((rows.size, p + means.shape[1]))
-    np.take(x, rows, axis=0, out=out[:, :p])
-    np.take(means, rows, axis=0, out=out[:, p:])
+    out = np.empty((rows.size, p + means.shape[1]), order=order)
+    for start in range(0, rows.size, _ROW_BLOCK):
+        block = rows[start:start + _ROW_BLOCK]
+        out[start:start + _ROW_BLOCK, :p] = x[block]
+        out[start:start + _ROW_BLOCK, p:] = means[block]
     return out
 
 
 def _design(problem: PlrProblem, train, encode: bool, x_means: bool, y_mean: bool):
-    """rows -> those rows of the design: x itself, or x joined with the unit
-    means of the `train` rows when `encode`."""
+    """(rows, order) -> those rows of the design, copied in that memory
+    order: x itself, or x joined with the unit means of the `train` rows
+    when `encode`."""
     if not encode:
-        return problem.x.__getitem__
-    mask = np.zeros(problem.n_obs, dtype=bool)
-    mask[train] = True
-    means = encode_features(problem, mask, x_means, y_mean)
+        means = np.empty((problem.n_obs, 0))
+    else:
+        mask = np.zeros(problem.n_obs, dtype=bool)
+        mask[train] = True
+        means = encode_features(problem, mask, x_means, y_mean)
     return functools.partial(design_rows, problem.x, means)
 
 
@@ -239,7 +263,7 @@ def cross_fit_nuisance(
     encode = problem.unit_ids is not None and (unit_means or outcome_mean)
     n = problem.n_obs
     if fold_mode == "unit":
-        folds = unit_blocked_split(problem.unit_ids, k, seed)
+        folds = unit_blocked_split(problem.unit_codes, k, seed)
     else:
         folds = kfold_split(n, k, seed)
 

@@ -72,11 +72,22 @@ class RegressionTree:
     depth: int
 
     def predict(self, X: np.ndarray) -> np.ndarray:
-        node = np.zeros(X.shape[0], dtype=np.int64)
+        return self.leaf_values(*_flat_rows(X))
+
+    def leaf_values(self, flat: np.ndarray, base: np.ndarray) -> np.ndarray:
+        """Leaf value of each row whose features start at flat[base[i]]
+        (see `_flat_rows`)."""
+        node = np.zeros(base.size, dtype=np.int64)
         for _ in range(self.depth):
-            go_left = X[np.arange(X.shape[0]), self.feature[node]] <= self.threshold[node]
+            go_left = flat[base + self.feature[node]] <= self.threshold[node]
             node = np.where(go_left, self.left[node], self.right[node])
         return self.value[node]
+
+
+def _flat_rows(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """X as one flat row-major array and each row's offset into it, so routing
+    reads feature f of every row with one gather at base + f."""
+    return X.ravel(), np.arange(X.shape[0]) * X.shape[1]
 
 
 @dataclass
@@ -109,6 +120,10 @@ def ols_fit(X, y) -> LinearModel:
     so every fit is bit-identical to fitting that target alone (a batched
     Q.T @ Y rounds differently).
 
+    The design [1, X] is built column-major, the layout LAPACK factors, so
+    the QR reads it with contiguous copies; a column-major X (see
+    `dml.design_rows`) is then copied column by column.
+
     Raises RankDeficient when the design (with intercept prepended) does not
     have full column rank -- constant features are the usual culprit.
     """
@@ -116,7 +131,9 @@ def ols_fit(X, y) -> LinearModel:
     n, k = X.shape
     if n <= k + 1:
         raise TooFewRows(f"need more than {k + 1} rows to fit {k} features, got {n}")
-    Z = np.column_stack([np.ones(n), X])
+    Z = np.empty((n, k + 1), order="F")
+    Z[:, 0] = 1.0
+    Z[:, 1:] = X
     Q, R = np.linalg.qr(Z)
     diag = np.abs(np.diag(R))
     if diag.min() <= max(n, k + 1) * np.finfo(float).eps * max(diag.max(), 1.0):
@@ -137,12 +154,18 @@ class _Bins:
     codes[i, j] is row i's bin in column j plus j * width, so one flat
     bincount over a node's rows fills every column's histogram. lo[j, b] and
     hi[j, b] are the smallest and largest training value in bin b of column j;
-    a column with fewer than `width` bins leaves the rest empty.
+    a column with fewer than `width` bins leaves the rest empty. counts and
+    left_n are the row counts of every training row and their running sums
+    along each column: the root histogram's counts at every stage that fits
+    all rows. Counts are int32 here and in every histogram: half the memory
+    that each node's histograms hold as int64, and exact below 2**31 rows.
     """
 
     codes: np.ndarray  # (n, p) flat bin index
     lo: np.ndarray  # (p, width)
     hi: np.ndarray  # (p, width)
+    counts: np.ndarray  # (p, width) int32
+    left_n: np.ndarray  # (p, width) int32
 
 
 def _bin_columns(X: np.ndarray) -> _Bins:
@@ -169,16 +192,26 @@ def _bin_columns(X: np.ndarray) -> _Bins:
         lo[j, : l.size] = l
         hi[j, : h.size] = h
         codes[:, j] = np.searchsorted(h[:-1], X[:, j]) + j * width
-    return _Bins(codes, lo, hi)
+    counts = np.bincount(codes.ravel(), minlength=lo.size).astype(np.int32).reshape(lo.shape)
+    return _Bins(codes, lo, hi, counts, counts.cumsum(axis=1, dtype=np.int32))
 
 
 def _histogram(bins: _Bins, resid: np.ndarray, rows: np.ndarray):
-    """Residual sums and row counts per (column, bin) over `rows`."""
+    """Residual sums, row counts and cumulative row counts (running along each
+    column) per (column, bin) over `rows`, a set of distinct row indices.
+
+    When `rows` holds every training row, the counts are the ones `bins`
+    holds and the sums are one bincount over all codes, with no row gather.
+    """
     shape = bins.lo.shape
-    flat = np.take(bins.codes, rows, axis=0).ravel()
-    sums = np.bincount(flat, weights=np.repeat(resid[rows], shape[0]), minlength=bins.lo.size)
-    counts = np.bincount(flat, minlength=bins.lo.size)
-    return sums.reshape(shape), counts.reshape(shape)
+    if rows.size == bins.codes.shape[0]:
+        sums = np.bincount(bins.codes.ravel(), weights=resid.repeat(shape[0]),
+                           minlength=bins.lo.size)
+        return sums.reshape(shape), bins.counts, bins.left_n
+    flat = bins.codes.take(rows, axis=0).ravel()
+    sums = np.bincount(flat, weights=resid[rows].repeat(shape[0]), minlength=bins.lo.size)
+    counts = np.bincount(flat, minlength=bins.lo.size).astype(np.int32).reshape(shape)
+    return sums.reshape(shape), counts, counts.cumsum(axis=1, dtype=np.int32)
 
 
 def _best_split(
@@ -195,12 +228,11 @@ def _best_split(
     None when no split has strictly positive gain with both children
     >= min_leaf.
     """
-    sums, counts = hist
-    left_n = np.cumsum(counts, axis=1)
-    cand = np.flatnonzero((counts > 0) & (left_n >= min_leaf) & (left_n <= n - min_leaf))
+    sums, counts, left_n = hist
+    cand = ((counts > 0) & (left_n >= min_leaf) & (left_n <= n - min_leaf)).ravel().nonzero()[0]
     if cand.size == 0:
         return None
-    left_sum = np.cumsum(sums, axis=1).ravel()[cand]
+    left_sum = sums.cumsum(axis=1).ravel()[cand]
     left_n = left_n.ravel()[cand]
     right_sum = total - left_sum
     gain = (
@@ -208,11 +240,11 @@ def _best_split(
         + right_sum * right_sum / (n - left_n)
         - total * total / n
     )
-    k = int(np.argmax(gain))
+    k = int(gain.argmax())
     if not gain[k] > 0.0:
         return None
     j, b = divmod(int(cand[k]), sums.shape[1])
-    nxt = b + 1 + int(np.flatnonzero(counts[j, b + 1 :])[0])
+    nxt = b + 1 + int(counts[j, b + 1 :].nonzero()[0][0])
     return j, float((bins.hi[j, b] + bins.lo[j, nxt]) / 2.0)
 
 
@@ -228,8 +260,10 @@ def _fit_tree(
     """Grow one tree on `rows`, writing each row's leaf value into `step`.
 
     Only the smaller child of a split gets its own histogram; the larger
-    one's is the parent's minus the smaller's. Rows are routed by the stored
-    threshold, so `predict` sends every training row to the leaf it grew in.
+    one's is the parent's minus the smaller's, counts and cumulative counts
+    included (exact integers). Rows are routed by the stored threshold, read
+    from the split column's view, so `predict` sends every training row to
+    the leaf it grew in.
     """
     feature: list[int] = []
     threshold: list[float] = []
@@ -259,13 +293,13 @@ def _fit_tree(
             step[node_rows] = value[idx]
             continue
         feature[idx], threshold[idx] = split
-        go_left = X[node_rows, feature[idx]] <= threshold[idx]
+        go_left = X[:, feature[idx]][node_rows] <= threshold[idx]
         children = [node_rows[go_left], node_rows[~go_left]]
         hists = [None, None]
         big = int(children[1].size > children[0].size)
         if can_split(children[big], depth + 1):
             small = _histogram(bins, resid, children[1 - big])
-            hists[big] = (hist[0] - small[0], hist[1] - small[1])
+            hists[big] = (hist[0] - small[0], hist[1] - small[1], hist[2] - small[2])
             if can_split(children[1 - big], depth + 1):
                 hists[1 - big] = small
         stack.append((children[1], hists[1], depth + 1, idx, right))
@@ -309,6 +343,7 @@ def gbt_fit(X, y, params: HyperParams | None = None, seed: int = 0) -> GbtModel:
     )
     fitted = np.full(n, model.base_score)
     bins = _bin_columns(X) if params.n_trees > 0 else None
+    flat, base = _flat_rows(X)
     rows = np.arange(n)
     step = np.empty(n)
     n_sub = max(1, int(params.subsample * n))
@@ -321,7 +356,7 @@ def gbt_fit(X, y, params: HyperParams | None = None, seed: int = 0) -> GbtModel:
         tree = _fit_tree(X, bins, resid, rows, params.max_depth, params.min_samples_leaf, step)
         if n_sub < n:
             left_out = np.flatnonzero(~member)
-            step[left_out] = tree.predict(X[left_out])
+            step[left_out] = tree.leaf_values(flat, base[left_out])
         model.trees.append(tree)
         fitted += params.learning_rate * step
     return model
@@ -349,9 +384,10 @@ def predict(model, X) -> np.ndarray:
             raise DimensionMismatch(
                 f"model expects {model.n_features} features, got {X.shape[1]}"
             )
+        rows = _flat_rows(X)
         out = np.full(X.shape[0], model.base_score)
         for tree in model.trees:
-            out += model.learning_rate * tree.predict(X)
+            out += model.learning_rate * tree.leaf_values(*rows)
         return out
     raise TypeError(f"unsupported model type {type(model).__name__}")
 
@@ -372,11 +408,12 @@ def staged_mse(model: GbtModel, X, y) -> np.ndarray:
     only shrink the training loss, so this curve is non-increasing.
     """
     X, y = _as_xy(X, y)
+    rows = _flat_rows(X)
     out = np.empty(len(model.trees) + 1)
     pred = np.full(X.shape[0], model.base_score)
     out[0] = mse(y, pred)
     for i, tree in enumerate(model.trees):
-        pred = pred + model.learning_rate * tree.predict(X)
+        pred = pred + model.learning_rate * tree.leaf_values(*rows)
         out[i + 1] = mse(y, pred)
     return out
 
@@ -466,13 +503,14 @@ def _staged_cv_scores(X, y, pairs, n_trees: list[int], params: HyperParams, seed
     stops = set(n_trees)
     losses = {t: [] for t in stops}
     scores = {t: [] for t in stops}
+    flat, base = _flat_rows(X)
     for train, test in pairs:
         model = gbt_fit(X[train], y[train], replace(params, n_trees=max(stops)), seed=seed)
-        X_test, y_test = X[test], y[test]
+        test_base, y_test = base[test], y[test]
         pred = np.full(test.size, model.base_score)
         for stage in range(len(model.trees) + 1):
             if stage > 0:
-                pred += model.learning_rate * model.trees[stage - 1].predict(X_test)
+                pred += model.learning_rate * model.trees[stage - 1].leaf_values(flat, test_base)
             if stage in stops:
                 losses[stage].append(mse(y_test, pred))
                 scores[stage].append(r2(y_test, pred))

@@ -242,12 +242,21 @@ def write_tscs_csv(matrix: TimeSeriesMatrix, path, time_column: str = "date") ->
             writer.writerow([month] + ["" if np.isnan(v) else repr(float(v)) for v in row])
 
 
+META_COLUMNS = ("ticker", "asset_class", "inception", "aum_musd", "managed")
+
+
 def load_fund_meta_csv(path) -> list[FundMeta]:
-    """Load the fund-metadata sidecar (ticker,asset_class,inception,aum_musd,managed)."""
+    """Load the fund-metadata sidecar (ticker,asset_class,inception,aum_musd,managed).
+
+    A header without one of those columns raises MalformedRow naming it.
+    """
     catalog = []
     seen = set()
     with _open_input(path) as fh:
         reader = csv.DictReader(fh)
+        missing = [name for name in META_COLUMNS if name not in (reader.fieldnames or ())]
+        if missing:
+            raise MalformedRow(f"{path}: missing column(s) {', '.join(missing)}")
         for rec in reader:
             try:
                 aum = float(rec["aum_musd"])
@@ -273,7 +282,7 @@ def load_fund_meta_csv(path) -> list[FundMeta]:
 def write_fund_meta_csv(catalog: list[FundMeta], path) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["ticker", "asset_class", "inception", "aum_musd", "managed"])
+        writer.writerow(META_COLUMNS)
         for m in catalog:
             writer.writerow([m.ticker, m.asset_class, m.inception, repr(float(m.aum_musd)), m.managed])
 

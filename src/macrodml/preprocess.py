@@ -20,7 +20,7 @@ from .errors import (
     SingularRegression,
     TooShort,
 )
-from .panel_data import PanelTable, TimeSeriesMatrix
+from .panel_data import TimeSeriesMatrix
 
 ADF_LEVELS = ("1%", "5%", "10%")
 
@@ -261,34 +261,6 @@ def unit_train_means(
         means = np.where(counts > 0, sums / np.maximum(counts, 1), global_mean)
         out[:, j] = means[codes]
     return out
-
-
-def means_encode(
-    panel: PanelTable, train_mask, include_outcome: bool = True
-) -> PanelTable:
-    """Append per-unit mean columns (fixed-effect device) to a panel.
-
-    Means are computed only on `train_mask` rows of each unit and attached to
-    every row of that unit, including evaluation rows. With `include_outcome`
-    the per-unit outcome mean is appended too.
-    """
-    train_mask = np.asarray(train_mask, dtype=bool)
-    if train_mask.shape != (panel.n_rows,):
-        raise DataError("train_mask length must equal the panel row count")
-    base = panel.x
-    names = [f"{name}_unit_mean" for name in panel.x_names]
-    if include_outcome:
-        base = np.column_stack([base, panel.y])
-        names.append("y_unit_mean")
-    encoded = unit_train_means(panel.unit_ids, base, train_mask)
-    return PanelTable(
-        list(panel.unit_ids),
-        list(panel.times),
-        panel.y.copy(),
-        panel.d.copy(),
-        np.hstack([panel.x, encoded]),
-        list(panel.x_names) + names,
-    )
 
 
 def correlation_matrix(vars: TimeSeriesMatrix) -> np.ndarray:

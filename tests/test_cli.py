@@ -23,7 +23,7 @@ from macrodml.cli import (
 )
 from macrodml.errors import ConfigError
 
-from conftest import read_csv, run_args
+from conftest import BOTH_RUN_GRID, read_csv, run_args
 
 
 def read_manifest(out_dir):
@@ -296,6 +296,20 @@ def test_non_numeric_aum_exits_data(small_fx, tmp_path):
     assert "Traceback" not in proc.stderr
 
 
+def test_meta_csv_missing_column_exits_data(small_fx, tmp_path):
+    root, fx = small_fx
+    lines = open(fx["meta_csv"]).read().split("\n")
+    # the column names an earlier README documented
+    lines[0] = lines[0].replace("asset_class", "category").replace("managed", "status")
+    meta = tmp_path / "meta.csv"
+    meta.write_text("\n".join(lines))
+    proc = _macrodml(*run_args({**fx, "meta_csv": str(meta)}, tmp_path / "o"))
+    assert proc.returncode == EXIT_DATA
+    assert proc.stderr.startswith("code=2 error=MalformedRow message=")
+    assert proc.stderr.rstrip().endswith("missing column(s) asset_class, managed")
+    assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
+
+
 @pytest.mark.parametrize("bad_line, message", [
     ("0.5,oops", "line 4: cannot parse 'oops' as a number"),
     ("0.5,0.25,0.125", "line 4: expected 2 cells"),
@@ -360,8 +374,9 @@ def test_plots_reparse_returns_the_written_bits(full_run, tmp_path, monkeypatch)
     fitted = np.concatenate([finite, rng.standard_normal(500) * 1e3])
     resid = np.concatenate([finite[::-1], rng.standard_normal(500) * 1e-5])
     out = tmp_path / "out"
-    shutil.copytree(full_run["out"], out)
     art = cli._Artifacts()
+    for name in ("corr.csv", "pca.csv"):  # write_out replaces the whole directory
+        art.add(name, open(os.path.join(full_run["out"], name), newline="").read())
     art.add_columns("residuals.csv", ["fitted", "residual"],
                     [cli._cells(fitted.tolist()), cli._cells(resid.tolist())])
     art.write_out(str(out))
@@ -388,3 +403,65 @@ def test_manifest_is_written_once(small_fx, tmp_path, monkeypatch):
     assert main(run_args(fx, tmp_path / "o", "--learner", "linear", "--lag", "2")) == EXIT_OK
     assert opened.count("manifest.json") == 1
     assert sorted(opened) == sorted(os.listdir(tmp_path / "o"))
+
+
+# ---------------------------------------------------------------------------
+# the output directory holds exactly the last successful run
+# ---------------------------------------------------------------------------
+
+def _assert_holds_exactly_the_manifest(out):
+    assert sorted(os.listdir(out)) == sorted([*read_manifest(out)["files"], "manifest.json"])
+
+
+@pytest.mark.parametrize("first, second", [("both", "linear"), ("linear", "both")])
+def test_rerun_into_the_same_dir_leaves_only_its_files(small_fx, tmp_path, first, second):
+    root, fx = small_fx
+    grid = tmp_path / "grid.json"
+    grid.write_text(json.dumps([BOTH_RUN_GRID]))
+    out = tmp_path / "o"
+    for learner in (first, second):
+        args = run_args(fx, out, "--learner", learner, "--lag", "2", "--grid", str(grid))
+        assert main(args) == EXIT_OK
+        _assert_holds_exactly_the_manifest(out)
+        assert main(["plots", "--out", str(out)]) == EXIT_OK
+        _assert_holds_exactly_the_manifest(out)
+    assert ("grid_cv.csv" in os.listdir(out)) == (second == "both")
+    assert sorted(os.listdir(tmp_path)) == ["grid.json", "o"]  # no staging dirs left
+
+
+def test_failed_run_leaves_previous_outputs_untouched(small_fx, tmp_path, monkeypatch):
+    root, fx = small_fx
+    out = tmp_path / "o"
+    assert main(run_args(fx, out, "--learner", "linear", "--lag", "2")) == EXIT_OK
+    assert main(["plots", "--out", str(out)]) == EXIT_OK
+    before = {name: (out / name).read_bytes() for name in os.listdir(out)}
+    # the pipeline fails
+    assert main(run_args(fx, out, "--treatment", "junk_rw", "--learner", "linear")) == EXIT_DATA
+    # writing fails at the swap
+    real_rename = os.rename
+
+    def rename(src, dst):
+        staged = os.path.basename(src).startswith(".o.") and not src.endswith(".old")
+        if staged and dst == os.path.realpath(out):
+            raise OSError("swap refused")
+        real_rename(src, dst)
+
+    monkeypatch.setattr(os, "rename", rename)
+    with pytest.raises(OSError, match="swap refused"):
+        main(run_args(fx, out, "--learner", "linear", "--lag", "3"))
+    assert {name: (out / name).read_bytes() for name in os.listdir(out)} == before
+    assert os.listdir(tmp_path) == ["o"]
+
+
+def test_output_dir_holding_an_input_exits_config(small_fx, tmp_path, capsys):
+    root, fx = small_fx
+    out = tmp_path / "o"
+    out.mkdir()
+    meta = out / "meta.csv"
+    shutil.copy(fx["meta_csv"], meta)
+    assert main(run_args({**fx, "meta_csv": str(meta)}, out)) == EXIT_CONFIG
+    assert "must not contain" in capsys.readouterr().err
+    assert os.listdir(out) == ["meta.csv"]
+    assert main(run_args(fx, meta)) == EXIT_CONFIG  # a file, not a directory
+    assert "is not a directory" in capsys.readouterr().err
+    assert os.listdir(out) == ["meta.csv"]

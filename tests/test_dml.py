@@ -27,6 +27,7 @@ from macrodml.errors import (
     BadKind,
     ConfigError,
     DegenerateTreatment,
+    EmptyTrainMask,
     LengthMismatch,
     MissingInput,
     RankDeficient,
@@ -40,6 +41,7 @@ from macrodml.learners import (
     train_test_folds,
 )
 from macrodml.panel_data import PanelTable
+from macrodml.preprocess import unit_train_means
 from macrodml.synth import SynthSpec, gen_plr
 
 
@@ -348,7 +350,90 @@ def test_design_rows_copies_the_rows_of_the_joined_matrix():
         got = design_rows(problem.x, means, rows)
         assert got.flags.c_contiguous
         assert np.array_equal(got.view(np.uint64), joined[rows].view(np.uint64))
+        got = design_rows(problem.x, means, rows, order="F")
+        assert got.flags.f_contiguous
+        assert np.array_equal(got.view(np.uint64), joined[rows].view(np.uint64))
     assert design_rows(problem.x, means[:, :0], slice(3)).shape == (3, problem.x.shape[1])
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_design_rows_spans_several_row_blocks(rng, order):
+    n = 3 * dml._ROW_BLOCK + 5
+    x, means = rng.standard_normal((n, 4)), rng.standard_normal((n, 1))
+    joined = np.hstack([x, means])
+    rows = np.sort(rng.choice(n, size=n - 700, replace=False))
+    got = design_rows(x, means, rows, order)
+    assert got.flags[{"C": "C_CONTIGUOUS", "F": "F_CONTIGUOUS"}[order]]
+    assert np.array_equal(got.view(np.uint64), joined[rows].view(np.uint64))
+
+
+def _tiny_problem():
+    units = ["A", "A", "A", "B", "B"]
+    y = np.array([1.0, 3.0, 10.0, 4.0, 6.0])
+    d = np.array([0.1, 0.2, 0.3, 0.4, 0.5])
+    x = np.array([[1.0], [2.0], [9.0], [3.0], [5.0]])
+    return PlrProblem(y, d, x, unit_ids=units)
+
+
+def test_encode_features_train_only_arithmetic():
+    train = np.array([True, True, False, True, True])
+    out = encode_features(_tiny_problem(), train, x_means=True, y_mean=True)
+    assert out.shape == (5, 2)  # x1's unit mean, then y's
+    # unit A: train y {1, 3} -> 2 everywhere, including the held-out row
+    assert np.array_equal(out[:, 1], [2.0, 2.0, 2.0, 5.0, 5.0])
+    assert np.array_equal(out[:, 0], [1.5, 1.5, 1.5, 4.0, 4.0])
+
+
+def test_encode_features_unseen_unit_gets_global_mean():
+    problem = _tiny_problem()
+    train = np.array([True, True, True, False, False])  # B never trains
+    out = encode_features(problem, train, x_means=True, y_mean=True)
+    assert np.array_equal(out[3:, 1], np.full(2, problem.y[:3].mean()))
+    assert np.array_equal(out[3:, 0], np.full(2, problem.x[:3, 0].mean()))
+
+
+def test_encode_features_no_leakage():
+    train = np.array([True, True, False, True, True])
+    before = encode_features(_tiny_problem(), train, x_means=True, y_mean=True)
+    bumped = _tiny_problem()
+    bumped.y[2] += 1000.0  # held-out row only
+    bumped.x[2, 0] -= 55.0
+    after = encode_features(bumped, train, x_means=True, y_mean=True)
+    assert np.array_equal(before, after)
+
+
+def test_encode_features_empty_mask():
+    with pytest.raises(EmptyTrainMask):
+        encode_features(_tiny_problem(), np.zeros(5, dtype=bool))
+
+
+def test_encode_features_without_outcome():
+    problem = _tiny_problem()
+    out = encode_features(problem, np.ones(5, dtype=bool), x_means=True, y_mean=False)
+    assert np.array_equal(out, [[4.0], [4.0], [4.0], [4.0], [4.0]])
+
+
+@pytest.mark.parametrize("units", [
+    [f"U{i % 11}" for i in range(330)],  # "U10" sorts before "U2"
+    [("b", "a", "c")[i % 3] for i in range(330)],
+    [int(v) for v in np.random.default_rng(5).integers(-3, 40, 330)],
+])
+def test_encode_features_codes_give_the_string_id_means(rng, units):
+    n = len(units)
+    problem = PlrProblem(rng.standard_normal(n), rng.standard_normal(n),
+                         rng.standard_normal((n, 3)), unit_ids=units)
+    for mask in (np.ones(n, dtype=bool), rng.random(n) < 0.5, np.arange(n) < 40):
+        got = encode_features(problem, mask, x_means=True, y_mean=True)
+        ref = unit_train_means(units, np.hstack([problem.x, problem.y[:, None]]), mask)
+        assert np.array_equal(got.view(np.uint64), ref.view(np.uint64))
+
+
+def test_unit_folds_from_codes_match_string_ids():
+    problem = _panel_problem(n_units=13)
+    for seed in range(3):
+        from_codes = unit_blocked_split(problem.unit_codes, 4, seed)
+        from_ids = unit_blocked_split(problem.unit_ids, 4, seed)
+        assert all(np.array_equal(a, b) for a, b in zip(from_codes, from_ids))
 
 
 def test_target_encoding_improves_fixed_effect_fit():

@@ -292,8 +292,177 @@ def test_gbt_fit_leaves_no_reference_cycles(rng):
     try:
         gbt_fit(X, y, HyperParams(n_trees=5, max_depth=3, min_samples_leaf=5))
         assert gc.collect() == 0
+        gbt_fit(X, y, HyperParams(n_trees=5, max_depth=3, min_samples_leaf=5, subsample=0.7))
+        assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+# The tree code as it stood before the per-ensemble root histogram, carried
+# cumulative counts, column-major routing and flat-index prediction; the
+# current code must grow and evaluate the same trees bit for bit.
+
+def _ref_histogram(bins, resid, rows):
+    shape = bins.lo.shape
+    flat = np.take(bins.codes, rows, axis=0).ravel()
+    sums = np.bincount(flat, weights=np.repeat(resid[rows], shape[0]), minlength=bins.lo.size)
+    counts = np.bincount(flat, minlength=bins.lo.size)
+    return sums.reshape(shape), counts.reshape(shape)
+
+
+def _ref_best_split(bins, hist, total, n, min_leaf):
+    sums, counts = hist
+    left_n = np.cumsum(counts, axis=1)
+    cand = np.flatnonzero((counts > 0) & (left_n >= min_leaf) & (left_n <= n - min_leaf))
+    if cand.size == 0:
+        return None
+    left_sum = np.cumsum(sums, axis=1).ravel()[cand]
+    left_n = left_n.ravel()[cand]
+    right_sum = total - left_sum
+    gain = (
+        left_sum * left_sum / left_n
+        + right_sum * right_sum / (n - left_n)
+        - total * total / n
+    )
+    k = int(np.argmax(gain))
+    if not gain[k] > 0.0:
+        return None
+    j, b = divmod(int(cand[k]), sums.shape[1])
+    nxt = b + 1 + int(np.flatnonzero(counts[j, b + 1 :])[0])
+    return j, float((bins.hi[j, b] + bins.lo[j, nxt]) / 2.0)
+
+
+def _ref_fit_tree(X, bins, resid, rows, max_depth, min_leaf, step):
+    feature, threshold, left, right, value = [], [], [], [], []
+
+    def can_split(node_rows, depth):
+        return depth < max_depth and node_rows.size >= 2 * min_leaf
+
+    stack = [(rows, _ref_histogram(bins, resid, rows) if can_split(rows, 0) else None, 0, 0, None)]
+    while stack:
+        node_rows, hist, depth, parent, child_of = stack.pop()
+        idx = len(feature)
+        if child_of is not None:
+            child_of[parent] = idx
+        total = float(resid[node_rows].sum())
+        feature.append(0)
+        threshold.append(np.inf)
+        left.append(idx)
+        right.append(idx)
+        value.append(total / node_rows.size)
+        split = None if hist is None else _ref_best_split(
+            bins, hist, total, node_rows.size, min_leaf)
+        if split is None:
+            step[node_rows] = value[idx]
+            continue
+        feature[idx], threshold[idx] = split
+        go_left = X[node_rows, feature[idx]] <= threshold[idx]
+        children = [node_rows[go_left], node_rows[~go_left]]
+        hists = [None, None]
+        big = int(children[1].size > children[0].size)
+        if can_split(children[big], depth + 1):
+            small = _ref_histogram(bins, resid, children[1 - big])
+            hists[big] = (hist[0] - small[0], hist[1] - small[1])
+            if can_split(children[1 - big], depth + 1):
+                hists[1 - big] = small
+        stack.append((children[1], hists[1], depth + 1, idx, right))
+        stack.append((children[0], hists[0], depth + 1, idx, left))
+    return learners.RegressionTree(
+        np.asarray(feature, dtype=np.int64), np.asarray(threshold, dtype=float),
+        np.asarray(left, dtype=np.int64), np.asarray(right, dtype=np.int64),
+        np.asarray(value, dtype=float), max_depth,
+    )
+
+
+def _ref_tree_predict(tree, X):
+    node = np.zeros(X.shape[0], dtype=np.int64)
+    for _ in range(tree.depth):
+        go_left = X[np.arange(X.shape[0]), tree.feature[node]] <= tree.threshold[node]
+        node = np.where(go_left, tree.left[node], tree.right[node])
+    return tree.value[node]
+
+
+def _ref_gbt_fit(X, y, params, seed):
+    """gbt_fit's stage loop over the reference tree code."""
+    n = X.shape[0]
+    rng = np.random.default_rng(seed)
+    base_score = float(y.mean())
+    fitted = np.full(n, base_score)
+    bins = learners._bin_columns(X)
+    rows = np.arange(n)
+    step = np.empty(n)
+    n_sub = max(1, int(params.subsample * n))
+    trees = []
+    for _ in range(params.n_trees):
+        resid = y - fitted
+        if n_sub < n:
+            member = np.zeros(n, dtype=bool)
+            member[rng.choice(n, size=n_sub, replace=False)] = True
+            rows = np.flatnonzero(member)
+        tree = _ref_fit_tree(X, bins, resid, rows, params.max_depth, params.min_samples_leaf, step)
+        if n_sub < n:
+            left_out = np.flatnonzero(~member)
+            step[left_out] = _ref_tree_predict(tree, X[left_out])
+        trees.append(tree)
+        fitted += params.learning_rate * step
+    return base_score, trees
+
+
+def _mixed_columns(rng, n):
+    """Integer columns (<= 256 values), continuous ones, repeated values."""
+    return np.column_stack([
+        rng.integers(0, 40, n),                        # few integer values, exact bins
+        rng.standard_normal(n),                        # continuous, quantile bins
+        np.repeat(rng.standard_normal(n // 10 + 1), 10)[:n],  # each value ten times
+        rng.integers(0, 3, n),                         # three values
+        np.round(rng.standard_normal(n), 1),           # ties inside quantile bins
+    ]).astype(float)
+
+
+@pytest.mark.parametrize("params", [
+    HyperParams(n_trees=25, max_depth=4, learning_rate=0.3, min_samples_leaf=5),
+    HyperParams(n_trees=15, max_depth=3, learning_rate=0.2, min_samples_leaf=7, subsample=0.7),
+    HyperParams(n_trees=4, max_depth=0),
+    HyperParams(n_trees=6, max_depth=5, learning_rate=0.5, min_samples_leaf=300),  # n = 2 * leaf
+    HyperParams(n_trees=6, max_depth=5, learning_rate=0.5, min_samples_leaf=299),
+    HyperParams(n_trees=8, max_depth=6, learning_rate=0.5, min_samples_leaf=1),
+], ids=["dense", "subsample", "depth0", "leaf_edge", "leaf_edge_minus_1", "leaf_1"])
+def test_gbt_matches_the_reference_trees_bit_for_bit(rng, params):
+    X = _mixed_columns(rng, 600)
+    y = np.sin(X[:, 1]) + 0.05 * X[:, 0] + X[:, 2] * X[:, 3] + rng.standard_normal(600)
+    model = gbt_fit(X, y, params, seed=4)
+    base_score, ref_trees = _ref_gbt_fit(X, y, params, seed=4)
+    assert model.base_score == base_score and len(model.trees) == len(ref_trees)
+    for tree, ref in zip(model.trees, ref_trees):
+        for name in ("feature", "threshold", "left", "right", "value"):
+            assert np.array_equal(getattr(tree, name), getattr(ref, name)), name
+        assert tree.depth == ref.depth
+    X_new = np.vstack([_mixed_columns(rng, 300), X[:50]])
+    ref_pred = np.full(X_new.shape[0], base_score)
+    for ref in ref_trees:
+        ref_pred += params.learning_rate * _ref_tree_predict(ref, X_new)
+        assert np.array_equal(ref.predict(X_new), _ref_tree_predict(ref, X_new))
+    assert np.array_equal(predict(model, X_new).view(np.uint64), ref_pred.view(np.uint64))
+    assert np.array_equal(predict(model, np.asfortranarray(X_new)), ref_pred)
+
+
+def _ref_ols(X, y):
+    """ols_fit's solve from a row-major np.column_stack design."""
+    Z = np.column_stack([np.ones(X.shape[0]), X])
+    Q, R = np.linalg.qr(Z)
+    return np.stack([np.linalg.solve(R, Q.T @ target) for target in np.atleast_2d(y)])
+
+
+@pytest.mark.parametrize("m", [1, 2])
+def test_ols_column_major_design_matches_column_stack_bit_for_bit(rng, m):
+    X = rng.standard_normal((3000, 39)) * rng.uniform(0.1, 50.0, 39)
+    Y = X[:, :m].T + rng.standard_normal((m, 3000))
+    y = Y[0] if m == 1 else Y
+    beta = _ref_ols(X, y)
+    for design in (X, np.asfortranarray(X)):
+        model = ols_fit(design, y)
+        assert np.array_equal(np.atleast_1d(model.intercept), beta[:, 0])
+        assert np.array_equal(np.atleast_2d(model.coefficients), beta[:, 1:])
 
 
 def test_gbt_deterministic_and_seed_sensitive(rng):

@@ -8,13 +8,12 @@ from hypothesis import strategies as st
 
 from macrodml.errors import (
     ConstantColumn,
-    EmptyTrainMask,
     InsufficientData,
     NotSymmetric,
     SingularRegression,
     TooShort,
 )
-from macrodml.panel_data import PanelTable, TimeSeriesMatrix, to_panel
+from macrodml.panel_data import TimeSeriesMatrix, to_panel
 from macrodml.preprocess import (
     ADF_LEVELS,
     adf_critical_values,
@@ -22,7 +21,6 @@ from macrodml.preprocess import (
     correlation_matrix,
     difference_matrix,
     first_difference,
-    means_encode,
     pca_corr,
     schwert_lag,
     screen_stationarity,
@@ -272,58 +270,6 @@ def test_lag_and_difference_commute_on_ramp():
 # ---------------------------------------------------------------------------
 # per-unit mean encoding
 # ---------------------------------------------------------------------------
-
-def _tiny_panel():
-    unit_ids = ["A", "A", "A", "B", "B"]
-    times = ["2000-01", "2000-02", "2000-03", "2000-01", "2000-02"]
-    y = np.array([1.0, 3.0, 10.0, 4.0, 6.0])
-    d = np.array([0.1, 0.2, 0.3, 0.4, 0.5])
-    x = np.array([[1.0], [2.0], [9.0], [3.0], [5.0]])
-    return PanelTable(unit_ids, times, y, d, x, ["x1"])
-
-
-def test_means_encode_train_only_arithmetic():
-    panel = _tiny_panel()
-    train = np.array([True, True, False, True, True])
-    out = means_encode(panel, train)
-    assert out.x_names == ["x1", "x1_unit_mean", "y_unit_mean"]
-    y_mean = out.x[:, 2]
-    # unit A: train y {1, 3} -> 2 everywhere, including the held-out row
-    assert np.array_equal(y_mean[:3], [2.0, 2.0, 2.0])
-    assert np.array_equal(y_mean[3:], [5.0, 5.0])
-    x_mean = out.x[:, 1]
-    assert np.array_equal(x_mean, [1.5, 1.5, 1.5, 4.0, 4.0])
-
-
-def test_means_encode_unseen_unit_gets_global_mean():
-    panel = _tiny_panel()
-    train = np.array([True, True, True, False, False])  # B never trains
-    out = means_encode(panel, train)
-    global_y = panel.y[:3].mean()
-    assert np.array_equal(out.x[3:, 2], [global_y, global_y])
-
-
-def test_means_encode_no_leakage():
-    panel = _tiny_panel()
-    train = np.array([True, True, False, True, True])
-    before = means_encode(panel, train).x.copy()
-    bumped = _tiny_panel()
-    bumped.y[2] += 1000.0  # held-out row only
-    bumped.x[2, 0] -= 55.0
-    after = means_encode(bumped, train).x
-    # encoded columns are identical; only the raw x of the held-out row moved
-    assert np.array_equal(before[:, 1:], after[:, 1:])
-
-
-def test_means_encode_empty_mask():
-    with pytest.raises(EmptyTrainMask):
-        means_encode(_tiny_panel(), np.zeros(5, dtype=bool))
-
-
-def test_means_encode_without_outcome():
-    out = means_encode(_tiny_panel(), np.ones(5, dtype=bool), include_outcome=False)
-    assert out.x_names == ["x1", "x1_unit_mean"]
-
 
 def test_unit_train_means_full_mask_is_group_mean():
     ids = ["u1", "u2", "u1", "u2"]
