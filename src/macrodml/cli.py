@@ -16,7 +16,6 @@ import json
 import os
 import shutil
 import sys
-import tempfile
 from collections.abc import Iterable
 from dataclasses import asdict, dataclass, field
 
@@ -70,6 +69,7 @@ AUTO_P_MAX = 12
 LEARNER_CHOICES = ("linear", "boosted", "both")
 FOLD_MODE_ALIASES = {"row": "row", "unit": "unit", "unitblocked": "unit"}
 RNG_IDENTITY = "numpy.random.default_rng (PCG64)"
+PLOT_FILES = ("corr_heatmap.svg", "pca_scree.svg", "residuals_fitted.svg")
 
 
 @dataclass
@@ -106,11 +106,10 @@ class PipelineConfig:
             raise ConfigError("config field output_dir is required")
         # a run replaces the whole output directory, so it must hold nothing else
         out = os.path.realpath(self.output_dir)
-        if os.path.lexists(out) and not os.path.isdir(out):
-            raise ConfigError(f"output_dir {self.output_dir!r} is not a directory")
         for path in (self.funds_csv, self.macro_csv, self.meta_csv, self.grid_path, os.getcwd()):
             if path and os.path.commonpath([out, os.path.realpath(path)]) == out:
                 raise ConfigError(f"output_dir {self.output_dir!r} must not contain {path!r}")
+        _check_replaceable(out)
         if isinstance(self.lag_order, str):
             if self.lag_order.lower() != "auto":
                 raise ConfigError(f"lag_order must be an integer or 'auto', got {self.lag_order!r}")
@@ -196,15 +195,14 @@ class _Artifacts:
         out_dir = os.path.realpath(out_dir)
         parent, base = os.path.split(out_dir)
         os.makedirs(parent, exist_ok=True)
-        stage = tempfile.mkdtemp(prefix=f".{base}.", dir=parent)
+        stage = os.path.join(parent, f".{base}.{os.urandom(8).hex()}")
         retired = stage + ".old"
+        os.mkdir(stage)  # mode 0o777 less the umask, as os.makedirs gives
         try:
-            umask = os.umask(0)
-            os.umask(umask)
-            os.chmod(stage, 0o777 & ~umask)  # the mode os.makedirs would give
             for name, content in self.files.items():
                 with open(os.path.join(stage, name), "w", newline="") as fh:
                     fh.write(content)
+            _check_replaceable(out_dir)  # again: the run may have taken a while
             if os.path.lexists(out_dir):
                 os.rename(out_dir, retired)
             try:
@@ -216,7 +214,40 @@ class _Artifacts:
         except BaseException:
             shutil.rmtree(stage, ignore_errors=True)
             raise
-        shutil.rmtree(retired, ignore_errors=True)
+        if os.path.lexists(retired):
+            try:
+                shutil.rmtree(retired)
+            except OSError as exc:
+                print(f"warning: could not remove the replaced outputs in {retired}: {exc}",
+                      file=sys.stderr)
+
+
+def _check_replaceable(out_dir: str) -> None:
+    """Raise ConfigError unless out_dir may be replaced whole: it is absent,
+    an empty directory, or an earlier run's output, that is a manifest.json
+    and files it lists or `plots` writes, nothing else."""
+    if not os.path.lexists(out_dir):
+        return
+    if not os.path.isdir(out_dir):
+        raise ConfigError(f"output_dir {out_dir!r} is not a directory")
+    names = os.listdir(out_dir)
+    if not names:
+        return
+    try:
+        with open(os.path.join(out_dir, "manifest.json")) as fh:
+            known = {"manifest.json", *PLOT_FILES, *json.load(fh)["files"].keys()}
+    except (OSError, ValueError, KeyError, TypeError, AttributeError):
+        known = set()
+    foreign = sorted(
+        name for name in names
+        if name not in known or not os.path.isfile(os.path.join(out_dir, name))
+    )
+    if foreign:
+        raise ConfigError(
+            f"output_dir {out_dir!r} holds files no earlier run wrote "
+            f"({', '.join(foreign[:5])}{', ...' if len(foreign) > 5 else ''}); "
+            "a run replaces the whole directory, so pick an empty or new one"
+        )
 
 
 def run_pipeline(config: PipelineConfig) -> dict:
@@ -487,11 +518,7 @@ def emit_plots(output_dir: str) -> list[str]:
 
     out_names = []
     svg_hashes = {}
-    for name, content in (
-        ("corr_heatmap.svg", heatmap),
-        ("pca_scree.svg", scree),
-        ("residuals_fitted.svg", scatter),
-    ):
+    for name, content in zip(PLOT_FILES, (heatmap, scree, scatter)):
         path = os.path.join(output_dir, name)
         with open(path, "w") as fh:
             fh.write(content)

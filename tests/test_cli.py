@@ -72,16 +72,17 @@ def test_manifest_hashes_match_files(full_run):
             assert hashlib.sha256(fh.read()).hexdigest() == digest, name
 
 
-def test_rerun_is_byte_identical(full_run):
-    out = full_run["out"]
-    before = {}
-    for name in os.listdir(out):
-        with open(os.path.join(out, name), "rb") as fh:
-            before[name] = fh.read()
-    assert main(run_args(full_run["fx"], out, "--learner", "linear", "--lag", "7")) == EXIT_OK
-    for name, blob in before.items():
-        with open(os.path.join(out, name), "rb") as fh:
-            assert fh.read() == blob, name
+def test_rerun_is_byte_identical(full_run, tmp_path):
+    # a fresh directory: other tests add plots to full_run's, which a rerun would drop
+    out = tmp_path / "out"
+    args = run_args(full_run["fx"], out, "--learner", "linear", "--lag", "7")
+    assert main(args) == EXIT_OK
+    before = {name: (out / name).read_bytes() for name in os.listdir(out)}
+    assert main(args) == EXIT_OK
+    assert {name: (out / name).read_bytes() for name in os.listdir(out)} == before
+    for name in read_manifest(out)["files"]:  # the shared run's tables too
+        with open(os.path.join(full_run["out"], name), "rb") as fh:
+            assert fh.read() == before[name], name
 
 
 def test_plots_render_and_register_in_manifest(full_run):
@@ -451,6 +452,52 @@ def test_failed_run_leaves_previous_outputs_untouched(small_fx, tmp_path, monkey
         main(run_args(fx, out, "--learner", "linear", "--lag", "3"))
     assert {name: (out / name).read_bytes() for name in os.listdir(out)} == before
     assert os.listdir(tmp_path) == ["o"]
+
+
+@pytest.mark.parametrize("foreign", ["notes.txt", "subdir/", "manifest.json"])
+def test_output_dir_holding_foreign_files_exits_config(small_fx, tmp_path, foreign):
+    root, fx = small_fx
+    out = tmp_path / "o"
+    args = run_args(fx, out, "--learner", "linear", "--lag", "2")
+    assert main(args) == EXIT_OK
+    if foreign == "manifest.json":  # not one an earlier run wrote
+        (out / foreign).write_text("[]\n")
+    elif foreign.endswith("/"):
+        (out / foreign).mkdir()
+        (out / foreign / "keep.txt").write_text("keep\n")
+    else:
+        (out / foreign).write_text("keep\n")
+    before = {p: p.read_bytes() for p in out.rglob("*") if p.is_file()}
+    proc = _macrodml(*args)
+    assert proc.returncode == EXIT_CONFIG
+    assert proc.stderr.startswith("code=1 error=ConfigError message=")
+    assert "holds files no earlier run wrote" in proc.stderr
+    assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
+    assert {p: p.read_bytes() for p in out.rglob("*") if p.is_file()} == before
+    assert sorted(os.listdir(tmp_path)) == ["o"]
+
+
+def test_empty_output_dir_is_used(small_fx, tmp_path):
+    root, fx = small_fx
+    out = tmp_path / "o"
+    out.mkdir()
+    assert main(run_args(fx, out, "--learner", "linear", "--lag", "2")) == EXIT_OK
+    _assert_holds_exactly_the_manifest(out)
+
+
+def test_leftover_replaced_outputs_are_reported(small_fx, tmp_path, monkeypatch, capsys):
+    root, fx = small_fx
+    args = run_args(fx, tmp_path / "o", "--learner", "linear", "--lag", "2")
+    assert main(args) == EXIT_OK
+
+    def rmtree(path, *a, **kw):
+        raise OSError("busy")
+
+    monkeypatch.setattr(shutil, "rmtree", rmtree)
+    assert main(args) == EXIT_OK
+    assert "warning: could not remove the replaced outputs" in capsys.readouterr().err
+    left = sorted(os.listdir(tmp_path))
+    assert left[0].startswith(".o.") and left[0].endswith(".old") and left[1:] == ["o"]
 
 
 def test_output_dir_holding_an_input_exits_config(small_fx, tmp_path, capsys):
