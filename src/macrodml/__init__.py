@@ -1,6 +1,8 @@
 """Cross-fitted double machine learning for macro treatment effects on
 fund-return panels."""
 
+__version__ = "0.1.0"  # before the imports: cli records it in the manifest
+
 from .cli import (
     PipelineConfig,
     config_from_json,
@@ -51,7 +53,6 @@ from .panel_data import (
     load_fund_meta_csv,
     load_tscs_csv,
     month_range,
-    quarterly_to_monthly,
     to_panel,
     write_fund_meta_csv,
     write_tscs_csv,
@@ -69,7 +70,6 @@ from .preprocess import (
     adf_test,
     correlation_matrix,
     difference_matrix,
-    first_difference,
     pca_corr,
     schwert_lag,
     screen_stationarity,
@@ -84,11 +84,8 @@ from .synth import (
     gen_plr,
     gen_unit_root,
     gen_var,
-    write_critical_values_csv,
 )
 from .validation import (
     CriterionResult,
     run_all,
 )
-
-__version__ = "0.1.0"

@@ -14,6 +14,7 @@ import hashlib
 import io
 import json
 import os
+import platform
 import shutil
 import sys
 from collections.abc import Iterable
@@ -21,7 +22,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from . import validation
+from . import __version__, validation
 from .dml import (
     LearnerSpec,
     design_rows,
@@ -434,6 +435,9 @@ def run_pipeline(config: PipelineConfig) -> dict:
         },
         "boosted_params": None if best_params is None else asdict(best_params),
         "residual_summary": summary,
+        # the linear solve's last bits depend on the LAPACK numpy ships with
+        "versions": {"macrodml": __version__, "numpy": np.__version__,
+                     "python": platform.python_version()},
     }
     # the hashes cover every file except the manifest itself
     manifest["files"] = {name: hashlib.sha256(content.encode()).hexdigest()
@@ -616,7 +620,7 @@ def main(argv=None) -> int:
             return EXIT_OK
         results = validation.run_all(seed=args.seed, reps=args.reps)
         for row in results:
-            print(row.line())
+            print(f"{row.line()} ({row.seconds:.1f} s)")
         n_pass = sum(r.passed for r in results)
         print(f"{n_pass}/{len(results)} criteria passed")
         if any(r.insufficient for r in results):

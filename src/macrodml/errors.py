@@ -40,14 +40,6 @@ class NonMonotoneTime(DataError):
     """Time index is not strictly increasing by exactly one month."""
 
 
-class IrregularSpacing(DataError):
-    """Quarterly input is not spaced at exactly three months."""
-
-
-class TooFewPoints(DataError):
-    """Not enough points for the requested resampling mode."""
-
-
 class IndexMismatch(DataError):
     """Inputs do not share the same monthly time index."""
 

@@ -117,12 +117,13 @@ def ols_fit(X, y) -> LinearModel:
 
     `y` is one target of shape (n,) or m targets of shape (m, n). The design
     is factored once for all targets, and each target is solved on its own,
-    so every fit is bit-identical to fitting that target alone (a batched
-    Q.T @ Y rounds differently).
+    so every fit is bit-identical to fitting that target alone.
 
     The design [1, X] is built column-major, the layout LAPACK factors, so
     the QR reads it with contiguous copies; a column-major X (see
-    `dml.design_rows`) is then copied column by column.
+    `dml.design_rows`) is then copied column by column. The factorization is
+    kept as its Householder reflectors: Q.T @ target is the target with each
+    reflector applied in turn, so the n-row Q is never formed.
 
     Raises RankDeficient when the design (with intercept prepended) does not
     have full column rank -- constant features are the usual culprit.
@@ -134,11 +135,23 @@ def ols_fit(X, y) -> LinearModel:
     Z = np.empty((n, k + 1), order="F")
     Z[:, 0] = 1.0
     Z[:, 1:] = X
-    Q, R = np.linalg.qr(Z)
+    h, tau = np.linalg.qr(Z, mode="raw")
+    del Z
+    R = np.triu(h[:, :k + 1].T)
     diag = np.abs(np.diag(R))
     if diag.min() <= max(n, k + 1) * np.finfo(float).eps * max(diag.max(), 1.0):
         raise RankDeficient("design matrix is rank deficient")
-    beta = np.stack([np.linalg.solve(R, Q.T @ target) for target in np.atleast_2d(y)])
+    # Row i of h from column i on is reflector i, whose leading 1 LAPACK
+    # leaves implicit (R's diagonal sits there); write it in.
+    h[np.arange(k + 1), np.arange(k + 1)] = 1.0
+    beta = []
+    for target in np.atleast_2d(y):
+        t = target.copy()
+        for i in range(k + 1):
+            v = h[i, i:]
+            t[i:] -= (tau[i] * (v @ t[i:])) * v
+        beta.append(np.linalg.solve(R, t[:k + 1]))
+    beta = np.stack(beta)
     if y.ndim == 1:
         return LinearModel(intercept=float(beta[0, 0]), coefficients=beta[0, 1:])
     return LinearModel(intercept=beta[:, 0], coefficients=beta[:, 1:])

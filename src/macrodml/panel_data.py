@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import csv
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -17,11 +17,9 @@ from .errors import (
     DataError,
     DuplicateColumn,
     IndexMismatch,
-    IrregularSpacing,
     MalformedRow,
     MissingInput,
     NonMonotoneTime,
-    TooFewPoints,
     UnparseableTime,
 )
 
@@ -309,41 +307,6 @@ def filter_funds(catalog: list[FundMeta], criteria: FundFilter) -> list[FundMeta
         ):
             continue
         out.append(fund)
-    return out
-
-
-def quarterly_to_monthly(series: Series, mode: str) -> Series:
-    """Resample a quarterly series to monthly.
-
-    'repeat' copies each quarterly value into its three months, so the output
-    runs through the last input month + 2. 'interpolate' anchors each value at
-    the quarter's first month and fills linearly, ending at the last input
-    month.
-    """
-    if mode not in ("repeat", "interpolate"):
-        raise ValueError(f"mode must be 'repeat' or 'interpolate', got {mode!r}")
-    if not series:
-        raise TooFewPoints("empty series")
-    counts = [month_to_int(m) for m, _ in series]
-    for prev, cur in zip(counts, counts[1:]):
-        if cur - prev != 3:
-            raise IrregularSpacing(
-                f"expected 3-month spacing, found {cur - prev} between "
-                f"{int_to_month(prev)} and {int_to_month(cur)}"
-            )
-    if mode == "interpolate" and len(series) < 2:
-        raise TooFewPoints("interpolation needs at least 2 points")
-
-    out: Series = []
-    if mode == "repeat":
-        for (month, value), base in zip(series, counts):
-            for k in range(3):
-                out.append((int_to_month(base + k), value))
-    else:
-        for (m0, v0), (m1, v1), base in zip(series, series[1:], counts):
-            for k in range(3):
-                out.append((int_to_month(base + k), v0 + (v1 - v0) * k / 3.0))
-        out.append(series[-1])
     return out
 
 

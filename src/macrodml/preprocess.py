@@ -85,14 +85,6 @@ class StationarityScreen:
     reports: dict[str, AdfReport]
 
 
-def first_difference(series) -> np.ndarray:
-    """out[i] = series[i+1] - series[i]; length shrinks by one."""
-    values = np.asarray(series, dtype=float)
-    if values.size < 2:
-        raise TooShort("need at least 2 observations to difference")
-    return np.diff(values)
-
-
 def difference_matrix(matrix: TimeSeriesMatrix) -> TimeSeriesMatrix:
     """First-difference every column; the first month drops out.
 

@@ -10,7 +10,6 @@ base + replication index, which makes aggregation order-independent.
 
 from __future__ import annotations
 
-import csv
 import math
 import os
 from dataclasses import dataclass, field
@@ -226,17 +225,6 @@ def df_critical_values(n: int, reps: int = 100_000, seed: int = 0) -> dict[str, 
         done += take
     q = np.quantile(stats, [0.01, 0.05, 0.10])
     return {"1%": float(q[0]), "5%": float(q[1]), "10%": float(q[2])}
-
-
-def write_critical_values_csv(table: dict[float, dict[str, float]], path) -> None:
-    """Serialize a critical-value table as rows of n,pct,value."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["n", "pct", "value"])
-        for n, row in table.items():
-            label = "inf" if math.isinf(n) else str(int(n))
-            for pct in ("1%", "5%", "10%"):
-                writer.writerow([label, pct, repr(row[pct])])
 
 
 def gen_pipeline_fixture(

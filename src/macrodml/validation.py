@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import os
 import tempfile
+import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,6 +50,7 @@ class CriterionResult:
     required: str
     passed: bool
     insufficient: bool = False
+    seconds: float = 0.0  # wall time of the check; run_all sets it, line() omits it
 
     def line(self) -> str:
         status = "PASS" if self.passed else "FAIL"
@@ -331,17 +333,25 @@ def check_pipeline_determinism(seed: int = 0, work_dir: str | None = None) -> Cr
             ctx.cleanup()
 
 
+def _timed(check, *args) -> CriterionResult:
+    start = time.perf_counter()
+    result = check(*args)
+    result.seconds = time.perf_counter() - start
+    return result
+
+
 def run_all(seed: int = 0, reps: int | None = None) -> list[CriterionResult]:
-    """Run every acceptance check in order and return the report rows."""
+    """Run every acceptance check in order and return the report rows, each
+    with the wall seconds its check took."""
     return [
-        check_inference_arithmetic(seed),
-        check_rescaling(seed),
-        check_fwl_equivalence(seed, reps),
-        check_boosted_consistency(seed, reps),
-        check_ci_coverage(seed, reps),
-        check_learner_contrast(seed, reps),
-        check_adf_size_power(seed, reps),
-        check_lag_recovery(seed, reps),
-        check_gbt_training_loss(seed, reps),
-        check_pipeline_determinism(seed),
+        _timed(check_inference_arithmetic, seed),
+        _timed(check_rescaling, seed),
+        _timed(check_fwl_equivalence, seed, reps),
+        _timed(check_boosted_consistency, seed, reps),
+        _timed(check_ci_coverage, seed, reps),
+        _timed(check_learner_contrast, seed, reps),
+        _timed(check_adf_size_power, seed, reps),
+        _timed(check_lag_recovery, seed, reps),
+        _timed(check_gbt_training_loss, seed, reps),
+        _timed(check_pipeline_determinism, seed),
     ]

@@ -3,6 +3,7 @@ import hashlib
 import io
 import json
 import os
+import platform
 import shutil
 import subprocess
 import sys
@@ -10,7 +11,8 @@ import sys
 import numpy as np
 import pytest
 
-from macrodml import cli
+import macrodml
+from macrodml import cli, validation
 
 from macrodml.cli import (
     EXIT_CONFIG,
@@ -52,6 +54,14 @@ def test_full_run_manifest_contents(full_run):
     assert manifest["panel"]["dropped_nonstationary"] == ["junk_rw"]
     assert manifest["config_hash"] and len(manifest["config_hash"]) == 64
     assert "junk_rw" not in read_csv(os.path.join(full_run["out"], "corr.csv"))[0]
+
+
+def test_manifest_records_versions(full_run):
+    assert read_manifest(full_run["out"])["versions"] == {
+        "macrodml": macrodml.__version__,
+        "numpy": np.__version__,
+        "python": platform.python_version(),
+    }
 
 
 def test_full_run_writes_all_tables(full_run):
@@ -240,6 +250,24 @@ def test_validate_with_too_few_reps_exits_validation(capsys):
     assert len(lines) == 10
     assert "insufficient reps" in captured.out
     assert "insufficient reps" in captured.err
+
+
+def test_validate_prints_each_criterion_seconds(monkeypatch, capsys):
+    def check(*args):
+        return validation.CriterionResult(0, "stub", "1", "1", passed=True)
+
+    for name in dir(validation):
+        if name.startswith("check_"):
+            monkeypatch.setattr(validation, name, check)
+    results = validation.run_all()
+    assert len(results) == 10
+    assert all(r.seconds >= 0.0 and "s)" not in r.line() for r in results)
+    monkeypatch.setattr(validation, "run_all", lambda seed, reps: results)
+    results[0].seconds = 12.345
+    assert main(["validate"]) == EXIT_OK
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == f"{results[0].line()} (12.3 s)"
+    assert all(line.endswith(" s)") for line in lines[:10])
 
 
 def test_exit_code_reaches_the_shell(small_fx, tmp_path):

@@ -1,4 +1,5 @@
 import gc
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -447,10 +448,20 @@ def test_gbt_matches_the_reference_trees_bit_for_bit(rng, params):
 
 
 def _ref_ols(X, y):
-    """ols_fit's solve from a row-major np.column_stack design."""
+    """ols_fit's solve from a row-major np.column_stack design: LAPACK's
+    Householder reflectors (leading 1 implicit) applied to each target in
+    turn, then R solved."""
     Z = np.column_stack([np.ones(X.shape[0]), X])
-    Q, R = np.linalg.qr(Z)
-    return np.stack([np.linalg.solve(R, Q.T @ target) for target in np.atleast_2d(y)])
+    h, tau = np.linalg.qr(Z, mode="raw")
+    R = np.triu(h.T[:tau.size])
+    beta = []
+    for target in np.atleast_2d(y):
+        t = target.copy()
+        for i in range(tau.size):
+            v = np.concatenate([[1.0], h[i, i + 1:]])
+            t[i:] -= (tau[i] * (v @ t[i:])) * v
+        beta.append(np.linalg.solve(R, t[:tau.size]))
+    return np.stack(beta)
 
 
 @pytest.mark.parametrize("m", [1, 2])
@@ -463,6 +474,32 @@ def test_ols_column_major_design_matches_column_stack_bit_for_bit(rng, m):
         model = ols_fit(design, y)
         assert np.array_equal(np.atleast_1d(model.intercept), beta[:, 0])
         assert np.array_equal(np.atleast_2d(model.coefficients), beta[:, 1:])
+
+
+@pytest.mark.parametrize("m", [1, 2])
+def test_ols_matches_lstsq(rng, m):
+    X = rng.standard_normal((3000, 39)) * rng.uniform(0.1, 50.0, 39)
+    Y = X[:, :m].T + rng.standard_normal((m, 3000))
+    model = ols_fit(X, Y[0] if m == 1 else Y)
+    beta = np.column_stack([np.atleast_1d(model.intercept), np.atleast_2d(model.coefficients)])
+    Z = np.column_stack([np.ones(3000), X])
+    for j in range(m):
+        ref = np.linalg.lstsq(Z, Y[j], rcond=None)[0]
+        assert np.linalg.norm(beta[j] - ref) <= 1e-9 * np.linalg.norm(ref)
+
+
+def test_ols_never_holds_a_second_n_row_factor(rng):
+    """ols_fit holds [1, X] and LAPACK's factored copy of it, never an n-row
+    Q beside them: its traced peak stays below 2.5 times the design."""
+    X = np.asfortranarray(rng.standard_normal((20000, 39)))
+    Y = np.stack([X[:, 0], X[:, 1]]) + rng.standard_normal((2, 20000))
+    tracemalloc.start()
+    try:
+        ols_fit(X, Y)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * X.nbytes
 
 
 def test_gbt_deterministic_and_seed_sensitive(rng):

@@ -6,10 +6,8 @@ from hypothesis import strategies as st
 from macrodml.errors import (
     DuplicateColumn,
     IndexMismatch,
-    IrregularSpacing,
     MalformedRow,
     NonMonotoneTime,
-    TooFewPoints,
     UnparseableTime,
 )
 from macrodml.panel_data import (
@@ -23,7 +21,6 @@ from macrodml.panel_data import (
     load_tscs_csv,
     month_range,
     month_to_int,
-    quarterly_to_monthly,
     to_panel,
     write_fund_meta_csv,
     write_tscs_csv,
@@ -190,47 +187,6 @@ def test_filter_idempotent():
     crit = FundFilter(min_aum=20.0, asset_classes={"FixedIncome"})
     once = filter_funds(_catalog(), crit)
     assert filter_funds(once, crit) == once
-
-
-# ---------------------------------------------------------------------------
-# quarterly resampling
-# ---------------------------------------------------------------------------
-
-def test_quarterly_repeat():
-    series = [("2019-01", 5.0), ("2019-04", 7.0)]
-    out = quarterly_to_monthly(series, "repeat")
-    assert out == [
-        ("2019-01", 5.0), ("2019-02", 5.0), ("2019-03", 5.0),
-        ("2019-04", 7.0), ("2019-05", 7.0), ("2019-06", 7.0),
-    ]
-
-
-def test_quarterly_interpolate():
-    series = [("2019-01", 0.0), ("2019-04", 3.0)]
-    out = quarterly_to_monthly(series, "interpolate")
-    assert out == [
-        ("2019-01", 0.0), ("2019-02", 1.0), ("2019-03", 2.0), ("2019-04", 3.0),
-    ]
-
-
-def test_quarterly_rejects_irregular_spacing():
-    with pytest.raises(IrregularSpacing):
-        quarterly_to_monthly([("2019-01", 0.0), ("2019-03", 1.0)], "repeat")
-
-
-def test_quarterly_interpolate_needs_two_points():
-    with pytest.raises(TooFewPoints):
-        quarterly_to_monthly([("2019-01", 0.0)], "interpolate")
-    # repeat is fine with a single quarter
-    assert len(quarterly_to_monthly([("2019-01", 0.0)], "repeat")) == 3
-
-
-def test_quarterly_modes_agree_on_constant():
-    series = [("2019-01", 2.0), ("2019-04", 2.0), ("2019-07", 2.0)]
-    rep = dict(quarterly_to_monthly(series, "repeat"))
-    lin = dict(quarterly_to_monthly(series, "interpolate"))
-    for month, value in lin.items():
-        assert rep[month] == value == 2.0
 
 
 # ---------------------------------------------------------------------------

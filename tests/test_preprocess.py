@@ -20,7 +20,6 @@ from macrodml.preprocess import (
     adf_test,
     correlation_matrix,
     difference_matrix,
-    first_difference,
     pca_corr,
     schwert_lag,
     screen_stationarity,
@@ -36,15 +35,6 @@ from conftest import make_tsm
 # differencing
 # ---------------------------------------------------------------------------
 
-def test_first_difference_example():
-    assert np.array_equal(first_difference([5.0, 7.0, 4.0]), [2.0, -3.0])
-
-
-def test_first_difference_too_short():
-    with pytest.raises(TooShort):
-        first_difference([1.0])
-
-
 def test_difference_matrix_shifts_index_and_propagates_nan():
     values = np.array([[1.0, 2.0], [3.0, np.nan], [6.0, 5.0]])
     mat = make_tsm(values, start="2000-01", names=["a", "b"])
@@ -57,7 +47,7 @@ def test_difference_matrix_shifts_index_and_propagates_nan():
 @given(st.lists(st.floats(-1e6, 1e6), min_size=2, max_size=40))
 def test_difference_undoes_cumsum(xs):
     y = np.cumsum(np.asarray(xs))
-    assert np.allclose(first_difference(y), xs[1:], atol=1e-6)
+    assert np.allclose(np.diff(y), xs[1:], atol=1e-6)
 
 
 # ---------------------------------------------------------------------------

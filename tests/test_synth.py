@@ -20,7 +20,6 @@ from macrodml.synth import (
     gen_plr,
     gen_unit_root,
     gen_var,
-    write_critical_values_csv,
 )
 
 VAR2_COEFFS = [
@@ -209,20 +208,6 @@ def test_df_split_half_stability():
     a = df_critical_values(100, reps=40_000, seed=0)
     b = df_critical_values(100, reps=40_000, seed=10_000_000)
     assert abs(a["5%"] - b["5%"]) < 0.05
-
-
-def test_critical_values_csv_layout(tmp_path):
-    table = {
-        100.0: {"1%": -3.5, "5%": -2.9, "10%": -2.6},
-        math.inf: {"1%": -3.4, "5%": -2.86, "10%": -2.57},
-    }
-    path = tmp_path / "crit.csv"
-    write_critical_values_csv(table, path)
-    lines = path.read_text().strip().split("\n")
-    assert lines[0] == "n,pct,value"
-    assert lines[1].split(",") == ["100", "1%", "-3.5"]
-    assert lines[4].split(",")[0] == "inf"
-    assert len(lines) == 7
 
 
 # ---------------------------------------------------------------------------
