@@ -18,12 +18,13 @@ import platform
 import shutil
 import sys
 from collections.abc import Iterable
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from . import __version__, validation
 from .dml import (
+    SCORES,
     LearnerSpec,
     design_rows,
     encode_features,
@@ -68,7 +69,6 @@ EXIT_VALIDATION = 4
 
 AUTO_P_MAX = 12
 LEARNER_CHOICES = ("linear", "boosted", "both")
-FOLD_MODE_ALIASES = {"row": "row", "unit": "unit", "unitblocked": "unit"}
 RNG_IDENTITY = "numpy.random.default_rng (PCG64)"
 PLOT_FILES = ("corr_heatmap.svg", "pca_scree.svg", "residuals_fitted.svg")
 
@@ -91,10 +91,7 @@ class PipelineConfig:
     k: int = 2
     seed: int = 0
     level: str = "5%"
-    fold_mode: str = "row"  # row | unit
     min_aum: float = 20.0
-    unit_means: bool = False  # regressor means need more units than columns
-    outcome_mean: bool = True
     score: str = "orthogonal"
 
     def validate(self) -> None:
@@ -123,12 +120,8 @@ class PipelineConfig:
             raise ConfigError("k must be >= 2")
         if self.level not in ("1%", "5%", "10%"):
             raise ConfigError(f"level must be 1%, 5%, or 10%, got {self.level!r}")
-        key = str(self.fold_mode).lower()
-        if key not in FOLD_MODE_ALIASES:
-            raise ConfigError(f"fold_mode must be row or unit, got {self.fold_mode!r}")
-        self.fold_mode = FOLD_MODE_ALIASES[key]
-        if self.score not in ("orthogonal", "residual_ols"):
-            raise ConfigError(f"unknown score {self.score!r}")
+        if self.score not in SCORES:
+            raise ConfigError(f"score must be one of {SCORES}, got {self.score!r}")
         if self.min_aum < 0:
             raise ConfigError("min_aum must be >= 0")
 
@@ -346,10 +339,7 @@ def run_pipeline(config: PipelineConfig) -> dict:
             grid = DEFAULT_GRID
         # tuning features mirror the estimation features, with unit means
         # computed on the full sample (model selection, not inference)
-        tune_x = design_rows(problem.x, encode_features(
-            problem, np.ones(panel.n_rows, dtype=bool),
-            config.unit_means, config.outcome_mean,
-        ))
+        tune_x = design_rows(problem.x, encode_features(problem, np.ones(panel.n_rows, dtype=bool)))
         best_params, cv_table = grid_search_cv(
             tune_x, panel.y, grid, k=config.k, seed=config.seed
         )
@@ -375,16 +365,7 @@ def run_pipeline(config: PipelineConfig) -> dict:
     r2_rows: list[list[str]] = []
     diagnostics_res = None
     for name, spec in learners:
-        result, res = run_dml(
-            problem,
-            spec,
-            k=config.k,
-            seed=config.seed,
-            score=config.score,
-            fold_mode=config.fold_mode,
-            unit_means=config.unit_means,
-            outcome_mean=config.outcome_mean,
-        )
+        result, res = run_dml(problem, spec, k=config.k, seed=config.seed, score=config.score)
         result_rows.append(result_csv_row(name, result))
         per_1pct_rows.append([name, repr(result.per_1pct)])
         r2_rows.append([name, repr(res.r2_y), repr(res.r2_d)])
@@ -394,7 +375,7 @@ def run_pipeline(config: PipelineConfig) -> dict:
     art.add_csv("per_1pct.csv", ["model", "per_1pct"], per_1pct_rows)
     art.add_csv("r2.csv", ["model", "r2_y", "r2_d"], r2_rows)
 
-    _, summary = residual_diagnostics(diagnostics_res, diagnostics_res.g_hat)
+    summary = residual_diagnostics(diagnostics_res)
     u_cells = _cells(diagnostics_res.u.tolist())
     art.add_columns(
         "residuals.csv", ["fitted", "residual"],
@@ -419,9 +400,8 @@ def run_pipeline(config: PipelineConfig) -> dict:
             "dml_variant": "dml2_pooled_score",
             "score": config.score,
             "mode": "crossfit",
-            "fold_mode": config.fold_mode,
-            "unit_x_means_encoding": config.unit_means,
-            "unit_y_mean_encoding": config.outcome_mean,
+            "fold_mode": "row",
+            "unit_y_mean_encoding": True,
             "means_refit_per_fold": True,
             "adf_regression": "constant_no_trend",
             "lag_used": lag,
@@ -558,7 +538,6 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--k", type=int, help="number of cross-fitting folds")
     run.add_argument("--seed", type=int)
     run.add_argument("--level", choices=("1%", "5%", "10%"), help="ADF level")
-    run.add_argument("--fold-mode", choices=("row", "unit"))
     run.add_argument("--grid", help="hyperparameter grid JSON file")
     run.add_argument("--out", help="output directory")
 
@@ -584,7 +563,6 @@ def _config_from_args(args) -> PipelineConfig:
         "k": args.k,
         "seed": args.seed,
         "level": args.level,
-        "fold_mode": args.fold_mode,
         "grid_path": args.grid,
         "output_dir": args.out,
     }

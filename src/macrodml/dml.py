@@ -17,13 +17,11 @@ from decimal import Decimal
 import numpy as np
 
 from .errors import (
-    BadK,
     BadKind,
     ConfigError,
     DataError,
     DegenerateTreatment,
     LengthMismatch,
-    MissingInput,
 )
 from .learners import (
     HyperParams,
@@ -39,8 +37,6 @@ from .preprocess import unit_train_means
 Z_975 = 1.959964  # two-sided 5% normal quantile used for all intervals
 
 SCORES = ("orthogonal", "residual_ols")
-MODES = ("crossfit", "nosplit_debug")
-FOLD_MODES = ("row", "unit")
 LEARNER_KINDS = ("linear", "boosted")
 
 
@@ -121,26 +117,6 @@ class DmlResult:
     ci_high: float
     n: int
     per_1pct: float
-    # provenance flags beyond the core inference row
-    learner: str = ""
-    score: str = "orthogonal"
-    mode: str = "crossfit"
-    fold_mode: str = "row"
-    n_folds: int = 2
-
-
-def unit_blocked_split(unit_ids, k: int, seed: int = 0) -> list[np.ndarray]:
-    """K folds that never split a unit: each fold is all rows of a unit block.
-
-    Units are shuffled with the seeded generator and divided into k blocks.
-    """
-    unit_ids = np.asarray(unit_ids)
-    uniq = np.unique(unit_ids)
-    if k < 2 or k > uniq.size:
-        raise BadK(f"k must satisfy 2 <= k <= number of units ({uniq.size}), got {k}")
-    rng = np.random.default_rng(seed)
-    blocks = np.array_split(rng.permutation(uniq), k)
-    return [np.flatnonzero(np.isin(unit_ids, block)) for block in blocks]
 
 
 def _fit_predict(learner: LearnerSpec, rows_of, y, d, train, test) -> tuple[np.ndarray, np.ndarray]:
@@ -173,27 +149,15 @@ def _fit_predict(learner: LearnerSpec, rows_of, y, d, train, test) -> tuple[np.n
     return preds[0], preds[1]
 
 
-def encode_features(problem: PlrProblem, train_mask: np.ndarray,
-                    x_means: bool = False, y_mean: bool = True) -> np.ndarray:
-    """The per-unit training-mean columns (fixed-effect proxies) that encoding
-    appends to x, as an (n, c) block; `design_rows` joins the two.
+def encode_features(problem: PlrProblem, train_mask: np.ndarray) -> np.ndarray:
+    """Each row's unit mean of the outcome over the train_mask rows (target
+    encoding of the unit id, a fixed-effect proxy), as the (n, 1) block that
+    `design_rows` appends to x.
 
-    `y_mean` gives the unit mean of the outcome (target encoding of the unit
-    id). `x_means` additionally gives one mean column per regressor; note
-    that with common-across-unit regressors those columns carry at most one
-    value per unit, so OLS needs more units than mean columns. Means use
-    train_mask rows only. With both toggles off, the block has no columns.
     Units are grouped by the problem's integer unit codes, which give the
     means the string ids give.
     """
-    cols = []
-    if x_means:
-        cols.append(problem.x)
-    if y_mean:
-        cols.append(problem.y[:, None])
-    if not cols:
-        return np.empty((problem.n_obs, 0))
-    return unit_train_means(problem.unit_codes, np.hstack(cols), train_mask)
+    return unit_train_means(problem.unit_codes, problem.y[:, None], train_mask)
 
 
 _ROW_BLOCK = 2048  # rows gathered per step of design_rows; a block stays in cache
@@ -217,16 +181,16 @@ def design_rows(x: np.ndarray, means: np.ndarray, rows=slice(None),
     return out
 
 
-def _design(problem: PlrProblem, train, encode: bool, x_means: bool, y_mean: bool):
+def _design(problem: PlrProblem, train):
     """(rows, order) -> those rows of the design, copied in that memory
-    order: x itself, or x joined with the unit means of the `train` rows
-    when `encode`."""
-    if not encode:
+    order: x itself, or, for a problem with unit ids, x joined with the unit
+    outcome means of the `train` rows."""
+    if problem.unit_ids is None:
         means = np.empty((problem.n_obs, 0))
     else:
         mask = np.zeros(problem.n_obs, dtype=bool)
         mask[train] = True
-        means = encode_features(problem, mask, x_means, y_mean)
+        means = encode_features(problem, mask)
     return functools.partial(design_rows, problem.x, means)
 
 
@@ -241,37 +205,23 @@ def cross_fit_nuisance(
     learner: LearnerSpec,
     k: int = 2,
     seed: int = 0,
-    fold_mode: str = "row",
-    unit_means: bool = False,
-    outcome_mean: bool = True,
 ) -> NuisanceResiduals:
-    """Fit both nuisances with K-fold cross-fitting.
+    """Fit both nuisances with K-fold cross-fitting over rows.
 
     Every row is predicted by models trained on the complement of its fold.
-    For problems with unit ids the unit means are recomputed inside each
-    training complement (`unit_means` appends regressor means, `outcome_mean`
-    the unit's y mean), so held-out rows never leak into the means they
-    receive; the fold's training and test rows are copied straight from x and
-    that block. `fold_mode="unit"` keeps all rows of a unit in the same fold.
-    The stored r2_y/r2_d are computed on the pooled out-of-fold predictions.
+    For problems with unit ids the unit outcome means are recomputed inside
+    each training complement, so held-out rows never leak into the means
+    they receive; the fold's training and test rows are copied straight from
+    x and that column. The stored r2_y/r2_d are computed on the pooled
+    out-of-fold predictions.
     """
     learner.validate()
-    if fold_mode not in FOLD_MODES:
-        raise ConfigError(f"fold_mode must be one of {FOLD_MODES}, got {fold_mode!r}")
-    if (fold_mode == "unit" or unit_means) and problem.unit_ids is None:
-        raise MissingInput("problem has no unit_ids")
-    encode = problem.unit_ids is not None and (unit_means or outcome_mean)
     n = problem.n_obs
-    if fold_mode == "unit":
-        folds = unit_blocked_split(problem.unit_codes, k, seed)
-    else:
-        folds = kfold_split(n, k, seed)
-
     g_hat = np.full(n, np.nan)
     m_hat = np.full(n, np.nan)
     fold_of = np.full(n, -1, dtype=np.int64)
-    for i, (train, test) in enumerate(train_test_folds(folds)):
-        rows_of = _design(problem, train, encode, unit_means, outcome_mean)
+    for i, (train, test) in enumerate(train_test_folds(kfold_split(n, k, seed))):
+        rows_of = _design(problem, train)
         try:
             g_hat[test], m_hat[test] = _fit_predict(
                 learner, rows_of, problem.y, problem.d, train, test
@@ -283,35 +233,6 @@ def cross_fit_nuisance(
     v = problem.d - m_hat
     return NuisanceResiduals(
         u, v, fold_of, _oof_r2(problem.y, u), _oof_r2(problem.d, v), g_hat, m_hat
-    )
-
-
-def fit_nuisance_nosplit(
-    problem: PlrProblem,
-    learner: LearnerSpec,
-    unit_means: bool = False,
-    outcome_mean: bool = True,
-) -> NuisanceResiduals:
-    """Debug mode: nuisances fit and evaluated on the full sample.
-
-    With linear nuisances the orthogonal score then reproduces the
-    full-regression treatment coefficient (the partialling-out identity),
-    which pins down the score algebra in tests. Not valid for inference with
-    flexible learners; callers must flag the output as non-inferential.
-    """
-    learner.validate()
-    if unit_means and problem.unit_ids is None:
-        raise MissingInput("problem has no unit_ids")
-    n = problem.n_obs
-    encode = problem.unit_ids is not None and (unit_means or outcome_mean)
-    every_row = slice(None)
-    rows_of = _design(problem, every_row, encode, unit_means, outcome_mean)
-    g_hat, m_hat = _fit_predict(learner, rows_of, problem.y, problem.d, every_row, every_row)
-    u = problem.y - g_hat
-    v = problem.d - m_hat
-    return NuisanceResiduals(
-        u, v, np.zeros(n, dtype=np.int64),
-        _oof_r2(problem.y, u), _oof_r2(problem.d, v), g_hat, m_hat,
     )
 
 
@@ -338,7 +259,6 @@ def plr_estimate(
     res: NuisanceResiduals,
     d,
     y,
-    g_hat=None,
     score: str = "orthogonal",
 ) -> DmlResult:
     """Solve the score on pooled residuals and attach Wald inference.
@@ -359,9 +279,8 @@ def plr_estimate(
         raise LengthMismatch("d and y must match the residual length")
     if float(v @ v) < 1e-12 * n:
         raise DegenerateTreatment("treatment residuals are numerically zero")
-    g = res.g_hat if g_hat is None else np.asarray(g_hat, dtype=float)
     if score == "orthogonal":
-        target = y - g
+        target = y - res.g_hat
         jac = float(v @ d) / n
         if abs(jac) < 1e-12:
             raise DegenerateTreatment("score Jacobian mean(v*d) is numerically zero")
@@ -376,7 +295,7 @@ def plr_estimate(
     t, p, lo, hi = wald_inference(theta, se)
     return DmlResult(
         theta=theta, se=se, t=t, p=p, ci_low=lo, ci_high=hi,
-        n=n, per_1pct=_per_1pct(theta), score=score,
+        n=n, per_1pct=_per_1pct(theta),
     )
 
 
@@ -391,53 +310,23 @@ def run_dml(
     learner: LearnerSpec,
     k: int = 2,
     seed: int = 0,
-    mode: str = "crossfit",
     score: str = "orthogonal",
-    fold_mode: str = "row",
-    unit_means: bool = False,
-    outcome_mean: bool = True,
 ) -> tuple[DmlResult, NuisanceResiduals]:
-    """End-to-end estimate: nuisances, residuals, score, Wald inference.
+    """End-to-end estimate: cross-fitted nuisances, residuals, score, Wald
+    inference."""
+    res = cross_fit_nuisance(problem, learner, k, seed)
+    return plr_estimate(res, problem.d, problem.y, score=score), res
 
-    mode "nosplit_debug" skips cross-fitting (in-sample nuisances) and exists
-    only to pin the score algebra against direct OLS; its output is flagged
-    by the mode field and must not be read as inference.
+
+def residual_diagnostics(res: NuisanceResiduals) -> dict[str, float]:
+    """Summary statistics of the out-of-fold outcome residual u: the largest
+    |u| and the fraction within one standard deviation of zero (= 0.683 for
+    Gaussian residuals).
     """
-    if mode not in MODES:
-        raise ConfigError(f"mode must be one of {MODES}, got {mode!r}")
-    if mode == "nosplit_debug":
-        res = fit_nuisance_nosplit(problem, learner, unit_means, outcome_mean)
-        n_folds = 1
-    else:
-        res = cross_fit_nuisance(problem, learner, k, seed, fold_mode,
-                                 unit_means, outcome_mean)
-        n_folds = k
-    result = plr_estimate(res, problem.d, problem.y, score=score)
-    result.learner = learner.kind
-    result.mode = mode
-    result.fold_mode = fold_mode
-    result.n_folds = n_folds
-    return result, res
-
-
-def residual_diagnostics(
-    res: NuisanceResiduals, fitted
-) -> tuple[np.ndarray, dict[str, float]]:
-    """Scatter data (fitted, residual) plus summary statistics.
-
-    The residual is the out-of-fold outcome residual u. Summary reports the
-    largest |residual| and the fraction within one standard deviation of
-    zero (= 0.683 for Gaussian residuals).
-    """
-    fitted = np.asarray(fitted, dtype=float)
-    if fitted.size != res.u.size:
-        raise LengthMismatch("fitted length must match the residual length")
-    table = np.column_stack([fitted, res.u])
     sd = float(res.u.std())
     frac = float(np.mean(np.abs(res.u) <= sd)) if sd > 0 else 1.0
-    summary = {"max_abs": float(np.max(np.abs(res.u))) if res.u.size else 0.0,
-               "frac_within_1sd": frac}
-    return table, summary
+    return {"max_abs": float(np.max(np.abs(res.u))) if res.u.size else 0.0,
+            "frac_within_1sd": frac}
 
 
 RESULT_CSV_HEADER = ("model", "coef", "se", "t", "p", "ci_low", "ci_high", "n", "per_1pct")

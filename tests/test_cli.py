@@ -50,10 +50,23 @@ def test_full_run_manifest_contents(full_run):
     manifest = read_manifest(full_run["out"])
     assert manifest["flags"]["lag_used"] == 7
     assert manifest["flags"]["dml_variant"] == "dml2_pooled_score"
+    assert {k: manifest["flags"][k] for k in ("mode", "fold_mode", "unit_y_mean_encoding")} == {
+        "mode": "crossfit", "fold_mode": "row", "unit_y_mean_encoding": True}
+    assert "unit_x_means_encoding" not in manifest["flags"]
+    assert set(manifest["config"]) == set(PipelineConfig.__dataclass_fields__)
     assert manifest["panel"]["units"] == 16
     assert manifest["panel"]["dropped_nonstationary"] == ["junk_rw"]
     assert manifest["config_hash"] and len(manifest["config_hash"]) == 64
     assert "junk_rw" not in read_csv(os.path.join(full_run["out"], "corr.csv"))[0]
+
+
+def test_bare_import_loads_no_submodule_and_no_numpy():
+    src = os.path.dirname(os.path.dirname(macrodml.__file__))
+    probe = ("import sys, macrodml; "
+             "print(sorted(m for m in sys.modules if m == 'numpy' or m.startswith('macrodml.')))")
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, check=True)
+    assert proc.stdout == "[]\n"
 
 
 def test_manifest_records_versions(full_run):
@@ -156,11 +169,17 @@ def test_config_json_with_flag_override(small_fx, tmp_path):
     assert manifest["flags"]["lag_used"] == 3
 
 
-def test_config_json_rejects_unknown_keys(tmp_path):
+def test_config_json_rejects_unknown_keys(tmp_path, capsys):
     path = tmp_path / "config.json"
     path.write_text(json.dumps({"funds_csv": "x.csv", "bogus_knob": 1}))
     with pytest.raises(ConfigError, match="bogus_knob"):
         config_from_json(str(path))
+    for key, value in (("fold_mode", "row"), ("unit_means", False), ("outcome_mean", True)):
+        path.write_text(json.dumps({"funds_csv": "x.csv", key: value}))
+        assert main(["run", "--config", str(path)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("code=1 error=ConfigError message=unknown config keys")
+        assert key in err and err.count("\n") == 1
 
 
 def test_config_validate_catches_bad_values(small_fx):
@@ -169,19 +188,12 @@ def test_config_validate_catches_bad_values(small_fx):
                 meta_csv=fx["meta_csv"], treatment_name="policy_rate",
                 output_dir="somewhere")
     for bad in ({"learner": "forest"}, {"k": 1}, {"level": "2%"},
-                {"fold_mode": "time"}, {"score": "naive"}, {"lag_order": -1},
-                {"min_aum": -5.0}):
+                {"score": "naive"}, {"lag_order": -1}, {"min_aum": -5.0}):
         with pytest.raises(ConfigError):
             PipelineConfig(**base, **bad).validate()
+    with pytest.raises(ConfigError, match="orthogonal.*residual_ols"):
+        PipelineConfig(**base, score="naive").validate()
     PipelineConfig(**base).validate()
-
-
-def test_fold_mode_alias_normalizes():
-    config = PipelineConfig(funds_csv="f", macro_csv="m", meta_csv="c",
-                            treatment_name="t", output_dir="o",
-                            fold_mode="unitblocked")
-    config.validate()
-    assert config.fold_mode == "unit"
 
 
 # ---------------------------------------------------------------------------

@@ -19,17 +19,14 @@ from macrodml.dml import (
     rescale_per_1pct,
     residual_diagnostics,
     run_dml,
-    unit_blocked_split,
     wald_inference,
 )
 from macrodml.errors import (
-    BadK,
     BadKind,
     ConfigError,
     DegenerateTreatment,
     EmptyTrainMask,
     LengthMismatch,
-    MissingInput,
     RankDeficient,
 )
 from macrodml import dml
@@ -120,7 +117,7 @@ def test_orthogonal_score_hand_computation(rng):
     d = v + rng.standard_normal(n)
     y = u.copy()  # with g_hat = 0, target = y
     res = _manual_residuals(u, v)
-    result = plr_estimate(res, d, y, g_hat=np.zeros(n))
+    result = plr_estimate(res, d, y)
     theta = float(v @ y) / float(v @ d)
     assert result.theta == pytest.approx(theta, rel=1e-12)
     psi = (y - theta * d) * v
@@ -137,7 +134,6 @@ def test_residual_ols_score_is_projection(rng):
     res = _manual_residuals(u, v)
     result = plr_estimate(res, v, u, score="residual_ols")
     assert result.theta == pytest.approx(float(v @ u) / float(v @ v), rel=1e-12)
-    assert result.score == "residual_ols"
 
 
 def test_score_name_validated(rng):
@@ -159,10 +155,12 @@ def test_degenerate_when_treatment_residual_vanishes():
 
 def test_nosplit_linear_matches_full_ols():
     problem, _ = gen_plr(SynthSpec(kind="plr_linear", theta_true=1.3, n=300, seed=4))
-    result, _ = run_dml(problem, LINEAR, mode="nosplit_debug")
+    g_hat, m_hat = predict(ols_fit(problem.x, np.stack([problem.y, problem.d])), problem.x)
+    res = NuisanceResiduals(problem.y - g_hat, problem.d - m_hat,
+                            np.zeros(problem.n_obs, dtype=np.int64), 0.0, 0.0, g_hat, m_hat)
+    result = plr_estimate(res, problem.d, problem.y)
     full = ols_fit(np.column_stack([problem.d, problem.x]), problem.y)
     assert abs(result.theta - full.coefficients[0]) < 1e-8
-    assert result.mode == "nosplit_debug" and result.n_folds == 1
 
 
 def test_outcome_scale_equivariance():
@@ -269,18 +267,14 @@ def test_linear_cross_fit_one_ols_per_fold_matches_separate_fits(monkeypatch, pa
             assert np.array_equal(fitted[test], alone)
 
 
-def test_mode_and_kind_are_validated():
+def test_learner_kind_is_validated():
     problem, _ = gen_plr(SynthSpec(kind="plr_linear", n=50, seed=1))
-    with pytest.raises(ConfigError):
-        run_dml(problem, LINEAR, mode="half_split")
     with pytest.raises(BadKind):
         run_dml(problem, LearnerSpec("forest"))
-    with pytest.raises(ConfigError):
-        cross_fit_nuisance(problem, LINEAR, fold_mode="diagonal")
 
 
 # ---------------------------------------------------------------------------
-# unit-aware splitting and encoding
+# unit target encoding
 # ---------------------------------------------------------------------------
 
 def _panel_problem(n_units=6, t_len=30, seed=0):
@@ -294,48 +288,12 @@ def _panel_problem(n_units=6, t_len=30, seed=0):
     return PlrProblem(y, d, x, unit_ids=units)
 
 
-def test_unit_blocked_split_never_splits_units():
-    problem = _panel_problem()
-    folds = unit_blocked_split(problem.unit_ids, 3, seed=0)
-    ids = np.asarray(problem.unit_ids)
-    seen = set()
-    for fold in folds:
-        fold_units = set(ids[fold])
-        assert not (fold_units & seen)  # a unit appears in exactly one fold
-        seen |= fold_units
-        for unit in fold_units:
-            assert np.all(np.isin(np.flatnonzero(ids == unit), fold))
-    assert sum(f.size for f in folds) == problem.n_obs
-    with pytest.raises(BadK):
-        unit_blocked_split(problem.unit_ids, 7)  # more folds than units
-
-
-def test_fold_mode_unit_requires_ids():
-    problem, _ = gen_plr(SynthSpec(kind="plr_linear", n=60, seed=2))
-    with pytest.raises(MissingInput):
-        cross_fit_nuisance(problem, LINEAR, fold_mode="unit")
-    with pytest.raises(MissingInput):
-        cross_fit_nuisance(problem, LINEAR, unit_means=True)
-
-
-def test_fold_mode_unit_constant_fold_per_unit():
-    problem = _panel_problem()
-    res = cross_fit_nuisance(problem, LINEAR, k=3, seed=0, fold_mode="unit")
-    ids = np.asarray(problem.unit_ids)
-    for unit in np.unique(ids):
-        assert np.unique(res.fold_of[ids == unit]).size == 1
-
-
 def test_encode_features_shapes():
     problem = _panel_problem()
     n, p = problem.x.shape
-    mask = np.ones(n, dtype=bool)
-    assert encode_features(problem, mask, False, False).shape == (n, 0)
-    with_y = encode_features(problem, mask, False, True)
+    with_y = encode_features(problem, np.ones(n, dtype=bool))
     assert with_y.shape == (n, 1)
-    full = encode_features(problem, mask, True, True)
-    assert full.shape == (n, p + 1)
-    assert design_rows(problem.x, full).shape == (n, 2 * p + 1)
+    assert design_rows(problem.x, with_y).shape == (n, p + 1)
     # the y-mean column is the per-unit outcome mean
     ids = np.asarray(problem.unit_ids)
     unit0 = ids == ids[0]
@@ -344,7 +302,7 @@ def test_encode_features_shapes():
 
 def test_design_rows_copies_the_rows_of_the_joined_matrix():
     problem = _panel_problem()
-    means = encode_features(problem, np.arange(problem.n_obs) % 3 > 0, True, True)
+    means = encode_features(problem, np.arange(problem.n_obs) % 3 > 0)
     joined = np.hstack([problem.x, means])
     for rows in (np.array([5, 0, 179, 5]), np.arange(0, problem.n_obs, 2), slice(None)):
         got = design_rows(problem.x, means, rows)
@@ -377,40 +335,31 @@ def _tiny_problem():
 
 def test_encode_features_train_only_arithmetic():
     train = np.array([True, True, False, True, True])
-    out = encode_features(_tiny_problem(), train, x_means=True, y_mean=True)
-    assert out.shape == (5, 2)  # x1's unit mean, then y's
+    out = encode_features(_tiny_problem(), train)
+    assert out.shape == (5, 1)
     # unit A: train y {1, 3} -> 2 everywhere, including the held-out row
-    assert np.array_equal(out[:, 1], [2.0, 2.0, 2.0, 5.0, 5.0])
-    assert np.array_equal(out[:, 0], [1.5, 1.5, 1.5, 4.0, 4.0])
+    assert np.array_equal(out[:, 0], [2.0, 2.0, 2.0, 5.0, 5.0])
 
 
 def test_encode_features_unseen_unit_gets_global_mean():
     problem = _tiny_problem()
     train = np.array([True, True, True, False, False])  # B never trains
-    out = encode_features(problem, train, x_means=True, y_mean=True)
-    assert np.array_equal(out[3:, 1], np.full(2, problem.y[:3].mean()))
-    assert np.array_equal(out[3:, 0], np.full(2, problem.x[:3, 0].mean()))
+    out = encode_features(problem, train)
+    assert np.array_equal(out[3:, 0], np.full(2, problem.y[:3].mean()))
 
 
 def test_encode_features_no_leakage():
     train = np.array([True, True, False, True, True])
-    before = encode_features(_tiny_problem(), train, x_means=True, y_mean=True)
+    before = encode_features(_tiny_problem(), train)
     bumped = _tiny_problem()
     bumped.y[2] += 1000.0  # held-out row only
-    bumped.x[2, 0] -= 55.0
-    after = encode_features(bumped, train, x_means=True, y_mean=True)
+    after = encode_features(bumped, train)
     assert np.array_equal(before, after)
 
 
 def test_encode_features_empty_mask():
     with pytest.raises(EmptyTrainMask):
         encode_features(_tiny_problem(), np.zeros(5, dtype=bool))
-
-
-def test_encode_features_without_outcome():
-    problem = _tiny_problem()
-    out = encode_features(problem, np.ones(5, dtype=bool), x_means=True, y_mean=False)
-    assert np.array_equal(out, [[4.0], [4.0], [4.0], [4.0], [4.0]])
 
 
 @pytest.mark.parametrize("units", [
@@ -423,23 +372,16 @@ def test_encode_features_codes_give_the_string_id_means(rng, units):
     problem = PlrProblem(rng.standard_normal(n), rng.standard_normal(n),
                          rng.standard_normal((n, 3)), unit_ids=units)
     for mask in (np.ones(n, dtype=bool), rng.random(n) < 0.5, np.arange(n) < 40):
-        got = encode_features(problem, mask, x_means=True, y_mean=True)
-        ref = unit_train_means(units, np.hstack([problem.x, problem.y[:, None]]), mask)
+        got = encode_features(problem, mask)
+        ref = unit_train_means(units, problem.y[:, None], mask)
         assert np.array_equal(got.view(np.uint64), ref.view(np.uint64))
 
 
-def test_unit_folds_from_codes_match_string_ids():
-    problem = _panel_problem(n_units=13)
-    for seed in range(3):
-        from_codes = unit_blocked_split(problem.unit_codes, 4, seed)
-        from_ids = unit_blocked_split(problem.unit_ids, 4, seed)
-        assert all(np.array_equal(a, b) for a, b in zip(from_codes, from_ids))
-
-
 def test_target_encoding_improves_fixed_effect_fit():
-    problem = _panel_problem(seed=3)
-    plain = cross_fit_nuisance(problem, LINEAR, k=2, seed=0, outcome_mean=False)
-    encoded = cross_fit_nuisance(problem, LINEAR, k=2, seed=0, outcome_mean=True)
+    encoded_problem = _panel_problem(seed=3)
+    plain_problem = PlrProblem(encoded_problem.y, encoded_problem.d, encoded_problem.x)
+    plain = cross_fit_nuisance(plain_problem, LINEAR, k=2, seed=0)
+    encoded = cross_fit_nuisance(encoded_problem, LINEAR, k=2, seed=0)
     assert encoded.r2_y > plain.r2_y
 
 
@@ -451,12 +393,9 @@ def test_residual_diagnostics_gaussian_fraction():
     rng = np.random.default_rng(14)
     u = rng.standard_normal(10_000)
     res = _manual_residuals(u, rng.standard_normal(10_000))
-    table, summary = residual_diagnostics(res, np.zeros(10_000))
-    assert table.shape == (10_000, 2)
+    summary = residual_diagnostics(res)
     assert abs(summary["frac_within_1sd"] - 0.683) < 0.03
     assert summary["max_abs"] == np.max(np.abs(u))
-    with pytest.raises(LengthMismatch):
-        residual_diagnostics(res, np.zeros(5))
 
 
 def test_results_csv_layout(full_run):
