@@ -69,7 +69,7 @@ def cross_section_demo() -> None:
                                    n=4000, noise_sd=0.5, seed=SEED))
     params = HyperParams(n_trees=200, max_depth=4, learning_rate=0.1,
                          min_samples_leaf=20)
-    for spec in (LearnerSpec("linear"), LearnerSpec("boosted", params, seed=SEED)):
+    for spec in (LearnerSpec("linear"), LearnerSpec("boosted", params)):
         result, _ = run_dml(problem, spec, k=2, seed=SEED)
         print(f"{spec.kind:>8}: coef {result.theta:8.4f}  se {result.se:.4f}  "
               f"ci [{result.ci_low:.3f}, {result.ci_high:.3f}]")

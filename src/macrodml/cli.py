@@ -108,11 +108,16 @@ class PipelineConfig:
             if path and os.path.commonpath([out, os.path.realpath(path)]) == out:
                 raise ConfigError(f"output_dir {self.output_dir!r} must not contain {path!r}")
         _check_replaceable(out)
-        if isinstance(self.lag_order, str):
-            if self.lag_order.lower() != "auto":
-                raise ConfigError(f"lag_order must be an integer or 'auto', got {self.lag_order!r}")
+        if isinstance(self.lag_order, str) and self.lag_order.lower() == "auto":
             self.lag_order = "auto"
-        elif self.lag_order < 0:
+        elif isinstance(self.lag_order, str):
+            try:
+                self.lag_order = int(self.lag_order)
+            except ValueError:
+                raise ConfigError(
+                    f"lag_order must be an integer or 'auto', got {self.lag_order!r}"
+                ) from None
+        if self.lag_order != "auto" and self.lag_order < 0:
             raise ConfigError("lag_order must be >= 0")
         if self.learner not in LEARNER_CHOICES:
             raise ConfigError(f"learner must be one of {LEARNER_CHOICES}, got {self.learner!r}")
@@ -358,7 +363,7 @@ def run_pipeline(config: PipelineConfig) -> dict:
                 for row in cv_table
             ],
         )
-        learners.append(("boosted", LearnerSpec("boosted", best_params, seed=config.seed)))
+        learners.append(("boosted", LearnerSpec("boosted", best_params)))
 
     result_rows: list[list[str]] = []
     per_1pct_rows: list[list[str]] = []
@@ -409,7 +414,7 @@ def run_pipeline(config: PipelineConfig) -> dict:
         },
         "panel": {
             "rows": panel.n_rows,
-            "units": len(set(panel.unit_ids)),
+            "units": problem.n_units,
             "x_width": len(panel.x_names),
             "dropped_nonstationary": [name for name, _ in screen.dropped],
         },
@@ -569,13 +574,6 @@ def _config_from_args(args) -> PipelineConfig:
     for name, value in overrides.items():
         if value is not None:
             setattr(config, name, value)
-    if isinstance(config.lag_order, str) and config.lag_order.lower() != "auto":
-        try:
-            config.lag_order = int(config.lag_order)
-        except ValueError:
-            raise ConfigError(
-                f"lag_order must be an integer or 'auto', got {config.lag_order!r}"
-            ) from None
     return config
 
 

@@ -32,7 +32,6 @@ from .learners import (
     train_test_folds,
 )
 from .panel_data import PanelTable
-from .preprocess import unit_train_means
 
 Z_975 = 1.959964  # two-sided 5% normal quantile used for all intervals
 
@@ -42,7 +41,8 @@ LEARNER_KINDS = ("linear", "boosted")
 
 @dataclass
 class LearnerSpec:
-    """Which learner fits both nuisance tasks."""
+    """Which learner fits both nuisance tasks. Nothing reads `seed`: both
+    learners are deterministic, and it stays only because callers pass it."""
 
     kind: str = "linear"  # "linear" | "boosted"
     params: HyperParams | None = None  # boosted only
@@ -57,8 +57,9 @@ class LearnerSpec:
 class PlrProblem:
     """One partially linear regression problem, optionally panel-aware.
 
-    unit_codes numbers the units 0, 1, ... in sorted id order, once per
-    problem, so per-fold encoding groups rows by integers, not strings.
+    unit_codes numbers the units 0, 1, ..., n_units - 1 in sorted id order,
+    once per problem, so per-fold encoding groups rows by integers, not
+    strings.
     """
 
     y: np.ndarray
@@ -66,6 +67,7 @@ class PlrProblem:
     x: np.ndarray
     unit_ids: list | None = None
     unit_codes: np.ndarray | None = field(init=False, repr=False, compare=False)
+    n_units: int = field(init=False, default=0, compare=False)
 
     def __post_init__(self) -> None:
         self.y = np.asarray(self.y, dtype=float)
@@ -78,9 +80,10 @@ class PlrProblem:
             raise DataError("x must be 2-dimensional")
         if self.unit_ids is not None and len(self.unit_ids) != n:
             raise LengthMismatch("unit_ids must match the number of rows")
-        self.unit_codes = None if self.unit_ids is None else (
-            np.unique(np.asarray(self.unit_ids), return_inverse=True)[1]
-        )
+        self.unit_codes = None
+        if self.unit_ids is not None:
+            units, self.unit_codes = np.unique(np.asarray(self.unit_ids), return_inverse=True)
+            self.n_units = units.size
         if n and np.ptp(self.d) == 0.0:
             raise DegenerateTreatment("treatment is constant across rows")
 
@@ -142,7 +145,7 @@ def _fit_predict(learner: LearnerSpec, rows_of, y, d, train, test) -> tuple[np.n
     for task, target in (("y", y), ("d", d)):
         try:
             preds.append(
-                predict(gbt_fit(X_tr, target[train], learner.params, seed=learner.seed), X_te)
+                predict(gbt_fit(X_tr, target[train], learner.params), X_te)
             )
         except Exception as exc:
             raise type(exc)(f"{task}-task: {exc}") from exc
@@ -155,9 +158,16 @@ def encode_features(problem: PlrProblem, train_mask: np.ndarray) -> np.ndarray:
     `design_rows` appends to x.
 
     Units are grouped by the problem's integer unit codes, which give the
-    means the string ids give.
+    means the string ids give. A unit with no training row gets the mean of
+    all training rows; train_mask must select at least one row (a fold
+    complement always does).
     """
-    return unit_train_means(problem.unit_codes, problem.y[:, None], train_mask)
+    codes = problem.unit_codes
+    train_codes, train_y = codes[train_mask], problem.y[train_mask]
+    counts = np.bincount(train_codes, minlength=problem.n_units)
+    sums = np.bincount(train_codes, weights=train_y, minlength=problem.n_units)
+    means = np.where(counts > 0, sums / np.maximum(counts, 1), train_y.mean())
+    return means[codes][:, None]
 
 
 _ROW_BLOCK = 2048  # rows gathered per step of design_rows; a block stays in cache
@@ -249,9 +259,10 @@ def wald_inference(theta: float, se: float) -> tuple[float, float, float, float]
     return t, p, theta - Z_975 * se, theta + Z_975 * se
 
 
-def _per_1pct(theta: float) -> float:
-    # decimal shift so the printed value matches hand-division of the printed
-    # theta; binary /100 can be one ulp off
+def rescale_per_1pct(theta: float) -> float:
+    """Effect of a 1 percentage-point move: theta / 100, as a decimal shift so
+    the printed value matches hand-division of the printed theta (binary /100
+    can be one ulp off)."""
     return float(Decimal(repr(float(theta))) / 100)
 
 
@@ -295,14 +306,8 @@ def plr_estimate(
     t, p, lo, hi = wald_inference(theta, se)
     return DmlResult(
         theta=theta, se=se, t=t, p=p, ci_low=lo, ci_high=hi,
-        n=n, per_1pct=_per_1pct(theta),
+        n=n, per_1pct=rescale_per_1pct(theta),
     )
-
-
-def rescale_per_1pct(result: DmlResult | float) -> float:
-    """Effect of a 1 percentage-point move: theta / 100, decimal-exact."""
-    theta = result.theta if isinstance(result, DmlResult) else float(result)
-    return _per_1pct(theta)
 
 
 def run_dml(

@@ -62,10 +62,6 @@ class SingularCovariance(NumericalError):
     """Residual covariance matrix is singular."""
 
 
-class EmptyTrainMask(DataError):
-    """Training mask selects no rows."""
-
-
 class ConstantColumn(NumericalError):
     """A column has zero variance where variation is required."""
 

@@ -15,7 +15,8 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import astuple, dataclass, field, replace
+from collections.abc import Iterator
+from dataclasses import astuple, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -44,7 +45,6 @@ class HyperParams:
     max_depth: int = 3
     learning_rate: float = 0.1
     min_samples_leaf: int = 20
-    subsample: float = 1.0
 
     def validate(self) -> None:
         if self.n_trees < 0:
@@ -55,8 +55,6 @@ class HyperParams:
             raise ConfigError("learning_rate must be in (0, 1]")
         if self.min_samples_leaf < 1:
             raise ConfigError("min_samples_leaf must be >= 1")
-        if not 0 < self.subsample <= 1:
-            raise ConfigError("subsample must be in (0, 1]")
 
 
 @dataclass
@@ -71,12 +69,9 @@ class RegressionTree:
     value: np.ndarray
     depth: int
 
-    def predict(self, X: np.ndarray) -> np.ndarray:
-        return self.leaf_values(*_flat_rows(X))
-
     def leaf_values(self, flat: np.ndarray, base: np.ndarray) -> np.ndarray:
         """Leaf value of each row whose features start at flat[base[i]]
-        (see `_flat_rows`)."""
+        (see `staged_predict`)."""
         node = np.zeros(base.size, dtype=np.int64)
         for _ in range(self.depth):
             go_left = flat[base + self.feature[node]] <= self.threshold[node]
@@ -84,17 +79,10 @@ class RegressionTree:
         return self.value[node]
 
 
-def _flat_rows(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """X as one flat row-major array and each row's offset into it, so routing
-    reads feature f of every row with one gather at base + f."""
-    return X.ravel(), np.arange(X.shape[0]) * X.shape[1]
-
-
 @dataclass
 class GbtModel:
     base_score: float
     learning_rate: float
-    params: HyperParams
     trees: list[RegressionTree] = field(default_factory=list)
     n_features: int = 0
 
@@ -169,9 +157,9 @@ class _Bins:
     hi[j, b] are the smallest and largest training value in bin b of column j;
     a column with fewer than `width` bins leaves the rest empty. counts and
     left_n are the row counts of every training row and their running sums
-    along each column: the root histogram's counts at every stage that fits
-    all rows. Counts are int32 here and in every histogram: half the memory
-    that each node's histograms hold as int64, and exact below 2**31 rows.
+    along each column: the root histogram's counts at every stage. Counts
+    are int32 here and in every histogram: half the memory that each node's
+    histograms hold as int64, and exact below 2**31 rows.
     """
 
     codes: np.ndarray  # (n, p) flat bin index
@@ -265,12 +253,12 @@ def _fit_tree(
     X: np.ndarray,
     bins: _Bins,
     resid: np.ndarray,
-    rows: np.ndarray,
     max_depth: int,
     min_leaf: int,
     step: np.ndarray,
 ) -> RegressionTree:
-    """Grow one tree on `rows`, writing each row's leaf value into `step`.
+    """Grow one tree on every training row, writing each row's leaf value
+    into `step`.
 
     Only the smaller child of a split gets its own histogram; the larger
     one's is the parent's minus the smaller's, counts and cumulative counts
@@ -289,6 +277,7 @@ def _fit_tree(
 
     # depth first, left child first: (rows, histogram, depth, parent, parent's
     # child list -- left or right -- that gets this node's index)
+    rows = np.arange(resid.size)
     stack = [(rows, _histogram(bins, resid, rows) if can_split(rows, 0) else None, 0, 0, None)]
     while stack:
         node_rows, hist, depth, parent, child_of = stack.pop()
@@ -327,15 +316,14 @@ def _fit_tree(
     )
 
 
-def gbt_fit(X, y, params: HyperParams | None = None, seed: int = 0) -> GbtModel:
-    """Stagewise least-squares boosting on raw residuals.
+def gbt_fit(X, y, params: HyperParams | None = None) -> GbtModel:
+    """Stagewise least-squares boosting on raw residuals (Friedman 2001).
 
     The model starts at the training mean; each stage fits a depth-limited
-    tree to the current residuals and the prediction moves by learning_rate
-    times the leaf mean. Leaf values are stored unscaled; the learning rate
-    is applied at prediction time. X is binned once for all stages. With
-    subsample < 1 each stage fits on a seeded row subsample but residuals
-    update on all rows.
+    tree to the current residuals on every training row and the prediction
+    moves by learning_rate times the leaf mean. Leaf values are stored
+    unscaled; the learning rate is applied at prediction time. X is binned
+    once for all stages.
     """
     params = params or HyperParams()
     params.validate()
@@ -347,32 +335,34 @@ def gbt_fit(X, y, params: HyperParams | None = None, seed: int = 0) -> GbtModel:
         )
     if n < 1:
         raise TooFewRows("need at least 1 row")
-    rng = np.random.default_rng(seed)
     model = GbtModel(
         base_score=float(y.mean()),
         learning_rate=params.learning_rate,
-        params=replace(params),
         n_features=X.shape[1],
     )
     fitted = np.full(n, model.base_score)
     bins = _bin_columns(X) if params.n_trees > 0 else None
-    flat, base = _flat_rows(X)
-    rows = np.arange(n)
     step = np.empty(n)
-    n_sub = max(1, int(params.subsample * n))
     for _ in range(params.n_trees):
-        resid = y - fitted
-        if n_sub < n:
-            member = np.zeros(n, dtype=bool)
-            member[rng.choice(n, size=n_sub, replace=False)] = True
-            rows = np.flatnonzero(member)
-        tree = _fit_tree(X, bins, resid, rows, params.max_depth, params.min_samples_leaf, step)
-        if n_sub < n:
-            left_out = np.flatnonzero(~member)
-            step[left_out] = tree.leaf_values(flat, base[left_out])
+        tree = _fit_tree(X, bins, y - fitted, params.max_depth, params.min_samples_leaf, step)
         model.trees.append(tree)
         fitted += params.learning_rate * step
     return model
+
+
+def staged_predict(model: GbtModel, X: np.ndarray) -> Iterator[np.ndarray]:
+    """The ensemble's prediction on the rows of X after 0, 1, ..., n_trees
+    stages, each a new array.
+
+    Routing reads X as one flat row-major array, each row's feature f at its
+    offset plus f, with one gather per tree level.
+    """
+    flat, base = X.ravel(), np.arange(X.shape[0]) * X.shape[1]
+    pred = np.full(X.shape[0], model.base_score)
+    yield pred
+    for tree in model.trees:
+        pred = pred + model.learning_rate * tree.leaf_values(flat, base)
+        yield pred
 
 
 def predict(model, X) -> np.ndarray:
@@ -397,10 +387,8 @@ def predict(model, X) -> np.ndarray:
             raise DimensionMismatch(
                 f"model expects {model.n_features} features, got {X.shape[1]}"
             )
-        rows = _flat_rows(X)
-        out = np.full(X.shape[0], model.base_score)
-        for tree in model.trees:
-            out += model.learning_rate * tree.leaf_values(*rows)
+        for out in staged_predict(model, X):
+            pass
         return out
     raise TypeError(f"unsupported model type {type(model).__name__}")
 
@@ -421,14 +409,7 @@ def staged_mse(model: GbtModel, X, y) -> np.ndarray:
     only shrink the training loss, so this curve is non-increasing.
     """
     X, y = _as_xy(X, y)
-    rows = _flat_rows(X)
-    out = np.empty(len(model.trees) + 1)
-    pred = np.full(X.shape[0], model.base_score)
-    out[0] = mse(y, pred)
-    for i, tree in enumerate(model.trees):
-        pred = pred + model.learning_rate * tree.leaf_values(*rows)
-        out[i + 1] = mse(y, pred)
-    return out
+    return np.array([mse(y, pred) for pred in staged_predict(model, X)])
 
 
 def r2(y_true, y_pred) -> float:
@@ -471,8 +452,6 @@ DEFAULT_GRID: list[HyperParams] = [
     for t, d, lr in itertools.product((50, 200), (2, 4), (0.1, 0.3))
 ]
 
-GRID_JSON_KEYS = ("n_trees", "max_depth", "learning_rate", "min_samples_leaf")
-
 
 def grid_from_json(text: str) -> list[HyperParams]:
     """Parse a JSON array of hyperparameter objects into a grid."""
@@ -486,7 +465,7 @@ def grid_from_json(text: str) -> list[HyperParams]:
     for i, entry in enumerate(doc):
         if not isinstance(entry, dict):
             raise ConfigError(f"grid entry {i} is not an object")
-        unknown = set(entry) - set(GRID_JSON_KEYS) - {"subsample"}
+        unknown = set(entry) - {f.name for f in fields(HyperParams)}
         if unknown:
             raise ConfigError(f"grid entry {i} has unknown keys {sorted(unknown)}")
         params = HyperParams(**entry)
@@ -505,25 +484,21 @@ class CvRow:
     failed: bool = False
 
 
-def _staged_cv_scores(X, y, pairs, n_trees: list[int], params: HyperParams, seed: int):
+def _staged_cv_scores(X, y, pairs, n_trees: list[int], params: HyperParams):
     """Mean out-of-fold (mse, r2) after each of the stage counts in n_trees.
 
     One ensemble of max(n_trees) trees is fitted per fold; a shorter
-    ensemble is its prefix, because stages draw from the seeded generator
-    in order. Test predictions add up stage by stage as in `predict`, so
-    each score equals that of a separate fit bit for bit.
+    ensemble is its prefix, because boosting is deterministic and stagewise.
+    Test predictions come from `staged_predict`, as in `predict`, so each
+    score equals that of a separate fit bit for bit.
     """
     stops = set(n_trees)
     losses = {t: [] for t in stops}
     scores = {t: [] for t in stops}
-    flat, base = _flat_rows(X)
     for train, test in pairs:
-        model = gbt_fit(X[train], y[train], replace(params, n_trees=max(stops)), seed=seed)
-        test_base, y_test = base[test], y[test]
-        pred = np.full(test.size, model.base_score)
-        for stage in range(len(model.trees) + 1):
-            if stage > 0:
-                pred += model.learning_rate * model.trees[stage - 1].leaf_values(flat, test_base)
+        model = gbt_fit(X[train], y[train], replace(params, n_trees=max(stops)))
+        y_test = y[test]
+        for stage, pred in enumerate(staged_predict(model, X[test])):
             if stage in stops:
                 losses[stage].append(mse(y_test, pred))
                 scores[stage].append(r2(y_test, pred))
@@ -556,7 +531,7 @@ def grid_search_cv(
         for i in batch:
             grid[i].validate()
         params = grid[batch[0]]
-        return _staged_cv_scores(X, y, pairs, [grid[i].n_trees for i in batch], params, seed)
+        return _staged_cv_scores(X, y, pairs, [grid[i].n_trees for i in batch], params)
 
     groups: dict[tuple, list[int]] = {}
     for i, params in enumerate(grid):

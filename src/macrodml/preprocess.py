@@ -1,6 +1,7 @@
 """Statistical preprocessing chain: differencing, unit-root screening,
-VAR lag-order selection, per-unit mean encoding, and correlation/PCA
-diagnostics. Lag columns are built by panel_data.to_panel.
+VAR lag-order selection, and correlation/PCA diagnostics. Lag columns are
+built by panel_data.to_panel; the per-fund outcome means by
+dml.encode_features.
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ import numpy as np
 from .errors import (
     ConstantColumn,
     DataError,
-    EmptyTrainMask,
     InsufficientData,
     NotSymmetric,
     SingularCovariance,
@@ -226,33 +226,6 @@ def select_lag_var_aic(vars: TimeSeriesMatrix, p_max: int) -> int:
         if best_aic is None or aic < best_aic:
             best_p, best_aic = p, aic
     return int(best_p)
-
-
-def unit_train_means(
-    unit_ids, columns: np.ndarray, train_mask: np.ndarray
-) -> np.ndarray:
-    """Per-unit means of each column over training rows, broadcast to all rows.
-
-    Units absent from the training rows receive the global training mean of
-    the column. Only training rows ever enter a mean.
-    """
-    train_mask = np.asarray(train_mask, dtype=bool)
-    if not train_mask.any():
-        raise EmptyTrainMask("training mask selects no rows")
-    columns = np.atleast_2d(np.asarray(columns, dtype=float))
-    if columns.shape[0] != train_mask.size:
-        columns = columns.T
-    uniq, codes = np.unique(np.asarray(unit_ids), return_inverse=True)
-    n_units = uniq.size
-    counts = np.bincount(codes[train_mask], minlength=n_units)
-    out = np.empty_like(columns)
-    for j in range(columns.shape[1]):
-        col = columns[:, j]
-        sums = np.bincount(codes[train_mask], weights=col[train_mask], minlength=n_units)
-        global_mean = col[train_mask].mean()
-        means = np.where(counts > 0, sums / np.maximum(counts, 1), global_mean)
-        out[:, j] = means[codes]
-    return out
 
 
 def correlation_matrix(vars: TimeSeriesMatrix) -> np.ndarray:

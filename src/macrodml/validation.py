@@ -143,7 +143,7 @@ def check_boosted_consistency(seed: int = 0, reps: int | None = None) -> Criteri
             noise_sd=1.0, seed=seed + i,
         ))
         result, _ = run_dml(
-            problem, LearnerSpec("boosted", BOOSTED_PARAMS, seed=seed + i),
+            problem, LearnerSpec("boosted", BOOSTED_PARAMS),
             k=2, seed=seed + i,
         )
         hits += abs(result.theta - 0.5) <= 3.0 * result.se
@@ -193,7 +193,7 @@ def check_learner_contrast(seed: int = 0, reps: int | None = None) -> CriterionR
         ))
         res_l, nuis_l = run_dml(problem, LearnerSpec("linear"), k=2, seed=seed + i)
         res_b, nuis_b = run_dml(
-            problem, LearnerSpec("boosted", BOOSTED_PARAMS, seed=seed + i),
+            problem, LearnerSpec("boosted", BOOSTED_PARAMS),
             k=2, seed=seed + i,
         )
         r2_lin.append(nuis_l.r2_y)
@@ -276,11 +276,11 @@ def check_gbt_training_loss(seed: int = 0, reps: int | None = None) -> Criterion
         y = np.sin(X[:, 0]) + X[:, 1] * X[:, 2] + 0.5 * rng.normal(size=300)
         model = gbt_fit(X, y, HyperParams(n_trees=60, max_depth=3,
                                           learning_rate=0.2,
-                                          min_samples_leaf=10), seed=seed + i)
+                                          min_samples_leaf=10))
         losses = staged_mse(model, X, y)
         worst_rise = max(worst_rise, float(np.max(np.diff(losses))))
         stump = gbt_fit(X, y, HyperParams(n_trees=5, max_depth=0,
-                                          learning_rate=0.5), seed=seed + i)
+                                          learning_rate=0.5))
         gap = float(np.max(np.abs(predict(stump, X) - y.mean())))
         worst_mean_gap = max(worst_mean_gap, gap)
     ok = worst_rise <= 1e-12 and worst_mean_gap <= 1e-12

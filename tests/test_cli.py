@@ -130,8 +130,7 @@ def test_both_learners_two_result_rows(both_run):
     assert len(cv_rows) == 1
     manifest = read_manifest(out)
     assert manifest["boosted_params"] == {
-        "n_trees": 15, "max_depth": 2, "learning_rate": 0.3,
-        "min_samples_leaf": 20, "subsample": 1.0,
+        "n_trees": 15, "max_depth": 2, "learning_rate": 0.3, "min_samples_leaf": 20,
     }
 
 
@@ -196,6 +195,15 @@ def test_config_validate_catches_bad_values(small_fx):
     PipelineConfig(**base).validate()
 
 
+def test_config_validate_parses_an_integer_lag_string(small_fx):
+    root, fx = small_fx
+    config = PipelineConfig(funds_csv=fx["funds_csv"], macro_csv=fx["macro_csv"],
+                            meta_csv=fx["meta_csv"], treatment_name="policy_rate",
+                            output_dir="somewhere", lag_order="3")
+    config.validate()
+    assert config.lag_order == 3 and isinstance(config.lag_order, int)
+
+
 # ---------------------------------------------------------------------------
 # exit codes and failure behavior
 # ---------------------------------------------------------------------------
@@ -235,6 +243,19 @@ def test_bad_lag_string_exits_config(small_fx, tmp_path, capsys):
     root, fx = small_fx
     rc = main(run_args(fx, tmp_path / "o", "--lag", "seven"))
     assert rc == EXIT_CONFIG
+
+
+def test_grid_with_a_subsample_key_exits_config(small_fx, tmp_path, capsys):
+    root, fx = small_fx
+    grid = tmp_path / "grid.json"
+    grid.write_text(json.dumps([{**BOTH_RUN_GRID, "subsample": 0.5}]))
+    out = tmp_path / "o"
+    rc = main(run_args(fx, out, "--learner", "boosted", "--lag", "2", "--grid", str(grid)))
+    assert rc == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("code=1 error=ConfigError message=")
+    assert "subsample" in err and err.count("\n") == 1
+    assert not out.exists()
 
 
 def test_lag_longer_than_series_exits_data(small_fx, tmp_path):

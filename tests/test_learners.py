@@ -1,5 +1,6 @@
 import gc
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -169,6 +170,17 @@ def test_training_mse_monotone(rng):
     assert losses[-1] < losses[0]  # it actually learned something
 
 
+def test_staged_predict_yields_each_prefix_ensemble(rng):
+    X = rng.standard_normal((150, 3))
+    y = X[:, 0] * X[:, 1] + 0.3 * rng.standard_normal(150)
+    model = gbt_fit(X, y, HyperParams(n_trees=6, max_depth=3, min_samples_leaf=5))
+    stages = list(learners.staged_predict(model, X))
+    assert len(stages) == 7
+    for k, pred in enumerate(stages):
+        prefix = replace(model, trees=model.trees[:k])
+        assert np.array_equal(pred.view(np.uint64), predict(prefix, X).view(np.uint64))
+
+
 def test_tie_breaks_lowest_feature_index(rng):
     x = rng.standard_normal(50)
     y = x + 0.01 * rng.standard_normal(50)
@@ -264,25 +276,6 @@ def test_binned_thresholds_route_training_rows_to_their_leaves(rng):
         )
 
 
-def test_subsampled_stage_routes_left_out_rows_with_predict(rng):
-    X = rng.standard_normal((200, 2))
-    y = X[:, 0] + 0.1 * rng.standard_normal(200)
-    params = HyperParams(n_trees=2, max_depth=2, learning_rate=0.5, min_samples_leaf=5,
-                         subsample=0.5)
-    model = gbt_fit(X, y, params, seed=3)
-    draws = np.random.default_rng(3)  # stages draw their rows in order
-    draws.choice(200, size=100, replace=False)
-    second = np.zeros(200, dtype=bool)
-    second[draws.choice(200, size=100, replace=False)] = True
-    # stage two fits what stage one left on every row, seen by stage one or not
-    resid = y - (model.base_score + model.learning_rate * model.trees[0].predict(X))
-    tree = model.trees[1]
-    leaf = _leaf_of(tree, X)
-    for node in np.unique(leaf[second]):
-        in_node = second & (leaf == node)
-        assert tree.value[node] == pytest.approx(resid[in_node].mean(), rel=1e-12, abs=1e-12)
-
-
 def test_gbt_fit_leaves_no_reference_cycles(rng):
     # each tree's working arrays must go when the tree is grown, not wait for
     # the cycle collector; waiting raised peak memory over repeated fits
@@ -292,8 +285,6 @@ def test_gbt_fit_leaves_no_reference_cycles(rng):
     gc.disable()
     try:
         gbt_fit(X, y, HyperParams(n_trees=5, max_depth=3, min_samples_leaf=5))
-        assert gc.collect() == 0
-        gbt_fit(X, y, HyperParams(n_trees=5, max_depth=3, min_samples_leaf=5, subsample=0.7))
         assert gc.collect() == 0
     finally:
         gc.enable()
@@ -383,27 +374,18 @@ def _ref_tree_predict(tree, X):
     return tree.value[node]
 
 
-def _ref_gbt_fit(X, y, params, seed):
+def _ref_gbt_fit(X, y, params):
     """gbt_fit's stage loop over the reference tree code."""
     n = X.shape[0]
-    rng = np.random.default_rng(seed)
     base_score = float(y.mean())
     fitted = np.full(n, base_score)
     bins = learners._bin_columns(X)
     rows = np.arange(n)
     step = np.empty(n)
-    n_sub = max(1, int(params.subsample * n))
     trees = []
     for _ in range(params.n_trees):
         resid = y - fitted
-        if n_sub < n:
-            member = np.zeros(n, dtype=bool)
-            member[rng.choice(n, size=n_sub, replace=False)] = True
-            rows = np.flatnonzero(member)
         tree = _ref_fit_tree(X, bins, resid, rows, params.max_depth, params.min_samples_leaf, step)
-        if n_sub < n:
-            left_out = np.flatnonzero(~member)
-            step[left_out] = _ref_tree_predict(tree, X[left_out])
         trees.append(tree)
         fitted += params.learning_rate * step
     return base_score, trees
@@ -422,17 +404,16 @@ def _mixed_columns(rng, n):
 
 @pytest.mark.parametrize("params", [
     HyperParams(n_trees=25, max_depth=4, learning_rate=0.3, min_samples_leaf=5),
-    HyperParams(n_trees=15, max_depth=3, learning_rate=0.2, min_samples_leaf=7, subsample=0.7),
     HyperParams(n_trees=4, max_depth=0),
     HyperParams(n_trees=6, max_depth=5, learning_rate=0.5, min_samples_leaf=300),  # n = 2 * leaf
     HyperParams(n_trees=6, max_depth=5, learning_rate=0.5, min_samples_leaf=299),
     HyperParams(n_trees=8, max_depth=6, learning_rate=0.5, min_samples_leaf=1),
-], ids=["dense", "subsample", "depth0", "leaf_edge", "leaf_edge_minus_1", "leaf_1"])
+], ids=["dense", "depth0", "leaf_edge", "leaf_edge_minus_1", "leaf_1"])
 def test_gbt_matches_the_reference_trees_bit_for_bit(rng, params):
     X = _mixed_columns(rng, 600)
     y = np.sin(X[:, 1]) + 0.05 * X[:, 0] + X[:, 2] * X[:, 3] + rng.standard_normal(600)
-    model = gbt_fit(X, y, params, seed=4)
-    base_score, ref_trees = _ref_gbt_fit(X, y, params, seed=4)
+    model = gbt_fit(X, y, params)
+    base_score, ref_trees = _ref_gbt_fit(X, y, params)
     assert model.base_score == base_score and len(model.trees) == len(ref_trees)
     for tree, ref in zip(model.trees, ref_trees):
         for name in ("feature", "threshold", "left", "right", "value"):
@@ -442,7 +423,6 @@ def test_gbt_matches_the_reference_trees_bit_for_bit(rng, params):
     ref_pred = np.full(X_new.shape[0], base_score)
     for ref in ref_trees:
         ref_pred += params.learning_rate * _ref_tree_predict(ref, X_new)
-        assert np.array_equal(ref.predict(X_new), _ref_tree_predict(ref, X_new))
     assert np.array_equal(predict(model, X_new).view(np.uint64), ref_pred.view(np.uint64))
     assert np.array_equal(predict(model, np.asfortranarray(X_new)), ref_pred)
 
@@ -502,15 +482,15 @@ def test_ols_never_holds_a_second_n_row_factor(rng):
     assert peak < 2.5 * X.nbytes
 
 
-def test_gbt_deterministic_and_seed_sensitive(rng):
+def test_gbt_refit_is_bit_identical(rng):
     X = rng.standard_normal((120, 3))
     y = rng.standard_normal(120)
-    params = HyperParams(n_trees=10, max_depth=2, subsample=0.5, min_samples_leaf=5)
-    a = predict(gbt_fit(X, y, params, seed=7), X)
-    b = predict(gbt_fit(X, y, params, seed=7), X)
-    c = predict(gbt_fit(X, y, params, seed=8), X)
-    assert np.array_equal(a, b)
-    assert not np.array_equal(a, c)
+    params = HyperParams(n_trees=10, max_depth=2, min_samples_leaf=5)
+    a, b = gbt_fit(X, y, params), gbt_fit(X, y, params)
+    for name in ("feature", "threshold", "left", "right", "value"):
+        assert all(np.array_equal(getattr(s, name), getattr(t, name))
+                   for s, t in zip(a.trees, b.trees)), name
+    assert np.array_equal(predict(a, X).view(np.uint64), predict(b, X).view(np.uint64))
 
 
 def test_gbt_too_few_rows():
@@ -525,12 +505,10 @@ def test_hyperparams_validation():
         HyperParams(learning_rate=0.0),
         HyperParams(learning_rate=1.5),
         HyperParams(min_samples_leaf=0),
-        HyperParams(subsample=0.0),
-        HyperParams(subsample=1.2),
     ):
         with pytest.raises(ConfigError):
             bad.validate()
-    HyperParams(n_trees=0, learning_rate=1.0, subsample=1.0).validate()
+    HyperParams(n_trees=0, learning_rate=1.0).validate()
 
 
 # ---------------------------------------------------------------------------
@@ -644,7 +622,7 @@ def test_grid_table_matches_separate_fits(rng):
     best, table = grid_search_cv(X, y, k=2, seed=3)
     pairs = train_test_folds(kfold_split(240, 2, seed=3))
     for params, row in zip(DEFAULT_GRID, table):
-        preds = [predict(gbt_fit(X[tr], y[tr], params, seed=3), X[te]) for tr, te in pairs]
+        preds = [predict(gbt_fit(X[tr], y[tr], params), X[te]) for tr, te in pairs]
         assert row.params == params and not row.failed
         assert row.cv_mse == float(np.mean([mse(y[te], p) for (_, te), p in zip(pairs, preds)]))
         assert row.cv_r2 == float(np.mean([r2(y[te], p) for (_, te), p in zip(pairs, preds)]))
@@ -654,9 +632,9 @@ def test_grid_table_matches_separate_fits(rng):
 def test_grid_fits_largest_of_each_n_trees_group_once_per_fold(rng, monkeypatch):
     fitted = []
 
-    def counting_fit(X, y, params, seed=0):
+    def counting_fit(X, y, params):
         fitted.append(params.n_trees)
-        return gbt_fit(X, y, params, seed=seed)
+        return gbt_fit(X, y, params)
 
     monkeypatch.setattr(learners, "gbt_fit", counting_fit)
     grid_search_cv(rng.standard_normal((80, 2)), rng.standard_normal(80), k=2)

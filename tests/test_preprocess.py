@@ -24,7 +24,6 @@ from macrodml.preprocess import (
     schwert_lag,
     screen_stationarity,
     select_lag_var_aic,
-    unit_train_means,
 )
 from macrodml.synth import SynthSpec, gen_unit_root, gen_var
 
@@ -255,17 +254,6 @@ def test_lag_and_difference_commute_on_ramp():
     assert lag_of_diff.time_index == diff_of_lag.time_index == ramp.time_index[2:]
     assert np.array_equal(lag_of_diff.values, diff_of_lag.values)
     assert np.all(lag_of_diff.values == 2.0)
-
-
-# ---------------------------------------------------------------------------
-# per-unit mean encoding
-# ---------------------------------------------------------------------------
-
-def test_unit_train_means_full_mask_is_group_mean():
-    ids = ["u1", "u2", "u1", "u2"]
-    cols = np.array([[1.0], [10.0], [3.0], [30.0]])
-    out = unit_train_means(ids, cols, np.ones(4, dtype=bool))
-    assert np.array_equal(out[:, 0], [2.0, 20.0, 2.0, 20.0])
 
 
 # ---------------------------------------------------------------------------
