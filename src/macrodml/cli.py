@@ -39,17 +39,16 @@ from .errors import (
     DataError,
     MacrodmlError,
     MalformedRow,
-    MissingInput,
     NumericalError,
 )
 from .learners import DEFAULT_GRID, grid_from_json, grid_search_cv
 from .panel_data import (
     FundFilter,
-    Series,
     common_range,
     filter_funds,
     load_fund_meta_csv,
     load_tscs_csv,
+    open_input,
     to_panel,
 )
 from .preprocess import (
@@ -71,6 +70,11 @@ AUTO_P_MAX = 12
 LEARNER_CHOICES = ("linear", "boosted", "both")
 RNG_IDENTITY = "numpy.random.default_rng (PCG64)"
 PLOT_FILES = ("corr_heatmap.svg", "pca_scree.svg", "residuals_fitted.svg")
+
+
+#: the types a config field accepts (bool never counts as int); other fields take str
+_FIELD_TYPES = {"k": int, "seed": int, "min_aum": (int, float), "lag_order": (int, str),
+                "grid_path": (str, type(None))}
 
 
 @dataclass
@@ -95,13 +99,13 @@ class PipelineConfig:
     score: str = "orthogonal"
 
     def validate(self) -> None:
-        for name in ("funds_csv", "macro_csv", "meta_csv"):
+        # types first, so the checks below compare values of the right type
+        for name, value in vars(self).items():
+            if isinstance(value, bool) or not isinstance(value, _FIELD_TYPES.get(name, str)):
+                raise ConfigError(f"config field {name} cannot be {type(value).__name__} {value!r}")
+        for name in ("funds_csv", "macro_csv", "meta_csv", "treatment_name", "output_dir"):
             if not getattr(self, name):
                 raise ConfigError(f"config field {name} is required")
-        if not self.treatment_name:
-            raise ConfigError("config field treatment_name is required")
-        if not self.output_dir:
-            raise ConfigError("config field output_dir is required")
         # a run replaces the whole output directory, so it must hold nothing else
         out = os.path.realpath(self.output_dir)
         for path in (self.funds_csv, self.macro_csv, self.meta_csv, self.grid_path, os.getcwd()):
@@ -123,11 +127,13 @@ class PipelineConfig:
             raise ConfigError(f"learner must be one of {LEARNER_CHOICES}, got {self.learner!r}")
         if self.k < 2:
             raise ConfigError("k must be >= 2")
+        if self.seed < 0:
+            raise ConfigError("seed must be >= 0")
         if self.level not in ("1%", "5%", "10%"):
             raise ConfigError(f"level must be 1%, 5%, or 10%, got {self.level!r}")
         if self.score not in SCORES:
             raise ConfigError(f"score must be one of {SCORES}, got {self.score!r}")
-        if self.min_aum < 0:
+        if not self.min_aum >= 0:  # NaN fails too
             raise ConfigError("min_aum must be >= 0")
 
 
@@ -151,11 +157,6 @@ def config_from_json(path: str) -> PipelineConfig:
 def _config_hash(config: PipelineConfig) -> str:
     blob = json.dumps(asdict(config), sort_keys=True).encode()
     return hashlib.sha256(blob).hexdigest()
-
-
-def _series_of(matrix, name) -> Series:
-    col = matrix.column(name)
-    return [(t, float(v)) for t, v in zip(matrix.time_index, col)]
 
 
 def _cells(values: list) -> list[str]:
@@ -317,14 +318,7 @@ def run_pipeline(config: PipelineConfig) -> dict:
     else:
         lag = int(config.lag_order)
 
-    controls = kept.select([c for c in kept.columns if c != config.treatment_name])
-    panel = to_panel(
-        funds,
-        _series_of(kept, config.treatment_name),
-        controls,
-        lag,
-        treatment_name=config.treatment_name,
-    )
+    panel = to_panel(funds, kept, config.treatment_name, lag)
     if panel.n_rows == 0:
         raise DataError("panel is empty after lag-window construction")
     problem = problem_from_panel(panel)
@@ -433,11 +427,8 @@ def run_pipeline(config: PipelineConfig) -> dict:
 
 
 def _read_text(path: str) -> str:
-    try:
-        with open(path, newline="") as fh:
-            return fh.read()
-    except FileNotFoundError:
-        raise MissingInput(f"missing input: {path}") from None
+    with open_input(path) as fh:
+        return fh.read()
 
 
 def _read_csv_rows(path: str) -> tuple[list[str], list[list[str]]]:

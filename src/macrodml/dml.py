@@ -2,9 +2,9 @@
 
     y = theta * d + g(x) + u,        d = m(x) + v.
 
-Nuisances g and m are fit on held-out folds; the target coefficient comes
-from the orthogonal score on the stacked out-of-fold residuals, so
-first-order errors in either nuisance do not move theta.
+Nuisances g and m are fit on held-out folds; theta solves a score on the
+pooled out-of-fold residuals. The default score's derivative in m is not
+zero, so errors in m_hat move theta to first order (see `plr_estimate`).
 """
 
 from __future__ import annotations
@@ -57,16 +57,14 @@ class LearnerSpec:
 class PlrProblem:
     """One partially linear regression problem, optionally panel-aware.
 
-    unit_codes numbers the units 0, 1, ..., n_units - 1 in sorted id order,
-    once per problem, so per-fold encoding groups rows by integers, not
-    strings.
+    unit_codes gives each row's unit as an integer 0, 1, ..., n_units - 1
+    (a panel's fund codes), so per-fold encoding groups rows by integers.
     """
 
     y: np.ndarray
     d: np.ndarray
     x: np.ndarray
-    unit_ids: list | None = None
-    unit_codes: np.ndarray | None = field(init=False, repr=False, compare=False)
+    unit_codes: np.ndarray | None = None
     n_units: int = field(init=False, default=0, compare=False)
 
     def __post_init__(self) -> None:
@@ -78,12 +76,11 @@ class PlrProblem:
             raise LengthMismatch("y, d, and x must have the same number of rows")
         if self.x.ndim != 2:
             raise DataError("x must be 2-dimensional")
-        if self.unit_ids is not None and len(self.unit_ids) != n:
-            raise LengthMismatch("unit_ids must match the number of rows")
-        self.unit_codes = None
-        if self.unit_ids is not None:
-            units, self.unit_codes = np.unique(np.asarray(self.unit_ids), return_inverse=True)
-            self.n_units = units.size
+        if self.unit_codes is not None:
+            self.unit_codes = np.asarray(self.unit_codes, dtype=np.intp)
+            if self.unit_codes.size != n:
+                raise LengthMismatch("unit_codes must match the number of rows")
+            self.n_units = int(self.unit_codes.max()) + 1 if n else 0
         if n and np.ptp(self.d) == 0.0:
             raise DegenerateTreatment("treatment is constant across rows")
 
@@ -93,8 +90,8 @@ class PlrProblem:
 
 
 def problem_from_panel(panel: PanelTable) -> PlrProblem:
-    """The panel's arrays and unit ids, shared, not copied."""
-    return PlrProblem(panel.y, panel.d, panel.x, panel.unit_ids)
+    """The panel's arrays and fund codes, shared, not copied."""
+    return PlrProblem(panel.y, panel.d, panel.x, panel.unit_codes)
 
 
 @dataclass
@@ -157,10 +154,9 @@ def encode_features(problem: PlrProblem, train_mask: np.ndarray) -> np.ndarray:
     encoding of the unit id, a fixed-effect proxy), as the (n, 1) block that
     `design_rows` appends to x.
 
-    Units are grouped by the problem's integer unit codes, which give the
-    means the string ids give. A unit with no training row gets the mean of
-    all training rows; train_mask must select at least one row (a fold
-    complement always does).
+    Units are grouped by the problem's integer unit codes. A unit with no
+    training row gets the mean of all training rows; train_mask must select
+    at least one row (a fold complement always does).
     """
     codes = problem.unit_codes
     train_codes, train_y = codes[train_mask], problem.y[train_mask]
@@ -193,9 +189,9 @@ def design_rows(x: np.ndarray, means: np.ndarray, rows=slice(None),
 
 def _design(problem: PlrProblem, train):
     """(rows, order) -> those rows of the design, copied in that memory
-    order: x itself, or, for a problem with unit ids, x joined with the unit
-    outcome means of the `train` rows."""
-    if problem.unit_ids is None:
+    order: x itself, or, for a problem with unit codes, x joined with the
+    unit outcome means of the `train` rows."""
+    if problem.unit_codes is None:
         means = np.empty((problem.n_obs, 0))
     else:
         mask = np.zeros(problem.n_obs, dtype=bool)
@@ -219,7 +215,7 @@ def cross_fit_nuisance(
     """Fit both nuisances with K-fold cross-fitting over rows.
 
     Every row is predicted by models trained on the complement of its fold.
-    For problems with unit ids the unit outcome means are recomputed inside
+    For problems with unit codes the unit outcome means are recomputed inside
     each training complement, so held-out rows never leak into the means
     they receive; the fold's training and test rows are copied straight from
     x and that column. The stored r2_y/r2_d are computed on the pooled

@@ -28,9 +28,6 @@ _MONTH_RE = re.compile(r"^(\d{4})-(\d{2})$")
 ASSET_CLASSES = ("FixedIncome", "Equity")
 MANAGED_STYLES = ("Active", "Passive")
 
-#: a monthly series as (YYYY-MM, value) pairs
-Series = list[tuple[str, float]]
-
 
 def month_to_int(month: str) -> int:
     """Map 'YYYY-MM' to a running month count (1 month apart <=> difference 1)."""
@@ -145,39 +142,45 @@ class FundFilter:
 
 @dataclass
 class PanelTable:
-    """Long-form panel: one row per (fund, month) with complete lag window."""
+    """Long-form panel, one row per (fund, month) with complete lag window:
+    row i is fund units[unit_codes[i]] (the sorted tickers with a row) in
+    month months[month_codes[i]]; rows are fund-major, months ascending."""
 
-    unit_ids: list[str]
-    times: list[str]
+    units: list[str]
+    months: list[str]
+    unit_codes: np.ndarray
+    month_codes: np.ndarray
     y: np.ndarray
     d: np.ndarray
     x: np.ndarray
     x_names: list[str]
 
     def __post_init__(self) -> None:
-        n = len(self.unit_ids)
+        self.unit_codes = np.asarray(self.unit_codes, dtype=np.intp)
+        self.month_codes = np.asarray(self.month_codes, dtype=np.intp)
         self.y = np.asarray(self.y, dtype=float)
         self.d = np.asarray(self.d, dtype=float)
         self.x = np.asarray(self.x, dtype=float)
-        if self.x.ndim == 1:
-            self.x = self.x.reshape(n, -1)
-        if not (len(self.times) == self.y.shape[0] == self.d.shape[0] == self.x.shape[0] == n):
+        n = self.unit_codes.size
+        if not (self.month_codes.size == self.y.size == self.d.size == len(self.x) == n):
             raise DataError("panel column lengths disagree")
         if self.x.shape[1] != len(self.x_names):
             raise DataError("x width does not match x_names")
-        if len(set(zip(self.unit_ids, self.times))) != n:
-            raise DataError("(unit, time) pairs must be unique")
+        step_u = np.diff(self.unit_codes)
+        if not np.all((step_u > 0) | ((step_u == 0) & (np.diff(self.month_codes) > 0))):
+            raise DataError("rows must be fund-major with months strictly ascending")
 
     @property
     def n_rows(self) -> int:
-        return len(self.unit_ids)
+        return self.unit_codes.size
 
 
 # ---------------------------------------------------------------------------
 # CSV ingestion
 # ---------------------------------------------------------------------------
 
-def _open_input(path):
+def open_input(path):
+    """Open a text input for reading; a missing file raises MissingInput."""
     try:
         return open(path, newline="")
     except FileNotFoundError:
@@ -189,7 +192,7 @@ def load_tscs_csv(path, time_column: str = "date") -> TimeSeriesMatrix:
 
     Empty cells become NaN. Column order follows the file.
     """
-    with _open_input(path) as fh:
+    with open_input(path) as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
@@ -250,7 +253,7 @@ def load_fund_meta_csv(path) -> list[FundMeta]:
     """
     catalog = []
     seen = set()
-    with _open_input(path) as fh:
+    with open_input(path) as fh:
         reader = csv.DictReader(fh)
         missing = [name for name in META_COLUMNS if name not in (reader.fieldnames or ())]
         if missing:
@@ -312,39 +315,42 @@ def filter_funds(catalog: list[FundMeta], criteria: FundFilter) -> list[FundMeta
 
 def to_panel(
     funds: TimeSeriesMatrix,
-    treatment: Series,
-    controls: TimeSeriesMatrix,
+    macro: TimeSeriesMatrix,
+    treatment_name: str,
     lag_order: int,
-    treatment_name: str = "d",
 ) -> PanelTable:
     """Reshape wide data into the long panel the learners consume.
 
-    One row per (fund, month) where the fund return, the treatment, all
-    controls, and every one of the `lag_order` lags of (return, treatment,
-    controls) are present. Months with any missing required value are dropped
-    per fund, not globally. Rows are ordered by fund ticker, then month. A lag
-    window longer than the series leaves the panel empty.
+    The macro column `treatment_name` is the treatment and the others, in
+    order, the controls. One row per (fund, month) where the fund return, the
+    treatment, all controls, and every one of the `lag_order` lags of (return,
+    treatment, controls) are present. Months with any missing required value
+    are dropped per fund, not globally. Rows are ordered by fund ticker, then
+    month. A lag window longer than the series leaves the panel empty.
 
     The control vector is [controls at t] followed, for each lag j = 1..p,
     by [y_lag{j}, {treatment_name}_lag{j}, <control>_lag{j}...].
     """
     if lag_order < 0:
         raise ValueError("lag_order must be >= 0")
-    t_months = [m for m, _ in treatment]
-    if t_months != funds.time_index or controls.time_index != funds.time_index:
-        raise IndexMismatch("funds, treatment, and controls must share the time index")
+    if macro.time_index != funds.time_index:
+        raise IndexMismatch("funds and macro must share the time index")
+    if treatment_name not in macro.columns:
+        raise DataError(f"treatment {treatment_name!r} is not a macro column")
 
     p = lag_order
     T = funds.n_months
-    d = np.array([v for _, v in treatment], dtype=float)
-    X = controls.values
+    at = macro.columns.index(treatment_name)
+    d = macro.values[:, at]
+    controls = macro.columns[:at] + macro.columns[at + 1:]
+    X = np.delete(macro.values, at, axis=1)
     base_ok = np.isfinite(d) & np.all(np.isfinite(X), axis=1)
 
-    x_names = list(controls.columns)
+    x_names = list(controls)
     for j in range(1, p + 1):
         x_names.append(f"y_lag{j}")
         x_names.append(f"{treatment_name}_lag{j}")
-        x_names.extend(f"{c}_lag{j}" for c in controls.columns)
+        x_names.extend(f"{c}_lag{j}" for c in controls)
 
     tickers = sorted(funds.columns)
     Y = funds.select(tickers).values
@@ -356,6 +362,9 @@ def to_panel(
         np.cumsum(ok, axis=0, out=seen[1:])
         valid[p:] = seen[p + 1 :] - seen[: T - p] == p + 1
     f, t = np.nonzero(valid.T)  # fund-major, months ascending
+    has_rows = valid.any(axis=0)
+    # renumber the funds with a row 0, 1, ... in ticker order
+    unit_of = np.cumsum(has_rows) - 1
 
     K = X.shape[1]
     x = np.empty((f.size, len(x_names)))
@@ -366,8 +375,10 @@ def to_panel(
         x[:, col + 1] = d[t - j]
         x[:, col + 2 : col + 2 + K] = X[t - j]
     return PanelTable(
-        [tickers[i] for i in f.tolist()],
-        [funds.time_index[i] for i in t.tolist()],
+        [ticker for ticker, kept in zip(tickers, has_rows.tolist()) if kept],
+        list(funds.time_index),
+        unit_of[f],
+        t,
         Y[t, f],
         d[t],
         x,

@@ -134,6 +134,23 @@ def test_both_learners_two_result_rows(both_run):
     }
 
 
+def test_manifest_counts_only_funds_with_panel_rows(small_fx, tmp_path):
+    root, fx = small_fx
+    header, rows = read_csv(fx["funds_csv"])
+    empty = header.index("F002")  # passes the AUM filter, but every cell is empty
+    funds = tmp_path / "funds.csv"
+    with open(funds, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(row[:empty] + [""] + row[empty + 1:] for row in rows)
+    out = tmp_path / "out"
+    rc = main(run_args({**fx, "funds_csv": str(funds)}, out, "--learner", "linear", "--lag", "2"))
+    assert rc == EXIT_OK
+    panel = read_manifest(out)["panel"]
+    assert panel["units"] == len(fx["tickers"]) - 1 == 3
+    assert panel["rows"] == 3 * (300 - 1 - 2)  # funds with rows x usable months
+
+
 def test_auto_lag_selection(small_fx, tmp_path):
     root, fx = small_fx
     out = tmp_path / "out"
@@ -202,6 +219,28 @@ def test_config_validate_parses_an_integer_lag_string(small_fx):
                             output_dir="somewhere", lag_order="3")
     config.validate()
     assert config.lag_order == 3 and isinstance(config.lag_order, int)
+
+
+@pytest.mark.parametrize("bad", [
+    {"k": "3"}, {"k": True}, {"k": 2.0}, {"seed": "1"}, {"seed": -1},
+    {"min_aum": "x"}, {"min_aum": None}, {"min_aum": float("nan")},
+    {"lag_order": 2.5}, {"lag_order": True}, {"lag_order": None},
+    {"grid_path": 7}, {"treatment_name": ["policy_rate"]}, {"level": 5},
+])
+def test_config_file_with_a_wrongly_typed_value_exits_config(small_fx, tmp_path, capsys, bad):
+    root, fx = small_fx
+    out = tmp_path / "out"
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({
+        "funds_csv": fx["funds_csv"], "macro_csv": fx["macro_csv"],
+        "meta_csv": fx["meta_csv"], "treatment_name": "policy_rate",
+        "output_dir": str(out), "learner": "linear", "lag_order": 2, **bad,
+    }))
+    assert main(["run", "--config", str(path)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("code=1 error=ConfigError message=")
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------

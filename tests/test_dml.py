@@ -84,15 +84,16 @@ def test_problem_validates_shapes():
     with pytest.raises(DegenerateTreatment):
         PlrProblem(np.arange(3.0), np.ones(3), np.zeros((3, 1)))
     with pytest.raises(LengthMismatch):
-        PlrProblem(np.arange(3.0), np.arange(3.0), np.zeros((3, 1)), unit_ids=["a"])
+        PlrProblem(np.arange(3.0), np.arange(3.0), np.zeros((3, 1)), unit_codes=[0])
 
 
 def test_problem_from_panel_carries_units():
-    panel = PanelTable(["A", "B"], ["2000-01", "2000-01"],
+    panel = PanelTable(["A", "B"], ["2000-01"], [0, 1], [0, 0],
                        np.array([1.0, 2.0]), np.array([0.0, 1.0]),
                        np.zeros((2, 1)), ["x1"])
     problem = problem_from_panel(panel)
-    assert problem.unit_ids == ["A", "B"]
+    assert problem.unit_codes is panel.unit_codes
+    assert problem.n_units == 2
 
 
 # ---------------------------------------------------------------------------
@@ -274,13 +275,13 @@ def test_learner_kind_is_validated():
 
 def _panel_problem(n_units=6, t_len=30, seed=0):
     rng = np.random.default_rng(seed)
-    units = [f"U{i}" for i in range(n_units) for _ in range(t_len)]
+    units = np.repeat(np.arange(n_units), t_len)
     n = n_units * t_len
     x = rng.standard_normal((n, 2))
     d = x @ [0.5, -0.5] + rng.standard_normal(n)
     alpha = np.repeat(rng.standard_normal(n_units), t_len)
     y = 1.0 * d + x @ [1.0, 1.0] + alpha + 0.5 * rng.standard_normal(n)
-    return PlrProblem(y, d, x, unit_ids=units)
+    return PlrProblem(y, d, x, unit_codes=units)
 
 
 def test_encode_features_shapes():
@@ -290,8 +291,7 @@ def test_encode_features_shapes():
     assert with_y.shape == (n, 1)
     assert design_rows(problem.x, with_y).shape == (n, p + 1)
     # the y-mean column is the per-unit outcome mean
-    ids = np.asarray(problem.unit_ids)
-    unit0 = ids == ids[0]
+    unit0 = problem.unit_codes == problem.unit_codes[0]
     assert np.allclose(with_y[unit0, -1], problem.y[unit0].mean())
 
 
@@ -321,11 +321,11 @@ def test_design_rows_spans_several_row_blocks(rng, order):
 
 
 def _tiny_problem():
-    units = ["A", "A", "A", "B", "B"]
+    units = [0, 0, 0, 1, 1]
     y = np.array([1.0, 3.0, 10.0, 4.0, 6.0])
     d = np.array([0.1, 0.2, 0.3, 0.4, 0.5])
     x = np.array([[1.0], [2.0], [9.0], [3.0], [5.0]])
-    return PlrProblem(y, d, x, unit_ids=units)
+    return PlrProblem(y, d, x, unit_codes=units)
 
 
 def test_encode_features_train_only_arithmetic():
@@ -358,9 +358,13 @@ def test_encode_features_no_leakage():
     [int(v) for v in np.random.default_rng(5).integers(-3, 40, 330)],
 ])
 def test_encode_features_codes_give_the_string_id_means(rng, units):
+    # each id's code is its rank among the sorted distinct ids, as to_panel
+    # numbers the funds
+    code_of = {unit: code for code, unit in enumerate(sorted(set(units)))}
     n = len(units)
     problem = PlrProblem(rng.standard_normal(n), rng.standard_normal(n),
-                         rng.standard_normal((n, 3)), unit_ids=units)
+                         rng.standard_normal((n, 3)),
+                         unit_codes=[code_of[unit] for unit in units])
     for mask in (np.ones(n, dtype=bool), rng.random(n) < 0.5, np.arange(n) < 40):
         got = encode_features(problem, mask)
         # each unit's training-row mean, found row by row on the string ids:

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from macrodml.errors import (
+    DataError,
     DuplicateColumn,
     IndexMismatch,
     MalformedRow,
@@ -13,6 +14,7 @@ from macrodml.errors import (
 from macrodml.panel_data import (
     FundFilter,
     FundMeta,
+    PanelTable,
     TimeSeriesMatrix,
     common_range,
     filter_funds,
@@ -193,33 +195,53 @@ def test_filter_idempotent():
 # panel construction
 # ---------------------------------------------------------------------------
 
-def _full_inputs(T=10, n_funds=3, k=2, seed=0):
+def _with_treatment(controls, d, name="d", at=1):
+    """The macro matrix to_panel takes: the controls with the treatment
+    column `name` inserted at position `at`."""
+    at = min(at, len(controls.columns))
+    return TimeSeriesMatrix(
+        list(controls.time_index),
+        controls.columns[:at] + [name] + controls.columns[at:],
+        np.insert(controls.values, at, d, axis=1),
+    )
+
+
+def _full_inputs(T=10, n_funds=3, k=2, seed=0, name="d"):
+    """(funds, macro, controls, d): macro holds the controls with the
+    treatment `name` between the first control and the rest."""
     rng = np.random.default_rng(seed)
     funds = make_tsm(rng.standard_normal((T, n_funds)),
                      names=[f"F{i}" for i in range(n_funds)])
     controls = make_tsm(rng.standard_normal((T, k)), names=[f"c{j}" for j in range(k)])
-    treatment = [(m, float(v)) for m, v in zip(funds.time_index, rng.standard_normal(T))]
-    return funds, treatment, controls
+    d = rng.standard_normal(T)
+    return funds, _with_treatment(controls, d, name), controls, d
+
+
+def _keys(panel):
+    """Each panel row's (ticker, month), read through its codes."""
+    return [(panel.units[u], panel.months[t])
+            for u, t in zip(panel.unit_codes.tolist(), panel.month_codes.tolist())]
 
 
 def test_to_panel_row_count_complete_data():
-    funds, treatment, controls = _full_inputs(T=10, n_funds=3)
-    panel = to_panel(funds, treatment, controls, lag_order=2)
+    funds, macro, _, _ = _full_inputs(T=10, n_funds=3)
+    panel = to_panel(funds, macro, "d", lag_order=2)
     # each fund contributes T - p complete windows
     assert panel.n_rows == 3 * (10 - 2)
     assert panel.x.shape[1] == len(panel.x_names)
 
 
 def test_to_panel_p0_keeps_all_complete_rows():
-    funds, treatment, controls = _full_inputs(T=6, n_funds=2)
-    panel = to_panel(funds, treatment, controls, lag_order=0)
+    funds, macro, controls, _ = _full_inputs(T=6, n_funds=2)
+    panel = to_panel(funds, macro, "d", lag_order=0)
     assert panel.n_rows == 2 * 6
     assert panel.x_names == controls.columns
 
 
 def test_to_panel_x_layout_and_values():
-    funds, treatment, controls = _full_inputs(T=8, n_funds=1, k=2)
-    panel = to_panel(funds, treatment, controls, lag_order=2, treatment_name="rate")
+    funds, macro, controls, d = _full_inputs(T=8, n_funds=1, k=2, name="rate")
+    assert macro.columns == ["c0", "rate", "c1"]
+    panel = to_panel(funds, macro, "rate", lag_order=2)
     assert panel.x_names == [
         "c0", "c1",
         "y_lag1", "rate_lag1", "c0_lag1", "c1_lag1",
@@ -228,10 +250,9 @@ def test_to_panel_x_layout_and_values():
     # first panel row sits at t = p; check every lag entry by hand
     t = 2
     y = funds.column("F0")
-    d = np.array([v for _, v in treatment])
     X = controls.values
     row = panel.x[0]
-    assert panel.times[0] == funds.time_index[t]
+    assert panel.months[panel.month_codes[0]] == funds.time_index[t]
     assert panel.y[0] == y[t] and panel.d[0] == d[t]
     expect = [X[t, 0], X[t, 1],
               y[t - 1], d[t - 1], X[t - 1, 0], X[t - 1, 1],
@@ -240,23 +261,21 @@ def test_to_panel_x_layout_and_values():
 
 
 def test_to_panel_missing_month_blocks_windows():
-    funds, treatment, controls = _full_inputs(T=10, n_funds=1)
+    funds, macro, _, _ = _full_inputs(T=10, n_funds=1)
     y = funds.values.copy()
     y[4, 0] = np.nan  # one missing fund return
     funds = TimeSeriesMatrix(funds.time_index, funds.columns, y)
-    panel = to_panel(funds, treatment, controls, lag_order=2)
+    panel = to_panel(funds, macro, "d", lag_order=2)
     # rows needing month index 4 (t = 4, 5, 6) all disappear
     assert panel.n_rows == (10 - 2) - 3
-    months = set(panel.times)
-    for t in (4, 5, 6):
-        assert funds.time_index[t] not in months
+    assert set(panel.month_codes.tolist()) == {2, 3, 7, 8, 9}
 
 
 def test_to_panel_missing_treatment_blocks_all_funds():
-    funds, treatment, controls = _full_inputs(T=10, n_funds=2)
-    treatment = list(treatment)
-    treatment[9] = (treatment[9][0], float("nan"))
-    panel = to_panel(funds, treatment, controls, lag_order=1)
+    funds, _, controls, d = _full_inputs(T=10, n_funds=2)
+    d = d.copy()
+    d[9] = np.nan
+    panel = to_panel(funds, _with_treatment(controls, d), "d", lag_order=1)
     assert panel.n_rows == 2 * ((10 - 1) - 1)
 
 
@@ -272,9 +291,7 @@ def test_to_panel_brute_force_enumeration(rng):
     d_v[rng.random(T) < 0.1] = np.nan
 
     funds = make_tsm(funds_v, names=["FA", "FB"])
-    controls = make_tsm(controls_v)
-    treatment = [(m, float(v)) for m, v in zip(funds.time_index, d_v)]
-    panel = to_panel(funds, treatment, controls, lag_order=p)
+    panel = to_panel(funds, _with_treatment(make_tsm(controls_v), d_v), "d", lag_order=p)
 
     expected = []
     for f, ticker in enumerate(funds.columns):
@@ -287,7 +304,8 @@ def test_to_panel_brute_force_enumeration(rng):
             )
             if ok:
                 expected.append((ticker, funds.time_index[t]))
-    assert list(zip(panel.unit_ids, panel.times)) == sorted(expected)
+    assert _keys(panel) == sorted(expected)
+    assert panel.units == sorted({ticker for ticker, _ in expected})
 
 
 def _reference_rows(funds_v, names, d_v, controls_v, p):
@@ -323,14 +341,15 @@ def test_to_panel_values_match_row_loop(p):
     d_v[0] = np.nan
 
     funds = make_tsm(funds_v, names=names)
-    controls = make_tsm(controls_v)
-    treatment = [(m, float(v)) for m, v in zip(funds.time_index, d_v)]
-    panel = to_panel(funds, treatment, controls, lag_order=p)
+    macro = _with_treatment(make_tsm(controls_v), d_v)
+    panel = to_panel(funds, macro, "d", lag_order=p)
 
     rows = _reference_rows(funds_v, names, d_v, controls_v, p)
     assert rows and {r[0] for r in rows} == {"FA", "FB"}
-    assert panel.unit_ids == [r[0] for r in rows]
-    assert panel.times == [funds.time_index[r[1]] for r in rows]
+    assert panel.units == ["FA", "FB"]
+    assert panel.months == funds.time_index
+    assert [panel.units[u] for u in panel.unit_codes] == [r[0] for r in rows]
+    assert panel.month_codes.tolist() == [r[1] for r in rows]
     assert np.array_equal(panel.y, [r[2] for r in rows])
     assert np.array_equal(panel.d, [r[3] for r in rows])
     ref_x = np.array([r[4] for r in rows])
@@ -339,44 +358,75 @@ def test_to_panel_values_match_row_loop(p):
         assert np.array_equal(panel.x[:, c], ref_x[:, c]), name
 
 
+def test_to_panel_codes_skip_funds_without_rows():
+    funds, macro, _, _ = _full_inputs(T=6, n_funds=3)
+    y = funds.values.copy()
+    y[:, 1] = np.nan  # F1 has no complete month
+    y[3, 2] = np.nan
+    funds = TimeSeriesMatrix(funds.time_index, funds.columns, y)
+    panel = to_panel(funds, macro, "d", lag_order=1)
+    assert panel.units == ["F0", "F2"]
+    assert panel.unit_codes.tolist() == [0] * 5 + [1] * 3
+    assert panel.month_codes.tolist() == [1, 2, 3, 4, 5, 1, 2, 5]
+    assert np.array_equal(panel.y, np.r_[y[1:, 0], y[[1, 2, 5], 2]])
+
+
+@pytest.mark.parametrize("units, months, message", [
+    ([0, 1], [0, 0], None),
+    ([0, 0], [1, 0], "fund-major"),
+    ([0, 0], [1, 1], "fund-major"),
+    ([1, 0], [0, 0], "fund-major"),
+])
+def test_panel_rows_must_be_fund_major_and_unique(units, months, message):
+    def build():
+        return PanelTable(["A", "B"], ["2000-01", "2000-02"], units, months,
+                          np.zeros(2), np.arange(2.0), np.zeros((2, 1)), ["x1"])
+    if message is None:
+        assert build().n_rows == 2
+    else:
+        with pytest.raises(DataError, match=message):
+            build()
+
+
 def _series_inputs(values):
     """One fund holding `values`, treatment 10x and one control 100x it."""
     values = np.asarray(values, dtype=float)
     funds = make_tsm(values, names=["F"])
-    treatment = [(m, 10.0 * v) for m, v in zip(funds.time_index, values)]
-    return funds, treatment, make_tsm(100.0 * values, names=["c"])
+    return funds, _with_treatment(make_tsm(100.0 * values, names=["c"]), 10.0 * values)
 
 
 def test_to_panel_lag1_is_the_value_one_month_earlier():
-    funds, treatment, controls = _series_inputs([5.0, 6.0, 7.0])
-    panel = to_panel(funds, treatment, controls, lag_order=1)
+    funds, macro = _series_inputs([5.0, 6.0, 7.0])
+    panel = to_panel(funds, macro, "d", lag_order=1)
     assert panel.x_names == ["c", "y_lag1", "d_lag1", "c_lag1"]
-    assert panel.times == funds.time_index[1:]
+    assert panel.month_codes.tolist() == [1, 2]
     assert np.array_equal(panel.y, [6.0, 7.0])
     assert np.array_equal(panel.x, [[600.0, 5.0, 50.0, 500.0], [700.0, 6.0, 60.0, 600.0]])
 
 
 def test_to_panel_p2_keeps_only_the_last_of_three_months():
-    funds, treatment, controls = _series_inputs([1.0, 2.0, 3.0])
-    panel = to_panel(funds, treatment, controls, lag_order=2)
-    assert panel.times == [funds.time_index[2]]
+    funds, macro = _series_inputs([1.0, 2.0, 3.0])
+    panel = to_panel(funds, macro, "d", lag_order=2)
+    assert panel.month_codes.tolist() == [2]
     assert np.array_equal(panel.x, [[300.0, 2.0, 20.0, 200.0, 1.0, 10.0, 100.0]])
 
 
 @pytest.mark.parametrize("p", [3, 4, 10])
 def test_to_panel_lag_window_longer_than_series_is_empty(p):
-    funds, treatment, controls = _full_inputs(T=3, n_funds=2, k=2)
-    assert to_panel(funds, treatment, controls, lag_order=2).n_rows == 2
-    panel = to_panel(funds, treatment, controls, lag_order=p)
-    assert panel.n_rows == 0
+    funds, macro, _, _ = _full_inputs(T=3, n_funds=2, k=2)
+    assert to_panel(funds, macro, "d", lag_order=2).n_rows == 2
+    panel = to_panel(funds, macro, "d", lag_order=p)
+    assert panel.n_rows == 0 and panel.units == []
     assert panel.x.shape == (0, 2 + p * (2 + 2)) == (0, len(panel.x_names))
 
 
 def test_to_panel_requires_shared_index():
-    funds, treatment, controls = _full_inputs(T=6, n_funds=1)
-    other = make_tsm(np.zeros((6, 2)), start="1990-01")
+    funds, macro, _, _ = _full_inputs(T=6, n_funds=1)
+    other = make_tsm(macro.values, start="1990-01", names=macro.columns)
     with pytest.raises(IndexMismatch):
-        to_panel(funds, treatment, other, lag_order=1)
+        to_panel(funds, other, "d", lag_order=1)
+    with pytest.raises(DataError, match="'rate' is not a macro column"):
+        to_panel(funds, macro, "rate", lag_order=1)
 
 
 @settings(max_examples=25, deadline=None)
@@ -384,9 +434,9 @@ def test_to_panel_requires_shared_index():
 def test_to_panel_complete_data_row_count_law(T, p):
     if T <= p:
         return
-    funds, treatment, controls = _full_inputs(T=T, n_funds=2, seed=T * 7 + p)
-    panel = to_panel(funds, treatment, controls, lag_order=p)
+    funds, macro, _, _ = _full_inputs(T=T, n_funds=2, seed=T * 7 + p)
+    panel = to_panel(funds, macro, "d", lag_order=p)
     assert panel.n_rows == 2 * (T - p)
     # rows are sorted by ticker then month
-    order = list(zip(panel.unit_ids, [month_to_int(t) for t in panel.times]))
+    order = [(ticker, month_to_int(month)) for ticker, month in _keys(panel)]
     assert order == sorted(order)

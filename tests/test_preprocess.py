@@ -239,11 +239,10 @@ def test_select_lag_too_short():
 
 def _lag1(matrix):
     """The y_lag1 column to_panel builds for a one-fund matrix, on its months."""
-    no_controls = TimeSeriesMatrix(list(matrix.time_index), [], np.empty((matrix.n_months, 0)))
-    flat = [(m, 0.0) for m in matrix.time_index]
-    panel = to_panel(matrix, flat, no_controls, lag_order=1)
+    flat = TimeSeriesMatrix(list(matrix.time_index), ["d"], np.zeros((matrix.n_months, 1)))
+    panel = to_panel(matrix, flat, "d", lag_order=1)
     lag = panel.x[:, panel.x_names.index("y_lag1")]
-    return TimeSeriesMatrix(panel.times, ["lag1"], lag[:, None])
+    return TimeSeriesMatrix([panel.months[t] for t in panel.month_codes], ["lag1"], lag[:, None])
 
 
 def test_lag_and_difference_commute_on_ramp():
