@@ -9,16 +9,13 @@ Exit codes: 0 success, 1 config error, 2 data error, 3 numerical failure,
 from __future__ import annotations
 
 import argparse
-import csv
 import hashlib
-import io
 import json
 import os
 import platform
 import shutil
 import sys
-from collections.abc import Iterable
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, astuple, dataclass
 
 import numpy as np
 
@@ -30,9 +27,7 @@ from .dml import (
     encode_features,
     problem_from_panel,
     residual_diagnostics,
-    result_csv_row,
     run_dml,
-    RESULT_CSV_HEADER,
 )
 from .errors import (
     ConfigError,
@@ -45,10 +40,12 @@ from .learners import DEFAULT_GRID, grid_from_json, grid_search_cv
 from .panel_data import (
     FundFilter,
     common_range,
+    csv_rows,
+    csv_text,
     filter_funds,
     load_fund_meta_csv,
     load_tscs_csv,
-    open_input,
+    read_input,
     to_panel,
 )
 from .preprocess import (
@@ -138,13 +135,7 @@ class PipelineConfig:
 
 
 def config_from_json(path: str) -> PipelineConfig:
-    try:
-        with open(path) as fh:
-            doc = json.load(fh)
-    except FileNotFoundError:
-        raise ConfigError(f"config file not found: {path}") from None
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config JSON is malformed: {exc}") from None
+    doc = read_input(path, json.loads, ConfigError)
     if not isinstance(doc, dict):
         raise ConfigError("config JSON must be an object")
     known = set(PipelineConfig.__dataclass_fields__)
@@ -159,13 +150,6 @@ def _config_hash(config: PipelineConfig) -> str:
     return hashlib.sha256(blob).hexdigest()
 
 
-def _cells(values: list) -> list[str]:
-    """Each value's CSV text, formatted in one call: a list's repr prints
-    every float with float.__repr__ (csv prints a float the same way) and
-    every int with int.__repr__."""
-    return repr(values)[1:-1].split(", ") if values else []
-
-
 class _Artifacts:
     """Staged outputs: everything renders to memory first and hits disk only
     after the whole pipeline has succeeded, so failures leave no partials."""
@@ -175,18 +159,6 @@ class _Artifacts:
 
     def add(self, name: str, content: str) -> None:
         self.files[name] = content
-
-    def add_csv(self, name: str, header: list[str], rows: Iterable[Iterable]) -> None:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
-        self.add(name, buf.getvalue())
-
-    def add_columns(self, name: str, header: list[str], columns: list[list[str]]) -> None:
-        """A numeric table from per-column cell text (see `_cells`), with the
-        bytes csv.writer would write for those rows."""
-        self.add(name, "\n".join([",".join(header), *map(",".join, zip(*columns))]) + "\n")
 
     def write_out(self, out_dir: str) -> None:
         """Write every file into a new sibling of out_dir, then swap that in
@@ -234,9 +206,9 @@ def _check_replaceable(out_dir: str) -> None:
     if not names:
         return
     try:
-        with open(os.path.join(out_dir, "manifest.json")) as fh:
-            known = {"manifest.json", *PLOT_FILES, *json.load(fh)["files"].keys()}
-    except (OSError, ValueError, KeyError, TypeError, AttributeError):
+        manifest = read_input(os.path.join(out_dir, "manifest.json"), json.loads)
+        known = {"manifest.json", *PLOT_FILES, *manifest["files"].keys()}
+    except (DataError, KeyError, TypeError, AttributeError):
         known = set()
     foreign = sorted(
         name for name in names
@@ -282,14 +254,12 @@ def run_pipeline(config: PipelineConfig) -> dict:
     funds = funds.restrict(growth.time_index[0], growth.time_index[-1])
 
     screen = screen_stationarity(growth, level=config.level)
-    art.add_csv(
-        "adf_screen.csv",
+    reports = screen.reports.values()
+    art.add("adf_screen.csv", csv_text(
         ["variable", "adf_stat", "crit_5pct", "verdict"],
-        [
-            [name, repr(rep.statistic), repr(rep.critical_values["5%"]), rep.verdict]
-            for name, rep in screen.reports.items()
-        ],
-    )
+        [list(screen.reports), [rep.statistic for rep in reports],
+         [rep.critical_values["5%"] for rep in reports], [rep.verdict for rep in reports]],
+    ))
     if config.treatment_name not in screen.kept.columns:
         raise DataError(
             f"treatment {config.treatment_name!r} failed the stationarity screen"
@@ -298,20 +268,12 @@ def run_pipeline(config: PipelineConfig) -> dict:
 
     corr = correlation_matrix(kept)
     pca = pca_corr(corr)
-    art.add_csv(
-        "corr.csv",
-        ["variable"] + kept.columns,
-        [[name] + [repr(float(v)) for v in corr[i]] for i, name in enumerate(kept.columns)],
-    )
-    art.add_csv(
-        "pca.csv",
-        ["component", "eigenvalue", "explained_ratio"] + kept.columns,
-        [
-            [f"PC{i + 1}", repr(float(pca.eigenvalues[i])), repr(float(pca.explained_ratio[i]))]
-            + [repr(float(v)) for v in pca.components[:, i]]
-            for i in range(len(kept.columns))
-        ],
-    )
+    art.add("corr.csv", csv_text(["variable", *kept.columns], [kept.columns, *corr.T.tolist()]))
+    art.add("pca.csv", csv_text(
+        ["component", "eigenvalue", "explained_ratio", *kept.columns],
+        [[f"PC{i + 1}" for i in range(len(kept.columns))], pca.eigenvalues.tolist(),
+         pca.explained_ratio.tolist(), *pca.components.tolist()],
+    ))
 
     if config.lag_order == "auto":
         lag = select_lag_var_aic(kept, AUTO_P_MAX)
@@ -329,11 +291,7 @@ def run_pipeline(config: PipelineConfig) -> dict:
         learners.append(("linear", LearnerSpec("linear")))
     if config.learner in ("boosted", "both"):
         if config.grid_path is not None:
-            try:
-                with open(config.grid_path) as fh:
-                    grid = grid_from_json(fh.read())
-            except FileNotFoundError:
-                raise ConfigError(f"grid file not found: {config.grid_path}") from None
+            grid = grid_from_json(read_input(config.grid_path, error=ConfigError))
         else:
             grid = DEFAULT_GRID
         # tuning features mirror the estimation features, with unit means
@@ -342,53 +300,36 @@ def run_pipeline(config: PipelineConfig) -> dict:
         best_params, cv_table = grid_search_cv(
             tune_x, panel.y, grid, k=config.k, seed=config.seed
         )
-        art.add_csv(
-            "grid_cv.csv",
+        # HyperParams' fields are the first four columns
+        art.add("grid_cv.csv", csv_text(
             ["n_trees", "max_depth", "learning_rate", "min_samples_leaf", "cv_mse", "cv_r2"],
-            [
-                [
-                    row.params.n_trees,
-                    row.params.max_depth,
-                    repr(row.params.learning_rate),
-                    row.params.min_samples_leaf,
-                    repr(row.cv_mse),
-                    repr(row.cv_r2),
-                ]
-                for row in cv_table
-            ],
-        )
+            list(zip(*(astuple(row.params) + (row.cv_mse, row.cv_r2) for row in cv_table))),
+        ))
         learners.append(("boosted", LearnerSpec("boosted", best_params)))
 
-    result_rows: list[list[str]] = []
-    per_1pct_rows: list[list[str]] = []
-    r2_rows: list[list[str]] = []
-    diagnostics_res = None
-    for name, spec in learners:
-        result, res = run_dml(problem, spec, k=config.k, seed=config.seed, score=config.score)
-        result_rows.append(result_csv_row(name, result))
-        per_1pct_rows.append([name, repr(result.per_1pct)])
-        r2_rows.append([name, repr(res.r2_y), repr(res.r2_d)])
-        diagnostics_res = res  # the last learner's residuals feed Fig-3 data
+    names = [name for name, _ in learners]
+    fits = [run_dml(problem, spec, k=config.k, seed=config.seed, score=config.score)
+            for _, spec in learners]
+    results = [result for result, _ in fits]
+    # DmlResult's fields, in order, are the columns after "model"
+    art.add("results.csv", csv_text(
+        ["model", "coef", "se", "t", "p", "ci_low", "ci_high", "n", "per_1pct"],
+        [names, *zip(*map(astuple, results))],
+    ))
+    art.add("per_1pct.csv", csv_text(["model", "per_1pct"],
+                                     [names, [result.per_1pct for result in results]]))
+    art.add("r2.csv", csv_text(["model", "r2_y", "r2_d"],
+                               [names, [res.r2_y for _, res in fits], [res.r2_d for _, res in fits]]))
 
-    art.add_csv("results.csv", list(RESULT_CSV_HEADER), result_rows)
-    art.add_csv("per_1pct.csv", ["model", "per_1pct"], per_1pct_rows)
-    art.add_csv("r2.csv", ["model", "r2_y", "r2_d"], r2_rows)
-
+    diagnostics_res = fits[-1][1]  # the last learner's residuals feed Fig-3 data
     summary = residual_diagnostics(diagnostics_res)
-    u_cells = _cells(diagnostics_res.u.tolist())
-    art.add_columns(
-        "residuals.csv", ["fitted", "residual"],
-        [_cells(diagnostics_res.g_hat.tolist()), u_cells],
-    )
-    art.add_columns(
-        "nuisance_residuals.csv", ["row", "fold", "u", "v"],
-        [
-            _cells(list(range(panel.n_rows))),
-            _cells(diagnostics_res.fold_of.tolist()),
-            u_cells,
-            _cells(diagnostics_res.v.tolist()),
-        ],
-    )
+    u = diagnostics_res.u.tolist()
+    art.add("residuals.csv", csv_text(["fitted", "residual"], [diagnostics_res.g_hat.tolist(), u]))
+    art.add("nuisance_residuals.csv", csv_text(
+        ["row", "fold", "u", "v"],
+        [list(range(panel.n_rows)), diagnostics_res.fold_of.tolist(), u,
+         diagnostics_res.v.tolist()],
+    ))
 
     manifest = {
         "config": asdict(config),
@@ -426,16 +367,6 @@ def run_pipeline(config: PipelineConfig) -> dict:
     return manifest
 
 
-def _read_text(path: str) -> str:
-    with open_input(path) as fh:
-        return fh.read()
-
-
-def _read_csv_rows(path: str) -> tuple[list[str], list[list[str]]]:
-    reader = csv.reader(io.StringIO(_read_text(path)))
-    return next(reader, []), list(reader)
-
-
 def _read_numeric_csv(path: str, width: int) -> np.ndarray:
     """The body of a CSV of `width` numeric columns as a (rows, width) array.
 
@@ -443,7 +374,7 @@ def _read_numeric_csv(path: str, width: int) -> np.ndarray:
     and every cell goes through float(), as csv.reader and float() read it,
     so a file `run` wrote comes back with the bits it was written from.
     """
-    body = _read_text(path).partition("\n")[2]
+    body = read_input(path).partition("\n")[2]
     if not body:
         return np.empty((0, width))
     if not body.endswith("\n"):
@@ -476,7 +407,7 @@ def emit_plots(output_dir: str) -> list[str]:
     """Render corr_heatmap.svg, pca_scree.svg, residuals_fitted.svg from the
     CSVs a previous `run` left in output_dir."""
     path = os.path.join(output_dir, "corr.csv")
-    header, rows = _read_csv_rows(path)
+    rows = read_input(path, csv_rows)[1:]
     try:
         labels = [row[0] for row in rows]
         corr = np.array([[float(v) for v in row[1:]] for row in rows])
@@ -485,7 +416,7 @@ def emit_plots(output_dir: str) -> list[str]:
     heatmap = render_corr_heatmap(corr, labels)
 
     path = os.path.join(output_dir, "pca.csv")
-    header, rows = _read_csv_rows(path)
+    header, *rows = read_input(path, csv_rows) or [[]]
     try:
         at = header.index("explained_ratio")
         explained = np.array([float(row[at]) for row in rows])
@@ -507,8 +438,7 @@ def emit_plots(output_dir: str) -> list[str]:
 
     manifest_path = os.path.join(output_dir, "manifest.json")
     if os.path.exists(manifest_path):
-        with open(manifest_path) as fh:
-            manifest = json.load(fh)
+        manifest = read_input(manifest_path, json.loads)
         manifest.setdefault("files", {}).update(svg_hashes)
         with open(manifest_path, "w") as fh:
             json.dump(manifest, fh, sort_keys=True, indent=2)

@@ -329,20 +329,3 @@ def residual_diagnostics(res: NuisanceResiduals) -> dict[str, float]:
     return {"max_abs": float(np.max(np.abs(res.u))) if res.u.size else 0.0,
             "frac_within_1sd": frac}
 
-
-RESULT_CSV_HEADER = ("model", "coef", "se", "t", "p", "ci_low", "ci_high", "n", "per_1pct")
-
-
-def result_csv_row(model_name: str, result: DmlResult) -> list[str]:
-    return [
-        model_name,
-        repr(result.theta),
-        repr(result.se),
-        repr(result.t),
-        repr(result.p),
-        repr(result.ci_low),
-        repr(result.ci_high),
-        str(result.n),
-        repr(result.per_1pct),
-    ]
-

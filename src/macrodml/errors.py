@@ -25,7 +25,8 @@ class NumericalError(MacrodmlError):
 # --- ingestion / reshaping -------------------------------------------------
 
 class MalformedRow(DataError):
-    """CSV row has the wrong number of cells."""
+    """An input file is not UTF-8 text, does not parse, or has a row with the
+    wrong number of cells or a cell that is not a number."""
 
 
 class UnparseableTime(DataError):
@@ -123,4 +124,4 @@ class TooFewReps(ConfigError):
 # --- cli -------------------------------------------------------------------
 
 class MissingInput(DataError):
-    """An expected input file does not exist."""
+    """An expected input file does not exist or cannot be read."""

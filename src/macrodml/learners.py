@@ -47,6 +47,12 @@ class HyperParams:
     min_samples_leaf: int = 20
 
     def validate(self) -> None:
+        # types first (a grid file's JSON may hold any), so the checks below
+        # compare numbers; bool never counts as a number
+        for name, value in vars(self).items():
+            kinds = (int, float) if name == "learning_rate" else int
+            if isinstance(value, bool) or not isinstance(value, kinds):
+                raise ConfigError(f"{name} cannot be {type(value).__name__} {value!r}")
         if self.n_trees < 0:
             raise ConfigError("n_trees must be >= 0")
         if self.max_depth < 0:

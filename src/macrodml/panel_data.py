@@ -1,13 +1,15 @@
-"""Wide time-series-cross-section data model, CSV ingestion, and panel reshaping.
+"""Wide time-series-cross-section data model, file I/O, and panel reshaping.
 
 The wide form is a months-by-series matrix (fund returns or macro variables);
 the long form is one row per (fund, month) with outcome, treatment, and a
-control vector including lagged values.
+control vector including lagged values. Every input file is read through
+`read_input` and every CSV table is printed by `csv_text`.
 """
 
 from __future__ import annotations
 
 import csv
+import io
 import re
 from dataclasses import dataclass
 
@@ -17,6 +19,7 @@ from .errors import (
     DataError,
     DuplicateColumn,
     IndexMismatch,
+    MacrodmlError,
     MalformedRow,
     MissingInput,
     NonMonotoneTime,
@@ -100,7 +103,10 @@ class TimeSeriesMatrix:
 
 
 def common_range(a: TimeSeriesMatrix, b: TimeSeriesMatrix) -> tuple[str, str]:
-    """Overlapping month range of two matrices; IndexMismatch if disjoint."""
+    """Overlapping month range of two matrices; IndexMismatch if disjoint
+    or either has no months."""
+    if not (a.time_index and b.time_index):
+        raise IndexMismatch("time ranges do not overlap: a file has no rows")
     start = max(a.time_index[0], b.time_index[0], key=month_to_int)
     end = min(a.time_index[-1], b.time_index[-1], key=month_to_int)
     if month_to_int(start) > month_to_int(end):
@@ -135,9 +141,7 @@ class FundFilter:
     """Metadata screen; None fields impose no constraint."""
 
     min_aum: float | None = None
-    asset_classes: set[str] | None = None
     managed: str | None = None
-    min_inception: str | None = None
 
 
 @dataclass
@@ -176,15 +180,33 @@ class PanelTable:
 
 
 # ---------------------------------------------------------------------------
-# CSV ingestion
+# File I/O
 # ---------------------------------------------------------------------------
 
-def open_input(path):
-    """Open a text input for reading; a missing file raises MissingInput."""
+def read_input(path, parse=str, error: type[MacrodmlError] | None = None):
+    """`parse` applied to the UTF-8 text of the input file at `path`, read
+    with its line ends as they are (CSV parses through `csv_rows`).
+
+    Every way of reading a file fails with a typed error: one that cannot be
+    opened or read raises MissingInput, and text that is not UTF-8 or that
+    `parse` rejects with csv.Error or ValueError (json's errors among them)
+    raises MalformedRow. Given `error` (ConfigError for a config or grid
+    file), each of these raises `error` instead.
+    """
     try:
-        return open(path, newline="")
-    except FileNotFoundError:
-        raise MissingInput(f"missing input: {path}") from None
+        with open(path, encoding="utf-8", newline="") as fh:
+            return parse(fh.read())
+    except OSError as exc:
+        reason = "not found" if isinstance(exc, FileNotFoundError) else exc.strerror or exc
+        raise (error or MissingInput)(f"missing input: {path} ({reason})") from None
+    except (ValueError, csv.Error) as exc:  # UnicodeDecodeError is a ValueError
+        raise (error or MalformedRow)(f"{path}: {exc}") from None
+
+
+def csv_rows(text: str) -> list[list[str]]:
+    """The rows of CSV text, a blank line as an empty row. A lone \\r ends a
+    line, as it does in a file opened with newline=""."""
+    return list(csv.reader(io.StringIO(text, newline="")))
 
 
 def load_tscs_csv(path, time_column: str = "date") -> TimeSeriesMatrix:
@@ -192,55 +214,81 @@ def load_tscs_csv(path, time_column: str = "date") -> TimeSeriesMatrix:
 
     Empty cells become NaN. Column order follows the file.
     """
-    with open_input(path) as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise MalformedRow("file has no header row") from None
-        if header.count(time_column) != 1:
-            raise DataError(f"expected exactly one {time_column!r} column")
-        if len(set(header)) != len(header):
-            raise DuplicateColumn("column names must be unique")
-        t_pos = header.index(time_column)
-        names = [h for i, h in enumerate(header) if i != t_pos]
+    rows = read_input(path, csv_rows)
+    if not rows:
+        raise MalformedRow("file has no header row")
+    header = rows[0]
+    if header.count(time_column) != 1:
+        raise DataError(f"expected exactly one {time_column!r} column")
+    if len(set(header)) != len(header):
+        raise DuplicateColumn("column names must be unique")
+    t_pos = header.index(time_column)
+    names = [h for i, h in enumerate(header) if i != t_pos]
 
-        months: list[str] = []
-        rows: list[list[float]] = []
-        for lineno, row in enumerate(reader, start=2):
-            if len(row) != len(header):
-                raise MalformedRow(
-                    f"line {lineno}: expected {len(header)} cells, got {len(row)}"
-                )
-            month = row[t_pos]
-            month_to_int(month)  # raises UnparseableTime
-            months.append(month)
-            cells = []
-            for i, cell in enumerate(row):
-                if i == t_pos:
-                    continue
-                if cell == "":
-                    cells.append(np.nan)
-                else:
-                    try:
-                        cells.append(float(cell))
-                    except ValueError:
-                        raise MalformedRow(
-                            f"line {lineno}: cannot parse {cell!r} as a number"
-                        ) from None
-            rows.append(cells)
+    months: list[str] = []
+    values: list[list[float]] = []
+    for lineno, row in enumerate(rows[1:], start=2):
+        if len(row) != len(header):
+            raise MalformedRow(
+                f"line {lineno}: expected {len(header)} cells, got {len(row)}"
+            )
+        month = row[t_pos]
+        month_to_int(month)  # raises UnparseableTime
+        months.append(month)
+        cells = []
+        for i, cell in enumerate(row):
+            if i == t_pos:
+                continue
+            if cell == "":
+                cells.append(np.nan)
+            else:
+                try:
+                    cells.append(float(cell))
+                except ValueError:
+                    raise MalformedRow(
+                        f"line {lineno}: cannot parse {cell!r} as a number"
+                    ) from None
+        values.append(cells)
 
-    values = np.array(rows, dtype=float) if rows else np.empty((0, len(names)))
-    return TimeSeriesMatrix(months, names, values)
+    matrix = np.array(values, dtype=float) if values else np.empty((0, len(names)))
+    return TimeSeriesMatrix(months, names, matrix)
+
+
+_QUOTED = re.compile(r'[,"\n]')
+
+
+def _text_cell(cell: str) -> str:
+    return '"' + cell.replace('"', '""') + '"' if _QUOTED.search(cell) else cell
+
+
+def _cells(column) -> list[str]:
+    """A column's CSV cells. A str column quotes a cell only when it holds a
+    comma, a quote or a newline, doubling its quotes. A number column is
+    printed with one repr of it as a list, each float as float.__repr__ (its
+    shortest round-trip digits), each int as int.__repr__ and None empty."""
+    if column and isinstance(column[0], str):
+        return list(map(_text_cell, column))
+    return repr(list(column))[1:-1].replace("None", "").split(", ") if column else []
+
+
+def csv_text(header, columns) -> str:
+    """The CSV text of a table given column by column: each column a
+    sequence of str, or of Python numbers and None, all of one length.
+
+    This is the one writer of every table the package prints. Its bytes are
+    those of the csv module's writer with QUOTE_MINIMAL and lineterminator
+    "\\n", as Python 3.11 writes them (a lone \\r is not quoted), except
+    that a one-column table writes an empty cell as an empty line.
+    """
+    lines = [",".join(map(_text_cell, header)), *map(",".join, zip(*map(_cells, columns)))]
+    return "\n".join(lines) + "\n"
 
 
 def write_tscs_csv(matrix: TimeSeriesMatrix, path, time_column: str = "date") -> None:
-    """Inverse of load_tscs_csv: NaN as empty cell, full-precision floats."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([time_column] + matrix.columns)
-        for month, row in zip(matrix.time_index, matrix.values):
-            writer.writerow([month] + ["" if np.isnan(v) else repr(float(v)) for v in row])
+    """Inverse of load_tscs_csv: NaN as an empty cell, full-precision floats."""
+    values = np.where(np.isnan(matrix.values), None, matrix.values)  # Python floats and None
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(csv_text([time_column, *matrix.columns], [matrix.time_index, *values.T.tolist()]))
 
 
 META_COLUMNS = ("ticker", "asset_class", "inception", "aum_musd", "managed")
@@ -249,43 +297,41 @@ META_COLUMNS = ("ticker", "asset_class", "inception", "aum_musd", "managed")
 def load_fund_meta_csv(path) -> list[FundMeta]:
     """Load the fund-metadata sidecar (ticker,asset_class,inception,aum_musd,managed).
 
-    A header without one of those columns raises MalformedRow naming it.
+    Column order is free and blank lines are skipped. A header without one
+    of those columns raises MalformedRow naming it.
     """
+    header, *rows = read_input(path, csv_rows) or [[]]
+    missing = [name for name in META_COLUMNS if name not in header]
+    if missing:
+        raise MalformedRow(f"{path}: missing column(s) {', '.join(missing)}")
+    at = [header.index(name) for name in META_COLUMNS]
     catalog = []
     seen = set()
-    with open_input(path) as fh:
-        reader = csv.DictReader(fh)
-        missing = [name for name in META_COLUMNS if name not in (reader.fieldnames or ())]
-        if missing:
-            raise MalformedRow(f"{path}: missing column(s) {', '.join(missing)}")
-        for rec in reader:
-            try:
-                aum = float(rec["aum_musd"])
-            except (TypeError, ValueError):
-                raise MalformedRow(
-                    f"line {reader.line_num}: cannot parse aum_musd "
-                    f"{rec['aum_musd']!r} as a number"
-                ) from None
-            meta = FundMeta(
-                ticker=rec["ticker"],
-                asset_class=rec["asset_class"],
-                inception=rec["inception"],
-                aum_musd=aum,
-                managed=rec["managed"],
-            )
-            if meta.ticker in seen:
-                raise DuplicateColumn(f"duplicate ticker {meta.ticker!r}")
-            seen.add(meta.ticker)
-            catalog.append(meta)
+    for lineno, row in enumerate(rows, start=2):
+        if not row:
+            continue
+        if len(row) != len(header):
+            raise MalformedRow(f"line {lineno}: expected {len(header)} cells, got {len(row)}")
+        ticker, asset_class, inception, aum, managed = (row[i] for i in at)
+        try:
+            aum_musd = float(aum)
+        except ValueError:
+            raise MalformedRow(
+                f"line {lineno}: cannot parse aum_musd {aum!r} as a number"
+            ) from None
+        meta = FundMeta(ticker, asset_class, inception, aum_musd, managed)
+        if meta.ticker in seen:
+            raise DuplicateColumn(f"duplicate ticker {meta.ticker!r}")
+        seen.add(meta.ticker)
+        catalog.append(meta)
     return catalog
 
 
 def write_fund_meta_csv(catalog: list[FundMeta], path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(META_COLUMNS)
-        for m in catalog:
-            writer.writerow([m.ticker, m.asset_class, m.inception, repr(float(m.aum_musd)), m.managed])
+    columns = [[getattr(m, name) for m in catalog] for name in META_COLUMNS]
+    columns[3] = list(map(float, columns[3]))  # aum_musd prints as a float
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(csv_text(list(META_COLUMNS), columns))
 
 
 # ---------------------------------------------------------------------------
@@ -301,13 +347,7 @@ def filter_funds(catalog: list[FundMeta], criteria: FundFilter) -> list[FundMeta
     for fund in catalog:
         if criteria.min_aum is not None and fund.aum_musd < criteria.min_aum:
             continue
-        if criteria.asset_classes is not None and fund.asset_class not in criteria.asset_classes:
-            continue
         if criteria.managed is not None and fund.managed != criteria.managed:
-            continue
-        if criteria.min_inception is not None and month_to_int(fund.inception) < month_to_int(
-            criteria.min_inception
-        ):
             continue
         out.append(fund)
     return out

@@ -1,3 +1,4 @@
+import contextlib
 import csv
 import hashlib
 import io
@@ -7,9 +8,12 @@ import platform
 import shutil
 import subprocess
 import sys
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import macrodml
 from macrodml import cli, validation
@@ -17,6 +21,7 @@ from macrodml import cli, validation
 from macrodml.cli import (
     EXIT_CONFIG,
     EXIT_DATA,
+    EXIT_NUMERICAL,
     EXIT_OK,
     EXIT_VALIDATION,
     PipelineConfig,
@@ -24,6 +29,7 @@ from macrodml.cli import (
     main,
 )
 from macrodml.errors import ConfigError
+from macrodml.panel_data import csv_text
 
 from conftest import BOTH_RUN_GRID, read_csv, run_args
 
@@ -297,6 +303,28 @@ def test_grid_with_a_subsample_key_exits_config(small_fx, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("entry", [
+    {"n_trees": "50"},
+    {"learning_rate": "0.1"},
+    {"n_trees": 1.5, "max_depth": 2},
+    {"max_depth": True},
+    {"min_samples_leaf": 20.0},
+    {"learning_rate": False},
+    {"learning_rate": None},
+], ids=["str_trees", "str_rate", "float_trees", "bool_depth", "float_leaf", "bool_rate",
+        "null_rate"])
+def test_grid_with_a_wrongly_typed_value_exits_config(small_fx, tmp_path, capsys, entry):
+    root, fx = small_fx
+    grid = tmp_path / "grid.json"
+    grid.write_text(json.dumps([entry]))
+    out = tmp_path / "o"
+    rc = main(run_args(fx, out, "--learner", "boosted", "--lag", "2", "--grid", str(grid)))
+    assert rc == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("code=1 error=ConfigError message=") and err.count("\n") == 1
+    assert "Traceback" not in err and not out.exists()
+
+
 def test_lag_longer_than_series_exits_data(small_fx, tmp_path):
     root, fx = small_fx
     proc = subprocess.run(
@@ -440,6 +468,107 @@ def test_plots_on_non_numeric_corr_exits_data(full_run, tmp_path):
     assert "corr.csv" in proc.stderr and "Traceback" not in proc.stderr
 
 
+def _replace_cell(text, line, cell):
+    lines = text.split("\n")
+    cells = lines[line].split(",")
+    cells[1] = cell
+    lines[line] = ",".join(cells)
+    return "\n".join(lines)
+
+
+@pytest.mark.parametrize("flag, content, code, error", [
+    ("--funds", None, EXIT_DATA, "MissingInput"),
+    ("--meta", None, EXIT_DATA, "MissingInput"),
+    ("--grid", None, EXIT_CONFIG, "ConfigError"),
+    ("--config", None, EXIT_CONFIG, "ConfigError"),
+    ("--funds", lambda text: b"\xff\xfe" + text.encode(), EXIT_DATA, "MalformedRow"),
+    ("--funds", lambda text: _replace_cell(text, 5, "x" * 200_000).encode(), EXIT_DATA,
+     "MalformedRow"),
+], ids=["funds_dir", "meta_dir", "grid_dir", "config_dir", "funds_not_utf8", "funds_huge_cell"])
+def test_unreadable_input_exits_with_a_typed_error(small_fx, tmp_path, capsys, flag, content,
+                                                   code, error):
+    """A directory in place of a file, text that is not UTF-8 and a cell over
+    the csv module's field limit each end in one typed error line."""
+    root, fx = small_fx
+    path = tmp_path / "input"
+    if content is None:
+        path.mkdir()
+    else:
+        path.write_bytes(content(open(fx["funds_csv"], newline="").read()))
+    out = tmp_path / "o"
+    rc = main(run_args(fx, out, "--learner", "boosted", "--lag", "2", flag, str(path)))
+    assert rc == code
+    err = capsys.readouterr().err
+    assert err.startswith(f"code={code} error={error} message=") and err.count("\n") == 1
+    assert "input" in err and not out.exists()
+
+
+@pytest.mark.parametrize("name, content", [
+    ("manifest.json", b"{bad"),
+    ("corr.csv", b"variable,a\na,\xff1.0\n"),
+], ids=["manifest_not_json", "corr_not_utf8"])
+def test_plots_on_unreadable_run_output_exits_data(full_run, tmp_path, capsys, name, content):
+    out = tmp_path / "out"
+    shutil.copytree(full_run["out"], out)
+    (out / name).write_bytes(content)
+    assert main(["plots", "--out", str(out)]) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.startswith("code=2 error=MalformedRow message=") and err.count("\n") == 1
+    assert name in err
+
+
+_INSERTS = st.one_of(
+    st.sampled_from([b",", b'"', b"\n", b"\r", b"\xff", b"\xfe\xff", b"\x00", b"-", b"0",
+                     b"e999", b"nan"]),
+    st.binary(min_size=1, max_size=4),
+)
+_MUTATION = st.tuples(
+    st.sampled_from(["funds_csv", "macro_csv", "meta_csv"]),
+    st.sampled_from(["empty_cell", "insert", "truncate"]),
+    st.integers(0, 999),  # where, in thousandths of the file
+    _INSERTS,
+)
+
+
+def _mutate(data, op, where, payload):
+    at = where * len(data) // 1000
+    if op == "truncate":
+        return data[:at]
+    if op == "insert":
+        return data[:at] + payload + data[at:]
+    start = max(data.rfind(b",", 0, at), data.rfind(b"\n", 0, at)) + 1
+    end = min((i for i in (data.find(b",", at), data.find(b"\n", at)) if i >= 0),
+              default=len(data))
+    return data[:start] + data[end:]
+
+
+@settings(max_examples=40, derandomize=True, database=None, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(mutations=st.lists(_MUTATION, min_size=1, max_size=3))
+def test_mutated_inputs_end_in_one_typed_error_line(small_fx, mutations):
+    """Truncated files, inserted bytes (not UTF-8 among them), commas, quotes
+    and emptied cells in the three input CSVs either run or exit 1, 2 or 3
+    with a single code= line on stderr, never a traceback."""
+    root, fx = small_fx
+    files = {key: open(fx[key], "rb").read() for key in ("funds_csv", "macro_csv", "meta_csv")}
+    for key, op, where, payload in mutations:
+        files[key] = _mutate(files[key], op, where, payload)
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = {}
+        for key, data in files.items():
+            paths[key] = os.path.join(tmp, os.path.basename(fx[key]))
+            with open(paths[key], "wb") as fh:
+                fh.write(data)
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            rc = main(run_args(paths, os.path.join(tmp, "out"), "--learner", "linear", "--lag", "2"))
+    assert rc in (EXIT_OK, EXIT_CONFIG, EXIT_DATA, EXIT_NUMERICAL)
+    lines = err.getvalue().splitlines()
+    if rc != EXIT_OK:
+        assert len([line for line in lines if line.startswith("code=")]) == 1, lines
+    assert "Traceback" not in err.getvalue()
+
+
 # ---------------------------------------------------------------------------
 # bulk-formatted tables: the bytes and bits of the per-row path
 # ---------------------------------------------------------------------------
@@ -448,6 +577,18 @@ SPECIAL_FLOATS = [
     float("nan"), float("inf"), float("-inf"), -0.0, 0.0, 5e-324, -5e-324, 1e-7, 1e16,
     123456789.0, 1.0, -3.0, 2.0**53, 0.1, 1 / 3, -2.5e-310, 1.7976931348623157e308,
 ]
+
+
+TEXT_CELLS = ["plain", "a,b", 'say "hi"', "two\nlines", "cr\rcell", " leading", "", '""',
+              "naïve ✓ €"]
+
+
+def _csv_writer_text(header, rows):
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue()
 
 
 def test_numeric_table_text_matches_csv_writer():
@@ -459,14 +600,19 @@ def test_numeric_table_text_matches_csv_writer():
         (rng.standard_normal(n) * 10.0 ** rng.integers(-12, 12, n)).tolist(),
     ]
     ints = list(range(n))
-    art = cli._Artifacts()
-    art.add_columns("t.csv", ["i", "a", "b", "c"], [cli._cells(c) for c in [ints, *columns]])
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["i", "a", "b", "c"])
-    writer.writerows(zip(ints, *columns))
-    assert art.files["t.csv"] == buf.getvalue()
-    assert cli._cells([]) == []
+    assert (csv_text(["i", "a", "b", "c"], [ints, *columns])
+            == _csv_writer_text(["i", "a", "b", "c"], zip(ints, *columns)))
+    # text cells, in the header and in columns of their own or beside numbers
+    text = [TEXT_CELLS[i % len(TEXT_CELLS)] for i in range(n)]
+    header = ["name", *TEXT_CELLS[:4], "i"]
+    table = [text, SPECIAL_FLOATS, text[::-1], ints, TEXT_CELLS[:1] * n, ints]
+    assert csv_text(header, table) == _csv_writer_text(header, zip(*table))
+    assert csv_text(TEXT_CELLS, [[c] for c in TEXT_CELLS]) == _csv_writer_text(TEXT_CELLS, [TEXT_CELLS])
+    assert csv_text(["a", "b"], [(1.5,), ("x",)]) == "a,b\n1.5,x\n"  # tuples print as lists
+    missing = [None, 1.5, None, 2, None]
+    assert (csv_text(["a", "b"], [missing, missing[::-1]])
+            == _csv_writer_text(["a", "b"], zip(missing, missing[::-1])))
+    assert csv_text(["a", "b"], [[], []]) == "a,b\n"
 
 
 def test_plots_reparse_returns_the_written_bits(full_run, tmp_path, monkeypatch):
@@ -478,8 +624,7 @@ def test_plots_reparse_returns_the_written_bits(full_run, tmp_path, monkeypatch)
     art = cli._Artifacts()
     for name in ("corr.csv", "pca.csv"):  # write_out replaces the whole directory
         art.add(name, open(os.path.join(full_run["out"], name), newline="").read())
-    art.add_columns("residuals.csv", ["fitted", "residual"],
-                    [cli._cells(fitted.tolist()), cli._cells(resid.tolist())])
+    art.add("residuals.csv", csv_text(["fitted", "residual"], [fitted.tolist(), resid.tolist()]))
     art.write_out(str(out))
     seen = {}
     real = cli.render_residuals

@@ -8,7 +8,6 @@ from macrodml.dml import (
     LearnerSpec,
     NuisanceResiduals,
     PlrProblem,
-    RESULT_CSV_HEADER,
     Z_975,
     cross_fit_nuisance,
     design_rows,
@@ -403,7 +402,7 @@ def test_residual_diagnostics_gaussian_fraction():
 def test_results_csv_layout(full_run):
     with open(os.path.join(full_run["out"], "results.csv"), newline="") as fh:
         lines = fh.read().split("\n")
-    assert lines[0] == ",".join(RESULT_CSV_HEADER)
+    assert lines[0] == "model,coef,se,t,p,ci_low,ci_high,n,per_1pct"
     assert len(lines) == 3 and lines[2] == ""  # one row, "\n" line ends
     cells = lines[1].split(",")
     assert cells[0] == "linear"

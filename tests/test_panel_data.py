@@ -87,6 +87,10 @@ def test_common_range_overlap_and_disjoint():
     c = make_tsm(np.zeros((2, 1)), start="2010-01")
     with pytest.raises(IndexMismatch):
         common_range(a, c)
+    empty = make_tsm(np.zeros((0, 1)))  # a CSV holding only its header
+    for pair in ((a, empty), (empty, a)):
+        with pytest.raises(IndexMismatch):
+            common_range(*pair)
 
 
 # ---------------------------------------------------------------------------
@@ -174,11 +178,10 @@ def test_filter_cascade_is_monotone():
     catalog = _catalog()
     stages = [
         FundFilter(),
-        FundFilter(asset_classes={"FixedIncome"}),
-        FundFilter(asset_classes={"FixedIncome"}, managed="Active"),
-        FundFilter(asset_classes={"FixedIncome"}, managed="Active", min_aum=20.0),
-        FundFilter(asset_classes={"FixedIncome"}, managed="Active", min_aum=20.0,
-                   min_inception="2001-01"),
+        FundFilter(managed="Active"),
+        FundFilter(managed="Active", min_aum=20.0),
+        FundFilter(managed="Active", min_aum=100.0),
+        FundFilter(managed="Active", min_aum=200.0),
     ]
     sizes = [len(filter_funds(catalog, f)) for f in stages]
     assert sizes == [5, 4, 3, 2, 1]
@@ -186,7 +189,7 @@ def test_filter_cascade_is_monotone():
 
 
 def test_filter_idempotent():
-    crit = FundFilter(min_aum=20.0, asset_classes={"FixedIncome"})
+    crit = FundFilter(min_aum=20.0, managed="Active")
     once = filter_funds(_catalog(), crit)
     assert filter_funds(once, crit) == once
 
