@@ -40,6 +40,7 @@ from .learners import DEFAULT_GRID, grid_from_json, grid_search_cv
 from .panel_data import (
     FundFilter,
     common_range,
+    csv_cells,
     csv_rows,
     csv_text,
     filter_funds,
@@ -323,7 +324,7 @@ def run_pipeline(config: PipelineConfig) -> dict:
 
     diagnostics_res = fits[-1][1]  # the last learner's residuals feed Fig-3 data
     summary = residual_diagnostics(diagnostics_res)
-    u = diagnostics_res.u.tolist()
+    u = csv_cells(diagnostics_res.u.tolist())  # printed once for both tables
     art.add("residuals.csv", csv_text(["fitted", "residual"], [diagnostics_res.g_hat.tolist(), u]))
     art.add("nuisance_residuals.csv", csv_text(
         ["row", "fold", "u", "v"],

@@ -261,12 +261,17 @@ def _text_cell(cell: str) -> str:
     return '"' + cell.replace('"', '""') + '"' if _QUOTED.search(cell) else cell
 
 
-def _cells(column) -> list[str]:
-    """A column's CSV cells. A str column quotes a cell only when it holds a
-    comma, a quote or a newline, doubling its quotes. A number column is
-    printed with one repr of it as a list, each float as float.__repr__ (its
-    shortest round-trip digits), each int as int.__repr__ and None empty."""
+def csv_cells(column) -> list[str]:
+    """A column's CSV cells, as `csv_text` prints them. A str column quotes a
+    cell only when it holds a comma, a quote or a newline, doubling its
+    quotes. A number column is printed with one repr of it as a list: each
+    float as float.__repr__ (its shortest round-trip digits), each int as
+    int.__repr__ and None as an empty cell. Those cells hold no comma, quote
+    or newline, so `csv_text` prints a column of them as it is."""
     if column and isinstance(column[0], str):
+        text = "".join(column)
+        if not any(c in text for c in ',"\n'):  # one scan per character clears most columns
+            return list(column)
         return list(map(_text_cell, column))
     return repr(list(column))[1:-1].replace("None", "").split(", ") if column else []
 
@@ -280,7 +285,7 @@ def csv_text(header, columns) -> str:
     "\\n", as Python 3.11 writes them (a lone \\r is not quoted), except
     that a one-column table writes an empty cell as an empty line.
     """
-    lines = [",".join(map(_text_cell, header)), *map(",".join, zip(*map(_cells, columns)))]
+    lines = [",".join(csv_cells(header)), *map(",".join, zip(*map(csv_cells, columns)))]
     return "\n".join(lines) + "\n"
 
 
