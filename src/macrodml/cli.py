@@ -9,6 +9,7 @@ Exit codes: 0 success, 1 config error, 2 data error, 3 numerical failure,
 from __future__ import annotations
 
 import argparse
+import csv
 import hashlib
 import json
 import os
@@ -41,7 +42,6 @@ from .panel_data import (
     FundFilter,
     common_range,
     csv_cells,
-    csv_rows,
     csv_text,
     filter_funds,
     load_fund_meta_csv,
@@ -136,7 +136,8 @@ class PipelineConfig:
 
 
 def config_from_json(path: str) -> PipelineConfig:
-    doc = read_input(path, json.loads, ConfigError)
+    with read_input(path, ConfigError) as fh:
+        doc = json.load(fh)
     if not isinstance(doc, dict):
         raise ConfigError("config JSON must be an object")
     known = set(PipelineConfig.__dataclass_fields__)
@@ -207,8 +208,8 @@ def _check_replaceable(out_dir: str) -> None:
     if not names:
         return
     try:
-        manifest = read_input(os.path.join(out_dir, "manifest.json"), json.loads)
-        known = {"manifest.json", *PLOT_FILES, *manifest["files"].keys()}
+        with read_input(os.path.join(out_dir, "manifest.json")) as fh:
+            known = {"manifest.json", *PLOT_FILES, *json.load(fh)["files"].keys()}
     except (DataError, KeyError, TypeError, AttributeError):
         known = set()
     foreign = sorted(
@@ -292,7 +293,8 @@ def run_pipeline(config: PipelineConfig) -> dict:
         learners.append(("linear", LearnerSpec("linear")))
     if config.learner in ("boosted", "both"):
         if config.grid_path is not None:
-            grid = grid_from_json(read_input(config.grid_path, error=ConfigError))
+            with read_input(config.grid_path, ConfigError) as fh:
+                grid = grid_from_json(fh.read())
         else:
             grid = DEFAULT_GRID
         # tuning features mirror the estimation features, with unit means
@@ -375,7 +377,8 @@ def _read_numeric_csv(path: str, width: int) -> np.ndarray:
     and every cell goes through float(), as csv.reader and float() read it,
     so a file `run` wrote comes back with the bits it was written from.
     """
-    body = read_input(path).partition("\n")[2]
+    with read_input(path) as fh:
+        body = fh.read().partition("\n")[2]
     if not body:
         return np.empty((0, width))
     if not body.endswith("\n"):
@@ -408,7 +411,8 @@ def emit_plots(output_dir: str) -> list[str]:
     """Render corr_heatmap.svg, pca_scree.svg, residuals_fitted.svg from the
     CSVs a previous `run` left in output_dir."""
     path = os.path.join(output_dir, "corr.csv")
-    rows = read_input(path, csv_rows)[1:]
+    with read_input(path) as fh:
+        rows = list(csv.reader(fh))[1:]
     try:
         labels = [row[0] for row in rows]
         corr = np.array([[float(v) for v in row[1:]] for row in rows])
@@ -417,7 +421,8 @@ def emit_plots(output_dir: str) -> list[str]:
     heatmap = render_corr_heatmap(corr, labels)
 
     path = os.path.join(output_dir, "pca.csv")
-    header, *rows = read_input(path, csv_rows) or [[]]
+    with read_input(path) as fh:
+        header, *rows = list(csv.reader(fh)) or [[]]
     try:
         at = header.index("explained_ratio")
         explained = np.array([float(row[at]) for row in rows])
@@ -439,7 +444,8 @@ def emit_plots(output_dir: str) -> list[str]:
 
     manifest_path = os.path.join(output_dir, "manifest.json")
     if os.path.exists(manifest_path):
-        manifest = read_input(manifest_path, json.loads)
+        with read_input(manifest_path) as fh:
+            manifest = json.load(fh)
         manifest.setdefault("files", {}).update(svg_hashes)
         with open(manifest_path, "w") as fh:
             json.dump(manifest, fh, sort_keys=True, indent=2)

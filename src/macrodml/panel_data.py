@@ -8,8 +8,8 @@ control vector including lagged values. Every input file is read through
 
 from __future__ import annotations
 
+import contextlib
 import csv
-import io
 import re
 from dataclasses import dataclass
 
@@ -183,19 +183,21 @@ class PanelTable:
 # File I/O
 # ---------------------------------------------------------------------------
 
-def read_input(path, parse=str, error: type[MacrodmlError] | None = None):
-    """`parse` applied to the UTF-8 text of the input file at `path`, read
-    with its line ends as they are (CSV parses through `csv_rows`).
+@contextlib.contextmanager
+def read_input(path, error: type[MacrodmlError] | None = None):
+    """The input file at `path`, open as UTF-8 text with its line ends as
+    they are (newline="", as the csv module reads), for a `with` block that
+    reads it.
 
     Every way of reading a file fails with a typed error: one that cannot be
     opened or read raises MissingInput, and text that is not UTF-8 or that
-    `parse` rejects with csv.Error or ValueError (json's errors among them)
-    raises MalformedRow. Given `error` (ConfigError for a config or grid
-    file), each of these raises `error` instead.
+    the block's parse rejects with csv.Error or ValueError (json's errors
+    among them) raises MalformedRow. Given `error` (ConfigError for a config
+    or grid file), each of these raises `error` instead.
     """
     try:
         with open(path, encoding="utf-8", newline="") as fh:
-            return parse(fh.read())
+            yield fh
     except OSError as exc:
         reason = "not found" if isinstance(exc, FileNotFoundError) else exc.strerror or exc
         raise (error or MissingInput)(f"missing input: {path} ({reason})") from None
@@ -203,55 +205,51 @@ def read_input(path, parse=str, error: type[MacrodmlError] | None = None):
         raise (error or MalformedRow)(f"{path}: {exc}") from None
 
 
-def csv_rows(text: str) -> list[list[str]]:
-    """The rows of CSV text, a blank line as an empty row. A lone \\r ends a
-    line, as it does in a file opened with newline=""."""
-    return list(csv.reader(io.StringIO(text, newline="")))
-
-
 def load_tscs_csv(path, time_column: str = "date") -> TimeSeriesMatrix:
     """Load a wide CSV (header row, one time column, one column per series).
 
     Empty cells become NaN. Column order follows the file.
     """
-    rows = read_input(path, csv_rows)
-    if not rows:
-        raise MalformedRow("file has no header row")
-    header = rows[0]
-    if header.count(time_column) != 1:
-        raise DataError(f"expected exactly one {time_column!r} column")
-    if len(set(header)) != len(header):
-        raise DuplicateColumn("column names must be unique")
-    t_pos = header.index(time_column)
-    names = [h for i, h in enumerate(header) if i != t_pos]
+    with read_input(path) as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise MalformedRow("file has no header row") from None
+        if header.count(time_column) != 1:
+            raise DataError(f"expected exactly one {time_column!r} column")
+        if len(set(header)) != len(header):
+            raise DuplicateColumn("column names must be unique")
+        t_pos = header.index(time_column)
+        names = [h for i, h in enumerate(header) if i != t_pos]
 
-    months: list[str] = []
-    values: list[list[float]] = []
-    for lineno, row in enumerate(rows[1:], start=2):
-        if len(row) != len(header):
-            raise MalformedRow(
-                f"line {lineno}: expected {len(header)} cells, got {len(row)}"
-            )
-        month = row[t_pos]
-        month_to_int(month)  # raises UnparseableTime
-        months.append(month)
-        cells = []
-        for i, cell in enumerate(row):
-            if i == t_pos:
-                continue
-            if cell == "":
-                cells.append(np.nan)
-            else:
-                try:
-                    cells.append(float(cell))
-                except ValueError:
-                    raise MalformedRow(
-                        f"line {lineno}: cannot parse {cell!r} as a number"
-                    ) from None
-        values.append(cells)
+        months: list[str] = []
+        rows: list[list[float]] = []
+        for lineno, row in enumerate(reader, start=2):
+            if len(row) != len(header):
+                raise MalformedRow(
+                    f"line {lineno}: expected {len(header)} cells, got {len(row)}"
+                )
+            month = row[t_pos]
+            month_to_int(month)  # raises UnparseableTime
+            months.append(month)
+            cells = []
+            for i, cell in enumerate(row):
+                if i == t_pos:
+                    continue
+                if cell == "":
+                    cells.append(np.nan)
+                else:
+                    try:
+                        cells.append(float(cell))
+                    except ValueError:
+                        raise MalformedRow(
+                            f"line {lineno}: cannot parse {cell!r} as a number"
+                        ) from None
+            rows.append(cells)
 
-    matrix = np.array(values, dtype=float) if values else np.empty((0, len(names)))
-    return TimeSeriesMatrix(months, names, matrix)
+    values = np.array(rows, dtype=float) if rows else np.empty((0, len(names)))
+    return TimeSeriesMatrix(months, names, values)
 
 
 _QUOTED = re.compile(r'[,"\n]')
@@ -302,33 +300,34 @@ META_COLUMNS = ("ticker", "asset_class", "inception", "aum_musd", "managed")
 def load_fund_meta_csv(path) -> list[FundMeta]:
     """Load the fund-metadata sidecar (ticker,asset_class,inception,aum_musd,managed).
 
-    Column order is free and blank lines are skipped. A header without one
-    of those columns raises MalformedRow naming it.
+    A header without one of those columns raises MalformedRow naming it.
     """
-    header, *rows = read_input(path, csv_rows) or [[]]
-    missing = [name for name in META_COLUMNS if name not in header]
-    if missing:
-        raise MalformedRow(f"{path}: missing column(s) {', '.join(missing)}")
-    at = [header.index(name) for name in META_COLUMNS]
     catalog = []
     seen = set()
-    for lineno, row in enumerate(rows, start=2):
-        if not row:
-            continue
-        if len(row) != len(header):
-            raise MalformedRow(f"line {lineno}: expected {len(header)} cells, got {len(row)}")
-        ticker, asset_class, inception, aum, managed = (row[i] for i in at)
-        try:
-            aum_musd = float(aum)
-        except ValueError:
-            raise MalformedRow(
-                f"line {lineno}: cannot parse aum_musd {aum!r} as a number"
-            ) from None
-        meta = FundMeta(ticker, asset_class, inception, aum_musd, managed)
-        if meta.ticker in seen:
-            raise DuplicateColumn(f"duplicate ticker {meta.ticker!r}")
-        seen.add(meta.ticker)
-        catalog.append(meta)
+    with read_input(path) as fh:
+        reader = csv.DictReader(fh)
+        missing = [name for name in META_COLUMNS if name not in (reader.fieldnames or ())]
+        if missing:
+            raise MalformedRow(f"{path}: missing column(s) {', '.join(missing)}")
+        for rec in reader:
+            try:
+                aum = float(rec["aum_musd"])
+            except (TypeError, ValueError):
+                raise MalformedRow(
+                    f"line {reader.line_num}: cannot parse aum_musd "
+                    f"{rec['aum_musd']!r} as a number"
+                ) from None
+            meta = FundMeta(
+                ticker=rec["ticker"],
+                asset_class=rec["asset_class"],
+                inception=rec["inception"],
+                aum_musd=aum,
+                managed=rec["managed"],
+            )
+            if meta.ticker in seen:
+                raise DuplicateColumn(f"duplicate ticker {meta.ticker!r}")
+            seen.add(meta.ticker)
+            catalog.append(meta)
     return catalog
 
 
