@@ -270,11 +270,11 @@ def run_pipeline(config: PipelineConfig) -> dict:
 
     corr = correlation_matrix(kept)
     pca = pca_corr(corr)
-    art.add("corr.csv", csv_text(["variable", *kept.columns], [kept.columns, *corr.T.tolist()]))
+    art.add("corr.csv", csv_text(["variable", *kept.columns], [kept.columns, *corr.T]))
     art.add("pca.csv", csv_text(
         ["component", "eigenvalue", "explained_ratio", *kept.columns],
-        [[f"PC{i + 1}" for i in range(len(kept.columns))], pca.eigenvalues.tolist(),
-         pca.explained_ratio.tolist(), *pca.components.tolist()],
+        [[f"PC{i + 1}" for i in range(len(kept.columns))], pca.eigenvalues,
+         pca.explained_ratio, *pca.components],
     ))
 
     if config.lag_order == "auto":
@@ -326,12 +326,11 @@ def run_pipeline(config: PipelineConfig) -> dict:
 
     diagnostics_res = fits[-1][1]  # the last learner's residuals feed Fig-3 data
     summary = residual_diagnostics(diagnostics_res)
-    u = csv_cells(diagnostics_res.u.tolist())  # printed once for both tables
-    art.add("residuals.csv", csv_text(["fitted", "residual"], [diagnostics_res.g_hat.tolist(), u]))
+    u = csv_cells(diagnostics_res.u)  # printed once for both tables
+    art.add("residuals.csv", csv_text(["fitted", "residual"], [diagnostics_res.g_hat, u]))
     art.add("nuisance_residuals.csv", csv_text(
         ["row", "fold", "u", "v"],
-        [list(range(panel.n_rows)), diagnostics_res.fold_of.tolist(), u,
-         diagnostics_res.v.tolist()],
+        [np.arange(panel.n_rows), diagnostics_res.fold_of, u, diagnostics_res.v],
     ))
 
     manifest = {

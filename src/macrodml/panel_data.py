@@ -262,21 +262,25 @@ def _text_cell(cell: str) -> str:
 def csv_cells(column) -> list[str]:
     """A column's CSV cells, as `csv_text` prints them. A str column quotes a
     cell only when it holds a comma, a quote or a newline, doubling its
-    quotes. A number column is printed with one repr of it as a list: each
-    float as float.__repr__ (its shortest round-trip digits), each int as
-    int.__repr__ and None as an empty cell. Those cells hold no comma, quote
-    or newline, so `csv_text` prints a column of them as it is."""
-    if column and isinstance(column[0], str):
-        text = "".join(column)
-        if not any(c in text for c in ',"\n'):  # one scan per character clears most columns
-            return list(column)
-        return list(map(_text_cell, column))
-    return repr(list(column))[1:-1].replace("None", "").split(", ") if column else []
+    quotes. A number column, a sequence of Python numbers and None or a 1-D
+    numpy array, is printed with one repr of it as a list: each float as
+    float.__repr__ (its shortest round-trip digits), each int as int.__repr__
+    and None as an empty cell. Those cells hold no comma, quote or newline,
+    so `csv_text` prints a column of them as it is."""
+    cells = column.tolist() if isinstance(column, np.ndarray) else list(column)
+    if cells and isinstance(cells[0], str):
+        text = "".join(cells)
+        if any(c in text for c in ',"\n'):  # one scan per character clears most columns
+            cells = list(map(_text_cell, cells))
+        return cells
+    return repr(cells)[1:-1].replace("None", "").split(", ") if cells else []
 
 
 def csv_text(header, columns) -> str:
-    """The CSV text of a table given column by column: each column a
-    sequence of str, or of Python numbers and None, all of one length.
+    """The CSV text of a table given column by column (see `csv_cells`), all
+    of one length. A column given as an array is made a list only while it
+    is printed, so a large table never holds its numbers as Python objects
+    all at once.
 
     This is the one writer of every table the package prints. Its bytes are
     those of the csv module's writer with QUOTE_MINIMAL and lineterminator
@@ -291,7 +295,7 @@ def write_tscs_csv(matrix: TimeSeriesMatrix, path, time_column: str = "date") ->
     """Inverse of load_tscs_csv: NaN as an empty cell, full-precision floats."""
     values = np.where(np.isnan(matrix.values), None, matrix.values)  # Python floats and None
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(csv_text([time_column, *matrix.columns], [matrix.time_index, *values.T.tolist()]))
+        fh.write(csv_text([time_column, *matrix.columns], [matrix.time_index, *values.T]))
 
 
 META_COLUMNS = ("ticker", "asset_class", "inception", "aum_musd", "managed")

@@ -609,8 +609,9 @@ def test_numeric_table_text_matches_csv_writer():
     assert csv_text(header, table) == _csv_writer_text(header, zip(*table))
     assert csv_text(TEXT_CELLS, [[c] for c in TEXT_CELLS]) == _csv_writer_text(TEXT_CELLS, [TEXT_CELLS])
     assert csv_text(["a", "b"], [(1.5,), ("x",)]) == "a,b\n1.5,x\n"  # tuples print as lists
-    # number cells printed once and handed on as text print the same
+    # number cells printed once and handed on as text, and arrays, print the same
     assert (csv_text(["a", "b"], [csv_cells(SPECIAL_FLOATS), ints])
+            == csv_text(["a", "b"], [np.array(SPECIAL_FLOATS), np.arange(n)])
             == csv_text(["a", "b"], [SPECIAL_FLOATS, ints]))
     missing = [None, 1.5, None, 2, None]
     assert (csv_text(["a", "b"], [missing, missing[::-1]])
