@@ -445,7 +445,9 @@ def emit_plots(output_dir: str) -> list[str]:
     if os.path.exists(manifest_path):
         with read_input(manifest_path) as fh:
             manifest = json.load(fh)
-        manifest.setdefault("files", {}).update(svg_hashes)
+        if not isinstance(manifest, dict) or not isinstance(manifest.setdefault("files", {}), dict):
+            raise MalformedRow(f"{manifest_path}: not a run manifest")
+        manifest["files"].update(svg_hashes)
         with open(manifest_path, "w") as fh:
             json.dump(manifest, fh, sort_keys=True, indent=2)
             fh.write("\n")

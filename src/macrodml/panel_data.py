@@ -192,8 +192,9 @@ def read_input(path, error: type[MacrodmlError] | None = None):
     Every way of reading a file fails with a typed error: one that cannot be
     opened or read raises MissingInput, and text that is not UTF-8 or that
     the block's parse rejects with csv.Error or ValueError (json's errors
-    among them) raises MalformedRow. Given `error` (ConfigError for a config
-    or grid file), each of these raises `error` instead.
+    among them), or nests too deep for json (RecursionError), raises
+    MalformedRow. Given `error` (ConfigError for a config or grid file),
+    each of these raises `error` instead.
     """
     try:
         with open(path, encoding="utf-8", newline="") as fh:
@@ -201,7 +202,7 @@ def read_input(path, error: type[MacrodmlError] | None = None):
     except OSError as exc:
         reason = "not found" if isinstance(exc, FileNotFoundError) else exc.strerror or exc
         raise (error or MissingInput)(f"missing input: {path} ({reason})") from None
-    except (ValueError, csv.Error) as exc:  # UnicodeDecodeError is a ValueError
+    except (ValueError, csv.Error, RecursionError) as exc:  # UnicodeDecodeError is a ValueError
         raise (error or MalformedRow)(f"{path}: {exc}") from None
 
 

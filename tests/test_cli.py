@@ -484,11 +484,14 @@ def _replace_cell(text, line, cell):
     ("--funds", lambda text: b"\xff\xfe" + text.encode(), EXIT_DATA, "MalformedRow"),
     ("--funds", lambda text: _replace_cell(text, 5, "x" * 200_000).encode(), EXIT_DATA,
      "MalformedRow"),
-], ids=["funds_dir", "meta_dir", "grid_dir", "config_dir", "funds_not_utf8", "funds_huge_cell"])
+    ("--grid", lambda text: b"[" * 100_000, EXIT_CONFIG, "ConfigError"),
+], ids=["funds_dir", "meta_dir", "grid_dir", "config_dir", "funds_not_utf8", "funds_huge_cell",
+        "grid_nested_too_deep"])
 def test_unreadable_input_exits_with_a_typed_error(small_fx, tmp_path, capsys, flag, content,
                                                    code, error):
-    """A directory in place of a file, text that is not UTF-8 and a cell over
-    the csv module's field limit each end in one typed error line."""
+    """A directory in place of a file, text that is not UTF-8, a cell over
+    the csv module's field limit and JSON nested past the recursion limit
+    each end in one typed error line."""
     root, fx = small_fx
     path = tmp_path / "input"
     if content is None:
@@ -505,8 +508,9 @@ def test_unreadable_input_exits_with_a_typed_error(small_fx, tmp_path, capsys, f
 
 @pytest.mark.parametrize("name, content", [
     ("manifest.json", b"{bad"),
+    ("manifest.json", b"[1]"),
     ("corr.csv", b"variable,a\na,\xff1.0\n"),
-], ids=["manifest_not_json", "corr_not_utf8"])
+], ids=["manifest_not_json", "manifest_not_an_object", "corr_not_utf8"])
 def test_plots_on_unreadable_run_output_exits_data(full_run, tmp_path, capsys, name, content):
     out = tmp_path / "out"
     shutil.copytree(full_run["out"], out)
