@@ -253,11 +253,11 @@ def load_tscs_csv(path, time_column: str = "date") -> TimeSeriesMatrix:
     return TimeSeriesMatrix(months, names, values)
 
 
-_QUOTED = re.compile(r'[,"\n]')
+_QUOTED = ',"\n'  # a text cell holding any of these is quoted
 
 
 def _text_cell(cell: str) -> str:
-    return '"' + cell.replace('"', '""') + '"' if _QUOTED.search(cell) else cell
+    return '"' + cell.replace('"', '""') + '"' if any(c in cell for c in _QUOTED) else cell
 
 
 def csv_cells(column) -> list[str]:
@@ -271,7 +271,7 @@ def csv_cells(column) -> list[str]:
     cells = column.tolist() if isinstance(column, np.ndarray) else list(column)
     if cells and isinstance(cells[0], str):
         text = "".join(cells)
-        if any(c in text for c in ',"\n'):  # one scan per character clears most columns
+        if any(c in text for c in _QUOTED):  # one scan per character clears most columns
             cells = list(map(_text_cell, cells))
         return cells
     return repr(cells)[1:-1].replace("None", "").split(", ") if cells else []
