@@ -321,8 +321,10 @@ def run_pipeline(config: PipelineConfig) -> dict:
     ))
     art.add("per_1pct.csv", csv_text(["model", "per_1pct"],
                                      [names, [result.per_1pct for result in results]]))
-    art.add("r2.csv", csv_text(["model", "r2_y", "r2_d"],
-                               [names, [res.r2_y for _, res in fits], [res.r2_d for _, res in fits]]))
+    art.add("r2.csv", csv_text(
+        ["model", "r2_y", "r2_d"],
+        [names, [res.r2_y for _, res in fits], [res.r2_d for _, res in fits]],
+    ))
 
     diagnostics_res = fits[-1][1]  # the last learner's residuals feed Fig-3 data
     summary = residual_diagnostics(diagnostics_res)

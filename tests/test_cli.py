@@ -4,6 +4,7 @@ import hashlib
 import io
 import json
 import os
+import pathlib
 import platform
 import shutil
 import subprocess
@@ -497,7 +498,7 @@ def test_unreadable_input_exits_with_a_typed_error(small_fx, tmp_path, capsys, f
     if content is None:
         path.mkdir()
     else:
-        path.write_bytes(content(open(fx["funds_csv"], newline="").read()))
+        path.write_bytes(content(pathlib.Path(fx["funds_csv"]).read_bytes().decode()))
     out = tmp_path / "o"
     rc = main(run_args(fx, out, "--learner", "boosted", "--lag", "2", flag, str(path)))
     assert rc == code
@@ -554,18 +555,18 @@ def test_mutated_inputs_end_in_one_typed_error_line(small_fx, mutations):
     and emptied cells in the three input CSVs either run or exit 1, 2 or 3
     with a single code= line on stderr, never a traceback."""
     root, fx = small_fx
-    files = {key: open(fx[key], "rb").read() for key in ("funds_csv", "macro_csv", "meta_csv")}
+    files = {key: pathlib.Path(fx[key]).read_bytes()
+             for key in ("funds_csv", "macro_csv", "meta_csv")}
     for key, op, where, payload in mutations:
         files[key] = _mutate(files[key], op, where, payload)
     with tempfile.TemporaryDirectory() as tmp:
-        paths = {}
+        paths = {key: os.path.join(tmp, os.path.basename(fx[key])) for key in files}
         for key, data in files.items():
-            paths[key] = os.path.join(tmp, os.path.basename(fx[key]))
-            with open(paths[key], "wb") as fh:
-                fh.write(data)
+            pathlib.Path(paths[key]).write_bytes(data)
         err = io.StringIO()
         with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
-            rc = main(run_args(paths, os.path.join(tmp, "out"), "--learner", "linear", "--lag", "2"))
+            rc = main(run_args(paths, os.path.join(tmp, "out"),
+                               "--learner", "linear", "--lag", "2"))
     assert rc in (EXIT_OK, EXIT_CONFIG, EXIT_DATA, EXIT_NUMERICAL)
     lines = err.getvalue().splitlines()
     if rc != EXIT_OK:
@@ -611,7 +612,8 @@ def test_numeric_table_text_matches_csv_writer():
     header = ["name", *TEXT_CELLS[:4], "i"]
     table = [text, SPECIAL_FLOATS, text[::-1], ints, TEXT_CELLS[:1] * n, ints]
     assert csv_text(header, table) == _csv_writer_text(header, zip(*table))
-    assert csv_text(TEXT_CELLS, [[c] for c in TEXT_CELLS]) == _csv_writer_text(TEXT_CELLS, [TEXT_CELLS])
+    assert (csv_text(TEXT_CELLS, [[c] for c in TEXT_CELLS])
+            == _csv_writer_text(TEXT_CELLS, [TEXT_CELLS]))
     assert csv_text(["a", "b"], [(1.5,), ("x",)]) == "a,b\n1.5,x\n"  # tuples print as lists
     # number cells printed once and handed on as text, and arrays, print the same
     assert (csv_text(["a", "b"], [csv_cells(SPECIAL_FLOATS), ints])
