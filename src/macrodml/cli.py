@@ -9,6 +9,7 @@ Exit codes: 0 success, 1 config error, 2 data error, 3 numerical failure,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import hashlib
 import json
@@ -174,7 +175,7 @@ class _Artifacts:
         os.mkdir(stage)  # mode 0o777 less the umask, as os.makedirs gives
         try:
             for name, content in self.files.items():
-                with open(os.path.join(stage, name), "w", newline="") as fh:
+                with open(os.path.join(stage, name), "w", encoding="utf-8", newline="") as fh:
                     fh.write(content)
             _check_replaceable(out_dir)  # again: the run may have taken a while
             if os.path.lexists(out_dir):
@@ -408,9 +409,29 @@ def _read_numeric_csv(path: str, width: int) -> np.ndarray:
     return np.array(values).reshape(-1, width)
 
 
+def _replace_file(path: str, content: str) -> None:
+    """Write `content` to path as UTF-8 through a temporary file beside it and
+    os.replace, so path holds either its old bytes or all of the new ones."""
+    tmp = f"{path}.{os.urandom(8).hex()}.tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="") as fh:
+            fh.write(content)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise
+
+
 def emit_plots(output_dir: str) -> list[str]:
     """Render corr_heatmap.svg, pca_scree.svg, residuals_fitted.svg from the
-    CSVs a previous `run` left in output_dir."""
+    CSVs a previous `run` left in output_dir, and add their hashes to its
+    manifest.json when it has one.
+
+    Every input is read and checked before any file is written, so a bad one
+    leaves output_dir as it was; each figure, then the manifest, replaces its
+    file whole (`_replace_file`).
+    """
     path = os.path.join(output_dir, "corr.csv")
     with read_input(path) as fh:
         rows = list(csv.reader(fh))[1:]
@@ -434,25 +455,23 @@ def emit_plots(output_dir: str) -> list[str]:
     table = _read_numeric_csv(os.path.join(output_dir, "residuals.csv"), 2)
     scatter = render_residuals(table[:, 0], table[:, 1])
 
-    out_names = []
-    svg_hashes = {}
-    for name, content in zip(PLOT_FILES, (heatmap, scree, scatter)):
-        path = os.path.join(output_dir, name)
-        with open(path, "w") as fh:
-            fh.write(content)
-        svg_hashes[name] = hashlib.sha256(content.encode()).hexdigest()
-        out_names.append(path)
-
     manifest_path = os.path.join(output_dir, "manifest.json")
+    manifest = None
     if os.path.exists(manifest_path):
         with read_input(manifest_path) as fh:
             manifest = json.load(fh)
         if not isinstance(manifest, dict) or not isinstance(manifest.setdefault("files", {}), dict):
             raise MalformedRow(f"{manifest_path}: not a run manifest")
-        manifest["files"].update(svg_hashes)
-        with open(manifest_path, "w") as fh:
-            json.dump(manifest, fh, sort_keys=True, indent=2)
-            fh.write("\n")
+
+    out_names = []
+    for name, content in zip(PLOT_FILES, (heatmap, scree, scatter)):
+        path = os.path.join(output_dir, name)
+        _replace_file(path, content)
+        if manifest is not None:
+            manifest["files"][name] = hashlib.sha256(content.encode()).hexdigest()
+        out_names.append(path)
+    if manifest is not None:
+        _replace_file(manifest_path, json.dumps(manifest, sort_keys=True, indent=2) + "\n")
     return out_names
 
 

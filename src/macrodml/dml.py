@@ -31,7 +31,7 @@ from .learners import (
     predict,
     train_test_folds,
 )
-from .panel_data import PanelTable
+from .panel_data import PanelTable, x_rows
 
 Z_975 = 1.959964  # two-sided 5% normal quantile used for all intervals
 
@@ -57,29 +57,40 @@ class LearnerSpec:
 class PlrProblem:
     """One partially linear regression problem, optionally panel-aware.
 
-    unit_codes gives each row's unit as an integer 0, 1, ..., n_units - 1
-    (a panel's fund codes), so per-fold encoding groups rows by integers.
+    x is the (n, p) control matrix, or for a panel the PanelTable whose rows
+    `design_rows` gathers, so a panel's x is never held whole. unit_codes
+    gives each row's unit as an integer 0, 1, ..., n_units - 1 (a panel's
+    fund codes), so per-fold encoding groups rows by integers; month_codes
+    gives each row's month the same way.
     """
 
     y: np.ndarray
     d: np.ndarray
-    x: np.ndarray
+    x: np.ndarray | PanelTable
     unit_codes: np.ndarray | None = None
+    month_codes: np.ndarray | None = None
     n_units: int = field(init=False, default=0, compare=False)
 
     def __post_init__(self) -> None:
         self.y = np.asarray(self.y, dtype=float)
         self.d = np.asarray(self.d, dtype=float)
-        self.x = np.asarray(self.x, dtype=float)
         n = self.y.size
-        if self.d.size != n or self.x.shape[0] != n:
+        if isinstance(self.x, PanelTable):
+            n_x = self.x.n_rows
+        else:
+            self.x = np.asarray(self.x, dtype=float)
+            if self.x.ndim != 2:
+                raise DataError("x must be 2-dimensional")
+            n_x = self.x.shape[0]
+        if self.d.size != n or n_x != n:
             raise LengthMismatch("y, d, and x must have the same number of rows")
-        if self.x.ndim != 2:
-            raise DataError("x must be 2-dimensional")
+        for name in ("unit_codes", "month_codes"):
+            if getattr(self, name) is not None:
+                codes = np.asarray(getattr(self, name), dtype=np.intp)
+                if codes.size != n:
+                    raise LengthMismatch(f"{name} must match the number of rows")
+                setattr(self, name, codes)
         if self.unit_codes is not None:
-            self.unit_codes = np.asarray(self.unit_codes, dtype=np.intp)
-            if self.unit_codes.size != n:
-                raise LengthMismatch("unit_codes must match the number of rows")
             self.n_units = int(self.unit_codes.max()) + 1 if n else 0
         if n and np.ptp(self.d) == 0.0:
             raise DegenerateTreatment("treatment is constant across rows")
@@ -90,8 +101,8 @@ class PlrProblem:
 
 
 def problem_from_panel(panel: PanelTable) -> PlrProblem:
-    """The panel's arrays and fund codes, shared, not copied."""
-    return PlrProblem(panel.y, panel.d, panel.x, panel.unit_codes)
+    """The panel's arrays and codes, shared, not copied; x is the panel itself."""
+    return PlrProblem(panel.y, panel.d, panel, panel.unit_codes, panel.month_codes)
 
 
 @dataclass
@@ -121,18 +132,20 @@ class DmlResult:
 
 def _fit_predict(learner: LearnerSpec, rows_of, y, d, train, test) -> tuple[np.ndarray, np.ndarray]:
     """Predictions on the `test` rows of the y task (g) and the d task (m),
-    both fit on the `train` rows; `rows_of(rows, order)` returns those rows
-    of the design. An error names the task that failed.
+    both fit on the `train` rows; `rows_of(rows, order, intercept)` returns
+    those rows of the design (see `design_rows`). An error names the task
+    that failed.
 
     A linear learner fits both tasks from one QR of the training rows, copied
-    column-major for the QR, and gathers the test rows only after that fit,
-    so the two copies never coexist. Only the training rows can make that fit
-    fail, and the y task meets it first, so its errors name the y task, as
-    they would when the tasks are fit in turn.
+    column-major with the intercept column as `ols_fit` takes them, and
+    gathers the test rows only after that fit, so the two copies never
+    coexist. Only the training rows can make that fit fail, and the y task
+    meets it first, so its errors name the y task, as they would when the
+    tasks are fit in turn.
     """
     if learner.kind == "linear":
         try:
-            model = ols_fit(rows_of(train, "F"), np.stack([y[train], d[train]]))
+            model = ols_fit(rows_of(train, "F", True), np.stack([y[train], d[train]]))
             g, m = predict(model, rows_of(test))
         except Exception as exc:
             raise type(exc)(f"y-task: {exc}") from exc
@@ -169,28 +182,37 @@ def encode_features(problem: PlrProblem, train_mask: np.ndarray) -> np.ndarray:
 _ROW_BLOCK = 2048  # rows gathered per step of design_rows; a block stays in cache
 
 
-def design_rows(x: np.ndarray, means: np.ndarray, rows=slice(None),
-                order: str = "C") -> np.ndarray:
-    """x[rows] with means[rows] appended, copied straight into one array, so
-    selecting rows never builds the full encoded matrix first.
+def design_rows(x: np.ndarray | PanelTable, means: np.ndarray, rows=slice(None),
+                order: str = "C", intercept: bool = False) -> np.ndarray:
+    """x[rows] with means[rows] appended, and with `intercept` a leading
+    column of ones (the design `ols_fit` factors), copied straight into one
+    array, so selecting rows never builds the full matrix first. x is a
+    matrix or a PanelTable, whose rows `panel_data.x_rows` gathers.
 
     The rows are copied a block at a time, so `order="F"` (the column-major
     layout `ols_fit`'s QR reads) costs no more than a row-major copy.
     """
-    rows = np.arange(x.shape[0])[rows]
-    p = x.shape[1]
-    out = np.empty((rows.size, p + means.shape[1]), order=order)
+    panel = isinstance(x, PanelTable)
+    n, p = (x.n_rows, len(x.x_names)) if panel else x.shape
+    rows = np.arange(n)[rows]
+    lead = int(intercept)
+    out = np.empty((rows.size, lead + p + means.shape[1]), order=order)
+    out[:, :lead] = 1.0
     for start in range(0, rows.size, _ROW_BLOCK):
         block = rows[start:start + _ROW_BLOCK]
-        out[start:start + _ROW_BLOCK, :p] = x[block]
-        out[start:start + _ROW_BLOCK, p:] = means[block]
+        dest = out[start:start + _ROW_BLOCK]
+        if panel:
+            x_rows(x, block, dest[:, lead:lead + p])
+        else:
+            dest[:, lead:lead + p] = x[block]
+        dest[:, lead + p:] = means[block]
     return out
 
 
 def _design(problem: PlrProblem, train):
-    """(rows, order) -> those rows of the design, copied in that memory
-    order: x itself, or, for a problem with unit codes, x joined with the
-    unit outcome means of the `train` rows."""
+    """(rows, order, intercept) -> those rows of the design, copied in that
+    memory order: x itself, or, for a problem with unit codes, x joined with
+    the unit outcome means of the `train` rows."""
     if problem.unit_codes is None:
         means = np.empty((problem.n_obs, 0))
     else:
@@ -218,8 +240,8 @@ def cross_fit_nuisance(
     For problems with unit codes the unit outcome means are recomputed inside
     each training complement, so held-out rows never leak into the means
     they receive; the fold's training and test rows are copied straight from
-    x and that column. The stored r2_y/r2_d are computed on the pooled
-    out-of-fold predictions.
+    x (for a panel, its month table and fund returns) and that column. The
+    stored r2_y/r2_d are computed on the pooled out-of-fold predictions.
     """
     learner.validate()
     n = problem.n_obs

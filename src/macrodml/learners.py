@@ -107,44 +107,46 @@ def _as_xy(X, y, multi: bool = False) -> tuple[np.ndarray, np.ndarray]:
 
 
 def ols_fit(X, y) -> LinearModel:
-    """Least squares with an intercept, solved by QR.
+    """Least squares on the design X, whose column 0 is the intercept (all
+    ones), solved by QR. The model holds column 0's weight as its intercept
+    and one coefficient per other column: the features `predict` takes.
 
     `y` is one target of shape (n,) or m targets of shape (m, n). The design
     is factored once for all targets, and each target is solved on its own,
     so every fit is bit-identical to fitting that target alone.
 
-    The design [1, X] is built column-major, the layout LAPACK factors, so
-    the QR reads it with contiguous copies; a column-major X (see
-    `dml.design_rows`) is then copied column by column. The factorization is
+    The QR reads X column-major, the layout LAPACK factors, so the
+    reflectors and the bits of every fit do not depend on X's memory order.
+    A column-major X (see `dml.design_rows`) is factored as it is, and
+    numpy's copy for the QR is then the only other n-row array the fit
+    holds; any other X is first copied column-major. The factorization is
     kept as its Householder reflectors: Q.T @ target is the target with each
     reflector applied in turn, so the n-row Q is never formed.
 
-    Raises RankDeficient when the design (with intercept prepended) does not
-    have full column rank -- constant features are the usual culprit.
+    Raises RankDeficient when X does not have full column rank -- a constant
+    feature beside the intercept is the usual culprit.
     """
     X, y = _as_xy(X, y, multi=True)
     n, k = X.shape
-    if n <= k + 1:
-        raise TooFewRows(f"need more than {k + 1} rows to fit {k} features, got {n}")
-    Z = np.empty((n, k + 1), order="F")
-    Z[:, 0] = 1.0
-    Z[:, 1:] = X
-    h, tau = np.linalg.qr(Z, mode="raw")
-    del Z
-    R = np.triu(h[:, :k + 1].T)
+    if not (k and (X[:, 0] == 1.0).all()):
+        raise DimensionMismatch("column 0 of an OLS design must be the intercept, all ones")
+    if n <= k:
+        raise TooFewRows(f"need more than {k} rows to fit {k - 1} features, got {n}")
+    h, tau = np.linalg.qr(np.asfortranarray(X), mode="raw")
+    R = np.triu(h[:, :k].T)
     diag = np.abs(np.diag(R))
-    if diag.min() <= max(n, k + 1) * np.finfo(float).eps * max(diag.max(), 1.0):
+    if diag.min() <= max(n, k) * np.finfo(float).eps * max(diag.max(), 1.0):
         raise RankDeficient("design matrix is rank deficient")
     # Row i of h from column i on is reflector i, whose leading 1 LAPACK
     # leaves implicit (R's diagonal sits there); write it in.
-    h[np.arange(k + 1), np.arange(k + 1)] = 1.0
+    h[np.arange(k), np.arange(k)] = 1.0
     beta = []
     for target in np.atleast_2d(y):
         t = target.copy()
-        for i in range(k + 1):
+        for i in range(k):
             v = h[i, i:]
             t[i:] -= (tau[i] * (v @ t[i:])) * v
-        beta.append(np.linalg.solve(R, t[:k + 1]))
+        beta.append(np.linalg.solve(R, t[:k]))
     beta = np.stack(beta)
     if y.ndim == 1:
         return LinearModel(intercept=float(beta[0, 0]), coefficients=beta[0, 1:])

@@ -2,7 +2,8 @@
 
 The wide form is a months-by-series matrix (fund returns or macro variables);
 the long form is one row per (fund, month) with outcome, treatment, and a
-control vector including lagged values. Every input file is read through
+control vector including lagged values, gathered by `x_rows` from a month
+table and the fund returns. Every input file is read through
 `read_input` and every CSV table is printed by `csv_text`.
 """
 
@@ -148,7 +149,14 @@ class FundFilter:
 class PanelTable:
     """Long-form panel, one row per (fund, month) with complete lag window:
     row i is fund units[unit_codes[i]] (the sorted tickers with a row) in
-    month months[month_codes[i]]; rows are fund-major, months ascending."""
+    month months[month_codes[i]]; rows are fund-major, months ascending.
+
+    The controls x (one column per x_names entry) are never stored whole.
+    Every column but the `lag_order` own-return lags depends on the month
+    alone and sits in month_x, one row per month, at its x position; the
+    y_lag{j} column of row i is returns[month_codes[i] - j, unit_codes[i]],
+    with one returns column per unit. `x_rows` gathers any rows of x.
+    """
 
     units: list[str]
     months: list[str]
@@ -156,27 +164,61 @@ class PanelTable:
     month_codes: np.ndarray
     y: np.ndarray
     d: np.ndarray
-    x: np.ndarray
+    month_x: np.ndarray
+    returns: np.ndarray
     x_names: list[str]
+    lag_order: int
 
     def __post_init__(self) -> None:
         self.unit_codes = np.asarray(self.unit_codes, dtype=np.intp)
         self.month_codes = np.asarray(self.month_codes, dtype=np.intp)
         self.y = np.asarray(self.y, dtype=float)
         self.d = np.asarray(self.d, dtype=float)
-        self.x = np.asarray(self.x, dtype=float)
+        self.month_x = np.asarray(self.month_x, dtype=float)
+        self.returns = np.asarray(self.returns, dtype=float)
         n = self.unit_codes.size
-        if not (self.month_codes.size == self.y.size == self.d.size == len(self.x) == n):
+        if not (self.month_codes.size == self.y.size == self.d.size == n):
             raise DataError("panel column lengths disagree")
-        if self.x.shape[1] != len(self.x_names):
-            raise DataError("x width does not match x_names")
+        if self.month_x.shape != (len(self.months), len(self.x_names)):
+            raise DataError("month_x must hold one row per month and one column per x name")
+        if self.returns.shape != (len(self.months), len(self.units)):
+            raise DataError("returns must hold one row per month and one column per unit")
+        if len(_y_lag_columns(len(self.x_names), self.lag_order)) != self.lag_order:
+            raise DataError(f"{len(self.x_names)} x columns cannot hold {self.lag_order} lags")
         step_u = np.diff(self.unit_codes)
         if not np.all((step_u > 0) | ((step_u == 0) & (np.diff(self.month_codes) > 0))):
             raise DataError("rows must be fund-major with months strictly ascending")
+        if n and not (0 <= self.unit_codes[0] <= self.unit_codes[-1] < len(self.units)
+                      and self.lag_order <= self.month_codes.min()
+                      and self.month_codes.max() < len(self.months)):
+            raise DataError("a row's fund or lag window lies outside the panel")
 
     @property
     def n_rows(self) -> int:
         return self.unit_codes.size
+
+
+def _y_lag_columns(width: int, p: int) -> list[int]:
+    """x positions of y_lag1..y_lagp in an x of `width` columns laid out as
+    `to_panel` describes: K controls, then per lag [y, treatment, K controls].
+    Empty (a mismatch) when `width` is not K + p * (K + 2) for some K >= 0."""
+    k, extra = divmod(width - 2 * p, p + 1)
+    if k < 0 or extra:
+        return []
+    return [k + (j - 1) * (k + 2) for j in range(1, p + 1)]
+
+
+def x_rows(panel: PanelTable, rows: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Write x[rows] of the panel into `out` (len(rows) x width, any memory
+    order) and return it: the month columns from month_x, then each y_lag{j}
+    from the unit's return j months earlier. The values and their column
+    order are those of the x `to_panel` describes."""
+    t = panel.month_codes[rows]
+    u = panel.unit_codes[rows]
+    out[...] = panel.month_x[t]
+    for j, col in enumerate(_y_lag_columns(panel.month_x.shape[1], panel.lag_order), start=1):
+        out[:, col] = panel.returns[t - j, u]
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -377,8 +419,9 @@ def to_panel(
     are dropped per fund, not globally. Rows are ordered by fund ticker, then
     month. A lag window longer than the series leaves the panel empty.
 
-    The control vector is [controls at t] followed, for each lag j = 1..p,
-    by [y_lag{j}, {treatment_name}_lag{j}, <control>_lag{j}...].
+    The control vector x is [controls at t] followed, for each lag j = 1..p,
+    by [y_lag{j}, {treatment_name}_lag{j}, <control>_lag{j}...]. The table
+    keeps it as a month table and the fund returns; `x_rows` gathers its rows.
     """
     if lag_order < 0:
         raise ValueError("lag_order must be >= 0")
@@ -415,14 +458,14 @@ def to_panel(
     # renumber the funds with a row 0, 1, ... in ticker order
     unit_of = np.cumsum(has_rows) - 1
 
+    # x's month-only columns, one row per month; a lag reaching before the
+    # first month stays NaN, and no row has such a lag
     K = X.shape[1]
-    x = np.empty((f.size, len(x_names)))
-    x[:, :K] = X[t]
-    for j in range(1, p + 1):
-        col = K + (j - 1) * (K + 2)
-        x[:, col] = Y[t - j, f]
-        x[:, col + 1] = d[t - j]
-        x[:, col + 2 : col + 2 + K] = X[t - j]
+    month_x = np.full((T, len(x_names)), np.nan)
+    month_x[:, :K] = X
+    for j, col in enumerate(_y_lag_columns(len(x_names), p), start=1):
+        month_x[j:, col + 1] = d[: max(T - j, 0)]
+        month_x[j:, col + 2 : col + 2 + K] = X[: max(T - j, 0)]
     return PanelTable(
         [ticker for ticker, kept in zip(tickers, has_rows.tolist()) if kept],
         list(funds.time_index),
@@ -430,6 +473,8 @@ def to_panel(
         t,
         Y[t, f],
         d[t],
-        x,
+        month_x,
+        Y[:, has_rows],
         x_names,
+        p,
     )

@@ -115,12 +115,14 @@ def check_fwl_equivalence(seed: int = 0, reps: int | None = None) -> CriterionRe
             kind="plr_linear", theta_true=theta, n=200, k_controls=5,
             noise_sd=1.0, seed=seed + i,
         ))
-        g_hat, m_hat = predict(ols_fit(problem.x, np.stack([problem.y, problem.d])), problem.x)
+        ones = np.ones(problem.n_obs)
+        g_hat, m_hat = predict(ols_fit(np.column_stack([ones, problem.x]),
+                                       np.stack([problem.y, problem.d])), problem.x)
         res = NuisanceResiduals(problem.y - g_hat, problem.d - m_hat,
                                 np.zeros(problem.n_obs, dtype=np.int64),
                                 float("nan"), float("nan"), g_hat, m_hat)
         result = plr_estimate(res, problem.d, problem.y)
-        full = ols_fit(np.column_stack([problem.d, problem.x]), problem.y)
+        full = ols_fit(np.column_stack([ones, problem.d, problem.x]), problem.y)
         worst = max(worst, abs(result.theta - float(full.coefficients[0])))
     return CriterionResult(
         3, "FWL equivalence",

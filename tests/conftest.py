@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from macrodml.cli import EXIT_OK, main
-from macrodml.panel_data import TimeSeriesMatrix, month_range
+from macrodml.panel_data import TimeSeriesMatrix, month_range, x_rows
 from macrodml.synth import gen_pipeline_fixture
 
 
@@ -17,6 +17,12 @@ def make_tsm(values, start="2000-01", names=None) -> TimeSeriesMatrix:
     if names is None:
         names = [f"c{j + 1}" for j in range(values.shape[1])]
     return TimeSeriesMatrix(month_range(start, values.shape[0]), list(names), values)
+
+
+def panel_x(panel) -> np.ndarray:
+    """The panel's whole x, gathered row by row with x_rows."""
+    out = np.empty((panel.n_rows, len(panel.x_names)))
+    return x_rows(panel, np.arange(panel.n_rows), out)
 
 
 def read_csv(path):

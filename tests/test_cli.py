@@ -513,13 +513,43 @@ def test_unreadable_input_exits_with_a_typed_error(small_fx, tmp_path, capsys, f
     ("corr.csv", b"variable,a\na,\xff1.0\n"),
 ], ids=["manifest_not_json", "manifest_not_an_object", "corr_not_utf8"])
 def test_plots_on_unreadable_run_output_exits_data(full_run, tmp_path, capsys, name, content):
+    """Every input is checked before anything is written: the failed call
+    leaves the directory as it found it, with no figure in it."""
     out = tmp_path / "out"
     shutil.copytree(full_run["out"], out)
+    for figure in cli.PLOT_FILES:  # another test may have run plots on the shared run
+        (out / figure).unlink(missing_ok=True)
     (out / name).write_bytes(content)
+    before = {path.name: path.read_bytes() for path in out.iterdir()}
     assert main(["plots", "--out", str(out)]) == EXIT_DATA
     err = capsys.readouterr().err
     assert err.startswith("code=2 error=MalformedRow message=") and err.count("\n") == 1
     assert name in err
+    assert {path.name: path.read_bytes() for path in out.iterdir()} == before
+
+
+def test_outputs_are_utf8_under_an_ascii_locale(small_fx, tmp_path):
+    """Macro names outside ASCII reach adf_screen.csv, corr.csv and the
+    heatmap. Under a C locale with UTF-8 mode off, run and plots still write
+    every file as UTF-8, so its bytes hash to the manifest's entry."""
+    _, fx = small_fx
+    header, body = pathlib.Path(fx["macro_csv"]).read_text(encoding="utf-8").split("\n", 1)
+    macro = tmp_path / "macro.csv"
+    header = header.replace("junk_rw", "junk_rw_\u00e9").replace("ctrl1", "ctrl1_\u00e9")
+    macro.write_text(header + "\n" + body, encoding="utf-8")
+    out = tmp_path / "out"
+    env = {**os.environ, "LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0"}
+    for args in (run_args({**fx, "macro_csv": str(macro)}, out, "--learner", "linear", "--lag", "2"),
+                 ["plots", "--out", str(out)]):
+        proc = subprocess.run([sys.executable, "-X", "utf8=0", "-m", "macrodml", *args],
+                              capture_output=True, text=True, env=env)
+        assert proc.returncode == EXIT_OK, proc.stderr
+    assert "ctrl1_\u00e9" in (out / "corr_heatmap.svg").read_text(encoding="utf-8")
+    assert "junk_rw_\u00e9" in (out / "adf_screen.csv").read_text(encoding="utf-8")
+    files = read_manifest(out)["files"]
+    assert set(files) == set(os.listdir(out)) - {"manifest.json"}
+    for name, digest in files.items():
+        assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name
 
 
 _INSERTS = st.one_of(

@@ -84,14 +84,18 @@ def test_problem_validates_shapes():
         PlrProblem(np.arange(3.0), np.ones(3), np.zeros((3, 1)))
     with pytest.raises(LengthMismatch):
         PlrProblem(np.arange(3.0), np.arange(3.0), np.zeros((3, 1)), unit_codes=[0])
+    with pytest.raises(LengthMismatch):
+        PlrProblem(np.arange(3.0), np.arange(3.0), np.zeros((3, 1)), month_codes=[0, 1])
 
 
 def test_problem_from_panel_carries_units():
     panel = PanelTable(["A", "B"], ["2000-01"], [0, 1], [0, 0],
                        np.array([1.0, 2.0]), np.array([0.0, 1.0]),
-                       np.zeros((2, 1)), ["x1"])
+                       np.zeros((1, 1)), np.zeros((1, 2)), ["x1"], 0)
     problem = problem_from_panel(panel)
     assert problem.unit_codes is panel.unit_codes
+    assert problem.month_codes is panel.month_codes
+    assert problem.x is panel
     assert problem.n_units == 2
 
 
@@ -150,11 +154,13 @@ def test_degenerate_when_treatment_residual_vanishes():
 
 def test_nosplit_linear_matches_full_ols():
     problem, _ = gen_plr(SynthSpec(kind="plr_linear", theta_true=1.3, n=300, seed=4))
-    g_hat, m_hat = predict(ols_fit(problem.x, np.stack([problem.y, problem.d])), problem.x)
+    ones = np.ones(problem.n_obs)
+    g_hat, m_hat = predict(ols_fit(np.column_stack([ones, problem.x]),
+                                   np.stack([problem.y, problem.d])), problem.x)
     res = NuisanceResiduals(problem.y - g_hat, problem.d - m_hat,
                             np.zeros(problem.n_obs, dtype=np.int64), 0.0, 0.0, g_hat, m_hat)
     result = plr_estimate(res, problem.d, problem.y)
-    full = ols_fit(np.column_stack([problem.d, problem.x]), problem.y)
+    full = ols_fit(np.column_stack([ones, problem.d, problem.x]), problem.y)
     assert abs(result.theta - full.coefficients[0]) < 1e-8
 
 
@@ -258,7 +264,8 @@ def test_linear_cross_fit_one_ols_per_fold_matches_separate_fits(monkeypatch, pa
         if panel:  # the whole encoded matrix is the reference for the row copies
             X = np.hstack([X, encode_features(problem, np.isin(np.arange(n), train))])
         for target, fitted in ((problem.y, res.g_hat), (problem.d, res.m_hat)):
-            alone = predict(ols_fit(X[train], target[train]), X[test])
+            design = np.column_stack([np.ones(train.size), X[train]])
+            alone = predict(ols_fit(design, target[train]), X[test])
             assert np.array_equal(fitted[test], alone)
 
 

@@ -39,8 +39,14 @@ from macrodml.learners import (
 # OLS
 # ---------------------------------------------------------------------------
 
+def _with_intercept(X):
+    """[1, X]: the design ols_fit takes, column 0 the intercept."""
+    X = np.asarray(X, dtype=float)
+    return np.column_stack([np.ones(X.shape[0]), X])
+
+
 def test_ols_hand_example():
-    model = ols_fit([1.0, 2.0, 3.0], [2.0, 2.0, 4.0])
+    model = ols_fit(_with_intercept([1.0, 2.0, 3.0]), [2.0, 2.0, 4.0])
     assert model.coefficients[0] == pytest.approx(1.0, abs=1e-12)
     assert model.intercept == pytest.approx(2.0 / 3.0, abs=1e-12)
 
@@ -48,7 +54,7 @@ def test_ols_hand_example():
 def test_ols_residuals_orthogonal(rng):
     X = rng.standard_normal((60, 4))
     y = rng.standard_normal(60)
-    model = ols_fit(X, y)
+    model = ols_fit(_with_intercept(X), y)
     resid = y - predict(model, X)
     assert abs(resid.sum()) < 1e-9  # intercept absorbs the mean
     assert np.all(np.abs(X.T @ resid) < 1e-9)
@@ -57,8 +63,8 @@ def test_ols_residuals_orthogonal(rng):
 def test_ols_matches_normal_equations(rng):
     X = rng.standard_normal((50, 3))
     y = X @ [1.0, -2.0, 0.5] + 0.1 * rng.standard_normal(50)
-    model = ols_fit(X, y)
     Z = np.column_stack([np.ones(50), X])
+    model = ols_fit(Z, y)
     beta = np.linalg.solve(Z.T @ Z, Z.T @ y)
     assert model.intercept == pytest.approx(beta[0], abs=1e-10)
     assert np.allclose(model.coefficients, beta[1:], atol=1e-10)
@@ -67,14 +73,20 @@ def test_ols_matches_normal_equations(rng):
 def test_ols_rank_deficient():
     x = np.arange(10.0)
     with pytest.raises(RankDeficient):
-        ols_fit(np.column_stack([x, 2.0 * x]), x)
+        ols_fit(_with_intercept(np.column_stack([x, 2.0 * x])), x)
     with pytest.raises(RankDeficient):
-        ols_fit(np.ones((10, 1)), x)  # constant column collides with intercept
+        ols_fit(_with_intercept(np.ones((10, 1))), x)  # constant column collides with intercept
 
 
 def test_ols_too_few_rows():
     with pytest.raises(TooFewRows):
-        ols_fit(np.eye(3)[:, :2], np.arange(3.0))
+        ols_fit(_with_intercept(np.eye(3)[:, :2]), np.arange(3.0))
+
+
+@pytest.mark.parametrize("design", [np.arange(20.0).reshape(10, 2), np.zeros((10, 0))])
+def test_ols_design_must_lead_with_the_intercept(design):
+    with pytest.raises(DimensionMismatch, match="intercept"):
+        ols_fit(design, np.arange(10.0))
 
 
 @pytest.mark.parametrize("n, k, m", [(50, 3, 2), (400, 38, 3)])
@@ -82,12 +94,12 @@ def test_ols_shared_design_matches_single_target_fits(rng, n, k, m):
     X = rng.standard_normal((n, k))
     Y = X[:, :m].T + rng.standard_normal((m, n))
     X_new = rng.standard_normal((n // 2, k))
-    shared = ols_fit(X, Y)
+    shared = ols_fit(_with_intercept(X), Y)
     assert shared.intercept.shape == (m,) and shared.coefficients.shape == (m, k)
     preds = predict(shared, X_new)
     assert preds.shape == (m, n // 2)
     for j in range(m):
-        alone = ols_fit(X, Y[j].copy())
+        alone = ols_fit(_with_intercept(X), Y[j].copy())
         assert shared.intercept[j] == alone.intercept
         assert np.array_equal(shared.coefficients[j], alone.coefficients)
         assert np.array_equal(preds[j], predict(alone, X_new))
@@ -96,11 +108,11 @@ def test_ols_shared_design_matches_single_target_fits(rng, n, k, m):
 def test_ols_shared_design_checks():
     x = np.arange(10.0)
     with pytest.raises(RankDeficient):
-        ols_fit(np.column_stack([x, 2.0 * x]), np.stack([x, -x]))
+        ols_fit(_with_intercept(np.column_stack([x, 2.0 * x])), np.stack([x, -x]))
     with pytest.raises(LengthMismatch):
-        ols_fit(x[:, None], np.zeros((2, 9)))
+        ols_fit(_with_intercept(x), np.zeros((2, 9)))
     with pytest.raises(LengthMismatch):
-        ols_fit(x[:, None], np.zeros((1, 2, 10)))
+        ols_fit(_with_intercept(x), np.zeros((1, 2, 10)))
 
 
 def test_predict_dimension_checks():
@@ -427,11 +439,10 @@ def test_gbt_matches_the_reference_trees_bit_for_bit(rng, params):
     assert np.array_equal(predict(model, np.asfortranarray(X_new)), ref_pred)
 
 
-def _ref_ols(X, y):
-    """ols_fit's solve from a row-major np.column_stack design: LAPACK's
+def _ref_ols(Z, y):
+    """ols_fit's solve from a row-major np.column_stack design Z: LAPACK's
     Householder reflectors (leading 1 implicit) applied to each target in
     turn, then R solved."""
-    Z = np.column_stack([np.ones(X.shape[0]), X])
     h, tau = np.linalg.qr(Z, mode="raw")
     R = np.triu(h.T[:tau.size])
     beta = []
@@ -449,8 +460,9 @@ def test_ols_column_major_design_matches_column_stack_bit_for_bit(rng, m):
     X = rng.standard_normal((3000, 39)) * rng.uniform(0.1, 50.0, 39)
     Y = X[:, :m].T + rng.standard_normal((m, 3000))
     y = Y[0] if m == 1 else Y
-    beta = _ref_ols(X, y)
-    for design in (X, np.asfortranarray(X)):
+    Z = np.column_stack([np.ones(3000), X])
+    beta = _ref_ols(Z, y)
+    for design in (Z, np.asfortranarray(Z)):
         model = ols_fit(design, y)
         assert np.array_equal(np.atleast_1d(model.intercept), beta[:, 0])
         assert np.array_equal(np.atleast_2d(model.coefficients), beta[:, 1:])
@@ -460,26 +472,27 @@ def test_ols_column_major_design_matches_column_stack_bit_for_bit(rng, m):
 def test_ols_matches_lstsq(rng, m):
     X = rng.standard_normal((3000, 39)) * rng.uniform(0.1, 50.0, 39)
     Y = X[:, :m].T + rng.standard_normal((m, 3000))
-    model = ols_fit(X, Y[0] if m == 1 else Y)
-    beta = np.column_stack([np.atleast_1d(model.intercept), np.atleast_2d(model.coefficients)])
     Z = np.column_stack([np.ones(3000), X])
+    model = ols_fit(Z, Y[0] if m == 1 else Y)
+    beta = np.column_stack([np.atleast_1d(model.intercept), np.atleast_2d(model.coefficients)])
     for j in range(m):
         ref = np.linalg.lstsq(Z, Y[j], rcond=None)[0]
         assert np.linalg.norm(beta[j] - ref) <= 1e-9 * np.linalg.norm(ref)
 
 
 def test_ols_never_holds_a_second_n_row_factor(rng):
-    """ols_fit holds [1, X] and LAPACK's factored copy of it, never an n-row
-    Q beside them: its traced peak stays below 2.5 times the design."""
-    X = np.asfortranarray(rng.standard_normal((20000, 39)))
-    Y = np.stack([X[:, 0], X[:, 1]]) + rng.standard_normal((2, 20000))
+    """Given a column-major design, ols_fit holds only numpy's copy of it for
+    the QR, never a second design or an n-row Q: its traced peak stays below
+    1.5 times the design."""
+    X = np.asfortranarray(_with_intercept(rng.standard_normal((20000, 38))))
+    Y = np.stack([X[:, 1], X[:, 2]]) + rng.standard_normal((2, 20000))
     tracemalloc.start()
     try:
         ols_fit(X, Y)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 2.5 * X.nbytes
+    assert peak < 1.5 * X.nbytes
 
 
 def test_gbt_refit_is_bit_identical(rng):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -28,7 +30,11 @@ from macrodml.panel_data import (
     write_tscs_csv,
 )
 
-from conftest import make_tsm
+from macrodml import dml
+from macrodml.dml import design_rows, encode_features, problem_from_panel
+from macrodml.learners import kfold_split, train_test_folds
+
+from conftest import make_tsm, panel_x
 
 
 # ---------------------------------------------------------------------------
@@ -231,7 +237,7 @@ def test_to_panel_row_count_complete_data():
     panel = to_panel(funds, macro, "d", lag_order=2)
     # each fund contributes T - p complete windows
     assert panel.n_rows == 3 * (10 - 2)
-    assert panel.x.shape[1] == len(panel.x_names)
+    assert panel_x(panel).shape == (panel.n_rows, len(panel.x_names))
 
 
 def test_to_panel_p0_keeps_all_complete_rows():
@@ -254,7 +260,7 @@ def test_to_panel_x_layout_and_values():
     t = 2
     y = funds.column("F0")
     X = controls.values
-    row = panel.x[0]
+    row = panel_x(panel)[0]
     assert panel.months[panel.month_codes[0]] == funds.time_index[t]
     assert panel.y[0] == y[t] and panel.d[0] == d[t]
     expect = [X[t, 0], X[t, 1],
@@ -330,8 +336,9 @@ def _reference_rows(funds_v, names, d_v, controls_v, p):
     return rows
 
 
-@pytest.mark.parametrize("p", [0, 1, 3])
-def test_to_panel_values_match_row_loop(p):
+def _row_loop_case(p):
+    """Two funds with gaps, given out of ticker order, their panel at lag p
+    and `_reference_rows` of them."""
     rng = np.random.default_rng(40 + p)
     T, k = 14, 2
     names = ["FB", "FA"]  # not in sorted order
@@ -346,8 +353,12 @@ def test_to_panel_values_match_row_loop(p):
     funds = make_tsm(funds_v, names=names)
     macro = _with_treatment(make_tsm(controls_v), d_v)
     panel = to_panel(funds, macro, "d", lag_order=p)
+    return funds, panel, _reference_rows(funds_v, names, d_v, controls_v, p)
 
-    rows = _reference_rows(funds_v, names, d_v, controls_v, p)
+
+@pytest.mark.parametrize("p", [0, 1, 3])
+def test_to_panel_values_match_row_loop(p):
+    funds, panel, rows = _row_loop_case(p)
     assert rows and {r[0] for r in rows} == {"FA", "FB"}
     assert panel.units == ["FA", "FB"]
     assert panel.months == funds.time_index
@@ -356,9 +367,32 @@ def test_to_panel_values_match_row_loop(p):
     assert np.array_equal(panel.y, [r[2] for r in rows])
     assert np.array_equal(panel.d, [r[3] for r in rows])
     ref_x = np.array([r[4] for r in rows])
-    assert panel.x.shape == ref_x.shape == (len(rows), len(panel.x_names))
+    x = panel_x(panel)
+    assert x.shape == ref_x.shape == (len(rows), len(panel.x_names))
     for c, name in enumerate(panel.x_names):
-        assert np.array_equal(panel.x[:, c], ref_x[:, c]), name
+        assert np.array_equal(x[:, c], ref_x[:, c]), name
+
+
+@pytest.mark.parametrize("p", [0, 1, 3])
+def test_fold_designs_keep_the_row_loop_bits(monkeypatch, p):
+    """Every fold's design, gathered block by block from the month table and
+    the fund returns, holds the bits of [1, x, unit means] built from the row
+    loop's x, in either memory order, with and without the intercept."""
+    monkeypatch.setattr(dml, "_ROW_BLOCK", 5)  # several blocks per fold
+    _, panel, ref_rows = _row_loop_case(p)
+    problem = problem_from_panel(panel)
+    x_ref = np.array([r[4] for r in ref_rows])
+    n = panel.n_rows
+    for train, test in train_test_folds(kfold_split(n, 3, seed=2)):
+        means = encode_features(problem, np.isin(np.arange(n), train))
+        for rows in (train, test, np.arange(n)):
+            ref = np.column_stack([np.ones(rows.size), x_ref[rows], means[rows]])
+            for order in ("C", "F"):
+                got = design_rows(problem.x, means, rows, order, intercept=True)
+                assert got.flags[f"{order}_CONTIGUOUS"]
+                assert np.array_equal(got.view(np.uint64), ref.view(np.uint64))
+                got = design_rows(problem.x, means, rows, order)
+                assert np.array_equal(got.view(np.uint64), ref[:, 1:].view(np.uint64))
 
 
 def test_to_panel_codes_skip_funds_without_rows():
@@ -383,12 +417,30 @@ def test_to_panel_codes_skip_funds_without_rows():
 def test_panel_rows_must_be_fund_major_and_unique(units, months, message):
     def build():
         return PanelTable(["A", "B"], ["2000-01", "2000-02"], units, months,
-                          np.zeros(2), np.arange(2.0), np.zeros((2, 1)), ["x1"])
+                          np.zeros(2), np.arange(2.0), np.zeros((2, 1)), np.zeros((2, 2)),
+                          ["x1"], 0)
     if message is None:
         assert build().n_rows == 2
     else:
         with pytest.raises(DataError, match=message):
             build()
+
+
+@pytest.mark.parametrize("change, message", [
+    (dict(month_x=np.zeros((3, 4))), "one row per month"),
+    (dict(returns=np.zeros((2, 1))), "one column per unit"),
+    (dict(x_names=["c", "y_lag1", "d_lag1"], month_x=np.zeros((2, 3))), "cannot hold 1 lags"),
+    (dict(month_codes=[0, 1]), "lag window"),
+    (dict(unit_codes=[0, 2]), "outside the panel"),
+])
+def test_panel_table_checks_its_gather_sources(change, message):
+    args = dict(units=["A", "B"], months=["2000-01", "2000-02"], unit_codes=[0, 1],
+                month_codes=[1, 1], y=np.zeros(2), d=np.arange(2.0), month_x=np.zeros((2, 4)),
+                returns=np.zeros((2, 2)), x_names=["c", "y_lag1", "d_lag1", "c_lag1"],
+                lag_order=1)
+    assert PanelTable(**args).n_rows == 2
+    with pytest.raises(DataError, match=message):
+        PanelTable(**{**args, **change})
 
 
 def _series_inputs(values):
@@ -404,14 +456,14 @@ def test_to_panel_lag1_is_the_value_one_month_earlier():
     assert panel.x_names == ["c", "y_lag1", "d_lag1", "c_lag1"]
     assert panel.month_codes.tolist() == [1, 2]
     assert np.array_equal(panel.y, [6.0, 7.0])
-    assert np.array_equal(panel.x, [[600.0, 5.0, 50.0, 500.0], [700.0, 6.0, 60.0, 600.0]])
+    assert np.array_equal(panel_x(panel), [[600.0, 5.0, 50.0, 500.0], [700.0, 6.0, 60.0, 600.0]])
 
 
 def test_to_panel_p2_keeps_only_the_last_of_three_months():
     funds, macro = _series_inputs([1.0, 2.0, 3.0])
     panel = to_panel(funds, macro, "d", lag_order=2)
     assert panel.month_codes.tolist() == [2]
-    assert np.array_equal(panel.x, [[300.0, 2.0, 20.0, 200.0, 1.0, 10.0, 100.0]])
+    assert np.array_equal(panel_x(panel), [[300.0, 2.0, 20.0, 200.0, 1.0, 10.0, 100.0]])
 
 
 @pytest.mark.parametrize("p", [3, 4, 10])
@@ -420,7 +472,26 @@ def test_to_panel_lag_window_longer_than_series_is_empty(p):
     assert to_panel(funds, macro, "d", lag_order=2).n_rows == 2
     panel = to_panel(funds, macro, "d", lag_order=p)
     assert panel.n_rows == 0 and panel.units == []
-    assert panel.x.shape == (0, 2 + p * (2 + 2)) == (0, len(panel.x_names))
+    assert panel_x(panel).shape == (0, 2 + p * (2 + 2)) == (0, len(panel.x_names))
+
+
+def test_to_panel_never_holds_the_whole_x():
+    """to_panel keeps x as a month table and the fund returns: on a 400-fund
+    panel of 492 months at lag 7 (196,800 rows, 38 columns) its traced peak
+    stays below half of x's rows x width x 8 bytes."""
+    rng = np.random.default_rng(3)
+    T, n_funds, p = 499, 400, 7
+    funds = make_tsm(rng.standard_normal((T, n_funds)),
+                     names=[f"F{i:03d}" for i in range(n_funds)])
+    macro = make_tsm(rng.standard_normal((T, 4)), names=["d", "c1", "c2", "c3"])
+    tracemalloc.start()
+    try:
+        panel = to_panel(funds, macro, "d", lag_order=p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (panel.n_rows, len(panel.x_names)) == (n_funds * (T - p), 38)
+    assert peak < 0.5 * panel.n_rows * len(panel.x_names) * 8
 
 
 def test_to_panel_requires_shared_index():

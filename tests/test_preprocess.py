@@ -27,7 +27,7 @@ from macrodml.preprocess import (
 )
 from macrodml.synth import SynthSpec, gen_unit_root, gen_var
 
-from conftest import make_tsm
+from conftest import make_tsm, panel_x
 
 
 # ---------------------------------------------------------------------------
@@ -241,7 +241,7 @@ def _lag1(matrix):
     """The y_lag1 column to_panel builds for a one-fund matrix, on its months."""
     flat = TimeSeriesMatrix(list(matrix.time_index), ["d"], np.zeros((matrix.n_months, 1)))
     panel = to_panel(matrix, flat, "d", lag_order=1)
-    lag = panel.x[:, panel.x_names.index("y_lag1")]
+    lag = panel_x(panel)[:, panel.x_names.index("y_lag1")]
     return TimeSeriesMatrix([panel.months[t] for t in panel.month_codes], ["lag1"], lag[:, None])
 
 
