@@ -25,8 +25,7 @@ from . import __version__, validation
 from .dml import (
     SCORES,
     LearnerSpec,
-    design_rows,
-    encode_features,
+    encode_features,  # noqa: F401 -- not called here; perfbench's tracer wraps it by this name
     problem_from_panel,
     residual_diagnostics,
     run_dml,
@@ -166,35 +165,47 @@ class _Artifacts:
     def write_out(self, out_dir: str) -> None:
         """Write every file into a new sibling of out_dir, then swap that in
         for out_dir, which ends up holding exactly these files. A failure
-        before the swap leaves out_dir as it was."""
+        before the swap leaves out_dir as it was and ends in a ConfigError
+        (`_writing_to`)."""
         out_dir = os.path.realpath(out_dir)
-        parent, base = os.path.split(out_dir)
-        os.makedirs(parent, exist_ok=True)
-        stage = os.path.join(parent, f".{base}.{os.urandom(8).hex()}")
-        retired = stage + ".old"
-        os.mkdir(stage)  # mode 0o777 less the umask, as os.makedirs gives
-        try:
-            for name, content in self.files.items():
-                with open(os.path.join(stage, name), "w", encoding="utf-8", newline="") as fh:
-                    fh.write(content)
-            _check_replaceable(out_dir)  # again: the run may have taken a while
-            if os.path.lexists(out_dir):
-                os.rename(out_dir, retired)
+        with _writing_to(out_dir):
+            parent, base = os.path.split(out_dir)
+            os.makedirs(parent, exist_ok=True)
+            stage = os.path.join(parent, f".{base}.{os.urandom(8).hex()}")
+            retired = stage + ".old"
+            os.mkdir(stage)  # mode 0o777 less the umask, as os.makedirs gives
             try:
-                os.rename(stage, out_dir)
-            except OSError:
-                if os.path.lexists(retired):
-                    os.rename(retired, out_dir)
+                for name, content in self.files.items():
+                    with open(os.path.join(stage, name), "w", encoding="utf-8", newline="") as fh:
+                        fh.write(content)
+                _check_replaceable(out_dir)  # again: the run may have taken a while
+                if os.path.lexists(out_dir):
+                    os.rename(out_dir, retired)
+                try:
+                    os.rename(stage, out_dir)
+                except OSError:
+                    if os.path.lexists(retired):
+                        os.rename(retired, out_dir)
+                    raise
+            except BaseException:
+                shutil.rmtree(stage, ignore_errors=True)
                 raise
-        except BaseException:
-            shutil.rmtree(stage, ignore_errors=True)
-            raise
-        if os.path.lexists(retired):
-            try:
-                shutil.rmtree(retired)
-            except OSError as exc:
-                print(f"warning: could not remove the replaced outputs in {retired}: {exc}",
-                      file=sys.stderr)
+            if os.path.lexists(retired):
+                try:
+                    shutil.rmtree(retired)
+                except OSError as exc:
+                    print(f"warning: could not remove the replaced outputs in {retired}: {exc}",
+                          file=sys.stderr)
+
+
+@contextlib.contextmanager
+def _writing_to(out_dir: str):
+    """Turn an OSError raised while the outputs are staged, written or
+    swapped in into a ConfigError that names out_dir."""
+    try:
+        yield
+    except OSError as exc:
+        raise ConfigError(f"cannot write the outputs in {out_dir!r}: {exc}") from exc
 
 
 def _check_replaceable(out_dir: str) -> None:
@@ -288,32 +299,35 @@ def run_pipeline(config: PipelineConfig) -> dict:
         raise DataError("panel is empty after lag-window construction")
     problem = problem_from_panel(panel)
 
-    learners: list[tuple[str, LearnerSpec]] = []
+    # (name, learner, its tuned out-of-fold y predictions or None)
+    learners: list[tuple[str, LearnerSpec, np.ndarray | None]] = []
     best_params = None
     if config.learner in ("linear", "both"):
-        learners.append(("linear", LearnerSpec("linear")))
+        learners.append(("linear", LearnerSpec("linear"), None))
     if config.learner in ("boosted", "both"):
         if config.grid_path is not None:
             with read_input(config.grid_path, ConfigError) as fh:
                 grid = grid_from_json(fh.read())
         else:
             grid = DEFAULT_GRID
-        # tuning features mirror the estimation features, with unit means
-        # computed on the full sample (model selection, not inference)
-        tune_x = design_rows(problem.x, encode_features(problem, np.ones(panel.n_rows, dtype=bool)))
+        # every candidate is scored on the cross-fit's folds and fold designs,
+        # unit means from each fold's training rows only, so the winner's
+        # out-of-fold predictions are the y nuisance its cross-fit would fit;
+        # a failed winner has none, and its cross-fit raises its error
         best_params, cv_table = grid_search_cv(
-            tune_x, panel.y, grid, k=config.k, seed=config.seed
+            problem.fold_design, problem.y, grid, k=config.k, seed=config.seed
         )
+        tuned_g_hat = next(row.oof for row in cv_table if row.params == best_params)
         # HyperParams' fields are the first four columns
         art.add("grid_cv.csv", csv_text(
             ["n_trees", "max_depth", "learning_rate", "min_samples_leaf", "cv_mse", "cv_r2"],
             list(zip(*(astuple(row.params) + (row.cv_mse, row.cv_r2) for row in cv_table))),
         ))
-        learners.append(("boosted", LearnerSpec("boosted", best_params)))
+        learners.append(("boosted", LearnerSpec("boosted", best_params), tuned_g_hat))
 
-    names = [name for name, _ in learners]
-    fits = [run_dml(problem, spec, k=config.k, seed=config.seed, score=config.score)
-            for _, spec in learners]
+    names = [name for name, _, _ in learners]
+    fits = [run_dml(problem, spec, k=config.k, seed=config.seed, score=config.score, g_hat=g_hat)
+            for _, spec, g_hat in learners]
     results = [result for result, _ in fits]
     # DmlResult's fields, in order, are the columns after "model"
     art.add("results.csv", csv_text(
@@ -430,7 +444,8 @@ def emit_plots(output_dir: str) -> list[str]:
 
     Every input is read and checked before any file is written, so a bad one
     leaves output_dir as it was; each figure, then the manifest, replaces its
-    file whole (`_replace_file`).
+    file whole (`_replace_file`), and a write that fails ends in a
+    ConfigError (`_writing_to`).
     """
     path = os.path.join(output_dir, "corr.csv")
     with read_input(path) as fh:
@@ -464,14 +479,15 @@ def emit_plots(output_dir: str) -> list[str]:
             raise MalformedRow(f"{manifest_path}: not a run manifest")
 
     out_names = []
-    for name, content in zip(PLOT_FILES, (heatmap, scree, scatter)):
-        path = os.path.join(output_dir, name)
-        _replace_file(path, content)
+    with _writing_to(output_dir):
+        for name, content in zip(PLOT_FILES, (heatmap, scree, scatter)):
+            path = os.path.join(output_dir, name)
+            _replace_file(path, content)
+            if manifest is not None:
+                manifest["files"][name] = hashlib.sha256(content.encode()).hexdigest()
+            out_names.append(path)
         if manifest is not None:
-            manifest["files"][name] = hashlib.sha256(content.encode()).hexdigest()
-        out_names.append(path)
-    if manifest is not None:
-        _replace_file(manifest_path, json.dumps(manifest, sort_keys=True, indent=2) + "\n")
+            _replace_file(manifest_path, json.dumps(manifest, sort_keys=True, indent=2) + "\n")
     return out_names
 
 

@@ -7,8 +7,8 @@ when a column has at most MAX_BINS of them (its splits are then exactly the
 greedy midpoint splits) and at most MAX_BINS quantile bins otherwise. Ties
 break to the lowest feature index, then the lowest threshold, so refitting
 on identical data reproduces the model bit-for-bit. The grid search fits the
-largest of the candidates that differ only in n_trees and scores the others
-on its stage prefixes.
+largest of the candidates that differ only in n_trees, scores the others on
+its stage prefixes and keeps every candidate's out-of-fold predictions.
 """
 
 from __future__ import annotations
@@ -484,33 +484,44 @@ def grid_from_json(text: str) -> list[HyperParams]:
 
 @dataclass
 class CvRow:
-    """One grid candidate's cross-validated scores."""
+    """One grid candidate's cross-validated scores and out-of-fold
+    predictions; a candidate that failed has none."""
 
     params: HyperParams
     cv_mse: float
     cv_r2: float
-    failed: bool = False
+    oof: np.ndarray | None = field(default=None, repr=False, compare=False)
+
+    @property
+    def failed(self) -> bool:
+        return self.oof is None
 
 
-def _staged_cv_scores(X, y, pairs, n_trees: list[int], params: HyperParams):
-    """Mean out-of-fold (mse, r2) after each of the stage counts in n_trees.
+def _staged_cv_scores(design, y, pairs, n_trees: list[int], params: HyperParams):
+    """Mean out-of-fold (mse, r2) and the out-of-fold predictions after each
+    of the stage counts in n_trees.
 
-    One ensemble of max(n_trees) trees is fitted per fold; a shorter
-    ensemble is its prefix, because boosting is deterministic and stagewise.
-    Test predictions come from `staged_predict`, as in `predict`, so each
-    score equals that of a separate fit bit for bit.
+    One ensemble of max(n_trees) trees is fitted per fold on the fold's
+    design, `design(train)`'s training rows, and predicts its test rows; a
+    shorter ensemble is its prefix, because boosting is deterministic and
+    stagewise. Test predictions come from `staged_predict`, as in `predict`,
+    so each prediction, and so each score, equals that of a separate fit on
+    the same design bit for bit.
     """
     stops = set(n_trees)
     losses = {t: [] for t in stops}
     scores = {t: [] for t in stops}
+    oof = {t: np.empty(y.size) for t in stops}
     for train, test in pairs:
-        model = gbt_fit(X[train], y[train], replace(params, n_trees=max(stops)))
+        rows_of = design(train)
+        model = gbt_fit(rows_of(train), y[train], replace(params, n_trees=max(stops)))
         y_test = y[test]
-        for stage, pred in enumerate(staged_predict(model, X[test])):
+        for stage, pred in enumerate(staged_predict(model, rows_of(test))):
             if stage in stops:
                 losses[stage].append(mse(y_test, pred))
                 scores[stage].append(r2(y_test, pred))
-    return [(float(np.mean(losses[t])), float(np.mean(scores[t]))) for t in n_trees]
+                oof[stage][test] = pred
+    return [(float(np.mean(losses[t])), float(np.mean(scores[t])), oof[t]) for t in n_trees]
 
 
 def grid_search_cv(
@@ -522,29 +533,44 @@ def grid_search_cv(
 ) -> tuple[HyperParams, list[CvRow]]:
     """Pick boosted-tree settings by k-fold out-of-fold MSE.
 
+    X is the (n, p) feature matrix, or a function of a fold's training rows
+    that returns the fold's design: a function of rows that gives their
+    features (`dml.PlrProblem.fold_design`). A matrix's fold design gives
+    X[rows]. The folds are `kfold_split(n, k, seed)`'s, the ones
+    `dml.cross_fit_nuisance` uses, and each table row keeps its candidate's
+    out-of-fold predictions (`CvRow.oof`): the winner's are the ones a
+    cross-fit with the winner makes, bit for bit.
+
     Candidates that differ only in n_trees share one fit per fold of the
     largest (see _staged_cv_scores). A candidate whose fit fails on any fold
     is marked failed (infinite MSE) rather than aborting the search; when a
     shared fit fails, each candidate of its group is scored on its own, so a
     failure marks only the candidates that fail by themselves. Ties break by
-    (mse, n_trees, max_depth) so the winner is deterministic.
+    (mse, n_trees, max_depth) so the winner is deterministic; the winner's
+    row is the first whose params equal it.
     """
     grid = DEFAULT_GRID if grid is None else grid
     if not grid:
         raise ConfigError("hyperparameter grid is empty")
-    X, y = _as_xy(X, y)
-    pairs = train_test_folds(kfold_split(X.shape[0], k, seed))
+    if callable(X):
+        design, y = X, np.asarray(y, dtype=float)
+    else:
+        X, y = _as_xy(X, y)
 
-    def score(batch: list[int]) -> list[tuple[float, float]]:
+        def design(train):
+            return X.__getitem__
+    pairs = train_test_folds(kfold_split(y.size, k, seed))
+
+    def score(batch: list[int]) -> list[tuple[float, float, np.ndarray]]:
         for i in batch:
             grid[i].validate()
         params = grid[batch[0]]
-        return _staged_cv_scores(X, y, pairs, [grid[i].n_trees for i in batch], params)
+        return _staged_cv_scores(design, y, pairs, [grid[i].n_trees for i in batch], params)
 
     groups: dict[tuple, list[int]] = {}
     for i, params in enumerate(grid):
         groups.setdefault(astuple(replace(params, n_trees=0)), []).append(i)
-    cv: dict[int, tuple[float, float] | None] = {}
+    cv: dict[int, tuple[float, float, np.ndarray] | None] = {}
     for members in groups.values():
         try:
             cv.update(zip(members, score(members)))
@@ -556,11 +582,10 @@ def grid_search_cv(
                 except Exception:
                     cv[i] = None
     table = [
-        CvRow(replace(params), float("inf"), float("-inf"), True)
+        CvRow(replace(params), float("inf"), float("-inf"))
         if cv[i] is None
         else CvRow(replace(params), *cv[i])
         for i, params in enumerate(grid)
     ]
     best = min(table, key=lambda row: (row.cv_mse, row.params.n_trees, row.params.max_depth))
     return replace(best.params), table
-

@@ -17,7 +17,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import macrodml
-from macrodml import cli, validation
+from macrodml import cli, dml, learners, validation
 
 from macrodml.cli import (
     EXIT_CONFIG,
@@ -29,7 +29,9 @@ from macrodml.cli import (
     config_from_json,
     main,
 )
+from macrodml.dml import LearnerSpec, cross_fit_nuisance
 from macrodml.errors import ConfigError
+from macrodml.learners import gbt_fit, kfold_split, mse, predict, r2, train_test_folds
 from macrodml.panel_data import csv_cells, csv_text
 
 from conftest import BOTH_RUN_GRID, read_csv, run_args
@@ -715,7 +717,7 @@ def test_rerun_into_the_same_dir_leaves_only_its_files(small_fx, tmp_path, first
     assert sorted(os.listdir(tmp_path)) == ["grid.json", "o"]  # no staging dirs left
 
 
-def test_failed_run_leaves_previous_outputs_untouched(small_fx, tmp_path, monkeypatch):
+def test_failed_run_leaves_previous_outputs_untouched(small_fx, tmp_path, monkeypatch, capsys):
     root, fx = small_fx
     out = tmp_path / "o"
     assert main(run_args(fx, out, "--learner", "linear", "--lag", "2")) == EXIT_OK
@@ -733,8 +735,11 @@ def test_failed_run_leaves_previous_outputs_untouched(small_fx, tmp_path, monkey
         real_rename(src, dst)
 
     monkeypatch.setattr(os, "rename", rename)
-    with pytest.raises(OSError, match="swap refused"):
-        main(run_args(fx, out, "--learner", "linear", "--lag", "3"))
+    capsys.readouterr()
+    assert main(run_args(fx, out, "--learner", "linear", "--lag", "3")) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("code=1 error=ConfigError message=cannot write the outputs in ")
+    assert "swap refused" in err and err.count("\n") == 1
     assert {name: (out / name).read_bytes() for name in os.listdir(out)} == before
     assert os.listdir(tmp_path) == ["o"]
 
@@ -797,3 +802,136 @@ def test_output_dir_holding_an_input_exits_config(small_fx, tmp_path, capsys):
     assert main(run_args(fx, meta)) == EXIT_CONFIG  # a file, not a directory
     assert "is not a directory" in capsys.readouterr().err
     assert os.listdir(out) == ["meta.csv"]
+
+
+def _tree_bytes(path):
+    return {p.relative_to(path): None if p.is_dir() else p.read_bytes()
+            for p in sorted(path.rglob("*"))}
+
+
+def test_run_into_a_path_under_a_file_exits_config(small_fx, tmp_path):
+    """--out under a regular file (an earlier run's manifest) cannot be
+    made: one typed line naming it, and the earlier run is left whole."""
+    root, fx = small_fx
+    out = tmp_path / "o"
+    assert main(run_args(fx, out, "--learner", "linear", "--lag", "2")) == EXIT_OK
+    before = _tree_bytes(tmp_path)
+    bad = out / "manifest.json" / "out"
+    proc = _macrodml(*run_args(fx, bad, "--learner", "linear", "--lag", "2"))
+    assert proc.returncode == EXIT_CONFIG
+    assert proc.stderr.startswith(
+        f"code=1 error=ConfigError message=cannot write the outputs in {str(bad)!r}: ")
+    assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
+    assert _tree_bytes(tmp_path) == before  # no stage directory either
+
+
+def test_plots_onto_a_directory_exits_config(full_run, tmp_path):
+    """A figure's path that is a directory cannot be replaced: one typed line
+    naming the output directory; no temporary file is left and every other
+    file, the manifest included, keeps its bytes."""
+    out = tmp_path / "out"
+    shutil.copytree(full_run["out"], out)
+    for figure in cli.PLOT_FILES:  # another test may have run plots on the shared run
+        (out / figure).unlink(missing_ok=True)
+    (out / "corr_heatmap.svg").mkdir()
+    before = _tree_bytes(tmp_path)
+    proc = _macrodml("plots", "--out", str(out))
+    assert proc.returncode == EXIT_CONFIG
+    assert proc.stderr.startswith(
+        f"code=1 error=ConfigError message=cannot write the outputs in {str(out)!r}: ")
+    assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
+    assert _tree_bytes(tmp_path) == before
+
+
+# ---------------------------------------------------------------------------
+# tuning on the cross-fit's folds
+# ---------------------------------------------------------------------------
+
+# one (max_depth, learning_rate, min_samples_leaf) group each, so both
+# candidates share one fit per fold; on the small fixture the longer one wins
+# the first grid and the shorter one the second
+GROUP_MAX_GRID = [{"n_trees": t, "max_depth": 2, "learning_rate": 0.3, "min_samples_leaf": 20}
+                  for t in (3, 25)]
+SHORTER_GRID = [{"n_trees": t, "max_depth": 6, "learning_rate": 1.0, "min_samples_leaf": 1}
+                for t in (10, 60)]
+
+
+def _recorded_boosted_run(small_fx, tmp_path, monkeypatch, grid):
+    """The arguments and the result of the one run_dml call of a `--learner
+    boosted` run over `grid` into tmp_path / "o"."""
+    _, fx = small_fx
+    grid_path = tmp_path / "grid.json"
+    grid_path.write_text(json.dumps(grid))
+    calls = []
+    real = cli.run_dml
+
+    def recording(*args, **kwargs):
+        result = real(*args, **kwargs)
+        calls.append((args, kwargs, result))
+        return result
+
+    monkeypatch.setattr(cli, "run_dml", recording)
+    out = tmp_path / "o"
+    args = run_args(fx, out, "--learner", "boosted", "--lag", "2", "--grid", str(grid_path))
+    assert main(args) == EXIT_OK
+    (call,) = calls
+    return call
+
+
+@pytest.mark.parametrize("grid, winner_trees", [(GROUP_MAX_GRID, 25), (SHORTER_GRID, 10)],
+                         ids=["winner_at_group_max", "winner_shorter_than_its_group"])
+def test_tuned_residuals_equal_a_cross_fit_of_the_winner(small_fx, tmp_path, monkeypatch,
+                                                         grid, winner_trees):
+    (problem, spec), kwargs, (_, res) = _recorded_boosted_run(small_fx, tmp_path, monkeypatch, grid)
+    assert spec.params.n_trees == winner_trees and kwargs["g_hat"] is not None
+    ref = cross_fit_nuisance(problem, LearnerSpec("boosted", spec.params), kwargs["k"], kwargs["seed"])
+    for name in ("u", "v", "g_hat", "m_hat", "fold_of", "r2_y", "r2_d"):
+        assert np.asarray(getattr(res, name)).tobytes() == np.asarray(getattr(ref, name)).tobytes()
+
+
+def test_grid_cv_scores_equal_separate_fits_on_the_fold_designs(small_fx, tmp_path, monkeypatch):
+    (problem, _), kwargs, _ = _recorded_boosted_run(small_fx, tmp_path, monkeypatch, SHORTER_GRID)
+    _, rows = read_csv(tmp_path / "o" / "grid_cv.csv")
+    y = problem.y
+    pairs = train_test_folds(kfold_split(problem.n_obs, kwargs["k"], kwargs["seed"]))
+    for entry, row in zip(SHORTER_GRID, rows):
+        params = learners.HyperParams(**entry)
+        losses, scores = [], []
+        for train, test in pairs:
+            rows_of = problem.fold_design(train)
+            pred = predict(gbt_fit(rows_of(train), y[train], params), rows_of(test))
+            losses.append(mse(y[test], pred))
+            scores.append(r2(y[test], pred))
+        assert [float(row[4]), float(row[5])] == [float(np.mean(losses)), float(np.mean(scores))]
+
+
+def test_both_run_with_the_default_grid_makes_ten_gbt_fits(small_fx, tmp_path, monkeypatch):
+    """8 grid fits (4 groups x 2 folds) and the d task's 2: the winner's
+    out-of-fold predictions are the y task's, which is not fit again."""
+    _, fx = small_fx
+    fitted = []
+
+    def counting_fit(X, y, params):
+        fitted.append(params.n_trees)
+        return gbt_fit(X, y, params)
+
+    monkeypatch.setattr(learners, "gbt_fit", counting_fit)
+    monkeypatch.setattr(dml, "gbt_fit", counting_fit)
+    out = tmp_path / "o"
+    assert main(run_args(fx, out, "--learner", "both", "--lag", "2")) == EXIT_OK
+    winner = read_manifest(out)["boosted_params"]["n_trees"]
+    assert fitted == [200] * 8 + [winner] * 2
+
+
+def test_grid_whose_every_candidate_fails_exits_with_the_fit_error(small_fx, tmp_path, capsys):
+    """A failed winner has no out-of-fold predictions, so its cross-fit fits
+    it and raises the fit's typed error."""
+    _, fx = small_fx
+    grid = tmp_path / "grid.json"
+    grid.write_text(json.dumps([{**BOTH_RUN_GRID, "min_samples_leaf": 100_000}]))
+    out = tmp_path / "o"
+    rc = main(run_args(fx, out, "--learner", "both", "--lag", "2", "--grid", str(grid)))
+    assert rc == EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.startswith("code=2 error=TooFewRows message=fold 0, y-task: need at least 200000 rows")
+    assert err.count("\n") == 1 and not out.exists()

@@ -29,6 +29,7 @@ from macrodml.errors import (
 from macrodml import dml
 from macrodml.learners import (
     HyperParams,
+    gbt_fit,
     kfold_split,
     ols_fit,
     predict,
@@ -267,6 +268,22 @@ def test_linear_cross_fit_one_ols_per_fold_matches_separate_fits(monkeypatch, pa
             design = np.column_stack([np.ones(train.size), X[train]])
             alone = predict(ols_fit(design, target[train]), X[test])
             assert np.array_equal(fitted[test], alone)
+
+
+@pytest.mark.parametrize("learner", [LINEAR, LearnerSpec("boosted", HyperParams(8, 2, 0.3, 10))],
+                         ids=["linear", "boosted"])
+def test_given_g_hat_is_taken_and_only_the_d_task_is_fit(monkeypatch, learner):
+    problem = _panel_problem()
+    full = cross_fit_nuisance(problem, learner, k=3, seed=1)
+    targets = []  # the number of targets of each fit
+    monkeypatch.setattr(dml, "ols_fit", lambda X, y: targets.append(len(y)) or ols_fit(X, y))
+    monkeypatch.setattr(dml, "gbt_fit", lambda X, y, p: targets.append(1) or gbt_fit(X, y, p))
+    given = cross_fit_nuisance(problem, learner, k=3, seed=1, g_hat=full.g_hat)
+    assert targets == [1, 1, 1]  # each fold fits the d task alone
+    for name in ("u", "v", "g_hat", "m_hat", "fold_of", "r2_y", "r2_d"):
+        assert np.asarray(getattr(given, name)).tobytes() == np.asarray(getattr(full, name)).tobytes()
+    with pytest.raises(LengthMismatch):
+        cross_fit_nuisance(problem, learner, k=3, seed=1, g_hat=full.g_hat[:-1])
 
 
 def test_learner_kind_is_validated():

@@ -642,6 +642,28 @@ def test_grid_table_matches_separate_fits(rng):
     assert best == min(table, key=lambda r: (r.cv_mse, r.params.n_trees, r.params.max_depth)).params
 
 
+def test_grid_keeps_each_candidates_out_of_fold_predictions(rng):
+    X = rng.standard_normal((120, 3))
+    y = np.sin(2.0 * X[:, 0]) + X[:, 1] + 0.3 * rng.standard_normal(120)
+    grid = [
+        HyperParams(n_trees=3, max_depth=2, learning_rate=0.3, min_samples_leaf=10),
+        HyperParams(n_trees=12, max_depth=2, learning_rate=0.3, min_samples_leaf=10),
+        HyperParams(n_trees=5, max_depth=1, learning_rate=0.3, min_samples_leaf=10),
+        HyperParams(n_trees=2, max_depth=1, learning_rate=0.1, min_samples_leaf=10_000),
+    ]
+    best, table = grid_search_cv(X, y, grid, k=3, seed=1)
+    pairs = train_test_folds(kfold_split(120, 3, seed=1))
+    for params, row in zip(grid[:3], table):
+        expected = np.empty(120)
+        for tr, te in pairs:
+            expected[te] = predict(gbt_fit(X[tr], y[tr], params), X[te])
+        assert not row.failed and row.oof.tobytes() == expected.tobytes()
+    assert table[3].failed and table[3].oof is None
+    # a matrix is the fold design that gives X[rows] for any fold
+    again = grid_search_cv(lambda train: X.__getitem__, y, grid, k=3, seed=1)[1]
+    assert [(r.cv_mse, r.cv_r2) for r in again] == [(r.cv_mse, r.cv_r2) for r in table]
+
+
 def test_grid_fits_largest_of_each_n_trees_group_once_per_fold(rng, monkeypatch):
     fitted = []
 
