@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import csv
 import hashlib
 import json
 import os
@@ -47,6 +46,7 @@ from .panel_data import (
     load_fund_meta_csv,
     load_tscs_csv,
     read_input,
+    read_numeric_csv,
     to_panel,
 )
 from .preprocess import (
@@ -356,12 +356,8 @@ def run_pipeline(config: PipelineConfig) -> dict:
         "seed": config.seed,
         "rng": RNG_IDENTITY,
         "flags": {
-            "dml_variant": "dml2_pooled_score",
             "score": config.score,
-            "mode": "crossfit",
             "fold_mode": "row",
-            "unit_y_mean_encoding": True,
-            "means_refit_per_fold": True,
             "adf_regression": "constant_no_trend",
             "lag_used": lag,
             "level": config.level,
@@ -386,43 +382,6 @@ def run_pipeline(config: PipelineConfig) -> dict:
     return manifest
 
 
-def _read_numeric_csv(path: str, width: int) -> np.ndarray:
-    """The body of a CSV of `width` numeric columns as a (rows, width) array.
-
-    The body is parsed in one pass: every line must hold width - 1 commas,
-    and every cell goes through float(), as csv.reader and float() read it,
-    so a file `run` wrote comes back with the bits it was written from.
-    """
-    with read_input(path) as fh:
-        body = fh.read().partition("\n")[2]
-    if not body:
-        return np.empty((0, width))
-    if not body.endswith("\n"):
-        body += "\n"
-    chars = np.frombuffer(body.encode(), dtype=np.uint8)
-    seps = chars[(chars == ord(",")) | (chars == ord("\n"))]
-    # every line's separators are width - 1 commas and its newline; the body
-    # ends in a newline, so any other sequence mismatches somewhere
-    line_seps = np.frombuffer(b"," * (width - 1) + b"\n", dtype=np.uint8)
-    if seps.size % width or not (seps.reshape(-1, width) == line_seps).all():
-        bad = np.flatnonzero(seps != np.resize(line_seps, seps.size))[0]
-        line = 2 + np.count_nonzero(seps[:bad] == ord("\n"))
-        raise MalformedRow(f"{path} line {line}: expected {width} cells")
-    try:
-        values = list(map(float, body[:-1].replace("\n", ",").split(",")))
-    except ValueError:
-        for line, text in enumerate(body[:-1].split("\n"), start=2):
-            for cell in text.split(","):
-                try:
-                    float(cell)
-                except ValueError:
-                    raise MalformedRow(
-                        f"{path} line {line}: cannot parse {cell!r} as a number"
-                    ) from None
-        raise
-    return np.array(values).reshape(-1, width)
-
-
 def _replace_file(path: str, content: str) -> None:
     """Write `content` to path as UTF-8 through a temporary file beside it and
     os.replace, so path holds either its old bytes or all of the new ones."""
@@ -437,38 +396,34 @@ def _replace_file(path: str, content: str) -> None:
         raise
 
 
+def _column(path: str, table, name: str) -> np.ndarray:
+    """The `name` column of the `read_numeric_csv` table read from path."""
+    names, _, values = table
+    if name not in names:
+        raise MalformedRow(f"{path}: no {name!r} column")
+    return values[:, names.index(name)]
+
+
 def emit_plots(output_dir: str) -> list[str]:
     """Render corr_heatmap.svg, pca_scree.svg, residuals_fitted.svg from the
     CSVs a previous `run` left in output_dir, and add their hashes to its
     manifest.json when it has one.
 
-    Every input is read and checked before any file is written, so a bad one
-    leaves output_dir as it was; each figure, then the manifest, replaces its
-    file whole (`_replace_file`), and a write that fails ends in a
-    ConfigError (`_writing_to`).
+    Every input, and that each figure's path is absent or a regular file, is
+    checked before any file is written, so a bad one leaves output_dir as it
+    was; each figure, then the manifest, replaces its file whole
+    (`_replace_file`), and a write that fails ends in a ConfigError
+    (`_writing_to`).
     """
-    path = os.path.join(output_dir, "corr.csv")
-    with read_input(path) as fh:
-        rows = list(csv.reader(fh))[1:]
-    try:
-        labels = [row[0] for row in rows]
-        corr = np.array([[float(v) for v in row[1:]] for row in rows])
-    except (ValueError, IndexError) as exc:
-        raise MalformedRow(f"{path}: {exc}") from None
+    _, labels, corr = read_numeric_csv(os.path.join(output_dir, "corr.csv"), 0)
     heatmap = render_corr_heatmap(corr, labels)
 
     path = os.path.join(output_dir, "pca.csv")
-    with read_input(path) as fh:
-        header, *rows = list(csv.reader(fh)) or [[]]
-    try:
-        at = header.index("explained_ratio")
-        explained = np.array([float(row[at]) for row in rows])
-    except (ValueError, IndexError) as exc:
-        raise MalformedRow(f"{path}: {exc}") from None
-    scree = render_scree(explained)
+    scree = render_scree(_column(path, read_numeric_csv(path, 0), "explained_ratio"))
 
-    table = _read_numeric_csv(os.path.join(output_dir, "residuals.csv"), 2)
-    scatter = render_residuals(table[:, 0], table[:, 1])
+    path = os.path.join(output_dir, "residuals.csv")
+    table = read_numeric_csv(path)
+    scatter = render_residuals(_column(path, table, "fitted"), _column(path, table, "residual"))
 
     manifest_path = os.path.join(output_dir, "manifest.json")
     manifest = None
@@ -478,17 +433,21 @@ def emit_plots(output_dir: str) -> list[str]:
         if not isinstance(manifest, dict) or not isinstance(manifest.setdefault("files", {}), dict):
             raise MalformedRow(f"{manifest_path}: not a run manifest")
 
-    out_names = []
+    paths = [os.path.join(output_dir, name) for name in PLOT_FILES]
+    # checked before the first replacement, so none is left half done
+    for path in paths:
+        if os.path.lexists(path) and not os.path.isfile(path):
+            raise ConfigError(
+                f"cannot write the outputs in {output_dir!r}: {path!r} is not a regular file"
+            )
     with _writing_to(output_dir):
-        for name, content in zip(PLOT_FILES, (heatmap, scree, scatter)):
-            path = os.path.join(output_dir, name)
+        for name, path, content in zip(PLOT_FILES, paths, (heatmap, scree, scatter)):
             _replace_file(path, content)
             if manifest is not None:
                 manifest["files"][name] = hashlib.sha256(content.encode()).hexdigest()
-            out_names.append(path)
         if manifest is not None:
             _replace_file(manifest_path, json.dumps(manifest, sort_keys=True, indent=2) + "\n")
-    return out_names
+    return paths
 
 
 def _build_parser() -> argparse.ArgumentParser:

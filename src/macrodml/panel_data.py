@@ -4,13 +4,15 @@ The wide form is a months-by-series matrix (fund returns or macro variables);
 the long form is one row per (fund, month) with outcome, treatment, and a
 control vector including lagged values, gathered by `x_rows` from a month
 table and the fund returns. Every input file is read through
-`read_input` and every CSV table is printed by `csv_text`.
+`read_input`, every numeric CSV body is parsed by `read_numeric_csv` and
+every CSV table is printed by `csv_text`.
 """
 
 from __future__ import annotations
 
 import contextlib
 import csv
+import io
 import re
 from dataclasses import dataclass
 
@@ -132,8 +134,9 @@ class FundMeta:
             raise DataError(f"unknown asset class {self.asset_class!r}")
         if self.managed not in MANAGED_STYLES:
             raise DataError(f"unknown management style {self.managed!r}")
-        if self.aum_musd < 0:
-            raise DataError("aum_musd must be >= 0")
+        if not 0 <= self.aum_musd < np.inf:  # NaN fails too
+            raise DataError(f"fund {self.ticker!r}: aum_musd must be finite and >= 0, "
+                            f"got {self.aum_musd!r}")
         month_to_int(self.inception)
 
 
@@ -248,50 +251,76 @@ def read_input(path, error: type[MacrodmlError] | None = None):
         raise (error or MalformedRow)(f"{path}: {exc}") from None
 
 
-def load_tscs_csv(path, time_column: str = "date") -> TimeSeriesMatrix:
-    """Load a wide CSV (header row, one time column, one column per series).
+def read_numeric_csv(path, text_column: str | int | None = None):
+    """The CSV at `path` as (names, texts, values): `names` the header's
+    columns but the text column, `texts` the text column's cells ([] without
+    one) and `values` a (rows, len(names)) float array of the other cells.
+    `text_column` is a column name, which the header must hold exactly once
+    (else DataError), or a position.
 
-    Empty cells become NaN. Column order follows the file.
+    This is the one parser of numeric CSV bodies. The header is read by
+    csv.reader, since column names may be quoted. A body holding neither a
+    quote nor a \\r is split on commas and newlines; any other body is read by
+    csv.reader, which reads quoted cells and \\r\\n line ends. Either way every
+    row must hold as many cells as the header, and every other cell goes
+    through float(), an empty one reading as NaN, so a table `csv_text`
+    printed comes back with the bits it was printed from. A file without a
+    header row, a row of another width and a cell float() rejects raise
+    MalformedRow, the last two naming the row's line (and the cell's first
+    40 characters).
     """
     with read_input(path) as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise MalformedRow("file has no header row") from None
-        if header.count(time_column) != 1:
-            raise DataError(f"expected exactly one {time_column!r} column")
-        if len(set(header)) != len(header):
-            raise DuplicateColumn("column names must be unique")
-        t_pos = header.index(time_column)
-        names = [h for i, h in enumerate(header) if i != t_pos]
-
-        months: list[str] = []
-        rows: list[list[float]] = []
-        for lineno, row in enumerate(reader, start=2):
-            if len(row) != len(header):
+        header = next(csv.reader(fh), [])
+        if not header:
+            raise MalformedRow(f"{path}: file has no header row")
+        if isinstance(text_column, str):
+            if header.count(text_column) != 1:
+                raise DataError(f"expected exactly one {text_column!r} column")
+            text_column = header.index(text_column)
+        body = fh.read()
+        if '"' in body or "\r" in body:
+            rows = list(csv.reader(io.StringIO(body, newline="")))
+            lengths = np.array([len(row) for row in rows], dtype=np.intp)
+            cells = [cell for row in rows for cell in row]
+        else:
+            if body and not body.endswith("\n"):
+                body += "\n"
+            chars = np.frombuffer(body.encode(), dtype=np.uint8)
+            # each cell ends in one separator, a comma or its row's newline
+            seps = chars[(chars == ord(",")) | (chars == ord("\n"))]
+            lengths = np.diff(np.flatnonzero(seps == ord("\n")), prepend=-1)
+            cells = body[:-1].replace("\n", ",").split(",") if body else []
+    width = len(header)
+    bad = np.flatnonzero(lengths != width)
+    if bad.size:
+        raise MalformedRow(f"{path} line {bad[0] + 2}: expected {width} cells")
+    names, texts = header, []
+    if text_column is not None:
+        names = header[:text_column] + header[text_column + 1:]
+        texts = cells[text_column::width]
+        del cells[text_column::width]
+    if "" in cells:  # an empty cell is a missing value
+        cells = [cell or "nan" for cell in cells]
+    try:
+        values = np.fromiter(map(float, cells), dtype=float, count=len(cells))
+    except ValueError:
+        for i, cell in enumerate(cells):
+            try:
+                float(cell)
+            except ValueError:
+                shown = cell if len(cell) <= 40 else cell[:40] + "..."
                 raise MalformedRow(
-                    f"line {lineno}: expected {len(header)} cells, got {len(row)}"
-                )
-            month = row[t_pos]
-            month_to_int(month)  # raises UnparseableTime
-            months.append(month)
-            cells = []
-            for i, cell in enumerate(row):
-                if i == t_pos:
-                    continue
-                if cell == "":
-                    cells.append(np.nan)
-                else:
-                    try:
-                        cells.append(float(cell))
-                    except ValueError:
-                        raise MalformedRow(
-                            f"line {lineno}: cannot parse {cell!r} as a number"
-                        ) from None
-            rows.append(cells)
+                    f"{path} line {i // len(names) + 2}: cannot parse {shown!r} as a number"
+                ) from None
+        raise
+    return names, texts, values.reshape(lengths.size, len(names))
 
-    values = np.array(rows, dtype=float) if rows else np.empty((0, len(names)))
+
+def load_tscs_csv(path, time_column: str = "date") -> TimeSeriesMatrix:
+    """Load a wide CSV (header row, one time column, one column per series)
+    through `read_numeric_csv`. Empty cells become NaN. Column order follows
+    the file."""
+    names, months, values = read_numeric_csv(path, time_column)
     return TimeSeriesMatrix(months, names, values)
 
 

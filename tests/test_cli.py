@@ -10,6 +10,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
@@ -32,7 +33,14 @@ from macrodml.cli import (
 from macrodml.dml import LearnerSpec, cross_fit_nuisance
 from macrodml.errors import ConfigError
 from macrodml.learners import gbt_fit, kfold_split, mse, predict, r2, train_test_folds
-from macrodml.panel_data import csv_cells, csv_text
+from macrodml.panel_data import (
+    TimeSeriesMatrix,
+    csv_cells,
+    csv_text,
+    load_tscs_csv,
+    read_numeric_csv,
+    write_tscs_csv,
+)
 
 from conftest import BOTH_RUN_GRID, read_csv, run_args
 
@@ -58,10 +66,10 @@ def test_full_run_recovers_true_effect(full_run):
 def test_full_run_manifest_contents(full_run):
     manifest = read_manifest(full_run["out"])
     assert manifest["flags"]["lag_used"] == 7
-    assert manifest["flags"]["dml_variant"] == "dml2_pooled_score"
-    assert {k: manifest["flags"][k] for k in ("mode", "fold_mode", "unit_y_mean_encoding")} == {
-        "mode": "crossfit", "fold_mode": "row", "unit_y_mean_encoding": True}
-    assert "unit_x_means_encoding" not in manifest["flags"]
+    assert manifest["flags"]["fold_mode"] == "row"
+    # constants of the one cross-fitting path are not flags
+    assert not {"dml_variant", "mode", "unit_y_mean_encoding", "means_refit_per_fold",
+                "unit_x_means_encoding"} & set(manifest["flags"])
     assert set(manifest["config"]) == set(PipelineConfig.__dataclass_fields__)
     assert manifest["panel"]["units"] == 16
     assert manifest["panel"]["dropped_nonstationary"] == ["junk_rw"]
@@ -471,12 +479,66 @@ def test_plots_on_non_numeric_corr_exits_data(full_run, tmp_path):
     assert "corr.csv" in proc.stderr and "Traceback" not in proc.stderr
 
 
-def _replace_cell(text, line, cell):
+def _replace_cell(text, line, cell, column=1):
     lines = text.split("\n")
     cells = lines[line].split(",")
-    cells[1] = cell
+    cells[column] = cell
     lines[line] = ",".join(cells)
     return "\n".join(lines)
+
+
+@pytest.mark.parametrize("name, column, cell, message", [
+    ("residuals.csv", 1, "", "fitted and residuals must be finite"),
+    ("residuals.csv", 1, "nan", "fitted and residuals must be finite"),
+    ("residuals.csv", 0, "-inf", "fitted and residuals must be finite"),
+    ("pca.csv", 2, "", "explained_ratio must be a non-empty finite vector"),
+    ("corr.csv", 2, "", "correlation matrix must be square and finite"),
+], ids=["residual_empty", "residual_nan", "fitted_inf", "explained_empty", "corr_empty"])
+def test_plots_on_a_non_finite_value_exits_data(full_run, tmp_path, capsys, name, column, cell,
+                                                message):
+    """An empty cell reads as NaN; no figure draws a value off the plane, and
+    the failed call leaves the directory as it was."""
+    out = tmp_path / "out"
+    shutil.copytree(full_run["out"], out)
+    for figure in cli.PLOT_FILES:  # another test may have run plots on the shared run
+        (out / figure).unlink(missing_ok=True)
+    (out / name).write_text(_replace_cell((out / name).read_text(), 2, cell, column))
+    before = _tree_bytes(out)
+    assert main(["plots", "--out", str(out)]) == EXIT_DATA
+    assert capsys.readouterr().err == f"code=2 error=DataError message={message}\n"
+    assert _tree_bytes(out) == before
+
+
+def test_macro_names_that_need_quotes_or_escapes_run_and_plot(small_fx, tmp_path):
+    """A comma and a quote make corr.csv quote a name, which plots reads back
+    through csv.reader; & and < are escaped in the heatmap's labels."""
+    _, fx = small_fx
+    macro = load_tscs_csv(fx["macro_csv"])
+    renames = {"ctrl1": 'ctrl1, real "x"', "ctrl2": "r&d<b"}
+    path = tmp_path / "macro.csv"
+    write_tscs_csv(TimeSeriesMatrix(macro.time_index, [renames.get(c, c) for c in macro.columns],
+                                    macro.values), path)
+    out = tmp_path / "out"
+    args = run_args({**fx, "macro_csv": str(path)}, out, "--learner", "linear", "--lag", "2")
+    assert main(args) == EXIT_OK
+    assert main(["plots", "--out", str(out)]) == EXIT_OK
+    names, labels, _ = read_numeric_csv(out / "corr.csv", 0)
+    assert names == labels and set(renames.values()) <= set(labels)
+    texts = [el.text for el in ET.parse(out / "corr_heatmap.svg").iter() if el.tag.endswith("text")]
+    assert [texts.count(name) for name in renames.values()] == [2, 2]
+
+
+@pytest.mark.parametrize("aum", ["nan", "inf"])
+def test_non_finite_aum_exits_data(small_fx, tmp_path, capsys, aum):
+    root, fx = small_fx
+    meta = tmp_path / "meta.csv"
+    text = open(fx["meta_csv"]).read()
+    meta.write_text(text.replace("F001,FixedIncome,1979-01,100.0,",
+                                 f"F001,FixedIncome,1979-01,{aum},"))
+    assert main(run_args({**fx, "meta_csv": str(meta)}, tmp_path / "o")) == EXIT_DATA
+    assert capsys.readouterr().err == (
+        f"code=2 error=DataError message=fund 'F001': aum_musd must be finite and >= 0, "
+        f"got {aum}\n")
 
 
 @pytest.mark.parametrize("flag, content, code, error", [
@@ -823,6 +885,22 @@ def test_run_into_a_path_under_a_file_exits_config(small_fx, tmp_path):
         f"code=1 error=ConfigError message=cannot write the outputs in {str(bad)!r}: ")
     assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
     assert _tree_bytes(tmp_path) == before  # no stage directory either
+
+
+def test_plots_with_a_later_figure_path_a_directory_replaces_nothing(full_run, tmp_path, capsys):
+    """Every figure path is checked before the first one is replaced, so the
+    heatmap is not written while pca_scree.svg cannot be."""
+    out = tmp_path / "out"
+    shutil.copytree(full_run["out"], out)
+    for figure in cli.PLOT_FILES:  # another test may have run plots on the shared run
+        (out / figure).unlink(missing_ok=True)
+    (out / "pca_scree.svg").mkdir()
+    before = _tree_bytes(tmp_path)
+    assert main(["plots", "--out", str(out)]) == EXIT_CONFIG
+    assert capsys.readouterr().err == (
+        f"code=1 error=ConfigError message=cannot write the outputs in {str(out)!r}: "
+        f"{str(out / 'pca_scree.svg')!r} is not a regular file\n")
+    assert _tree_bytes(tmp_path) == before
 
 
 def test_plots_onto_a_directory_exits_config(full_run, tmp_path):

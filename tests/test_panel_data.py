@@ -1,3 +1,4 @@
+import csv
 import tracemalloc
 
 import numpy as np
@@ -24,6 +25,7 @@ from macrodml.panel_data import (
     load_fund_meta_csv,
     load_tscs_csv,
     month_range,
+    read_numeric_csv,
     month_to_int,
     to_panel,
     write_fund_meta_csv,
@@ -139,6 +141,109 @@ def test_tscs_round_trip_bitwise(tmp_path, rng):
     assert np.array_equal(back.values, mat.values, equal_nan=True)
 
 
+def _cell_by_cell(path):
+    """Reference parse: csv.reader rows and one float() per cell, an empty
+    cell NaN, as the loader read a wide CSV before the bulk parser."""
+    with open(path, encoding="utf-8", newline="") as fh:
+        header, *rows = csv.reader(fh)
+    values = np.array([[float(cell) if cell else np.nan for cell in row[1:]] for row in rows])
+    return header[1:], [row[0] for row in rows], values.reshape(len(rows), len(header) - 1)
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+def _quote_every_cell(text):
+    return "".join('"' + '","'.join(line.split(",")) + '"\n' for line in text.splitlines())
+
+
+@pytest.mark.parametrize("name", ["funds_csv", "macro_csv"])
+@pytest.mark.parametrize("twin", [
+    lambda text: text.replace("\n", "\r\n"),
+    _quote_every_cell,
+    lambda text: _quote_every_cell(text).replace("\n", "\r\n"),
+], ids=["crlf", "quoted", "quoted_crlf"])
+def test_load_tscs_twins_keep_the_bits(small_fx, tmp_path, name, twin):
+    """CRLF line ends and quoted cells go through csv.reader; a fixture's
+    twin loads to the values a cell-by-cell parse gives the file itself."""
+    _, fx = small_fx
+    text = open(fx[name], encoding="utf-8", newline="").read()
+    path = tmp_path / "twin.csv"
+    path.write_bytes(twin(text).encode())
+    names, months, values = _cell_by_cell(fx[name])
+    got = load_tscs_csv(path)
+    assert (got.columns, got.time_index) == (names, months)
+    assert _same_bits(got.values, values)
+    assert _same_bits(load_tscs_csv(fx[name]).values, values)
+
+
+# spellings float() reads, with the empty cell
+_SPELLINGS = ["0.1", "-0.0", "1e-310", "5e-324", " 2.5", "+.5", "1_000", "nan", "-inf",
+              "1.7976931348623157e308", "0.30000000000000004", "-7", ""]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    cells=st.lists(st.lists(st.sampled_from(_SPELLINGS), min_size=3, max_size=3), max_size=6),
+    newline=st.sampled_from(["\n", "\r\n"]),
+    quoting=st.sampled_from([csv.QUOTE_MINIMAL, csv.QUOTE_ALL]),
+    final_newline=st.booleans(),
+)
+def test_numeric_csv_reads_what_a_cell_by_cell_parse_reads(tmp_path_factory, cells, newline,
+                                                           quoting, final_newline):
+    """Any line end, quoting and spelling float() reads, empty cells among them."""
+    path = tmp_path_factory.mktemp("numeric") / "table.csv"
+    rows = [["date", "a", 'b "x"', "c,d"]]
+    rows += [[f"2000-{i + 1:02d}", *row] for i, row in enumerate(cells)]
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        csv.writer(fh, lineterminator=newline, quoting=quoting).writerows(rows)
+    if not final_newline:
+        path.write_bytes(path.read_bytes()[: -len(newline)])
+    names, months, values = _cell_by_cell(path)
+    got = read_numeric_csv(path, "date")
+    assert got[:2] == (names, months) and _same_bits(got[2], values)
+
+
+@pytest.mark.parametrize("newline", ["\n", "\r\n"], ids=["lf", "crlf"])
+@pytest.mark.parametrize("body, message", [
+    ("2015-01,1,2\n2015-02,1\n", "line 3: expected 3 cells"),
+    ("2015-01,1,2\n\n", "line 3: expected 3 cells"),
+    ("2015-01,1,2,3\n", "line 2: expected 3 cells"),
+    ("2015-01,1,2\n2015-02,1,zebra\n", "line 3: cannot parse 'zebra' as a number"),
+], ids=["short_row", "blank_row", "long_row", "not_a_number"])
+def test_load_tscs_errors_name_the_line(tmp_path, newline, body, message):
+    """Both tokenizers (split for plain text, csv.reader for CRLF) report a
+    row of another width and a cell that is not a number by its line."""
+    path = tmp_path / "bad.csv"
+    path.write_bytes(("date,f1,f2\n" + body).replace("\n", newline).encode())
+    with pytest.raises(MalformedRow) as info:
+        load_tscs_csv(path)
+    assert str(info.value) == f"{path} {message}"
+
+
+def test_a_long_cell_that_is_not_a_number_is_named_by_its_start(tmp_path):
+    path = tmp_path / "bad.csv"
+    path.write_text("date,f1\n2015-01," + "x" * 200_000 + "\n")
+    with pytest.raises(MalformedRow) as info:
+        load_tscs_csv(path)
+    assert str(info.value) == f"{path} line 2: cannot parse '{'x' * 40}...' as a number"
+
+
+def test_numeric_csv_text_column_by_position(tmp_path):
+    """A text column given by position may share its name with another column."""
+    path = tmp_path / "corr.csv"
+    path.write_text("variable,variable,b\nvariable,1.0,0.5\nb,0.5,1.0\n")
+    names, labels, values = read_numeric_csv(path, 0)
+    assert (names, labels) == (["variable", "b"], ["variable", "b"])
+    assert values.tolist() == [[1.0, 0.5], [0.5, 1.0]]
+    with pytest.raises(DataError, match="exactly one 'variable' column"):
+        read_numeric_csv(path, "variable")
+    path.write_text("")
+    with pytest.raises(MalformedRow, match="no header row"):
+        read_numeric_csv(path)
+
+
 def test_fund_meta_round_trip(tmp_path):
     catalog = [
         FundMeta("AAA", "FixedIncome", "2001-05", 350.0, "Active"),
@@ -157,6 +262,17 @@ def test_fund_meta_duplicate_ticker(tmp_path):
         "AAA,Equity,2000-01,10.0,Active\n"
     )
     with pytest.raises(DuplicateColumn):
+        load_fund_meta_csv(path)
+
+
+@pytest.mark.parametrize("aum", ["nan", "inf", "-inf", "-1.0"])
+def test_fund_meta_rejects_an_aum_that_is_not_finite_and_non_negative(tmp_path, aum):
+    path = tmp_path / "meta.csv"
+    path.write_text(
+        "ticker,asset_class,inception,aum_musd,managed\n"
+        f"AAA,Equity,2000-01,{aum},Active\n"
+    )
+    with pytest.raises(DataError, match=f"fund 'AAA': aum_musd must be finite and >= 0, got {aum}"):
         load_fund_meta_csv(path)
 
 

@@ -1,5 +1,6 @@
 import re
 import xml.etree.ElementTree as ET
+from xml.sax.saxutils import escape
 
 import numpy as np
 import pytest
@@ -46,9 +47,19 @@ def test_heatmap_labels_and_cell_text():
     assert svg.count(">0.00</text>") == 6
 
 
+def test_heatmap_escapes_its_labels():
+    labels = ["a<b", "r&d", "x > y", "&lt;", 'q"uote\'s']
+    svg = render_corr_heatmap(np.eye(5), labels)
+    texts = [el.text for el in svg_root(svg).iter() if el.tag.endswith("text")]
+    assert [texts.count(label) for label in labels] == [2] * 5
+    assert [svg.count(f">{escape(label)}</text>") for label in labels] == [2] * 5
+
+
 def test_heatmap_rejects_bad_input():
     with pytest.raises(DataError):
         render_corr_heatmap(np.ones((2, 3)), ["a", "b"])
+    with pytest.raises(DataError, match="finite"):
+        render_corr_heatmap(np.array([[1.0, np.nan], [np.nan, 1.0]]), ["a", "b"])
     with pytest.raises(LengthMismatch):
         render_corr_heatmap(np.eye(2), ["only-one"])
 
@@ -89,6 +100,8 @@ def test_scree_rejects_bad_input():
         render_scree(np.array([]))
     with pytest.raises(DataError):
         render_scree(np.ones((2, 2)))
+    with pytest.raises(DataError, match="finite"):
+        render_scree(np.array([0.5, np.nan]))
 
 
 # ---------------------------------------------------------------------------
@@ -122,6 +135,11 @@ def test_residuals_reject_bad_input():
         render_residuals(np.array([]), np.array([]))
     with pytest.raises(LengthMismatch):
         render_residuals(np.ones((2, 2)), np.ones((2, 2)))
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(DataError, match="finite"):
+            render_residuals(np.array([0.0, bad]), np.zeros(2))
+        with pytest.raises(DataError, match="finite"):
+            render_residuals(np.zeros(2), np.array([bad, 0.0]))
 
 
 def test_renderers_are_deterministic(rng):
