@@ -29,7 +29,6 @@ from .learners import (
     kfold_split,
     ols_fit,
     predict,
-    train_test_folds,
 )
 from .panel_data import PanelTable, x_rows
 
@@ -261,14 +260,13 @@ def cross_fit_nuisance(
         if preds["y"].shape != (n,):
             raise LengthMismatch(f"g_hat has shape {preds['y'].shape} for {n} rows")
         del targets["y"]
-    fold_of = np.full(n, -1, dtype=np.int64)
-    for i, (train, test) in enumerate(train_test_folds(kfold_split(n, k, seed))):
+    pairs, fold_of = kfold_split(n, k, seed)
+    for i, (train, test) in enumerate(pairs):
         rows_of = problem.fold_design(train)
         try:
             _fit_predict(learner, rows_of, targets, preds, train, test)
         except Exception as exc:
             raise type(exc)(f"fold {i}, {exc}") from exc
-        fold_of[test] = i
     g_hat, m_hat = preds["y"], preds["d"]
     u = problem.y - g_hat
     v = problem.d - m_hat

@@ -26,6 +26,7 @@ from .errors import (
     ConstantTarget,
     DimensionMismatch,
     LengthMismatch,
+    MacrodmlError,
     RankDeficient,
     TooFewRows,
 )
@@ -433,26 +434,22 @@ def r2(y_true, y_pred) -> float:
     return 1.0 - float(diff @ diff) / tss
 
 
-def kfold_split(n: int, k: int, seed: int = 0) -> list[np.ndarray]:
-    """Seeded shuffle of 0..n-1 partitioned into k folds.
+def kfold_split(
+    n: int, k: int, seed: int = 0
+) -> tuple[list[tuple[np.ndarray, np.ndarray]], np.ndarray]:
+    """A seeded shuffle of 0..n-1 cut into k folds: the (train, test) index
+    pairs, each fold in turn the test set, and each row's fold.
 
-    Fold sizes differ by at most one; the folds are disjoint and their union
-    is the full index range. Each fold is returned sorted.
+    Fold sizes differ by at most one; the test sets are disjoint and their
+    union is the full index range. Every index array is sorted.
     """
     if k < 2 or k > n:
         raise BadK(f"k must satisfy 2 <= k <= n, got k={k}, n={n}")
-    rng = np.random.default_rng(seed)
-    perm = rng.permutation(n)
-    return [np.sort(fold) for fold in np.array_split(perm, k)]
-
-
-def train_test_folds(folds: list[np.ndarray]) -> list[tuple[np.ndarray, np.ndarray]]:
-    """(train, test) index pairs: each fold in turn is the test set."""
-    pairs = []
-    for i, test in enumerate(folds):
-        train = np.sort(np.concatenate([f for j, f in enumerate(folds) if j != i]))
-        pairs.append((train, test))
-    return pairs
+    fold_of = np.empty(n, dtype=np.int64)
+    for i, fold in enumerate(np.array_split(np.random.default_rng(seed).permutation(n), k)):
+        fold_of[fold] = i
+    pairs = [(np.flatnonzero(fold_of != i), np.flatnonzero(fold_of == i)) for i in range(k)]
+    return pairs, fold_of
 
 
 DEFAULT_GRID: list[HyperParams] = [
@@ -542,9 +539,11 @@ def grid_search_cv(
     cross-fit with the winner makes, bit for bit.
 
     Candidates that differ only in n_trees share one fit per fold of the
-    largest (see _staged_cv_scores). A candidate whose fit fails on any fold
-    is marked failed (infinite MSE) rather than aborting the search; when a
-    shared fit fails, each candidate of its group is scored on its own, so a
+    largest (see _staged_cv_scores). A candidate whose fit raises a package
+    error (`MacrodmlError`) on any fold is marked failed (infinite MSE)
+    rather than aborting the search; any other exception, a MemoryError say,
+    propagates, so the winner never depends on the machine. When a shared
+    fit fails, each candidate of its group is scored on its own, so a
     failure marks only the candidates that fail by themselves. Ties break by
     (mse, n_trees, max_depth) so the winner is deterministic; the winner's
     row is the first whose params equal it.
@@ -559,7 +558,7 @@ def grid_search_cv(
 
         def design(train):
             return X.__getitem__
-    pairs = train_test_folds(kfold_split(y.size, k, seed))
+    pairs, _ = kfold_split(y.size, k, seed)
 
     def score(batch: list[int]) -> list[tuple[float, float, np.ndarray]]:
         for i in batch:
@@ -574,12 +573,12 @@ def grid_search_cv(
     for members in groups.values():
         try:
             cv.update(zip(members, score(members)))
-        except Exception:
+        except MacrodmlError:
             # score each alone, so only the candidates that fail by themselves are marked
             for i in members:
                 try:
                     cv[i] = score([i])[0]
-                except Exception:
+                except MacrodmlError:
                     cv[i] = None
     table = [
         CvRow(replace(params), float("inf"), float("-inf"))

@@ -1,11 +1,11 @@
-"""Synthetic validation suite: the ten checks behind `macrodml validate`.
+"""Synthetic validation suite: the ten criteria behind `macrodml validate`.
 
-Each check returns a CriterionResult with the measured value, the required
-bound, and a pass flag. Monte Carlo checks take a replication count; passing
-fewer replications than the check was calibrated for marks the row
-"insufficient reps" instead of reporting a misleading rate. Replication i of
-any Monte Carlo loop uses seed base+i, so the loops are order-independent
-and splittable across workers.
+`CRITERIA` lists every criterion once: its number, name, required bound,
+full replication count and the function that measures it. `run_criterion`
+turns an entry into a report row. A Monte Carlo criterion run with fewer
+replications than it was calibrated for reports "insufficient reps" instead
+of a misleading rate. Replication i of any Monte Carlo loop uses seed base+i,
+so the loops are order-independent and splittable across workers.
 """
 
 from __future__ import annotations
@@ -13,7 +13,9 @@ from __future__ import annotations
 import os
 import tempfile
 import time
+from collections.abc import Callable
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -26,6 +28,7 @@ from .dml import (
     run_dml,
     wald_inference,
 )
+from .errors import ConfigError
 from .learners import gbt_fit, ols_fit, predict, staged_mse
 from .preprocess import adf_test, select_lag_var_aic
 from .synth import (
@@ -40,9 +43,6 @@ from .synth import (
 BOOSTED_PARAMS = HyperParams(n_trees=200, max_depth=4, learning_rate=0.1,
                              min_samples_leaf=20)
 
-# replications each Monte Carlo check needs for its stated bound to be meaningful
-FULL_REPS = {3: 50, 4: 100, 5: 200, 6: 20, 7: 200, 8: 100, 9: 20}
-
 
 @dataclass
 class CriterionResult:
@@ -52,7 +52,7 @@ class CriterionResult:
     required: str
     passed: bool
     insufficient: bool = False
-    seconds: float = 0.0  # wall time of the check; run_all sets it, line() omits it
+    seconds: float = 0.0  # wall time of the criterion; line() omits it
 
     def line(self) -> str:
         status = "PASS" if self.passed else "FAIL"
@@ -60,54 +60,24 @@ class CriterionResult:
                 f"measured {self.measured}; required {self.required}")
 
 
-def _resolve_reps(number: int, reps: int | None) -> tuple[int, CriterionResult | None]:
-    needed = FULL_REPS[number]
-    if reps is None:
-        return needed, None
-    if reps < needed:
-        return reps, CriterionResult(
-            number=number,
-            name="",
-            measured=f"insufficient reps ({reps} < {needed})",
-            required=f"at least {needed} replications",
-            passed=False,
-            insufficient=True,
-        )
-    return reps, None
-
-
-def check_inference_arithmetic(seed: int = 0) -> CriterionResult:
+def _inference_arithmetic(seed: int, reps: int | None) -> tuple[str, bool]:
     """t and CI reproduce the reference row for coef -11.97, SE 2.522."""
     t, _, lo, hi = wald_inference(-11.97, 2.522)
     ok = abs(t - (-4.747)) <= 1e-3 and abs(lo - (-16.91)) <= 0.01 and abs(hi - (-7.03)) <= 0.01
-    return CriterionResult(
-        1, "inference arithmetic",
-        f"t={t:.4f} ci=[{lo:.4f}, {hi:.4f}]",
-        "t=-4.747 (tol 1e-3), ci=[-16.91, -7.03] (tol 0.01)",
-        ok,
-    )
+    return f"t={t:.4f} ci=[{lo:.4f}, {hi:.4f}]", ok
 
 
-def check_rescaling(seed: int = 0) -> CriterionResult:
+def _rescaling(seed: int, reps: int | None) -> tuple[str, bool]:
     """per-1pct rescaling is an exact decimal shift on reference coefficients."""
     pairs = {-0.025: -0.00025, -0.019: -0.00019, 0.229: 0.00229, -11.97: -0.1197}
     got = {k: rescale_per_1pct(k) for k in pairs}
-    ok = all(got[k] == v for k, v in pairs.items())
-    return CriterionResult(
-        2, "per-1pct rescaling",
-        f"{sum(got[k] == v for k, v in pairs.items())}/4 exact",
-        "4/4 exact",
-        ok,
-    )
+    exact = sum(got[k] == v for k, v in pairs.items())
+    return f"{exact}/4 exact", exact == len(pairs)
 
 
-def check_fwl_equivalence(seed: int = 0, reps: int | None = None) -> CriterionResult:
+def _fwl_equivalence(seed: int, reps: int) -> tuple[str, bool]:
     """The score on in-sample OLS nuisances equals the full-OLS d coefficient
     (Frisch-Waugh-Lovell)."""
-    reps, short = _resolve_reps(3, reps)
-    if short is not None:
-        short.name = "FWL equivalence"
-        return short
     worst = 0.0
     for i in range(reps):
         theta = float(np.random.default_rng(seed + i).uniform(-2.0, 2.0))
@@ -124,20 +94,11 @@ def check_fwl_equivalence(seed: int = 0, reps: int | None = None) -> CriterionRe
         result = plr_estimate(res, problem.d, problem.y)
         full = ols_fit(np.column_stack([ones, problem.d, problem.x]), problem.y)
         worst = max(worst, abs(result.theta - float(full.coefficients[0])))
-    return CriterionResult(
-        3, "FWL equivalence",
-        f"max |theta_dml - theta_ols| = {worst:.3e} over {reps} instances",
-        "< 1e-8 on every instance",
-        worst < 1e-8,
-    )
+    return f"max |theta_dml - theta_ols| = {worst:.3e} over {reps} instances", worst < 1e-8
 
 
-def check_boosted_consistency(seed: int = 0, reps: int | None = None) -> CriterionResult:
+def _boosted_consistency(seed: int, reps: int) -> tuple[str, bool]:
     """Cross-fitted boosted nuisances recover theta on the nonlinear DGP."""
-    reps, short = _resolve_reps(4, reps)
-    if short is not None:
-        short.name = "boosted consistency"
-        return short
     hits = 0
     for i in range(reps):
         problem, _ = gen_plr(SynthSpec(
@@ -149,21 +110,11 @@ def check_boosted_consistency(seed: int = 0, reps: int | None = None) -> Criteri
             k=2, seed=seed + i,
         )
         hits += abs(result.theta - 0.5) <= 3.0 * result.se
-    frac = hits / reps
-    return CriterionResult(
-        4, "boosted consistency",
-        f"within 3 SE in {hits}/{reps} runs",
-        "at least 95% of runs",
-        frac >= 0.95,
-    )
+    return f"within 3 SE in {hits}/{reps} runs", hits / reps >= 0.95
 
 
-def check_ci_coverage(seed: int = 0, reps: int | None = None) -> CriterionResult:
+def _ci_coverage(seed: int, reps: int) -> tuple[str, bool]:
     """Nominal 95% CI covers theta at close to nominal rate on the linear DGP."""
-    reps, short = _resolve_reps(5, reps)
-    if short is not None:
-        short.name = "CI coverage"
-        return short
     covered = 0
     for i in range(reps):
         problem, _ = gen_plr(SynthSpec(
@@ -173,20 +124,11 @@ def check_ci_coverage(seed: int = 0, reps: int | None = None) -> CriterionResult
         result, _ = run_dml(problem, LearnerSpec("linear"), k=2, seed=seed + i)
         covered += result.ci_low <= 0.5 <= result.ci_high
     frac = covered / reps
-    return CriterionResult(
-        5, "CI coverage",
-        f"coverage {covered}/{reps} = {frac:.3f}",
-        "in [0.90, 0.98]",
-        0.90 <= frac <= 0.98,
-    )
+    return f"coverage {covered}/{reps} = {frac:.3f}", 0.90 <= frac <= 0.98
 
 
-def check_learner_contrast(seed: int = 0, reps: int | None = None) -> CriterionResult:
+def _learner_contrast(seed: int, reps: int) -> tuple[str, bool]:
     """Boosted nuisances beat linear ones on fit and bias when the DGP is nonlinear."""
-    reps, short = _resolve_reps(6, reps)
-    if short is not None:
-        short.name = "learner contrast"
-        return short
     r2_lin, r2_boost, bias_lin, bias_boost = [], [], [], []
     for i in range(reps):
         problem, _ = gen_plr(SynthSpec(
@@ -205,21 +147,13 @@ def check_learner_contrast(seed: int = 0, reps: int | None = None) -> CriterionR
     gap = float(np.mean(r2_boost) - np.mean(r2_lin))
     mb_l = float(np.mean(bias_lin))
     mb_b = float(np.mean(bias_boost))
-    return CriterionResult(
-        6, "learner contrast",
-        f"r2_y gap {gap:.3f}; mean |bias| boosted {mb_b:.4f} vs linear {mb_l:.4f}",
-        "gap >= 0.10 and boosted |bias| < linear |bias|",
-        gap >= 0.10 and mb_b < mb_l,
-    )
+    return (f"r2_y gap {gap:.3f}; mean |bias| boosted {mb_b:.4f} vs linear {mb_l:.4f}",
+            gap >= 0.10 and mb_b < mb_l)
 
 
-def check_adf_size_power(seed: int = 0, reps: int | None = None) -> CriterionResult:
+def _adf_size_power(seed: int, reps: int) -> tuple[str, bool]:
     """ADF rarely rejects a random walk, almost always rejects AR(0.5); the
     5% critical value regenerates near its asymptotic reference."""
-    reps, short = _resolve_reps(7, reps)
-    if short is not None:
-        short.name = "ADF size and power"
-        return short
     size_hits = 0
     power_hits = 0
     for i in range(reps):
@@ -232,20 +166,11 @@ def check_adf_size_power(seed: int = 0, reps: int | None = None) -> CriterionRes
     power = power_hits / reps
     crit5 = df_critical_values(500, reps=100_000, seed=seed)["5%"]
     ok = size <= 0.10 and power >= 0.95 and abs(crit5 - (-2.86)) <= 0.05
-    return CriterionResult(
-        7, "ADF size and power",
-        f"size {size:.3f}, power {power:.3f}, 5% crit {crit5:.3f}",
-        "size <= 0.10, power >= 0.95, crit within -2.86 +/- 0.05",
-        ok,
-    )
+    return f"size {size:.3f}, power {power:.3f}, 5% crit {crit5:.3f}", ok
 
 
-def check_lag_recovery(seed: int = 0, reps: int | None = None) -> CriterionResult:
+def _lag_recovery(seed: int, reps: int) -> tuple[str, bool]:
     """AIC lag selection recovers the true order of a bivariate VAR(2)."""
-    reps, short = _resolve_reps(8, reps)
-    if short is not None:
-        short.name = "lag-order recovery"
-        return short
     coeffs = [
         np.array([[0.5, 0.1], [0.0, 0.4]]),
         np.array([[0.3, 0.0], [0.1, 0.25]]),
@@ -255,21 +180,11 @@ def check_lag_recovery(seed: int = 0, reps: int | None = None) -> CriterionResul
         mat = gen_var(SynthSpec(kind="var", n=400, seed=seed + i,
                                 extra={"coeffs": coeffs}))
         hits += select_lag_var_aic(mat, 8) == 2
-    frac = hits / reps
-    return CriterionResult(
-        8, "lag-order recovery",
-        f"selected p=2 in {hits}/{reps} runs",
-        "at least 90% of runs",
-        frac >= 0.90,
-    )
+    return f"selected p=2 in {hits}/{reps} runs", hits / reps >= 0.90
 
 
-def check_gbt_training_loss(seed: int = 0, reps: int | None = None) -> CriterionResult:
+def _gbt_training_loss(seed: int, reps: int) -> tuple[str, bool]:
     """Boosting never increases training MSE; depth-0 models predict the mean."""
-    reps, short = _resolve_reps(9, reps)
-    if short is not None:
-        short.name = "GBT training loss"
-        return short
     worst_rise = -np.inf
     worst_mean_gap = 0.0
     for i in range(reps):
@@ -286,24 +201,15 @@ def check_gbt_training_loss(seed: int = 0, reps: int | None = None) -> Criterion
         gap = float(np.max(np.abs(predict(stump, X) - y.mean())))
         worst_mean_gap = max(worst_mean_gap, gap)
     ok = worst_rise <= 1e-12 and worst_mean_gap <= 1e-12
-    return CriterionResult(
-        9, "GBT training loss",
-        f"max MSE rise {worst_rise:.3e}; max depth-0 gap {worst_mean_gap:.3e}",
-        "rise <= 1e-12 and depth-0 gap <= 1e-12",
-        ok,
-    )
+    return f"max MSE rise {worst_rise:.3e}; max depth-0 gap {worst_mean_gap:.3e}", ok
 
 
-def check_pipeline_determinism(seed: int = 0, work_dir: str | None = None) -> CriterionResult:
-    """Re-running the full pipeline with the same config reproduces the
-    result tables byte for byte."""
+def _pipeline_determinism(seed: int, reps: int | None) -> tuple[str, bool]:
+    """Re-running the full pipeline with the same config reproduces every
+    file it writes byte for byte."""
     from .cli import PipelineConfig, run_pipeline  # local import: cli imports us
 
-    ctx = None
-    if work_dir is None:
-        ctx = tempfile.TemporaryDirectory(prefix="macrodml-validate-")
-        work_dir = ctx.name
-    try:
+    with tempfile.TemporaryDirectory(prefix="macrodml-validate-") as work_dir:
         fixture_dir = os.path.join(work_dir, "fixture")
         gen_pipeline_fixture(fixture_dir, seed=seed)
         out_dir = os.path.join(work_dir, "run")
@@ -317,49 +223,65 @@ def check_pipeline_determinism(seed: int = 0, work_dir: str | None = None) -> Cr
             learner="linear",
             seed=seed,
         )
-        tracked = ("results.csv", "r2.csv", "per_1pct.csv")
 
         def snapshot() -> dict[str, bytes]:
             run_pipeline(config)
-            out = {}
-            for name in tracked:
-                with open(os.path.join(out_dir, name), "rb") as fh:
-                    out[name] = fh.read()
-            return out
+            return {path.name: path.read_bytes() for path in Path(out_dir).iterdir()}
 
-        first = snapshot()
-        second = snapshot()
-        same = sum(first[name] == second[name] for name in tracked)
-        return CriterionResult(
-            10, "pipeline determinism",
-            f"{same}/{len(tracked)} result files byte-identical across reruns",
-            f"{len(tracked)}/{len(tracked)} byte-identical",
-            same == len(tracked),
-        )
-    finally:
-        if ctx is not None:
-            ctx.cleanup()
+        first, second = snapshot(), snapshot()
+        names = first.keys() | second.keys()
+        same = sum(first.get(name) == second.get(name) for name in names)
+        return (f"{same}/{len(names)} output files byte-identical across reruns",
+                same == len(names))
 
 
-def _timed(check, *args) -> CriterionResult:
+@dataclass(frozen=True)
+class Criterion:
+    number: int
+    name: str
+    required: str
+    full_reps: int | None  # replications its bound needs; None: deterministic
+    measure: Callable[[int, int | None], tuple[str, bool]]  # (seed, reps) -> (measured, passed)
+
+
+CRITERIA = (
+    Criterion(1, "inference arithmetic",
+              "t=-4.747 (tol 1e-3), ci=[-16.91, -7.03] (tol 0.01)", None, _inference_arithmetic),
+    Criterion(2, "per-1pct rescaling", "4/4 exact", None, _rescaling),
+    Criterion(3, "FWL equivalence", "< 1e-8 on every instance", 50, _fwl_equivalence),
+    Criterion(4, "boosted consistency", "at least 95% of runs", 100, _boosted_consistency),
+    Criterion(5, "CI coverage", "in [0.90, 0.98]", 200, _ci_coverage),
+    Criterion(6, "learner contrast",
+              "gap >= 0.10 and boosted |bias| < linear |bias|", 20, _learner_contrast),
+    Criterion(7, "ADF size and power",
+              "size <= 0.10, power >= 0.95, crit within -2.86 +/- 0.05", 200, _adf_size_power),
+    Criterion(8, "lag-order recovery", "at least 90% of runs", 100, _lag_recovery),
+    Criterion(9, "GBT training loss",
+              "rise <= 1e-12 and depth-0 gap <= 1e-12", 20, _gbt_training_loss),
+    Criterion(10, "pipeline determinism", "every output file byte-identical", None,
+              _pipeline_determinism),
+)
+
+
+def run_criterion(criterion: Criterion, seed: int = 0, reps: int | None = None) -> CriterionResult:
+    """The criterion's report row, with the wall seconds it took. `reps` of
+    None means the full count; fewer than the full count gives an
+    "insufficient reps" row without measuring."""
     start = time.perf_counter()
-    result = check(*args)
-    result.seconds = time.perf_counter() - start
-    return result
+    full = criterion.full_reps
+    short = full is not None and reps is not None and reps < full
+    if short:
+        measured, required, passed = (f"insufficient reps ({reps} < {full})",
+                                      f"at least {full} replications", False)
+    else:
+        measured, passed = criterion.measure(seed, full if reps is None else reps)
+        required = criterion.required
+    return CriterionResult(criterion.number, criterion.name, measured, required, passed,
+                           short, time.perf_counter() - start)
 
 
 def run_all(seed: int = 0, reps: int | None = None) -> list[CriterionResult]:
-    """Run every acceptance check in order and return the report rows, each
-    with the wall seconds its check took."""
-    return [
-        _timed(check_inference_arithmetic, seed),
-        _timed(check_rescaling, seed),
-        _timed(check_fwl_equivalence, seed, reps),
-        _timed(check_boosted_consistency, seed, reps),
-        _timed(check_ci_coverage, seed, reps),
-        _timed(check_learner_contrast, seed, reps),
-        _timed(check_adf_size_power, seed, reps),
-        _timed(check_lag_recovery, seed, reps),
-        _timed(check_gbt_training_loss, seed, reps),
-        _timed(check_pipeline_determinism, seed),
-    ]
+    """Every criterion's report row, in order."""
+    if seed < 0:
+        raise ConfigError("seed must be >= 0")
+    return [run_criterion(criterion, seed, reps) for criterion in CRITERIA]

@@ -1,68 +1,24 @@
-"""Acceptance gate: the ten release criteria, each at full Monte Carlo
-replication counts. Every test prints its one-line verdict to the live
-terminal (bypassing capture) so a `pytest -v` run shows the scoreboard."""
+"""Acceptance gate: the release criteria of `validation.CRITERIA`, each at
+its full Monte Carlo replication count. Every test prints its one-line
+verdict to the live terminal (bypassing capture) so a `pytest -v` run shows
+the scoreboard."""
 
 import pytest
 
 from macrodml import validation
 
+SLOW = {4, 6, 7}  # the criteria whose full counts take several seconds or more
 
-def report(capsys, result):
+
+@pytest.mark.acceptance
+@pytest.mark.parametrize("criterion", [
+    pytest.param(c, id=f"{c.number:02d}", marks=[pytest.mark.slow] if c.number in SLOW else [])
+    for c in validation.CRITERIA
+])
+def test_criterion(capsys, criterion):
+    result = validation.run_criterion(criterion)
     with capsys.disabled():
         print(flush=True)
         print(result.line(), flush=True)
     assert not result.insufficient, result.line()
     assert result.passed, result.line()
-
-
-@pytest.mark.acceptance
-def test_criterion_01_reference_row_inference(capsys):
-    report(capsys, validation.check_inference_arithmetic())
-
-
-@pytest.mark.acceptance
-def test_criterion_02_per_unit_rescaling(capsys):
-    report(capsys, validation.check_rescaling())
-
-
-@pytest.mark.acceptance
-def test_criterion_03_no_split_linear_matches_ols(capsys):
-    report(capsys, validation.check_fwl_equivalence())
-
-
-@pytest.mark.acceptance
-@pytest.mark.slow
-def test_criterion_04_boosted_recovers_nonlinear_effect(capsys):
-    report(capsys, validation.check_boosted_consistency())
-
-
-@pytest.mark.acceptance
-def test_criterion_05_confidence_interval_coverage(capsys):
-    report(capsys, validation.check_ci_coverage())
-
-
-@pytest.mark.acceptance
-@pytest.mark.slow
-def test_criterion_06_boosted_beats_linear_on_nonlinear_dgp(capsys):
-    report(capsys, validation.check_learner_contrast())
-
-
-@pytest.mark.acceptance
-@pytest.mark.slow
-def test_criterion_07_adf_size_power_and_critical_value(capsys):
-    report(capsys, validation.check_adf_size_power())
-
-
-@pytest.mark.acceptance
-def test_criterion_08_var_lag_order_recovery(capsys):
-    report(capsys, validation.check_lag_recovery())
-
-
-@pytest.mark.acceptance
-def test_criterion_09_boosting_training_loss_monotone(capsys):
-    report(capsys, validation.check_gbt_training_loss())
-
-
-@pytest.mark.acceptance
-def test_criterion_10_pipeline_byte_determinism(capsys):
-    report(capsys, validation.check_pipeline_determinism())

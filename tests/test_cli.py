@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import dataclasses
 import hashlib
 import io
 import json
@@ -32,7 +33,7 @@ from macrodml.cli import (
 )
 from macrodml.dml import LearnerSpec, cross_fit_nuisance
 from macrodml.errors import ConfigError
-from macrodml.learners import gbt_fit, kfold_split, mse, predict, r2, train_test_folds
+from macrodml.learners import gbt_fit, kfold_split, mse, predict, r2
 from macrodml.panel_data import (
     TimeSeriesMatrix,
     csv_cells,
@@ -364,21 +365,27 @@ def test_validate_with_too_few_reps_exits_validation(capsys):
 
 
 def test_validate_prints_each_criterion_seconds(monkeypatch, capsys):
-    def check(*args):
-        return validation.CriterionResult(0, "stub", "1", "1", passed=True)
-
-    for name in dir(validation):
-        if name.startswith("check_"):
-            monkeypatch.setattr(validation, name, check)
+    stubs = [dataclasses.replace(c, measure=lambda seed, reps: ("1", True))
+             for c in validation.CRITERIA]
+    monkeypatch.setattr(validation, "CRITERIA", stubs)
     results = validation.run_all()
     assert len(results) == 10
-    assert all(r.seconds >= 0.0 and "s)" not in r.line() for r in results)
+    assert all(r.seconds >= 0.0 and not r.line().endswith(" s)") for r in results)
     monkeypatch.setattr(validation, "run_all", lambda seed, reps: results)
     results[0].seconds = 12.345
     assert main(["validate"]) == EXIT_OK
     lines = capsys.readouterr().out.splitlines()
     assert lines[0] == f"{results[0].line()} (12.3 s)"
     assert all(line.endswith(" s)") for line in lines[:10])
+
+
+def test_validate_rejects_a_negative_seed_before_any_criterion():
+    proc = subprocess.run([sys.executable, "-m", "macrodml", "validate", "--seed", "-1",
+                           "--reps", "1"], capture_output=True, text=True)
+    assert proc.returncode == EXIT_CONFIG
+    assert proc.stdout == ""  # no criterion ran
+    assert proc.stderr == "code=1 error=ConfigError message=seed must be >= 0\n"
+    assert "Traceback" not in proc.stderr
 
 
 def test_exit_code_reaches_the_shell(small_fx, tmp_path):
@@ -971,7 +978,7 @@ def test_grid_cv_scores_equal_separate_fits_on_the_fold_designs(small_fx, tmp_pa
     (problem, _), kwargs, _ = _recorded_boosted_run(small_fx, tmp_path, monkeypatch, SHORTER_GRID)
     _, rows = read_csv(tmp_path / "o" / "grid_cv.csv")
     y = problem.y
-    pairs = train_test_folds(kfold_split(problem.n_obs, kwargs["k"], kwargs["seed"]))
+    pairs = kfold_split(problem.n_obs, kwargs["k"], kwargs["seed"])[0]
     for entry, row in zip(SHORTER_GRID, rows):
         params = learners.HyperParams(**entry)
         losses, scores = [], []

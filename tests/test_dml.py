@@ -33,7 +33,6 @@ from macrodml.learners import (
     kfold_split,
     ols_fit,
     predict,
-    train_test_folds,
 )
 from macrodml.panel_data import PanelTable
 from macrodml.synth import SynthSpec, gen_plr
@@ -260,7 +259,7 @@ def test_linear_cross_fit_one_ols_per_fold_matches_separate_fits(monkeypatch, pa
     assert len(calls) == 3  # one fit per fold serves both tasks
 
     n = problem.n_obs
-    for train, test in train_test_folds(kfold_split(n, 3, 1)):
+    for train, test in kfold_split(n, 3, 1)[0]:
         X = problem.x
         if panel:  # the whole encoded matrix is the reference for the row copies
             X = np.hstack([X, encode_features(problem, np.isin(np.arange(n), train))])

@@ -31,7 +31,6 @@ from macrodml.learners import (
     predict,
     r2,
     staged_mse,
-    train_test_folds,
 )
 
 
@@ -529,23 +528,30 @@ def test_hyperparams_validation():
 # ---------------------------------------------------------------------------
 
 def test_kfold_partition_laws():
-    folds = kfold_split(11, 3, seed=4)
-    sizes = [f.size for f in folds]
+    pairs, fold_of = kfold_split(11, 3, seed=4)
+    sizes = [test.size for _, test in pairs]
     assert max(sizes) - min(sizes) <= 1 and sum(sizes) == 11
-    joined = np.concatenate(folds)
+    joined = np.concatenate([test for _, test in pairs])
     assert np.array_equal(np.sort(joined), np.arange(11))
-    for f in folds:
-        assert np.array_equal(f, np.sort(f))
+    assert fold_of.dtype == np.int64
+    for i, (train, test) in enumerate(pairs):
+        assert np.array_equal(test, np.sort(test)) and np.array_equal(train, np.sort(train))
+        assert np.all(fold_of[test] == i) and np.all(fold_of[train] != i)
+
+
+def test_kfold_folds_are_the_sorted_parts_of_a_seeded_permutation():
+    parts = np.array_split(np.random.default_rng(7).permutation(23), 4)
+    pairs, _ = kfold_split(23, 4, seed=7)
+    for i, (train, test) in enumerate(pairs):
+        assert test.tobytes() == np.sort(parts[i]).tobytes()
+        assert train.tobytes() == np.sort(np.concatenate(parts[:i] + parts[i + 1:])).tobytes()
 
 
 def test_kfold_seeded_and_bounds():
-    assert all(
-        np.array_equal(a, b)
-        for a, b in zip(kfold_split(20, 4, seed=1), kfold_split(20, 4, seed=1))
-    )
-    flat1 = np.concatenate(kfold_split(20, 4, seed=1))
-    flat2 = np.concatenate(kfold_split(20, 4, seed=2))
-    assert not np.array_equal(flat1, flat2)
+    (a, fold_a), (b, fold_b) = kfold_split(20, 4, seed=1), kfold_split(20, 4, seed=1)
+    assert np.array_equal(fold_a, fold_b)
+    assert all(np.array_equal(x, y) for pa, pb in zip(a, b) for x, y in zip(pa, pb))
+    assert not np.array_equal(fold_a, kfold_split(20, 4, seed=2)[1])
     with pytest.raises(BadK):
         kfold_split(10, 1)
     with pytest.raises(BadK):
@@ -553,8 +559,7 @@ def test_kfold_seeded_and_bounds():
 
 
 def test_train_test_folds_complement():
-    folds = kfold_split(10, 2, seed=0)
-    for train, test in train_test_folds(folds):
+    for train, test in kfold_split(10, 2, seed=0)[0]:
         assert np.intersect1d(train, test).size == 0
         assert np.array_equal(np.sort(np.concatenate([train, test])), np.arange(10))
 
@@ -568,9 +573,10 @@ def test_train_test_folds_complement():
 def test_kfold_laws_hold_generally(n, k, seed):
     if k > n:
         return
-    folds = kfold_split(n, k, seed)
-    assert len(folds) == k
-    assert np.array_equal(np.sort(np.concatenate(folds)), np.arange(n))
+    pairs, fold_of = kfold_split(n, k, seed)
+    assert len(pairs) == k
+    assert np.array_equal(np.sort(np.concatenate([test for _, test in pairs])), np.arange(n))
+    assert np.array_equal(np.bincount(fold_of, minlength=k), [test.size for _, test in pairs])
 
 
 # ---------------------------------------------------------------------------
@@ -633,7 +639,7 @@ def test_grid_table_matches_separate_fits(rng):
     X = rng.standard_normal((240, 3))
     y = np.sin(2.0 * X[:, 0]) + X[:, 1] + 0.3 * rng.standard_normal(240)
     best, table = grid_search_cv(X, y, k=2, seed=3)
-    pairs = train_test_folds(kfold_split(240, 2, seed=3))
+    pairs = kfold_split(240, 2, seed=3)[0]
     for params, row in zip(DEFAULT_GRID, table):
         preds = [predict(gbt_fit(X[tr], y[tr], params), X[te]) for tr, te in pairs]
         assert row.params == params and not row.failed
@@ -652,7 +658,7 @@ def test_grid_keeps_each_candidates_out_of_fold_predictions(rng):
         HyperParams(n_trees=2, max_depth=1, learning_rate=0.1, min_samples_leaf=10_000),
     ]
     best, table = grid_search_cv(X, y, grid, k=3, seed=1)
-    pairs = train_test_folds(kfold_split(120, 3, seed=1))
+    pairs = kfold_split(120, 3, seed=1)[0]
     for params, row in zip(grid[:3], table):
         expected = np.empty(120)
         for tr, te in pairs:
@@ -688,6 +694,19 @@ def test_grouped_grid_keeps_per_candidate_failures(rng):
     assert not table[0].failed and np.isfinite(table[0].cv_mse)
     assert table[1].failed and table[1].cv_mse == float("inf")
     assert best == grid[0]
+
+
+def test_grid_reraises_an_error_that_is_not_the_packages(rng, monkeypatch):
+    """Only a package error marks a candidate failed: a MemoryError in one
+    (depth, rate) group ends the search rather than handing the win to another."""
+    def fit(X, y, params):
+        if params.max_depth == 4:
+            raise MemoryError("no room for the depth-4 trees")
+        return gbt_fit(X, y, params)
+
+    monkeypatch.setattr(learners, "gbt_fit", fit)
+    with pytest.raises(MemoryError):
+        grid_search_cv(rng.standard_normal((80, 2)), rng.standard_normal(80), k=2)
 
 
 def test_grid_from_json_round_trip():
