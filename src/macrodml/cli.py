@@ -25,6 +25,7 @@ from .dml import (
     SCORES,
     LearnerSpec,
     encode_features,  # noqa: F401 -- not called here; perfbench's tracer wraps it by this name
+    grid_search_cv,
     problem_from_panel,
     residual_diagnostics,
     run_dml,
@@ -36,7 +37,7 @@ from .errors import (
     MalformedRow,
     NumericalError,
 )
-from .learners import DEFAULT_GRID, grid_from_json, grid_search_cv
+from .learners import DEFAULT_GRID, grid_from_json
 from .panel_data import (
     FundFilter,
     common_range,
@@ -314,9 +315,7 @@ def run_pipeline(config: PipelineConfig) -> dict:
         # unit means from each fold's training rows only, so the winner's
         # out-of-fold predictions are the y nuisance its cross-fit would fit;
         # a failed winner has none, and its cross-fit raises its error
-        best_params, cv_table = grid_search_cv(
-            problem.fold_design, problem.y, grid, k=config.k, seed=config.seed
-        )
+        best_params, cv_table = grid_search_cv(problem, grid, k=config.k, seed=config.seed)
         tuned_g_hat = next(row.oof for row in cv_table if row.params == best_params)
         # HyperParams' fields are the first four columns
         art.add("grid_cv.csv", csv_text(

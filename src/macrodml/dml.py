@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field, replace
 from decimal import Decimal
 
 import numpy as np
@@ -22,13 +22,18 @@ from .errors import (
     DataError,
     DegenerateTreatment,
     LengthMismatch,
+    MacrodmlError,
 )
 from .learners import (
+    DEFAULT_GRID,
     HyperParams,
     gbt_fit,
     kfold_split,
+    mse,
     ols_fit,
     predict,
+    r2,
+    staged_predict,
 )
 from .panel_data import PanelTable, x_rows
 
@@ -98,6 +103,12 @@ class PlrProblem:
     def n_obs(self) -> int:
         return int(self.y.size)
 
+    def folds(self, k: int, seed: int = 0):
+        """The (train, test) row index pairs of K-fold cross-fitting and each
+        row's fold (`learners.kfold_split`): the one fold plan that tuning
+        and cross-fitting share."""
+        return kfold_split(self.n_obs, k, seed)
+
     def fold_design(self, train):
         """(rows, order, intercept) -> those rows of the design of the fold
         whose training rows are `train`, copied in that memory order: x
@@ -106,9 +117,7 @@ class PlrProblem:
         if self.unit_codes is None:
             means = np.empty((self.n_obs, 0))
         else:
-            mask = np.zeros(self.n_obs, dtype=bool)
-            mask[train] = True
-            means = encode_features(self, mask)
+            means = encode_features(self, train)
         return functools.partial(design_rows, self.x, means)
 
 
@@ -142,52 +151,63 @@ class DmlResult:
     per_1pct: float
 
 
-def _fit_predict(learner: LearnerSpec, rows_of, targets: dict[str, np.ndarray],
-                 preds: dict[str, np.ndarray], train, test) -> None:
-    """Fit each task's target in `targets` (task name -> target) on the
+def _fit_predict(rows_of, targets: dict[str, np.ndarray], preds: dict[str, np.ndarray],
+                 train, test) -> None:
+    """Fit every target in `targets` (task name -> target) by OLS on the
     `train` rows and write its predictions on the `test` rows into
     preds[task]; `rows_of(rows, order, intercept)` returns those rows of the
-    design (see `design_rows`). An error names the task that failed. The
-    predictions are written in place, so none outlives its fold: a fold's
-    predictions held into the next fold's fit raised the peak RSS of a
-    196,800-row linear run by about 30 MB.
+    design (see `design_rows`). The predictions are written in place, so
+    none outlives its fold: a fold's predictions held into the next fold's
+    fit raised the peak RSS of a 196,800-row linear run by about 30 MB.
 
-    A linear learner fits every task from one QR of the training rows, copied
-    column-major with the intercept column as `ols_fit` takes them, and
-    gathers the test rows only after that fit, so the two copies never
-    coexist. Only the training rows can make that fit fail, and the first
-    task meets it first, so its errors name that task, as they would when
-    the tasks are fit in turn.
+    Every task is fit from one QR of the training rows, copied column-major
+    with the intercept column as `ols_fit` takes them, and the test rows are
+    gathered only after that fit, so the two copies never coexist.
     """
-    if learner.kind == "linear":
-        first = next(iter(targets))
-        try:
-            model = ols_fit(rows_of(train, "F", True),
-                            np.stack([target[train] for target in targets.values()]))
-            for task, pred in zip(targets, predict(model, rows_of(test))):
-                preds[task][test] = pred
-        except Exception as exc:
-            raise type(exc)(f"{first}-task: {exc}") from exc
-        return
-    X_tr, X_te = rows_of(train), rows_of(test)
-    for task, target in targets.items():
-        try:
-            preds[task][test] = predict(gbt_fit(X_tr, target[train], learner.params), X_te)
-        except Exception as exc:
-            raise type(exc)(f"{task}-task: {exc}") from exc
+    model = ols_fit(rows_of(train, "F", True),
+                    np.stack([target[train] for target in targets.values()]))
+    for task, pred in zip(targets, predict(model, rows_of(test))):
+        preds[task][test] = pred
 
 
-def encode_features(problem: PlrProblem, train_mask: np.ndarray) -> np.ndarray:
-    """Each row's unit mean of the outcome over the train_mask rows (target
-    encoding of the unit id, a fixed-effect proxy), as the (n, 1) block that
-    `design_rows` appends to x.
+def staged_oof(problem: PlrProblem, pairs, task: str, params: HyperParams,
+               stages: list[int]) -> dict[int, np.ndarray]:
+    """Stage count -> the out-of-fold predictions of the problem's `task`
+    target ("y" or "d") by a boosted ensemble of `params` cut after that
+    many trees, for each count in `stages`.
+
+    One ensemble of max(stages) trees is fitted per fold on the fold's
+    design (`PlrProblem.fold_design`) and predicts the fold's test rows; a
+    shorter ensemble is its prefix, because boosting is deterministic and
+    stagewise, so its predictions are `staged_predict`'s at that stage, the
+    bits a separate fit of that many trees gives. A package error names its
+    fold and task.
+    """
+    target = getattr(problem, task)
+    oof = {t: np.empty(problem.n_obs) for t in stages}
+    for i, (train, test) in enumerate(pairs):
+        rows_of = problem.fold_design(train)
+        try:
+            model = gbt_fit(rows_of(train), target[train], replace(params, n_trees=max(stages)))
+        except MacrodmlError as exc:
+            raise type(exc)(f"fold {i}, {task}-task: {exc}") from exc
+        for stage, pred in enumerate(staged_predict(model, rows_of(test))):
+            if stage in oof:
+                oof[stage][test] = pred
+    return oof
+
+
+def encode_features(problem: PlrProblem, train: np.ndarray) -> np.ndarray:
+    """Each row's unit mean of the outcome over the `train` rows, a sorted
+    index array (target encoding of the unit id, a fixed-effect proxy), as
+    the (n, 1) block that `design_rows` appends to x.
 
     Units are grouped by the problem's integer unit codes. A unit with no
-    training row gets the mean of all training rows; train_mask must select
-    at least one row (a fold complement always does).
+    training row gets the mean of all training rows; `train` must hold at
+    least one row (a fold complement always does).
     """
     codes = problem.unit_codes
-    train_codes, train_y = codes[train_mask], problem.y[train_mask]
+    train_codes, train_y = codes[train], problem.y[train]
     counts = np.bincount(train_codes, minlength=problem.n_units)
     sums = np.bincount(train_codes, weights=train_y, minlength=problem.n_units)
     means = np.where(counts > 0, sums / np.maximum(counts, 1), train_y.mean())
@@ -248,8 +268,13 @@ def cross_fit_nuisance(
     pooled out-of-fold predictions.
 
     A given `g_hat` is taken as the y task's out-of-fold predictions, made
-    on these folds and fold designs (`learners.grid_search_cv`'s winner's
-    are), and only the d task is fit.
+    on these folds and fold designs (`grid_search_cv`'s winner's are), and
+    only the d task is fit.
+
+    A package error names its fold and task. A linear fold fits both tasks
+    from one QR, which only the training rows can make fail, and the first
+    task meets it first, so its errors name that task, as they would when
+    the tasks are fit in turn.
     """
     learner.validate()
     n = problem.n_obs
@@ -260,19 +285,101 @@ def cross_fit_nuisance(
         if preds["y"].shape != (n,):
             raise LengthMismatch(f"g_hat has shape {preds['y'].shape} for {n} rows")
         del targets["y"]
-    pairs, fold_of = kfold_split(n, k, seed)
-    for i, (train, test) in enumerate(pairs):
-        rows_of = problem.fold_design(train)
-        try:
-            _fit_predict(learner, rows_of, targets, preds, train, test)
-        except Exception as exc:
-            raise type(exc)(f"fold {i}, {exc}") from exc
+    pairs, fold_of = problem.folds(k, seed)
+    if learner.kind == "boosted":
+        params = learner.params or HyperParams()
+        for task in targets:
+            preds[task] = staged_oof(problem, pairs, task, params, [params.n_trees])[params.n_trees]
+    else:
+        for i, (train, test) in enumerate(pairs):
+            try:
+                _fit_predict(problem.fold_design(train), targets, preds, train, test)
+            except MacrodmlError as exc:
+                raise type(exc)(f"fold {i}, {next(iter(targets))}-task: {exc}") from exc
     g_hat, m_hat = preds["y"], preds["d"]
     u = problem.y - g_hat
     v = problem.d - m_hat
     return NuisanceResiduals(
         u, v, fold_of, _oof_r2(problem.y, u), _oof_r2(problem.d, v), g_hat, m_hat
     )
+
+
+@dataclass
+class CvRow:
+    """One grid candidate's cross-validated scores and out-of-fold
+    predictions; a candidate that failed has none."""
+
+    params: HyperParams
+    cv_mse: float
+    cv_r2: float
+    oof: np.ndarray | None = field(default=None, repr=False, compare=False)
+
+    @property
+    def failed(self) -> bool:
+        return self.oof is None
+
+
+def grid_search_cv(
+    problem: PlrProblem,
+    grid: list[HyperParams] | None = None,
+    k: int = 2,
+    seed: int = 0,
+) -> tuple[HyperParams, list[CvRow]]:
+    """Pick boosted-tree settings for the y task by k-fold out-of-fold MSE.
+
+    Every candidate is fit on `cross_fit_nuisance`'s folds
+    (`PlrProblem.folds`) and fold designs, and each table row keeps its
+    candidate's out-of-fold predictions (`CvRow.oof`): the winner's are the
+    ones a cross-fit with the winner makes, bit for bit. A candidate's
+    scores are the means over the folds of its test rows' MSE and R^2.
+
+    Candidates that differ only in n_trees share one fit per fold of the
+    largest (see `staged_oof`). A candidate whose fit raises a package
+    error (`MacrodmlError`) on any fold is marked failed (infinite MSE)
+    rather than aborting the search; any other exception, a MemoryError say,
+    propagates, so the winner never depends on the machine. When a shared
+    fit fails, each candidate of its group is scored on its own, so a
+    failure marks only the candidates that fail by themselves. Ties break by
+    (mse, n_trees, max_depth) so the winner is deterministic; the winner's
+    row is the first whose params equal it.
+    """
+    grid = DEFAULT_GRID if grid is None else grid
+    if not grid:
+        raise ConfigError("hyperparameter grid is empty")
+    pairs, _ = problem.folds(k, seed)
+    y = problem.y
+
+    def score(batch: list[int]) -> list[tuple[float, float, np.ndarray]]:
+        for i in batch:
+            grid[i].validate()
+        stages = [grid[i].n_trees for i in batch]
+        oof = staged_oof(problem, pairs, "y", grid[batch[0]], stages)
+        return [(float(np.mean([mse(y[test], oof[t][test]) for _, test in pairs])),
+                 float(np.mean([r2(y[test], oof[t][test]) for _, test in pairs])), oof[t])
+                for t in stages]
+
+    groups: dict[tuple, list[int]] = {}
+    for i, params in enumerate(grid):
+        groups.setdefault(astuple(replace(params, n_trees=0)), []).append(i)
+    cv: dict[int, tuple[float, float, np.ndarray] | None] = {}
+    for members in groups.values():
+        try:
+            cv.update(zip(members, score(members)))
+        except MacrodmlError:
+            # score each alone, so only the candidates that fail by themselves are marked
+            for i in members:
+                try:
+                    cv[i] = score([i])[0]
+                except MacrodmlError:
+                    cv[i] = None
+    table = [
+        CvRow(replace(params), float("inf"), float("-inf"))
+        if cv[i] is None
+        else CvRow(replace(params), *cv[i])
+        for i, params in enumerate(grid)
+    ]
+    best = min(table, key=lambda row: (row.cv_mse, row.params.n_trees, row.params.max_depth))
+    return replace(best.params), table
 
 
 def wald_inference(theta: float, se: float) -> tuple[float, float, float, float]:

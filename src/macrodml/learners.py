@@ -1,14 +1,12 @@
 """Nuisance learners: closed-form OLS and from-scratch gradient-boosted
-regression trees, plus k-fold utilities and a small grid search.
+regression trees, plus the k-fold builder and the default tuning grid.
 
 Both learners are deterministic given their inputs. Trees find splits on
 histograms: each ensemble bins every column once, one bin per distinct value
 when a column has at most MAX_BINS of them (its splits are then exactly the
 greedy midpoint splits) and at most MAX_BINS quantile bins otherwise. Ties
 break to the lowest feature index, then the lowest threshold, so refitting
-on identical data reproduces the model bit-for-bit. The grid search fits the
-largest of the candidates that differ only in n_trees, scores the others on
-its stage prefixes and keeps every candidate's out-of-fold predictions.
+on identical data reproduces the model bit-for-bit.
 """
 
 from __future__ import annotations
@@ -16,7 +14,7 @@ from __future__ import annotations
 import itertools
 import json
 from collections.abc import Iterator
-from dataclasses import astuple, dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -26,7 +24,6 @@ from .errors import (
     ConstantTarget,
     DimensionMismatch,
     LengthMismatch,
-    MacrodmlError,
     RankDeficient,
     TooFewRows,
 )
@@ -477,114 +474,3 @@ def grid_from_json(text: str) -> list[HyperParams]:
         params.validate()
         grid.append(params)
     return grid
-
-
-@dataclass
-class CvRow:
-    """One grid candidate's cross-validated scores and out-of-fold
-    predictions; a candidate that failed has none."""
-
-    params: HyperParams
-    cv_mse: float
-    cv_r2: float
-    oof: np.ndarray | None = field(default=None, repr=False, compare=False)
-
-    @property
-    def failed(self) -> bool:
-        return self.oof is None
-
-
-def _staged_cv_scores(design, y, pairs, n_trees: list[int], params: HyperParams):
-    """Mean out-of-fold (mse, r2) and the out-of-fold predictions after each
-    of the stage counts in n_trees.
-
-    One ensemble of max(n_trees) trees is fitted per fold on the fold's
-    design, `design(train)`'s training rows, and predicts its test rows; a
-    shorter ensemble is its prefix, because boosting is deterministic and
-    stagewise. Test predictions come from `staged_predict`, as in `predict`,
-    so each prediction, and so each score, equals that of a separate fit on
-    the same design bit for bit.
-    """
-    stops = set(n_trees)
-    losses = {t: [] for t in stops}
-    scores = {t: [] for t in stops}
-    oof = {t: np.empty(y.size) for t in stops}
-    for train, test in pairs:
-        rows_of = design(train)
-        model = gbt_fit(rows_of(train), y[train], replace(params, n_trees=max(stops)))
-        y_test = y[test]
-        for stage, pred in enumerate(staged_predict(model, rows_of(test))):
-            if stage in stops:
-                losses[stage].append(mse(y_test, pred))
-                scores[stage].append(r2(y_test, pred))
-                oof[stage][test] = pred
-    return [(float(np.mean(losses[t])), float(np.mean(scores[t])), oof[t]) for t in n_trees]
-
-
-def grid_search_cv(
-    X,
-    y,
-    grid: list[HyperParams] | None = None,
-    k: int = 2,
-    seed: int = 0,
-) -> tuple[HyperParams, list[CvRow]]:
-    """Pick boosted-tree settings by k-fold out-of-fold MSE.
-
-    X is the (n, p) feature matrix, or a function of a fold's training rows
-    that returns the fold's design: a function of rows that gives their
-    features (`dml.PlrProblem.fold_design`). A matrix's fold design gives
-    X[rows]. The folds are `kfold_split(n, k, seed)`'s, the ones
-    `dml.cross_fit_nuisance` uses, and each table row keeps its candidate's
-    out-of-fold predictions (`CvRow.oof`): the winner's are the ones a
-    cross-fit with the winner makes, bit for bit.
-
-    Candidates that differ only in n_trees share one fit per fold of the
-    largest (see _staged_cv_scores). A candidate whose fit raises a package
-    error (`MacrodmlError`) on any fold is marked failed (infinite MSE)
-    rather than aborting the search; any other exception, a MemoryError say,
-    propagates, so the winner never depends on the machine. When a shared
-    fit fails, each candidate of its group is scored on its own, so a
-    failure marks only the candidates that fail by themselves. Ties break by
-    (mse, n_trees, max_depth) so the winner is deterministic; the winner's
-    row is the first whose params equal it.
-    """
-    grid = DEFAULT_GRID if grid is None else grid
-    if not grid:
-        raise ConfigError("hyperparameter grid is empty")
-    if callable(X):
-        design, y = X, np.asarray(y, dtype=float)
-    else:
-        X, y = _as_xy(X, y)
-
-        def design(train):
-            return X.__getitem__
-    pairs, _ = kfold_split(y.size, k, seed)
-
-    def score(batch: list[int]) -> list[tuple[float, float, np.ndarray]]:
-        for i in batch:
-            grid[i].validate()
-        params = grid[batch[0]]
-        return _staged_cv_scores(design, y, pairs, [grid[i].n_trees for i in batch], params)
-
-    groups: dict[tuple, list[int]] = {}
-    for i, params in enumerate(grid):
-        groups.setdefault(astuple(replace(params, n_trees=0)), []).append(i)
-    cv: dict[int, tuple[float, float, np.ndarray] | None] = {}
-    for members in groups.values():
-        try:
-            cv.update(zip(members, score(members)))
-        except MacrodmlError:
-            # score each alone, so only the candidates that fail by themselves are marked
-            for i in members:
-                try:
-                    cv[i] = score([i])[0]
-                except MacrodmlError:
-                    cv[i] = None
-    table = [
-        CvRow(replace(params), float("inf"), float("-inf"))
-        if cv[i] is None
-        else CvRow(replace(params), *cv[i])
-        for i, params in enumerate(grid)
-    ]
-    best = min(table, key=lambda row: (row.cv_mse, row.params.n_trees, row.params.max_depth))
-    return replace(best.params), table

@@ -284,4 +284,6 @@ def run_all(seed: int = 0, reps: int | None = None) -> list[CriterionResult]:
     """Every criterion's report row, in order."""
     if seed < 0:
         raise ConfigError("seed must be >= 0")
+    if reps is not None and reps < 1:
+        raise ConfigError("reps must be >= 1")
     return [run_criterion(criterion, seed, reps) for criterion in CRITERIA]

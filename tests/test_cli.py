@@ -388,6 +388,16 @@ def test_validate_rejects_a_negative_seed_before_any_criterion():
     assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("reps", ["0", "-3"])
+def test_validate_rejects_reps_below_one_before_any_criterion(monkeypatch, capsys, reps):
+    ran = []
+    monkeypatch.setattr(validation, "run_criterion", lambda *args: ran.append(args))
+    assert main(["validate", "--reps", reps]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert ran == [] and captured.out == ""
+    assert captured.err == "code=1 error=ConfigError message=reps must be >= 1\n"
+
+
 def test_exit_code_reaches_the_shell(small_fx, tmp_path):
     root, fx = small_fx
     shim = "import sys; from macrodml.cli import main; sys.exit(main(sys.argv[1:]))"

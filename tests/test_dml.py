@@ -247,6 +247,55 @@ def test_learner_errors_tagged_with_fold_and_task():
         cross_fit_nuisance(problem, LINEAR, k=2, seed=0)
 
 
+class _ShapedMemoryError(MemoryError):
+    """Built from (shape, dtype), not from one message, as numpy's error for
+    a failed allocation is."""
+
+    def __init__(self, shape, dtype):
+        super().__init__(f"cannot allocate {shape} of {dtype}")
+
+
+@pytest.mark.parametrize("learner", [LINEAR, LearnerSpec("boosted", HyperParams(4, 2, 0.3, 10))],
+                         ids=["linear", "boosted"])
+def test_an_error_that_is_not_the_packages_leaves_a_fold_as_raised(monkeypatch, learner):
+    """Only a package error, which takes one message, gets the fold and task
+    prefix; any other error propagates as it was raised."""
+    raised = _ShapedMemoryError((10**15,), np.dtype(float))
+
+    def fail(*args):
+        raise raised
+
+    monkeypatch.setattr(dml, "ols_fit", fail)
+    monkeypatch.setattr(dml, "gbt_fit", fail)
+    with pytest.raises(_ShapedMemoryError) as caught:
+        cross_fit_nuisance(_panel_problem(), learner, k=2, seed=0)
+    assert caught.value is raised
+
+
+def test_the_fold_plan_is_the_one_place_folds_are_decided(monkeypatch):
+    """Tuning and cross-fitting both take their folds from PlrProblem.folds:
+    given another partition there (whole months per fold), the tuned
+    winner's out-of-fold predictions are still the cross-fit's g_hat, and
+    each row's fold is the patched one."""
+    base = _panel_problem()
+    months = np.tile(np.arange(30), 6)
+    problem = PlrProblem(base.y, base.d, base.x, unit_codes=base.unit_codes, month_codes=months)
+    month_fold = (months % 3).astype(np.int64)
+    assert not np.array_equal(month_fold, kfold_split(problem.n_obs, 3, 1)[1])
+
+    def month_folds(self, k, seed=0):
+        fold_of = (self.month_codes % k).astype(np.int64)
+        return [(np.flatnonzero(fold_of != i), np.flatnonzero(fold_of == i))
+                for i in range(k)], fold_of
+
+    monkeypatch.setattr(PlrProblem, "folds", month_folds)
+    best, table = dml.grid_search_cv(problem, [HyperParams(8, 2, 0.3, 10)], k=3, seed=1)
+    res = cross_fit_nuisance(problem, LearnerSpec("boosted", best), k=3, seed=1)
+    assert table[0].oof.tobytes() == res.g_hat.tobytes()
+    assert res.fold_of.tobytes() == month_fold.tobytes()
+    assert cross_fit_nuisance(problem, LINEAR, k=3, seed=1).fold_of.tobytes() == month_fold.tobytes()
+
+
 @pytest.mark.parametrize("panel", [False, True])
 def test_linear_cross_fit_one_ols_per_fold_matches_separate_fits(monkeypatch, panel):
     if panel:
@@ -262,7 +311,7 @@ def test_linear_cross_fit_one_ols_per_fold_matches_separate_fits(monkeypatch, pa
     for train, test in kfold_split(n, 3, 1)[0]:
         X = problem.x
         if panel:  # the whole encoded matrix is the reference for the row copies
-            X = np.hstack([X, encode_features(problem, np.isin(np.arange(n), train))])
+            X = np.hstack([X, encode_features(problem, train)])
         for target, fitted in ((problem.y, res.g_hat), (problem.d, res.m_hat)):
             design = np.column_stack([np.ones(train.size), X[train]])
             alone = predict(ols_fit(design, target[train]), X[test])

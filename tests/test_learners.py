@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from macrodml import learners
+from macrodml import dml, learners
+from macrodml.dml import PlrProblem, grid_search_cv
 from macrodml.errors import (
     BadK,
     ConfigError,
@@ -24,7 +25,6 @@ from macrodml.learners import (
     LinearModel,
     gbt_fit,
     grid_from_json,
-    grid_search_cv,
     kfold_split,
     mse,
     ols_fit,
@@ -580,8 +580,13 @@ def test_kfold_laws_hold_generally(n, k, seed):
 
 
 # ---------------------------------------------------------------------------
-# grid search
+# grid search (dml.grid_search_cv over a plain-matrix problem)
 # ---------------------------------------------------------------------------
+
+def _problem(X, y):
+    """A problem whose fold design gives X's rows; the grid never reads d."""
+    return PlrProblem(y, np.arange(len(y), dtype=float), X)
+
 
 def test_default_grid_shape():
     assert len(DEFAULT_GRID) == 8
@@ -592,7 +597,7 @@ def test_grid_singleton(rng):
     X = rng.standard_normal((80, 2))
     y = rng.standard_normal(80)
     only = HyperParams(n_trees=5, max_depth=1, learning_rate=0.5, min_samples_leaf=5)
-    best, table = grid_search_cv(X, y, [only], k=2)
+    best, table = grid_search_cv(_problem(X, y), [only], k=2)
     assert best == only
     assert len(table) == 1 and not table[0].failed
 
@@ -604,7 +609,7 @@ def test_grid_prefers_depth_on_curvature(rng):
         HyperParams(n_trees=50, max_depth=0, learning_rate=0.3, min_samples_leaf=5),
         HyperParams(n_trees=50, max_depth=3, learning_rate=0.3, min_samples_leaf=5),
     ]
-    best, table = grid_search_cv(x[:, None], y, grid, k=2, seed=0)
+    best, table = grid_search_cv(_problem(x[:, None], y), grid, k=2, seed=0)
     assert best.max_depth == 3
     assert table[1].cv_mse < table[0].cv_mse
     assert table[1].cv_r2 > table[0].cv_r2
@@ -617,7 +622,7 @@ def test_grid_failure_is_row_not_crash(rng):
         HyperParams(n_trees=2, max_depth=1, min_samples_leaf=5),
         HyperParams(n_trees=2, max_depth=1, min_samples_leaf=10_000),  # cannot fit
     ]
-    best, table = grid_search_cv(X, y, grid, k=2)
+    best, table = grid_search_cv(_problem(X, y), grid, k=2)
     assert best == grid[0]
     assert table[1].failed and table[1].cv_mse == float("inf")
 
@@ -630,7 +635,7 @@ def test_grid_tie_prefers_smaller_model(rng):
         HyperParams(n_trees=0, max_depth=5),
         HyperParams(n_trees=0, max_depth=2),
     ]
-    best, table = grid_search_cv(X, y, grid, k=2)
+    best, table = grid_search_cv(_problem(X, y), grid, k=2)
     assert table[0].cv_mse == table[1].cv_mse
     assert best.max_depth == 2
 
@@ -638,7 +643,7 @@ def test_grid_tie_prefers_smaller_model(rng):
 def test_grid_table_matches_separate_fits(rng):
     X = rng.standard_normal((240, 3))
     y = np.sin(2.0 * X[:, 0]) + X[:, 1] + 0.3 * rng.standard_normal(240)
-    best, table = grid_search_cv(X, y, k=2, seed=3)
+    best, table = grid_search_cv(_problem(X, y), k=2, seed=3)
     pairs = kfold_split(240, 2, seed=3)[0]
     for params, row in zip(DEFAULT_GRID, table):
         preds = [predict(gbt_fit(X[tr], y[tr], params), X[te]) for tr, te in pairs]
@@ -657,7 +662,7 @@ def test_grid_keeps_each_candidates_out_of_fold_predictions(rng):
         HyperParams(n_trees=5, max_depth=1, learning_rate=0.3, min_samples_leaf=10),
         HyperParams(n_trees=2, max_depth=1, learning_rate=0.1, min_samples_leaf=10_000),
     ]
-    best, table = grid_search_cv(X, y, grid, k=3, seed=1)
+    best, table = grid_search_cv(_problem(X, y), grid, k=3, seed=1)
     pairs = kfold_split(120, 3, seed=1)[0]
     for params, row in zip(grid[:3], table):
         expected = np.empty(120)
@@ -665,9 +670,6 @@ def test_grid_keeps_each_candidates_out_of_fold_predictions(rng):
             expected[te] = predict(gbt_fit(X[tr], y[tr], params), X[te])
         assert not row.failed and row.oof.tobytes() == expected.tobytes()
     assert table[3].failed and table[3].oof is None
-    # a matrix is the fold design that gives X[rows] for any fold
-    again = grid_search_cv(lambda train: X.__getitem__, y, grid, k=3, seed=1)[1]
-    assert [(r.cv_mse, r.cv_r2) for r in again] == [(r.cv_mse, r.cv_r2) for r in table]
 
 
 def test_grid_fits_largest_of_each_n_trees_group_once_per_fold(rng, monkeypatch):
@@ -677,8 +679,8 @@ def test_grid_fits_largest_of_each_n_trees_group_once_per_fold(rng, monkeypatch)
         fitted.append(params.n_trees)
         return gbt_fit(X, y, params)
 
-    monkeypatch.setattr(learners, "gbt_fit", counting_fit)
-    grid_search_cv(rng.standard_normal((80, 2)), rng.standard_normal(80), k=2)
+    monkeypatch.setattr(dml, "gbt_fit", counting_fit)
+    grid_search_cv(_problem(rng.standard_normal((80, 2)), rng.standard_normal(80)), k=2)
     assert sorted(fitted) == [200] * 8  # 4 (depth, rate) groups x 2 folds
 
 
@@ -689,7 +691,7 @@ def test_grouped_grid_keeps_per_candidate_failures(rng):
         HyperParams(n_trees=0, max_depth=1, learning_rate=0.1, min_samples_leaf=10_000),
         HyperParams(n_trees=2, max_depth=1, learning_rate=0.1, min_samples_leaf=10_000),
     ]
-    best, table = grid_search_cv(X, y, grid, k=2)
+    best, table = grid_search_cv(_problem(X, y), grid, k=2)
     # the 0-tree candidate fits on its own although its group's 2-tree fit fails
     assert not table[0].failed and np.isfinite(table[0].cv_mse)
     assert table[1].failed and table[1].cv_mse == float("inf")
@@ -704,9 +706,9 @@ def test_grid_reraises_an_error_that_is_not_the_packages(rng, monkeypatch):
             raise MemoryError("no room for the depth-4 trees")
         return gbt_fit(X, y, params)
 
-    monkeypatch.setattr(learners, "gbt_fit", fit)
+    monkeypatch.setattr(dml, "gbt_fit", fit)
     with pytest.raises(MemoryError):
-        grid_search_cv(rng.standard_normal((80, 2)), rng.standard_normal(80), k=2)
+        grid_search_cv(_problem(rng.standard_normal((80, 2)), rng.standard_normal(80)), k=2)
 
 
 def test_grid_from_json_round_trip():

@@ -500,7 +500,7 @@ def test_fold_designs_keep_the_row_loop_bits(monkeypatch, p):
     x_ref = np.array([r[4] for r in ref_rows])
     n = panel.n_rows
     for train, test in kfold_split(n, 3, seed=2)[0]:
-        means = encode_features(problem, np.isin(np.arange(n), train))
+        means = encode_features(problem, train)
         for rows in (train, test, np.arange(n)):
             ref = np.column_stack([np.ones(rows.size), x_ref[rows], means[rows]])
             for order in ("C", "F"):
