@@ -26,6 +26,7 @@ from .errors import (
 )
 from .learners import (
     DEFAULT_GRID,
+    OLS_BLOCK,
     HyperParams,
     gbt_fit,
     kfold_split,
@@ -160,14 +161,20 @@ def _fit_predict(rows_of, targets: dict[str, np.ndarray], preds: dict[str, np.nd
     none outlives its fold: a fold's predictions held into the next fold's
     fit raised the peak RSS of a 196,800-row linear run by about 30 MB.
 
-    Every task is fit from one QR of the training rows, copied column-major
-    with the intercept column as `ols_fit` takes them, and the test rows are
-    gathered only after that fit, so the two copies never coexist.
+    Every task is fit from one QR of the training rows (`ols_fit`), which is
+    fed them OLS_BLOCK rows at a time, copied column-major with the
+    intercept column, and the test rows are then predicted a block at a
+    time, so the fold holds a few blocks of its design, never all its rows.
+    A fold of at most OLS_BLOCK training rows is factored whole; each test
+    row's prediction is the same product whichever block it is in.
     """
-    model = ols_fit(rows_of(train, "F", True),
+    model = ols_fit((rows_of(train[start:start + OLS_BLOCK], "F", True)
+                     for start in range(0, train.size, OLS_BLOCK)),
                     np.stack([target[train] for target in targets.values()]))
-    for task, pred in zip(targets, predict(model, rows_of(test))):
-        preds[task][test] = pred
+    for start in range(0, test.size, OLS_BLOCK):
+        rows = test[start:start + OLS_BLOCK]
+        for task, pred in zip(targets, predict(model, rows_of(rows))):
+            preds[task][rows] = pred
 
 
 def staged_oof(problem: PlrProblem, pairs, task: str, params: HyperParams,
@@ -229,7 +236,7 @@ def design_rows(x: np.ndarray | PanelTable, means: np.ndarray, rows=slice(None),
     """
     panel = isinstance(x, PanelTable)
     n, p = (x.n_rows, len(x.x_names)) if panel else x.shape
-    rows = np.arange(n)[rows]
+    rows = np.arange(*rows.indices(n)) if isinstance(rows, slice) else np.asarray(rows)
     lead = int(intercept)
     out = np.empty((rows.size, lead + p + means.shape[1]), order=order)
     out[:, :lead] = 1.0

@@ -1,5 +1,7 @@
 """Nuisance learners: closed-form OLS and from-scratch gradient-boosted
-regression trees, plus the k-fold builder and the default tuning grid.
+regression trees, plus the k-fold builder and the default tuning grid. Every
+QR factorization in the package is here: `ols_fit`'s and the ADF test's
+regression (`ols_with_se`).
 
 Both learners are deterministic given their inputs. Trees find splits on
 histograms: each ensemble bins every column once, one bin per distinct value
@@ -25,6 +27,7 @@ from .errors import (
     DimensionMismatch,
     LengthMismatch,
     RankDeficient,
+    SingularRegression,
     TooFewRows,
 )
 
@@ -104,6 +107,29 @@ def _as_xy(X, y, multi: bool = False) -> tuple[np.ndarray, np.ndarray]:
     return X, y
 
 
+OLS_BLOCK = 8192  # design rows ols_fit factors at a time
+
+
+def _householder_qr(Z: np.ndarray, targets) -> tuple[np.ndarray, list[np.ndarray]]:
+    """R of LAPACK's Householder QR of Z, read column-major, and each target's
+    first len(R) entries of Q.T @ target: the target with the reflectors
+    applied in turn, so Q is never formed."""
+    h, tau = np.linalg.qr(np.asfortranarray(Z), mode="raw")
+    R = np.triu(h[:, :tau.size].T)
+    # Row i of h from column i on is reflector i, whose leading 1 LAPACK
+    # leaves implicit (R's diagonal sits there); write it in.
+    diag = np.arange(tau.size)
+    h[diag, diag] = 1.0
+    heads = []
+    for target in targets:
+        t = target.copy()
+        for i in range(tau.size):
+            v = h[i, i:]
+            t[i:] -= (tau[i] * (v @ t[i:])) * v
+        heads.append(t[:tau.size])
+    return R, heads
+
+
 def ols_fit(X, y) -> LinearModel:
     """Least squares on the design X, whose column 0 is the intercept (all
     ones), solved by QR. The model holds column 0's weight as its intercept
@@ -113,42 +139,80 @@ def ols_fit(X, y) -> LinearModel:
     is factored once for all targets, and each target is solved on its own,
     so every fit is bit-identical to fitting that target alone.
 
-    The QR reads X column-major, the layout LAPACK factors, so the
-    reflectors and the bits of every fit do not depend on X's memory order.
-    A column-major X (see `dml.design_rows`) is factored as it is, and
-    numpy's copy for the QR is then the only other n-row array the fit
-    holds; any other X is first copied column-major. The factorization is
-    kept as its Householder reflectors: Q.T @ target is the target with each
-    reflector applied in turn, so the n-row Q is never formed.
+    X is a matrix, or an iterator over its row blocks in order (see
+    `dml._fit_predict`), factored OLS_BLOCK rows at a time, a sequential
+    tall-skinny QR (Demmel, Grigori, Hoemmen & Langou 2012): each block is
+    stacked under the R of the rows before it, each target's block under its
+    first entries of Q.T @ target so far, and both go through
+    `_householder_qr`. No n-row Q or second n-row design is formed. A design
+    of at most one block keeps the bits of an unblocked QR; a taller one
+    gives the same fit up to rounding.
 
     Raises RankDeficient when X does not have full column rank -- a constant
     feature beside the intercept is the usual culprit.
     """
-    X, y = _as_xy(X, y, multi=True)
-    n, k = X.shape
-    if not (k and (X[:, 0] == 1.0).all()):
-        raise DimensionMismatch("column 0 of an OLS design must be the intercept, all ones")
+    y = np.asarray(y, dtype=float)
+    if isinstance(X, Iterator):
+        blocks = X
+    else:
+        X, y = _as_xy(X, y, multi=True)
+        # a matrix of no rows is still one (empty) block, which carries its width
+        blocks = (X[start:start + OLS_BLOCK] for start in range(0, max(len(X), 1), OLS_BLOCK))
+    targets = np.atleast_2d(y)
+    n, k, R, heads = 0, 1, None, None  # k: a design has at least its intercept column
+    for block in blocks:
+        block = np.asarray(block, dtype=float)
+        k = block.shape[1]
+        if not (k and (block[:, 0] == 1.0).all()):
+            raise DimensionMismatch("column 0 of an OLS design must be the intercept, all ones")
+        tails = targets[:, n:n + len(block)]
+        n += len(block)
+        if tails.shape[1] != len(block):
+            raise LengthMismatch(f"y has {targets.shape[1]} entries for at least {n} rows of X")
+        if R is not None:  # the block under the R of the rows before it
+            stacked = np.empty((len(R) + len(block), k), order="F")
+            stacked[:len(R)], stacked[len(R):] = R, block
+            block, tails = stacked, [np.concatenate(pair) for pair in zip(heads, tails)]
+        R, heads = _householder_qr(block, tails)
+    if n != targets.shape[1]:
+        raise LengthMismatch(f"y has {targets.shape[1]} entries for {n} rows of X")
     if n <= k:
         raise TooFewRows(f"need more than {k} rows to fit {k - 1} features, got {n}")
-    h, tau = np.linalg.qr(np.asfortranarray(X), mode="raw")
-    R = np.triu(h[:, :k].T)
-    diag = np.abs(np.diag(R))
-    if diag.min() <= max(n, k) * np.finfo(float).eps * max(diag.max(), 1.0):
+    if _rank_deficient(R, n):
         raise RankDeficient("design matrix is rank deficient")
-    # Row i of h from column i on is reflector i, whose leading 1 LAPACK
-    # leaves implicit (R's diagonal sits there); write it in.
-    h[np.arange(k), np.arange(k)] = 1.0
-    beta = []
-    for target in np.atleast_2d(y):
-        t = target.copy()
-        for i in range(k):
-            v = h[i, i:]
-            t[i:] -= (tau[i] * (v @ t[i:])) * v
-        beta.append(np.linalg.solve(R, t[:k]))
-    beta = np.stack(beta)
+    beta = np.stack([np.linalg.solve(R, head) for head in heads])
     if y.ndim == 1:
         return LinearModel(intercept=float(beta[0, 0]), coefficients=beta[0, 1:])
     return LinearModel(intercept=beta[:, 0], coefficients=beta[:, 1:])
+
+
+def ols_with_se(X: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """OLS via QR with coefficient standard errors: the ADF test's regression
+    (`preprocess.adf_test`). Q is formed, and Q.T @ y taken from it, so the
+    ADF statistics keep the bits they have always had.
+
+    Returns (beta, se, residuals). Raises SingularRegression when the design
+    is rank deficient or has no residual degrees of freedom.
+    """
+    n, k = X.shape
+    if n <= k:
+        raise SingularRegression("no residual degrees of freedom")
+    Q, R = np.linalg.qr(X)
+    if _rank_deficient(R, n):
+        raise SingularRegression("design matrix is rank deficient")
+    beta = np.linalg.solve(R, Q.T @ y)
+    resid = y - X @ beta
+    s2 = float(resid @ resid) / (n - k)
+    r_inv = np.linalg.solve(R, np.eye(k))
+    se = np.sqrt(s2 * np.sum(r_inv**2, axis=1))
+    return beta, se, resid
+
+
+def _rank_deficient(R: np.ndarray, n: int) -> bool:
+    """Whether the R of an n-row design's QR has a diagonal entry that is zero
+    to rounding beside its largest."""
+    diag = np.abs(np.diag(R))
+    return diag.min() <= max(n, R.shape[1]) * np.finfo(float).eps * max(diag.max(), 1.0)
 
 
 MAX_BINS = 256  # a column with at most this many distinct values is split exactly

@@ -348,19 +348,27 @@ def csv_cells(column) -> list[str]:
     return repr(cells)[1:-1].replace("None", "").split(", ") if cells else []
 
 
+CSV_BLOCK = 8192  # table rows csv_text prints at a time
+
+
 def csv_text(header, columns) -> str:
     """The CSV text of a table given column by column (see `csv_cells`), all
-    of one length. A column given as an array is made a list only while it
-    is printed, so a large table never holds its numbers as Python objects
-    all at once.
+    of one length and each a sequence that slices. The rows are printed
+    CSV_BLOCK at a time, each block's cells made only while it is printed,
+    so a large table never holds its cells, or its numbers as Python
+    objects, all at once.
 
     This is the one writer of every table the package prints. Its bytes are
     those of the csv module's writer with QUOTE_MINIMAL and lineterminator
     "\\n", as Python 3.11 writes them (a lone \\r is not quoted), except
     that a one-column table writes an empty cell as an empty line.
     """
-    lines = [",".join(csv_cells(header)), *map(",".join, zip(*map(csv_cells, columns)))]
-    return "\n".join(lines) + "\n"
+    n = len(columns[0]) if columns else 0
+    blocks = [",".join(csv_cells(header))]
+    for start in range(0, n, CSV_BLOCK):
+        cells = [csv_cells(column[start:start + CSV_BLOCK]) for column in columns]
+        blocks.append("\n".join(map(",".join, zip(*cells))))
+    return "\n".join(blocks) + "\n"
 
 
 def write_tscs_csv(matrix: TimeSeriesMatrix, path, time_column: str = "date") -> None:

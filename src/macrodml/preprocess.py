@@ -20,6 +20,7 @@ from .errors import (
     SingularRegression,
     TooShort,
 )
+from .learners import ols_with_se
 from .panel_data import TimeSeriesMatrix
 
 ADF_LEVELS = ("1%", "5%", "10%")
@@ -99,27 +100,6 @@ def difference_matrix(matrix: TimeSeriesMatrix) -> TimeSeriesMatrix:
     )
 
 
-def _ols_with_se(X: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """OLS via QR with coefficient standard errors.
-
-    Returns (beta, se, residuals). Raises SingularRegression when the design
-    is rank deficient or has no residual degrees of freedom.
-    """
-    n, k = X.shape
-    if n <= k:
-        raise SingularRegression("no residual degrees of freedom")
-    Q, R = np.linalg.qr(X)
-    diag = np.abs(np.diag(R))
-    if diag.min() <= max(n, k) * np.finfo(float).eps * max(diag.max(), 1.0):
-        raise SingularRegression("design matrix is rank deficient")
-    beta = np.linalg.solve(R, Q.T @ y)
-    resid = y - X @ beta
-    s2 = float(resid @ resid) / (n - k)
-    r_inv = np.linalg.solve(R, np.eye(k))
-    se = np.sqrt(s2 * np.sum(r_inv**2, axis=1))
-    return beta, se, resid
-
-
 def schwert_lag(n: int) -> int:
     """Rule-of-thumb augmentation order: floor(12 * (n/100)^(1/4))."""
     return int(math.floor(12.0 * (n / 100.0) ** 0.25))
@@ -155,7 +135,7 @@ def adf_test(series, level: str = "5%", max_lag="auto") -> AdfReport:
     for j in range(1, k + 1):
         cols.append(dy[k - j : n - 1 - j])
     X = np.column_stack(cols)
-    beta, se, _ = _ols_with_se(X, dy[k:])
+    beta, se, _ = ols_with_se(X, dy[k:])
     stat = float(beta[1] / se[1])
 
     crit = adf_critical_values(n)

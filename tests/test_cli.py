@@ -35,6 +35,7 @@ from macrodml.dml import LearnerSpec, cross_fit_nuisance
 from macrodml.errors import ConfigError
 from macrodml.learners import gbt_fit, kfold_split, mse, predict, r2
 from macrodml.panel_data import (
+    CSV_BLOCK,
     TimeSeriesMatrix,
     csv_cells,
     csv_text,
@@ -734,6 +735,15 @@ def test_numeric_table_text_matches_csv_writer():
     assert (csv_text(["a", "b"], [missing, missing[::-1]])
             == _csv_writer_text(["a", "b"], zip(missing, missing[::-1])))
     assert csv_text(["a", "b"], [[], []]) == "a,b\n"
+    # a table longer than one block of rows prints as one block would
+    n = 2 * CSV_BLOCK + 3
+    floats = rng.standard_normal(n) * 10.0 ** rng.integers(-12, 12, n)
+    quoted = [TEXT_CELLS[i % len(TEXT_CELLS)] for i in range(n)]
+    header = ["i", "x", "printed", "name"]
+    table = [np.arange(n), floats, csv_cells(floats[::-1]), quoted]
+    assert (csv_text(header, table)
+            == _csv_writer_text(header, zip(range(n), floats.tolist(),
+                                            floats[::-1].tolist(), quoted)))
 
 
 def test_plots_reparse_returns_the_written_bits(full_run, tmp_path, monkeypatch):

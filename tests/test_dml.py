@@ -1,5 +1,6 @@
 import math
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -28,14 +29,17 @@ from macrodml.errors import (
 )
 from macrodml import dml
 from macrodml.learners import (
+    OLS_BLOCK,
     HyperParams,
     gbt_fit,
     kfold_split,
     ols_fit,
     predict,
 )
-from macrodml.panel_data import PanelTable
+from macrodml.panel_data import PanelTable, to_panel
 from macrodml.synth import SynthSpec, gen_plr
+
+from conftest import make_tsm
 
 
 LINEAR = LearnerSpec("linear")
@@ -316,6 +320,29 @@ def test_linear_cross_fit_one_ols_per_fold_matches_separate_fits(monkeypatch, pa
             design = np.column_stack([np.ones(train.size), X[train]])
             alone = predict(ols_fit(design, target[train]), X[test])
             assert np.array_equal(fitted[test], alone)
+
+
+def test_linear_cross_fit_holds_a_few_design_blocks_not_the_fold():
+    """A linear fold's design is fitted and predicted OLS_BLOCK rows at a
+    time: on a 58,950-row panel, whose training folds span four blocks, the
+    traced peak of a cross-fit stays below four blocks of the design plus 16
+    floats per row (residuals, predictions, fold indices, targets), where
+    one fold's whole training design is 40 floats per training row."""
+    rng = np.random.default_rng(3)
+    T, n_funds = 400, 150
+    funds = make_tsm(rng.standard_normal((T, n_funds)), names=[f"F{i:03d}" for i in range(n_funds)])
+    macro = make_tsm(rng.standard_normal((T, 4)), names=["d", "c1", "c2", "c3"])
+    problem = problem_from_panel(to_panel(funds, macro, "d", lag_order=7))
+    width = 1 + len(problem.x.x_names) + 1  # intercept, x, unit mean
+    n = problem.n_obs
+    assert (n - n // 2) > 3 * OLS_BLOCK
+    tracemalloc.start()
+    try:
+        cross_fit_nuisance(problem, LINEAR, k=2, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * OLS_BLOCK * width * 8 + 16 * 8 * n
 
 
 @pytest.mark.parametrize("learner", [LINEAR, LearnerSpec("boosted", HyperParams(8, 2, 0.3, 10))],

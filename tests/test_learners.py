@@ -21,6 +21,7 @@ from macrodml.errors import (
 from macrodml.learners import (
     DEFAULT_GRID,
     MAX_BINS,
+    OLS_BLOCK,
     HyperParams,
     LinearModel,
     gbt_fit,
@@ -88,7 +89,7 @@ def test_ols_design_must_lead_with_the_intercept(design):
         ols_fit(design, np.arange(10.0))
 
 
-@pytest.mark.parametrize("n, k, m", [(50, 3, 2), (400, 38, 3)])
+@pytest.mark.parametrize("n, k, m", [(50, 3, 2), (400, 38, 3), (3 * OLS_BLOCK + 5, 38, 2)])
 def test_ols_shared_design_matches_single_target_fits(rng, n, k, m):
     X = rng.standard_normal((n, k))
     Y = X[:, :m].T + rng.standard_normal((m, n))
@@ -469,29 +470,51 @@ def test_ols_column_major_design_matches_column_stack_bit_for_bit(rng, m):
 
 @pytest.mark.parametrize("m", [1, 2])
 def test_ols_matches_lstsq(rng, m):
-    X = rng.standard_normal((3000, 39)) * rng.uniform(0.1, 50.0, 39)
-    Y = X[:, :m].T + rng.standard_normal((m, 3000))
-    Z = np.column_stack([np.ones(3000), X])
-    model = ols_fit(Z, Y[0] if m == 1 else Y)
-    beta = np.column_stack([np.atleast_1d(model.intercept), np.atleast_2d(model.coefficients)])
-    for j in range(m):
-        ref = np.linalg.lstsq(Z, Y[j], rcond=None)[0]
-        assert np.linalg.norm(beta[j] - ref) <= 1e-9 * np.linalg.norm(ref)
+    for n in (3000, 3 * OLS_BLOCK + 100):  # one row block, then four
+        X = rng.standard_normal((n, 39)) * rng.uniform(0.1, 50.0, 39)
+        Y = X[:, :m].T + rng.standard_normal((m, n))
+        Z = np.column_stack([np.ones(n), X])
+        model = ols_fit(Z, Y[0] if m == 1 else Y)
+        beta = np.column_stack([np.atleast_1d(model.intercept), np.atleast_2d(model.coefficients)])
+        for j in range(m):
+            ref = np.linalg.lstsq(Z, Y[j], rcond=None)[0]
+            assert np.linalg.norm(beta[j] - ref) <= 1e-9 * np.linalg.norm(ref)
+
+
+def test_ols_takes_the_design_as_its_row_blocks(rng):
+    """A matrix is factored as its OLS_BLOCK-row blocks, so an iterator over
+    those blocks gives the same bits; the blocks' rows must match y's."""
+    X = _with_intercept(rng.standard_normal((2 * OLS_BLOCK + 7, 5)))
+    Y = X[:, 1:3].T + rng.standard_normal((2, len(X)))
+
+    def blocks(Z):
+        return (Z[start:start + OLS_BLOCK] for start in range(0, len(Z), OLS_BLOCK))
+
+    whole, fed = ols_fit(X, Y), ols_fit(blocks(X), Y)
+    assert np.array_equal(whole.intercept, fed.intercept)
+    assert np.array_equal(whole.coefficients, fed.coefficients)
+    for short in (Y[:, :-1], Y[:, :OLS_BLOCK - 1]):
+        with pytest.raises(LengthMismatch):
+            ols_fit(blocks(X), short)
+    with pytest.raises(LengthMismatch):
+        ols_fit(blocks(X[:-1]), Y)
+    with pytest.raises(TooFewRows):
+        ols_fit(iter([]), Y[:, :0])
 
 
 def test_ols_never_holds_a_second_n_row_factor(rng):
-    """Given a column-major design, ols_fit holds only numpy's copy of it for
-    the QR, never a second design or an n-row Q: its traced peak stays below
-    1.5 times the design."""
-    X = np.asfortranarray(_with_intercept(rng.standard_normal((20000, 38))))
-    Y = np.stack([X[:, 1], X[:, 2]]) + rng.standard_normal((2, 20000))
+    """ols_fit factors its design OLS_BLOCK rows at a time and never copies
+    more of it, or forms an n-row Q: on a design of six blocks its traced
+    peak stays below three blocks' bytes."""
+    X = np.asfortranarray(_with_intercept(rng.standard_normal((6 * OLS_BLOCK, 38))))
+    Y = np.stack([X[:, 1], X[:, 2]]) + rng.standard_normal((2, len(X)))
     tracemalloc.start()
     try:
         ols_fit(X, Y)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 1.5 * X.nbytes
+    assert peak < 3 * OLS_BLOCK * X.shape[1] * X.itemsize
 
 
 def test_gbt_refit_is_bit_identical(rng):
