@@ -2,6 +2,11 @@
 the report tables, plus subcommands for plot rendering and the synthetic
 validation suite.
 
+Both `run` and `plots` publish the output directory through one writer,
+`_publishing`: each file is written into a hidden sibling of the directory
+as it is made, hashed as it is written, listed in manifest.json, and the
+sibling is swapped in whole.
+
 Exit codes: 0 success, 1 config error, 2 data error, 3 numerical failure,
 4 validation failure.
 """
@@ -35,14 +40,15 @@ from .errors import (
     DataError,
     MacrodmlError,
     MalformedRow,
+    MissingInput,
     NumericalError,
 )
 from .learners import DEFAULT_GRID, grid_from_json
 from .panel_data import (
     FundFilter,
     common_range,
+    csv_blocks,
     csv_cells,
-    csv_text,
     filter_funds,
     load_fund_meta_csv,
     load_tscs_csv,
@@ -153,58 +159,57 @@ def _config_hash(config: PipelineConfig) -> str:
     return hashlib.sha256(blob).hexdigest()
 
 
-class _Artifacts:
-    """Staged outputs: everything renders to memory first and hits disk only
-    after the whole pipeline has succeeded, so failures leave no partials."""
-
-    def __init__(self) -> None:
-        self.files: dict[str, str] = {}
-
-    def add(self, name: str, content: str) -> None:
-        self.files[name] = content
-
-    def write_out(self, out_dir: str) -> None:
-        """Write every file into a new sibling of out_dir, then swap that in
-        for out_dir, which ends up holding exactly these files. A failure
-        before the swap leaves out_dir as it was and ends in a ConfigError
-        (`_writing_to`)."""
-        out_dir = os.path.realpath(out_dir)
-        with _writing_to(out_dir):
-            parent, base = os.path.split(out_dir)
-            os.makedirs(parent, exist_ok=True)
-            stage = os.path.join(parent, f".{base}.{os.urandom(8).hex()}")
-            retired = stage + ".old"
-            os.mkdir(stage)  # mode 0o777 less the umask, as os.makedirs gives
-            try:
-                for name, content in self.files.items():
-                    with open(os.path.join(stage, name), "w", encoding="utf-8", newline="") as fh:
-                        fh.write(content)
-                _check_replaceable(out_dir)  # again: the run may have taken a while
-                if os.path.lexists(out_dir):
-                    os.rename(out_dir, retired)
-                try:
-                    os.rename(stage, out_dir)
-                except OSError:
-                    if os.path.lexists(retired):
-                        os.rename(retired, out_dir)
-                    raise
-            except BaseException:
-                shutil.rmtree(stage, ignore_errors=True)
-                raise
-            if os.path.lexists(retired):
-                try:
-                    shutil.rmtree(retired)
-                except OSError as exc:
-                    print(f"warning: could not remove the replaced outputs in {retired}: {exc}",
-                          file=sys.stderr)
-
-
 @contextlib.contextmanager
-def _writing_to(out_dir: str):
-    """Turn an OSError raised while the outputs are staged, written or
-    swapped in into a ConfigError that names out_dir."""
+def _publishing(out_dir: str, manifest: dict):
+    """The one way files reach an output directory. Yields `write(name,
+    blocks)`, which writes the str or bytes blocks as the file `name` in a
+    new hidden sibling of out_dir, hashing them as they are written. On a
+    clean exit manifest.json is written last, `manifest` with those digests
+    under "files", and the sibling is swapped in for out_dir, which then
+    holds exactly these files. Any failure before the swap removes the
+    sibling and leaves out_dir as it was; an OSError raised while the files
+    are staged, written or swapped in ends in a ConfigError naming out_dir."""
+    out_dir = os.path.realpath(out_dir)
     try:
-        yield
+        parent, base = os.path.split(out_dir)
+        os.makedirs(parent, exist_ok=True)
+        stage = os.path.join(parent, f".{base}.{os.urandom(8).hex()}")
+        retired = stage + ".old"
+        os.mkdir(stage)  # mode 0o777 less the umask, as os.makedirs gives
+        digests = {}
+
+        def write(name: str, blocks) -> None:
+            digest = hashlib.sha256()
+            with open(os.path.join(stage, name), "wb") as fh:
+                for block in blocks:
+                    data = block.encode() if isinstance(block, str) else block
+                    digest.update(data)
+                    fh.write(data)
+            digests[name] = digest.hexdigest()
+
+        try:
+            yield write
+            # the hashes cover every file except the manifest itself
+            manifest["files"] = dict(sorted(digests.items()))
+            write("manifest.json", [json.dumps(manifest, sort_keys=True, indent=2) + "\n"])
+            _check_replaceable(out_dir)  # again: the run may have taken a while
+            if os.path.lexists(out_dir):
+                os.rename(out_dir, retired)
+            try:
+                os.rename(stage, out_dir)
+            except OSError:
+                if os.path.lexists(retired):
+                    os.rename(retired, out_dir)
+                raise
+        except BaseException:
+            shutil.rmtree(stage, ignore_errors=True)
+            raise
+        if os.path.lexists(retired):
+            try:
+                shutil.rmtree(retired)
+            except OSError as exc:
+                print(f"warning: could not remove the replaced outputs in {retired}: {exc}",
+                      file=sys.stderr)
     except OSError as exc:
         raise ConfigError(f"cannot write the outputs in {out_dir!r}: {exc}") from exc
 
@@ -212,7 +217,7 @@ def _writing_to(out_dir: str):
 def _check_replaceable(out_dir: str) -> None:
     """Raise ConfigError unless out_dir may be replaced whole: it is absent,
     an empty directory, or an earlier run's output, that is a manifest.json
-    and files it lists or `plots` writes, nothing else."""
+    and regular files it lists, nothing else."""
     if not os.path.lexists(out_dir):
         return
     if not os.path.isdir(out_dir):
@@ -222,7 +227,7 @@ def _check_replaceable(out_dir: str) -> None:
         return
     try:
         with read_input(os.path.join(out_dir, "manifest.json")) as fh:
-            known = {"manifest.json", *PLOT_FILES, *json.load(fh)["files"].keys()}
+            known = {"manifest.json", *json.load(fh)["files"].keys()}
     except (DataError, KeyError, TypeError, AttributeError):
         known = set()
     foreign = sorted(
@@ -242,11 +247,13 @@ def run_pipeline(config: PipelineConfig) -> dict:
 
     Steps: load + filter -> difference -> stationarity screen -> lag order
     (fixed or AIC) -> panel build -> tuning (boosted only) -> cross-fitted
-    estimation per learner -> tables, diagnostics, and manifest. Returns the
-    manifest dict. Raises typed errors; nothing is written on failure.
+    estimation per learner -> diagnostics -> tables and manifest. Returns the
+    manifest dict. Raises typed errors. Nothing is written before the
+    estimates are done, and the tables are then written one by one into a
+    staged directory (`_publishing`), so a failure anywhere leaves
+    config.output_dir as it was.
     """
     config.validate()
-    art = _Artifacts()
 
     macro = load_tscs_csv(config.macro_csv)
     funds = load_tscs_csv(config.funds_csv)
@@ -269,12 +276,6 @@ def run_pipeline(config: PipelineConfig) -> dict:
     funds = funds.restrict(growth.time_index[0], growth.time_index[-1])
 
     screen = screen_stationarity(growth, level=config.level)
-    reports = screen.reports.values()
-    art.add("adf_screen.csv", csv_text(
-        ["variable", "adf_stat", "crit_5pct", "verdict"],
-        [list(screen.reports), [rep.statistic for rep in reports],
-         [rep.critical_values["5%"] for rep in reports], [rep.verdict for rep in reports]],
-    ))
     if config.treatment_name not in screen.kept.columns:
         raise DataError(
             f"treatment {config.treatment_name!r} failed the stationarity screen"
@@ -283,12 +284,6 @@ def run_pipeline(config: PipelineConfig) -> dict:
 
     corr = correlation_matrix(kept)
     pca = pca_corr(corr)
-    art.add("corr.csv", csv_text(["variable", *kept.columns], [kept.columns, *corr.T]))
-    art.add("pca.csv", csv_text(
-        ["component", "eigenvalue", "explained_ratio", *kept.columns],
-        [[f"PC{i + 1}" for i in range(len(kept.columns))], pca.eigenvalues,
-         pca.explained_ratio, *pca.components],
-    ))
 
     if config.lag_order == "auto":
         lag = select_lag_var_aic(kept, AUTO_P_MAX)
@@ -317,37 +312,13 @@ def run_pipeline(config: PipelineConfig) -> dict:
         # a failed winner has none, and its cross-fit raises its error
         best_params, cv_table = grid_search_cv(problem, grid, k=config.k, seed=config.seed)
         tuned_g_hat = next(row.oof for row in cv_table if row.params == best_params)
-        # HyperParams' fields are the first four columns
-        art.add("grid_cv.csv", csv_text(
-            ["n_trees", "max_depth", "learning_rate", "min_samples_leaf", "cv_mse", "cv_r2"],
-            list(zip(*(astuple(row.params) + (row.cv_mse, row.cv_r2) for row in cv_table))),
-        ))
         learners.append(("boosted", LearnerSpec("boosted", best_params), tuned_g_hat))
 
     names = [name for name, _, _ in learners]
     fits = [run_dml(problem, spec, k=config.k, seed=config.seed, score=config.score, g_hat=g_hat)
             for _, spec, g_hat in learners]
     results = [result for result, _ in fits]
-    # DmlResult's fields, in order, are the columns after "model"
-    art.add("results.csv", csv_text(
-        ["model", "coef", "se", "t", "p", "ci_low", "ci_high", "n", "per_1pct"],
-        [names, *zip(*map(astuple, results))],
-    ))
-    art.add("per_1pct.csv", csv_text(["model", "per_1pct"],
-                                     [names, [result.per_1pct for result in results]]))
-    art.add("r2.csv", csv_text(
-        ["model", "r2_y", "r2_d"],
-        [names, [res.r2_y for _, res in fits], [res.r2_d for _, res in fits]],
-    ))
-
     diagnostics_res = fits[-1][1]  # the last learner's residuals feed Fig-3 data
-    summary = residual_diagnostics(diagnostics_res)
-    u = csv_cells(diagnostics_res.u)  # printed once for both tables
-    art.add("residuals.csv", csv_text(["fitted", "residual"], [diagnostics_res.g_hat, u]))
-    art.add("nuisance_residuals.csv", csv_text(
-        ["row", "fold", "u", "v"],
-        [np.arange(panel.n_rows), diagnostics_res.fold_of, u, diagnostics_res.v],
-    ))
 
     manifest = {
         "config": asdict(config),
@@ -368,31 +339,48 @@ def run_pipeline(config: PipelineConfig) -> dict:
             "dropped_nonstationary": [name for name, _ in screen.dropped],
         },
         "boosted_params": None if best_params is None else asdict(best_params),
-        "residual_summary": summary,
+        "residual_summary": residual_diagnostics(diagnostics_res),
         # the linear solve's last bits depend on the LAPACK numpy ships with
         "versions": {"macrodml": __version__, "numpy": np.__version__,
                      "python": platform.python_version()},
     }
-    # the hashes cover every file except the manifest itself
-    manifest["files"] = {name: hashlib.sha256(content.encode()).hexdigest()
-                         for name, content in sorted(art.files.items())}
-    art.add("manifest.json", json.dumps(manifest, sort_keys=True, indent=2) + "\n")
-    art.write_out(config.output_dir)
+    with _publishing(config.output_dir, manifest) as write:
+        reports = screen.reports.values()
+        write("adf_screen.csv", csv_blocks(
+            ["variable", "adf_stat", "crit_5pct", "verdict"],
+            [list(screen.reports), [rep.statistic for rep in reports],
+             [rep.critical_values["5%"] for rep in reports], [rep.verdict for rep in reports]],
+        ))
+        write("corr.csv", csv_blocks(["variable", *kept.columns], [kept.columns, *corr.T]))
+        write("pca.csv", csv_blocks(
+            ["component", "eigenvalue", "explained_ratio", *kept.columns],
+            [[f"PC{i + 1}" for i in range(len(kept.columns))], pca.eigenvalues,
+             pca.explained_ratio, *pca.components],
+        ))
+        if best_params is not None:
+            # HyperParams' fields are the first four columns
+            write("grid_cv.csv", csv_blocks(
+                ["n_trees", "max_depth", "learning_rate", "min_samples_leaf", "cv_mse", "cv_r2"],
+                list(zip(*(astuple(row.params) + (row.cv_mse, row.cv_r2) for row in cv_table))),
+            ))
+        # DmlResult's fields, in order, are the columns after "model"
+        write("results.csv", csv_blocks(
+            ["model", "coef", "se", "t", "p", "ci_low", "ci_high", "n", "per_1pct"],
+            [names, *zip(*map(astuple, results))],
+        ))
+        write("per_1pct.csv", csv_blocks(["model", "per_1pct"],
+                                         [names, [result.per_1pct for result in results]]))
+        write("r2.csv", csv_blocks(
+            ["model", "r2_y", "r2_d"],
+            [names, [res.r2_y for _, res in fits], [res.r2_d for _, res in fits]],
+        ))
+        u = csv_cells(diagnostics_res.u)  # printed once for both tables
+        write("residuals.csv", csv_blocks(["fitted", "residual"], [diagnostics_res.g_hat, u]))
+        write("nuisance_residuals.csv", csv_blocks(
+            ["row", "fold", "u", "v"],
+            [np.arange(panel.n_rows), diagnostics_res.fold_of, u, diagnostics_res.v],
+        ))
     return manifest
-
-
-def _replace_file(path: str, content: str) -> None:
-    """Write `content` to path as UTF-8 through a temporary file beside it and
-    os.replace, so path holds either its old bytes or all of the new ones."""
-    tmp = f"{path}.{os.urandom(8).hex()}.tmp"
-    try:
-        with open(tmp, "w", encoding="utf-8", newline="") as fh:
-            fh.write(content)
-        os.replace(tmp, path)
-    except BaseException:
-        with contextlib.suppress(OSError):
-            os.remove(tmp)
-        raise
 
 
 def _column(path: str, table, name: str) -> np.ndarray:
@@ -405,48 +393,45 @@ def _column(path: str, table, name: str) -> np.ndarray:
 
 def emit_plots(output_dir: str) -> list[str]:
     """Render corr_heatmap.svg, pca_scree.svg, residuals_fitted.svg from the
-    CSVs a previous `run` left in output_dir, and add their hashes to its
-    manifest.json when it has one.
+    CSVs a previous `run` left in output_dir, and republish output_dir with
+    them added to its manifest.json.
 
-    Every input, and that each figure's path is absent or a regular file, is
-    checked before any file is written, so a bad one leaves output_dir as it
-    was; each figure, then the manifest, replaces its file whole
-    (`_replace_file`), and a write that fails ends in a ConfigError
-    (`_writing_to`).
+    Every input, the manifest among them, is read and checked, and output_dir
+    checked to hold only an earlier run's files (`_check_replaceable`),
+    before anything is written, so a bad one leaves output_dir as it was. The
+    directory is then published whole through `_publishing`: every other
+    file the manifest lists is copied into the stage and hashed again as it
+    is copied, then the figures are written, so a write that fails leaves
+    output_dir as it was and ends in a ConfigError.
     """
     _, labels, corr = read_numeric_csv(os.path.join(output_dir, "corr.csv"), 0)
-    heatmap = render_corr_heatmap(corr, labels)
-
     path = os.path.join(output_dir, "pca.csv")
-    scree = render_scree(_column(path, read_numeric_csv(path, 0), "explained_ratio"))
-
+    explained = _column(path, read_numeric_csv(path, 0), "explained_ratio")
     path = os.path.join(output_dir, "residuals.csv")
     table = read_numeric_csv(path)
-    scatter = render_residuals(_column(path, table, "fitted"), _column(path, table, "residual"))
-
+    fitted, residual = _column(path, table, "fitted"), _column(path, table, "residual")
     manifest_path = os.path.join(output_dir, "manifest.json")
-    manifest = None
-    if os.path.exists(manifest_path):
-        with read_input(manifest_path) as fh:
-            manifest = json.load(fh)
-        if not isinstance(manifest, dict) or not isinstance(manifest.setdefault("files", {}), dict):
-            raise MalformedRow(f"{manifest_path}: not a run manifest")
+    with read_input(manifest_path) as fh:
+        manifest = json.load(fh)
+    if not isinstance(manifest, dict) or not isinstance(manifest.get("files"), dict):
+        raise MalformedRow(f"{manifest_path}: not a run manifest")
+    carried = sorted(manifest["files"].keys() - {*PLOT_FILES, "manifest.json"})
+    # a listed name that is not an entry of output_dir ("../x" among them) is never opened
+    missing = sorted(set(carried) - set(os.listdir(output_dir)))
+    if missing:
+        raise MissingInput(f"{manifest_path} lists files {output_dir} does not hold: "
+                           f"{', '.join(missing)}")
+    _check_replaceable(output_dir)
 
-    paths = [os.path.join(output_dir, name) for name in PLOT_FILES]
-    # checked before the first replacement, so none is left half done
-    for path in paths:
-        if os.path.lexists(path) and not os.path.isfile(path):
-            raise ConfigError(
-                f"cannot write the outputs in {output_dir!r}: {path!r} is not a regular file"
-            )
-    with _writing_to(output_dir):
-        for name, path, content in zip(PLOT_FILES, paths, (heatmap, scree, scatter)):
-            _replace_file(path, content)
-            if manifest is not None:
-                manifest["files"][name] = hashlib.sha256(content.encode()).hexdigest()
-        if manifest is not None:
-            _replace_file(manifest_path, json.dumps(manifest, sort_keys=True, indent=2) + "\n")
-    return paths
+    figures = (render_corr_heatmap(corr, labels), render_scree(explained),
+               render_residuals(fitted, residual))
+    with _publishing(output_dir, manifest) as write:
+        for name in carried:
+            with open(os.path.join(output_dir, name), "rb") as fh:
+                write(name, iter(lambda: fh.read(1 << 20), b""))
+        for name, svg in zip(PLOT_FILES, figures):
+            write(name, [svg])
+    return [os.path.join(output_dir, name) for name in PLOT_FILES]
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -472,16 +472,6 @@ def mse(y_true, y_pred) -> float:
     return float(diff @ diff / diff.size)
 
 
-def staged_mse(model: GbtModel, X, y) -> np.ndarray:
-    """MSE of the ensemble truncated after 0, 1, ..., n_trees stages.
-
-    With squared-error boosting and learning_rate in (0, 1] each stage can
-    only shrink the training loss, so this curve is non-increasing.
-    """
-    X, y = _as_xy(X, y)
-    return np.array([mse(y, pred) for pred in staged_predict(model, X)])
-
-
 def r2(y_true, y_pred) -> float:
     y_true = np.asarray(y_true, dtype=float)
     y_pred = np.asarray(y_pred, dtype=float)

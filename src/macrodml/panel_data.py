@@ -5,7 +5,7 @@ the long form is one row per (fund, month) with outcome, treatment, and a
 control vector including lagged values, gathered by `x_rows` from a month
 table and the fund returns. Every input file is read through
 `read_input`, every numeric CSV body is parsed by `read_numeric_csv` and
-every CSV table is printed by `csv_text`.
+every CSV table is printed by `csv_blocks`.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ import contextlib
 import csv
 import io
 import re
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -263,7 +264,7 @@ def read_numeric_csv(path, text_column: str | int | None = None):
     quote nor a \\r is split on commas and newlines; any other body is read by
     csv.reader, which reads quoted cells and \\r\\n line ends. Either way every
     row must hold as many cells as the header, and every other cell goes
-    through float(), an empty one reading as NaN, so a table `csv_text`
+    through float(), an empty one reading as NaN, so a table `csv_blocks`
     printed comes back with the bits it was printed from. A file without a
     header row, a row of another width and a cell float() rejects raise
     MalformedRow, the last two naming the row's line (and the cell's first
@@ -332,13 +333,13 @@ def _text_cell(cell: str) -> str:
 
 
 def csv_cells(column) -> list[str]:
-    """A column's CSV cells, as `csv_text` prints them. A str column quotes a
+    """A column's CSV cells, as `csv_blocks` prints them. A str column quotes a
     cell only when it holds a comma, a quote or a newline, doubling its
     quotes. A number column, a sequence of Python numbers and None or a 1-D
     numpy array, is printed with one repr of it as a list: each float as
     float.__repr__ (its shortest round-trip digits), each int as int.__repr__
     and None as an empty cell. Those cells hold no comma, quote or newline,
-    so `csv_text` prints a column of them as it is."""
+    so `csv_blocks` prints a column of them as it is."""
     cells = column.tolist() if isinstance(column, np.ndarray) else list(column)
     if cells and isinstance(cells[0], str):
         text = "".join(cells)
@@ -348,34 +349,34 @@ def csv_cells(column) -> list[str]:
     return repr(cells)[1:-1].replace("None", "").split(", ") if cells else []
 
 
-CSV_BLOCK = 8192  # table rows csv_text prints at a time
+CSV_BLOCK = 8192  # table rows csv_blocks prints at a time
 
 
-def csv_text(header, columns) -> str:
+def csv_blocks(header, columns) -> Iterator[str]:
     """The CSV text of a table given column by column (see `csv_cells`), all
-    of one length and each a sequence that slices. The rows are printed
-    CSV_BLOCK at a time, each block's cells made only while it is printed,
-    so a large table never holds its cells, or its numbers as Python
-    objects, all at once.
+    of one length and each a sequence that slices, as consecutive pieces:
+    the header line, then CSV_BLOCK rows at a time. Each block's cells are
+    made only when the block is asked for, so a table written block by block
+    never holds its text, its cells or its numbers as Python objects all at
+    once.
 
-    This is the one writer of every table the package prints. Its bytes are
-    those of the csv module's writer with QUOTE_MINIMAL and lineterminator
-    "\\n", as Python 3.11 writes them (a lone \\r is not quoted), except
-    that a one-column table writes an empty cell as an empty line.
+    This is the one writer of every table the package prints. The joined
+    pieces are the bytes of the csv module's writer with QUOTE_MINIMAL and
+    lineterminator "\\n", as Python 3.11 writes them (a lone \\r is not
+    quoted), except that a one-column table writes an empty cell as an empty
+    line.
     """
-    n = len(columns[0]) if columns else 0
-    blocks = [",".join(csv_cells(header))]
-    for start in range(0, n, CSV_BLOCK):
+    yield ",".join(csv_cells(header)) + "\n"
+    for start in range(0, len(columns[0]) if columns else 0, CSV_BLOCK):
         cells = [csv_cells(column[start:start + CSV_BLOCK]) for column in columns]
-        blocks.append("\n".join(map(",".join, zip(*cells))))
-    return "\n".join(blocks) + "\n"
+        yield "\n".join(map(",".join, zip(*cells))) + "\n"
 
 
 def write_tscs_csv(matrix: TimeSeriesMatrix, path, time_column: str = "date") -> None:
     """Inverse of load_tscs_csv: NaN as an empty cell, full-precision floats."""
     values = np.where(np.isnan(matrix.values), None, matrix.values)  # Python floats and None
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(csv_text([time_column, *matrix.columns], [matrix.time_index, *values.T]))
+        fh.writelines(csv_blocks([time_column, *matrix.columns], [matrix.time_index, *values.T]))
 
 
 META_COLUMNS = ("ticker", "asset_class", "inception", "aum_musd", "managed")
@@ -419,7 +420,7 @@ def write_fund_meta_csv(catalog: list[FundMeta], path) -> None:
     columns = [[getattr(m, name) for m in catalog] for name in META_COLUMNS]
     columns[3] = list(map(float, columns[3]))  # aum_musd prints as a float
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(csv_text(list(META_COLUMNS), columns))
+        fh.writelines(csv_blocks(list(META_COLUMNS), columns))
 
 
 # ---------------------------------------------------------------------------

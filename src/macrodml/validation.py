@@ -29,7 +29,7 @@ from .dml import (
     wald_inference,
 )
 from .errors import ConfigError
-from .learners import gbt_fit, ols_fit, predict, staged_mse
+from .learners import gbt_fit, mse, ols_fit, predict, staged_predict
 from .preprocess import adf_test, select_lag_var_aic
 from .synth import (
     SynthSpec,
@@ -194,7 +194,7 @@ def _gbt_training_loss(seed: int, reps: int) -> tuple[str, bool]:
         model = gbt_fit(X, y, HyperParams(n_trees=60, max_depth=3,
                                           learning_rate=0.2,
                                           min_samples_leaf=10))
-        losses = staged_mse(model, X, y)
+        losses = [mse(y, pred) for pred in staged_predict(model, X)]
         worst_rise = max(worst_rise, float(np.max(np.diff(losses))))
         stump = gbt_fit(X, y, HyperParams(n_trees=5, max_depth=0,
                                           learning_rate=0.5))

@@ -37,8 +37,8 @@ from macrodml.learners import gbt_fit, kfold_split, mse, predict, r2
 from macrodml.panel_data import (
     CSV_BLOCK,
     TimeSeriesMatrix,
+    csv_blocks,
     csv_cells,
-    csv_text,
     load_tscs_csv,
     read_numeric_csv,
     write_tscs_csv,
@@ -708,6 +708,10 @@ def _csv_writer_text(header, rows):
     return buf.getvalue()
 
 
+def _table_text(header, columns):
+    return "".join(csv_blocks(header, columns))
+
+
 def test_numeric_table_text_matches_csv_writer():
     rng = np.random.default_rng(3)
     n = len(SPECIAL_FLOATS)
@@ -717,33 +721,36 @@ def test_numeric_table_text_matches_csv_writer():
         (rng.standard_normal(n) * 10.0 ** rng.integers(-12, 12, n)).tolist(),
     ]
     ints = list(range(n))
-    assert (csv_text(["i", "a", "b", "c"], [ints, *columns])
+    assert (_table_text(["i", "a", "b", "c"], [ints, *columns])
             == _csv_writer_text(["i", "a", "b", "c"], zip(ints, *columns)))
     # text cells, in the header and in columns of their own or beside numbers
     text = [TEXT_CELLS[i % len(TEXT_CELLS)] for i in range(n)]
     header = ["name", *TEXT_CELLS[:4], "i"]
     table = [text, SPECIAL_FLOATS, text[::-1], ints, TEXT_CELLS[:1] * n, ints]
-    assert csv_text(header, table) == _csv_writer_text(header, zip(*table))
-    assert (csv_text(TEXT_CELLS, [[c] for c in TEXT_CELLS])
+    assert _table_text(header, table) == _csv_writer_text(header, zip(*table))
+    assert (_table_text(TEXT_CELLS, [[c] for c in TEXT_CELLS])
             == _csv_writer_text(TEXT_CELLS, [TEXT_CELLS]))
-    assert csv_text(["a", "b"], [(1.5,), ("x",)]) == "a,b\n1.5,x\n"  # tuples print as lists
+    assert _table_text(["a", "b"], [(1.5,), ("x",)]) == "a,b\n1.5,x\n"  # tuples print as lists
     # number cells printed once and handed on as text, and arrays, print the same
-    assert (csv_text(["a", "b"], [csv_cells(SPECIAL_FLOATS), ints])
-            == csv_text(["a", "b"], [np.array(SPECIAL_FLOATS), np.arange(n)])
-            == csv_text(["a", "b"], [SPECIAL_FLOATS, ints]))
+    assert (_table_text(["a", "b"], [csv_cells(SPECIAL_FLOATS), ints])
+            == _table_text(["a", "b"], [np.array(SPECIAL_FLOATS), np.arange(n)])
+            == _table_text(["a", "b"], [SPECIAL_FLOATS, ints]))
     missing = [None, 1.5, None, 2, None]
-    assert (csv_text(["a", "b"], [missing, missing[::-1]])
+    assert (_table_text(["a", "b"], [missing, missing[::-1]])
             == _csv_writer_text(["a", "b"], zip(missing, missing[::-1])))
-    assert csv_text(["a", "b"], [[], []]) == "a,b\n"
+    assert _table_text(["a", "b"], [[], []]) == "a,b\n"
     # a table longer than one block of rows prints as one block would
     n = 2 * CSV_BLOCK + 3
     floats = rng.standard_normal(n) * 10.0 ** rng.integers(-12, 12, n)
     quoted = [TEXT_CELLS[i % len(TEXT_CELLS)] for i in range(n)]
     header = ["i", "x", "printed", "name"]
     table = [np.arange(n), floats, csv_cells(floats[::-1]), quoted]
-    assert (csv_text(header, table)
+    assert (_table_text(header, table)
             == _csv_writer_text(header, zip(range(n), floats.tolist(),
                                             floats[::-1].tolist(), quoted)))
+    # the header line, then CSV_BLOCK rows at a time (no quoted cell holds a line end)
+    pieces = csv_blocks(header[:3], table[:3])
+    assert [piece.count("\n") for piece in pieces] == [1, CSV_BLOCK, CSV_BLOCK, 3]
 
 
 def test_plots_reparse_returns_the_written_bits(full_run, tmp_path, monkeypatch):
@@ -752,11 +759,11 @@ def test_plots_reparse_returns_the_written_bits(full_run, tmp_path, monkeypatch)
     fitted = np.concatenate([finite, rng.standard_normal(500) * 1e3])
     resid = np.concatenate([finite[::-1], rng.standard_normal(500) * 1e-5])
     out = tmp_path / "out"
-    art = cli._Artifacts()
-    for name in ("corr.csv", "pca.csv"):  # write_out replaces the whole directory
-        art.add(name, open(os.path.join(full_run["out"], name), newline="").read())
-    art.add("residuals.csv", csv_text(["fitted", "residual"], [fitted.tolist(), resid.tolist()]))
-    art.write_out(str(out))
+    with cli._publishing(str(out), {}) as write:  # which replaces the whole directory
+        for name in ("corr.csv", "pca.csv"):
+            write(name, [pathlib.Path(full_run["out"], name).read_bytes()])
+        write("residuals.csv",
+              csv_blocks(["fitted", "residual"], [fitted.tolist(), resid.tolist()]))
     seen = {}
     real = cli.render_residuals
     monkeypatch.setattr(cli, "render_residuals",
@@ -915,8 +922,8 @@ def test_run_into_a_path_under_a_file_exits_config(small_fx, tmp_path):
 
 
 def test_plots_with_a_later_figure_path_a_directory_replaces_nothing(full_run, tmp_path, capsys):
-    """Every figure path is checked before the first one is replaced, so the
-    heatmap is not written while pca_scree.svg cannot be."""
+    """A figure path that is a directory is a foreign entry, refused before
+    anything is written, so the heatmap is not written either."""
     out = tmp_path / "out"
     shutil.copytree(full_run["out"], out)
     for figure in cli.PLOT_FILES:  # another test may have run plots on the shared run
@@ -924,16 +931,17 @@ def test_plots_with_a_later_figure_path_a_directory_replaces_nothing(full_run, t
     (out / "pca_scree.svg").mkdir()
     before = _tree_bytes(tmp_path)
     assert main(["plots", "--out", str(out)]) == EXIT_CONFIG
-    assert capsys.readouterr().err == (
-        f"code=1 error=ConfigError message=cannot write the outputs in {str(out)!r}: "
-        f"{str(out / 'pca_scree.svg')!r} is not a regular file\n")
+    err = capsys.readouterr().err
+    assert err.startswith(f"code=1 error=ConfigError message=output_dir {str(out)!r} holds "
+                          "files no earlier run wrote (pca_scree.svg)")
+    assert err.count("\n") == 1
     assert _tree_bytes(tmp_path) == before
 
 
 def test_plots_onto_a_directory_exits_config(full_run, tmp_path):
-    """A figure's path that is a directory cannot be replaced: one typed line
-    naming the output directory; no temporary file is left and every other
-    file, the manifest included, keeps its bytes."""
+    """A figure's path that is a directory is a foreign entry: one typed line
+    naming the output directory; no stage is left and every other file, the
+    manifest included, keeps its bytes."""
     out = tmp_path / "out"
     shutil.copytree(full_run["out"], out)
     for figure in cli.PLOT_FILES:  # another test may have run plots on the shared run
@@ -942,9 +950,77 @@ def test_plots_onto_a_directory_exits_config(full_run, tmp_path):
     before = _tree_bytes(tmp_path)
     proc = _macrodml("plots", "--out", str(out))
     assert proc.returncode == EXIT_CONFIG
-    assert proc.stderr.startswith(
-        f"code=1 error=ConfigError message=cannot write the outputs in {str(out)!r}: ")
+    assert proc.stderr.startswith(f"code=1 error=ConfigError message=output_dir {str(out)!r} ")
+    assert "holds files no earlier run wrote" in proc.stderr
     assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
+    assert _tree_bytes(tmp_path) == before
+
+
+@pytest.mark.parametrize("command, failing", [("run", "nuisance_residuals.csv"),
+                                              ("plots", "pca_scree.svg")])
+def test_a_write_that_fails_partway_leaves_the_outputs_as_they_were(small_fx, tmp_path,
+                                                                    monkeypatch, capsys,
+                                                                    command, failing):
+    """Every file is written into the stage, so a write that fails after
+    others succeeded (a full disk, say) leaves --out and the directory
+    holding it byte for byte as they were, with no stage left behind."""
+    _, fx = small_fx
+    out = tmp_path / "o"
+    assert main(run_args(fx, out, "--learner", "linear", "--lag", "2")) == EXIT_OK
+    if command == "run":  # no earlier figures for plots, which would rewrite them unchanged
+        assert main(["plots", "--out", str(out)]) == EXIT_OK
+    before = _tree_bytes(tmp_path)
+    real_open = open
+
+    def failing_open(path, mode="r", *args, **kwargs):
+        if "w" in mode and os.path.basename(path).startswith(failing):  # or a temporary beside it
+            raise OSError(28, "No space left on device")
+        return real_open(path, mode, *args, **kwargs)
+
+    monkeypatch.setattr("builtins.open", failing_open)
+    capsys.readouterr()
+    args = run_args(fx, out, "--learner", "linear", "--lag", "3") if command == "run" else [
+        "plots", "--out", str(out)]
+    assert main(args) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("code=1 error=ConfigError message=cannot write the outputs in ")
+    assert "No space left on device" in err and err.count("\n") == 1
+    assert _tree_bytes(tmp_path) == before
+
+
+@pytest.mark.parametrize("listed", ["results.csv", "../outside.csv"])
+def test_plots_on_a_manifest_listing_a_file_it_lacks_exits_data(full_run, tmp_path, capsys,
+                                                                 listed):
+    """plots copies only the files beside the manifest: a listed one that is
+    gone, or a name outside the directory, ends in one typed line and
+    nothing is written."""
+    out = tmp_path / "out"
+    shutil.copytree(full_run["out"], out)
+    (tmp_path / "outside.csv").write_text("keep\n")
+    manifest = read_manifest(out)
+    if listed in manifest["files"]:
+        (out / listed).unlink()
+    else:
+        manifest["files"][listed] = "0" * 64
+        (out / "manifest.json").write_text(json.dumps(manifest))
+    before = _tree_bytes(tmp_path)
+    assert main(["plots", "--out", str(out)]) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert err == (f"code=2 error=MissingInput message={str(out / 'manifest.json')} lists files "
+                   f"{str(out)} does not hold: {listed}\n")
+    assert _tree_bytes(tmp_path) == before
+
+
+def test_plots_without_a_manifest_exits_data_and_writes_nothing(full_run, tmp_path, capsys):
+    out = tmp_path / "out"
+    shutil.copytree(full_run["out"], out)
+    for name in (*cli.PLOT_FILES, "manifest.json"):
+        (out / name).unlink(missing_ok=True)
+    before = _tree_bytes(tmp_path)
+    assert main(["plots", "--out", str(out)]) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.startswith("code=2 error=MissingInput message=") and err.count("\n") == 1
+    assert "manifest.json" in err
     assert _tree_bytes(tmp_path) == before
 
 

@@ -31,7 +31,7 @@ from macrodml.learners import (
     ols_fit,
     predict,
     r2,
-    staged_mse,
+    staged_predict,
 )
 
 
@@ -160,7 +160,7 @@ def test_zero_trees_predicts_training_mean():
     model = gbt_fit(X, y, HyperParams(n_trees=0))
     assert model.base_score == y.mean()
     assert np.all(predict(model, X) == y.mean())
-    assert staged_mse(model, X, y).shape == (1,)
+    assert np.array([mse(y, pred) for pred in staged_predict(model, X)]).shape == (1,)
 
 
 def test_depth_zero_stays_at_mean():
@@ -176,7 +176,7 @@ def test_training_mse_monotone(rng):
     y = np.sin(2.0 * X[:, 0]) + 0.3 * rng.standard_normal(200)
     model = gbt_fit(X, y, HyperParams(n_trees=40, max_depth=2, learning_rate=0.3,
                                       min_samples_leaf=5))
-    losses = staged_mse(model, X, y)
+    losses = np.array([mse(y, pred) for pred in staged_predict(model, X)])
     assert losses.shape == (41,)
     assert np.all(np.diff(losses) <= 1e-12)
     assert losses[-1] < losses[0]  # it actually learned something
