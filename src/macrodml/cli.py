@@ -45,6 +45,7 @@ from .errors import (
 )
 from .learners import DEFAULT_GRID, grid_from_json
 from .panel_data import (
+    IO_BLOCK,
     FundFilter,
     common_range,
     csv_blocks,
@@ -163,12 +164,14 @@ def _config_hash(config: PipelineConfig) -> str:
 def _publishing(out_dir: str, manifest: dict):
     """The one way files reach an output directory. Yields `write(name,
     blocks)`, which writes the str or bytes blocks as the file `name` in a
-    new hidden sibling of out_dir, hashing them as they are written. On a
-    clean exit manifest.json is written last, `manifest` with those digests
-    under "files", and the sibling is swapped in for out_dir, which then
-    holds exactly these files. Any failure before the swap removes the
-    sibling and leaves out_dir as it was; an OSError raised while the files
-    are staged, written or swapped in ends in a ConfigError naming out_dir."""
+    new hidden sibling of out_dir, hashing them as they are written, in
+    slices of IO_BLOCK characters or bytes: a long str block (a figure) is
+    never held whole as bytes too. On a clean exit manifest.json is
+    written last, `manifest` with those digests under "files", and the
+    sibling is swapped in for out_dir, which then holds exactly these files.
+    Any failure before the swap removes the sibling and leaves out_dir as it
+    was; an OSError raised while the files are staged, written or swapped in
+    ends in a ConfigError naming out_dir."""
     out_dir = os.path.realpath(out_dir)
     try:
         parent, base = os.path.split(out_dir)
@@ -182,9 +185,13 @@ def _publishing(out_dir: str, manifest: dict):
             digest = hashlib.sha256()
             with open(os.path.join(stage, name), "wb") as fh:
                 for block in blocks:
-                    data = block.encode() if isinstance(block, str) else block
-                    digest.update(data)
-                    fh.write(data)
+                    for i in range(0, len(block), IO_BLOCK):
+                        # UTF-8 encodes each character on its own, so the
+                        # slices' bytes are the block's
+                        data = block[i:i + IO_BLOCK]
+                        data = data.encode() if isinstance(data, str) else data
+                        digest.update(data)
+                        fh.write(data)
             digests[name] = digest.hexdigest()
 
         try:
@@ -428,7 +435,7 @@ def emit_plots(output_dir: str) -> list[str]:
     with _publishing(output_dir, manifest) as write:
         for name in carried:
             with open(os.path.join(output_dir, name), "rb") as fh:
-                write(name, iter(lambda: fh.read(1 << 20), b""))
+                write(name, iter(lambda: fh.read(IO_BLOCK), b""))
         for name, svg in zip(PLOT_FILES, figures):
             write(name, [svg])
     return [os.path.join(output_dir, name) for name in PLOT_FILES]

@@ -252,6 +252,9 @@ def read_input(path, error: type[MacrodmlError] | None = None):
         raise (error or MalformedRow)(f"{path}: {exc}") from None
 
 
+IO_BLOCK = 1 << 20  # characters or bytes of file text parsed, encoded or copied at a time
+
+
 def read_numeric_csv(path, text_column: str | int | None = None):
     """The CSV at `path` as (names, texts, values): `names` the header's
     columns but the text column, `texts` the text column's cells ([] without
@@ -261,14 +264,16 @@ def read_numeric_csv(path, text_column: str | int | None = None):
 
     This is the one parser of numeric CSV bodies. The header is read by
     csv.reader, since column names may be quoted. A body holding neither a
-    quote nor a \\r is split on commas and newlines; any other body is read by
-    csv.reader, which reads quoted cells and \\r\\n line ends. Either way every
-    row must hold as many cells as the header, and every other cell goes
-    through float(), an empty one reading as NaN, so a table `csv_blocks`
-    printed comes back with the bits it was printed from. A file without a
-    header row, a row of another width and a cell float() rejects raise
-    MalformedRow, the last two naming the row's line (and the cell's first
-    40 characters).
+    quote nor a \\r is split on commas and newlines in pieces of whole lines,
+    each about IO_BLOCK characters, so only one piece's cells are held at a
+    time; any other body is read by csv.reader, which reads quoted cells and
+    \\r\\n line ends. Either way every row must hold as many cells as the
+    header, and every other cell goes through float(), an empty one reading as
+    NaN, so a table `csv_blocks` printed comes back with the bits it was
+    printed from. A file without a header row, a row of another width and a
+    cell float() rejects raise MalformedRow, the last two naming the row's
+    line (and the cell's first 40 characters). Of several such rows, the
+    first piece's is named, a row of another width before a bad cell.
     """
     with read_input(path) as fh:
         header = next(csv.reader(fh), [])
@@ -281,40 +286,57 @@ def read_numeric_csv(path, text_column: str | int | None = None):
         body = fh.read()
         if '"' in body or "\r" in body:
             rows = list(csv.reader(io.StringIO(body, newline="")))
-            lengths = np.array([len(row) for row in rows], dtype=np.intp)
-            cells = [cell for row in rows for cell in row]
+            pieces = [(np.array([len(row) for row in rows], dtype=np.intp),
+                       [cell for row in rows for cell in row])]
         else:
-            if body and not body.endswith("\n"):
-                body += "\n"
-            chars = np.frombuffer(body.encode(), dtype=np.uint8)
-            # each cell ends in one separator, a comma or its row's newline
-            seps = chars[(chars == ord(",")) | (chars == ord("\n"))]
-            lengths = np.diff(np.flatnonzero(seps == ord("\n")), prepend=-1)
-            cells = body[:-1].replace("\n", ",").split(",") if body else []
+            pieces = _split_pieces(body)
     width = len(header)
-    bad = np.flatnonzero(lengths != width)
-    if bad.size:
-        raise MalformedRow(f"{path} line {bad[0] + 2}: expected {width} cells")
     names, texts = header, []
     if text_column is not None:
         names = header[:text_column] + header[text_column + 1:]
-        texts = cells[text_column::width]
-        del cells[text_column::width]
-    if "" in cells:  # an empty cell is a missing value
-        cells = [cell or "nan" for cell in cells]
-    try:
-        values = np.fromiter(map(float, cells), dtype=float, count=len(cells))
-    except ValueError:
-        for i, cell in enumerate(cells):
-            try:
-                float(cell)
-            except ValueError:
-                shown = cell if len(cell) <= 40 else cell[:40] + "..."
-                raise MalformedRow(
-                    f"{path} line {i // len(names) + 2}: cannot parse {shown!r} as a number"
-                ) from None
-        raise
-    return names, texts, values.reshape(lengths.size, len(names))
+    blocks, before = [np.empty((0, len(names)))], 0  # `before`: rows of the earlier pieces
+    for lengths, cells in pieces:
+        bad = np.flatnonzero(lengths != width)
+        if bad.size:
+            raise MalformedRow(f"{path} line {before + bad[0] + 2}: expected {width} cells")
+        if text_column is not None:
+            texts += cells[text_column::width]
+            del cells[text_column::width]
+        if "" in cells:  # an empty cell is a missing value
+            cells = [cell or "nan" for cell in cells]
+        try:
+            values = np.fromiter(map(float, cells), dtype=float, count=len(cells))
+        except ValueError:
+            for i, cell in enumerate(cells):
+                try:
+                    float(cell)
+                except ValueError:
+                    shown = cell if len(cell) <= 40 else cell[:40] + "..."
+                    raise MalformedRow(f"{path} line {before + i // len(names) + 2}: "
+                                       f"cannot parse {shown!r} as a number") from None
+            raise
+        blocks.append(values.reshape(lengths.size, len(names)))
+        before += lengths.size
+        del cells  # before the next piece's are made
+    return names, texts, np.concatenate(blocks)
+
+
+def _split_pieces(body: str) -> Iterator[tuple[np.ndarray, list[str]]]:
+    """(cells per row, cells) of a body without quotes or \\r, one piece at a
+    time: whole lines, cut at the first newline from the piece's IO_BLOCK-th
+    character on. Every line, a last one without its newline among them, is
+    a row; the newline that ends a piece is in neither piece."""
+    start = 0
+    while start < len(body):
+        end = body.find("\n", min(start + IO_BLOCK, len(body)) - 1)
+        end = len(body) if end < 0 else end
+        piece = body[start:end]
+        start = end + 1
+        chars = np.frombuffer(piece.encode(), dtype=np.uint8)
+        # each cell ends in one separator, a comma, a newline or the piece's end
+        seps = chars[(chars == ord(",")) | (chars == ord("\n"))]
+        ends = np.append(np.flatnonzero(seps == ord("\n")), seps.size)
+        yield np.diff(ends, prepend=-1), piece.replace("\n", ",").split(",")
 
 
 def load_tscs_csv(path, time_column: str = "date") -> TimeSeriesMatrix:

@@ -11,6 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DataError, LengthMismatch
+from .panel_data import CSV_BLOCK
 
 _CELL = 40
 _PAD = 90
@@ -113,7 +114,9 @@ _SCATTER_H = 300.0
 
 
 def render_residuals(fitted: np.ndarray, residuals: np.ndarray) -> str:
-    """Residuals-vs-fitted scatter with a horizontal zero line."""
+    """Residuals-vs-fitted scatter with a horizontal zero line. The circles
+    are formatted CSV_BLOCK points at a time, one %-format per block, so no
+    template or tuple of all the points is ever built."""
     fitted = np.asarray(fitted, dtype=float)
     residuals = np.asarray(residuals, dtype=float)
     if fitted.shape != residuals.shape or fitted.ndim != 1 or fitted.size == 0:
@@ -126,8 +129,8 @@ def render_residuals(fitted: np.ndarray, residuals: np.ndarray) -> str:
     x_span = (x_hi - x_lo) if x_hi > x_lo else 1.0
     pad = 50.0
 
-    # sx and sy map whole arrays: float64 ops round elementwise as they do on
-    # one scalar, and "%.4f" prints a float as f"{v:.4f}" does
+    # sx and sy map arrays: float64 ops round elementwise as they do on one
+    # scalar, and "%.4f" prints a float as f"{v:.4f}" does
     def sx(v):
         return pad + (v - x_lo) / x_span * _SCATTER_W
 
@@ -146,7 +149,9 @@ def render_residuals(fitted: np.ndarray, residuals: np.ndarray) -> str:
         f"<text x='12' y='{pad:.1f}' {_FONT}>residual</text>",
     ]
     circle = "<circle cx='%.4f' cy='%.4f' r='2.5' fill='steelblue' fill-opacity='0.55'/>"
-    centers = np.column_stack([sx(fitted), sy(residuals)]).ravel().tolist()
-    parts.append("\n".join([circle] * fitted.size) % tuple(centers))
+    for start in range(0, fitted.size, CSV_BLOCK):
+        block = slice(start, start + CSV_BLOCK)
+        centers = np.column_stack([sx(fitted[block]), sy(residuals[block])]).ravel().tolist()
+        parts.append("\n".join([circle] * (len(centers) // 2)) % tuple(centers))
     parts.append("</svg>")
     return "\n".join(parts)

@@ -14,12 +14,15 @@ from macrodml.errors import (
     NonMonotoneTime,
     UnparseableTime,
 )
+from macrodml import panel_data
 from macrodml.panel_data import (
+    IO_BLOCK,
     FundFilter,
     FundMeta,
     PanelTable,
     TimeSeriesMatrix,
     common_range,
+    csv_blocks,
     filter_funds,
     int_to_month,
     load_fund_meta_csv,
@@ -228,6 +231,60 @@ def test_a_long_cell_that_is_not_a_number_is_named_by_its_start(tmp_path):
     with pytest.raises(MalformedRow) as info:
         load_tscs_csv(path)
     assert str(info.value) == f"{path} line 2: cannot parse '{'x' * 40}...' as a number"
+
+
+@pytest.fixture(scope="module")
+def tall_table():
+    """(labels, values, text): a label column and three number columns, every
+    tenth cell of the second one missing, printed by csv_blocks into a body
+    of more than three IO_BLOCK pieces."""
+    rng = np.random.default_rng(5)
+    n = 60_000
+    values = rng.standard_normal((n, 3))
+    values[::10, 1] = np.nan
+    labels = [f"r{i:06d}" for i in range(n)]
+    columns = np.where(np.isnan(values), None, values).T  # Python floats and None
+    text = "".join(csv_blocks(["label", "a", "b", "c"], [labels, *columns]))
+    assert len(text) > 3 * IO_BLOCK
+    return labels, values, text
+
+
+def test_a_body_of_several_pieces_reads_back_the_printed_bits(tmp_path, tall_table):
+    """Pieces cut at newlines join into the table: its text column, empty
+    cells as NaN and a last line without its newline."""
+    labels, values, text = tall_table
+    path = tmp_path / "tall.csv"
+    path.write_bytes(text[:-1].encode())
+    names, texts, got = read_numeric_csv(path, "label")
+    assert (names, texts) == (["a", "b", "c"], labels)
+    assert _same_bits(got, values)
+
+
+@pytest.mark.parametrize("row, message", [
+    ("r999999,1.0,2.0", "expected 4 cells"),
+    ("r999999,1.0,zebra,2.0", "cannot parse 'zebra' as a number"),
+], ids=["short_row", "not_a_number"])
+def test_an_error_in_the_last_piece_names_the_file_line(tmp_path, tall_table, row, message):
+    """Line numbers carry on across pieces, for the width check and for the
+    search that names a bad cell."""
+    labels, _, text = tall_table
+    path = tmp_path / "bad.csv"
+    path.write_bytes((text + row + "\nr1000000,1.0,2.0,3.0\n").encode())
+    with pytest.raises(MalformedRow) as info:
+        read_numeric_csv(path, "label")
+    assert str(info.value) == f"{path} line {len(labels) + 2}: {message}"
+
+
+def test_a_quoted_body_goes_to_csv_reader_whole(tmp_path, tall_table, monkeypatch):
+    """One quoted cell, in the last row, sends the whole body to csv.reader."""
+    labels, values, text = tall_table
+    monkeypatch.setattr(panel_data, "_split_pieces",
+                        lambda body: pytest.fail("a quoted body was split on commas"))
+    path = tmp_path / "quoted.csv"
+    path.write_bytes((text + '"r,x",1.0,,2.0\n').encode())
+    names, texts, got = read_numeric_csv(path, "label")
+    assert (names, texts) == (["a", "b", "c"], [*labels, "r,x"])
+    assert _same_bits(got, np.vstack([values, [1.0, np.nan, 2.0]]))
 
 
 def test_numeric_csv_text_column_by_position(tmp_path):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from macrodml.errors import DataError, LengthMismatch
+from macrodml.panel_data import CSV_BLOCK
 from macrodml.plots import render_corr_heatmap, render_residuals, render_scree
 
 
@@ -187,10 +188,15 @@ def _scatter_by_point(fitted, residuals):
     return "\n".join(parts)
 
 
-@pytest.mark.parametrize("case", ["random", "scaled", "one_point", "zero_residuals", "constant_fitted"])
+@pytest.mark.parametrize("case", ["random", "scaled", "one_point", "zero_residuals", "constant_fitted",
+                                  "two_blocks", "blocks_and_a_part"])
 def test_scatter_matches_the_per_point_reference(case):
+    """2,000 points fit in one CSV_BLOCK block; 16,384 fill exactly two and
+    20,000 end in a part block."""
+    n = {"two_blocks": 2 * CSV_BLOCK, "blocks_and_a_part": 20_000}.get(case, 2000)
+    assert CSV_BLOCK == 8192  # the sizes above are chosen for this block
     rng = np.random.default_rng(21)
-    fitted, resid = rng.standard_normal(2000), rng.standard_normal(2000)
+    fitted, resid = rng.standard_normal(n), rng.standard_normal(n)
     if case == "scaled":
         fitted, resid = fitted * 1e6 - 3e7, resid * 1e-9
     elif case == "one_point":
