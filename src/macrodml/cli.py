@@ -43,13 +43,13 @@ from .errors import (
     MissingInput,
     NumericalError,
 )
-from .learners import DEFAULT_GRID, grid_from_json
+from .learners import DEFAULT_GRID, grid_from_json, one_blas_thread
 from .panel_data import (
     IO_BLOCK,
     FundFilter,
     common_range,
     csv_blocks,
-    csv_cells,
+    csv_tables,
     filter_funds,
     load_fund_meta_csv,
     load_tscs_csv,
@@ -166,7 +166,9 @@ def _publishing(out_dir: str, manifest: dict):
     blocks)`, which writes the str or bytes blocks as the file `name` in a
     new hidden sibling of out_dir, hashing them as they are written, in
     slices of IO_BLOCK characters or bytes: a long str block (a figure) is
-    never held whole as bytes too. On a clean exit manifest.json is
+    never held whole as bytes too. Given a tuple of names, `write` writes
+    those files side by side, and each of `blocks` is a tuple of one block
+    per file (see `csv_tables`). On a clean exit manifest.json is
     written last, `manifest` with those digests under "files", and the
     sibling is swapped in for out_dir, which then holds exactly these files.
     Any failure before the swap removes the sibling and leaves out_dir as it
@@ -181,18 +183,23 @@ def _publishing(out_dir: str, manifest: dict):
         os.mkdir(stage)  # mode 0o777 less the umask, as os.makedirs gives
         digests = {}
 
-        def write(name: str, blocks) -> None:
-            digest = hashlib.sha256()
-            with open(os.path.join(stage, name), "wb") as fh:
-                for block in blocks:
-                    for i in range(0, len(block), IO_BLOCK):
-                        # UTF-8 encodes each character on its own, so the
-                        # slices' bytes are the block's
-                        data = block[i:i + IO_BLOCK]
-                        data = data.encode() if isinstance(data, str) else data
-                        digest.update(data)
-                        fh.write(data)
-            digests[name] = digest.hexdigest()
+        def write(names, blocks) -> None:
+            if isinstance(names, str):
+                names, blocks = (names,), ((block,) for block in blocks)
+            hashes = [hashlib.sha256() for _ in names]
+            with contextlib.ExitStack() as files:
+                handles = [files.enter_context(open(os.path.join(stage, name), "wb"))
+                           for name in names]
+                for pieces in blocks:
+                    for fh, digest, block in zip(handles, hashes, pieces):
+                        for i in range(0, len(block), IO_BLOCK):
+                            # UTF-8 encodes each character on its own, so the
+                            # slices' bytes are the block's
+                            data = block[i:i + IO_BLOCK]
+                            data = data.encode() if isinstance(data, str) else data
+                            digest.update(data)
+                            fh.write(data)
+            digests.update((name, digest.hexdigest()) for name, digest in zip(names, hashes))
 
         try:
             yield write
@@ -249,6 +256,7 @@ def _check_replaceable(out_dir: str) -> None:
         )
 
 
+@one_blas_thread()
 def run_pipeline(config: PipelineConfig) -> dict:
     """Execute the full estimation pipeline and write all artifacts.
 
@@ -258,7 +266,8 @@ def run_pipeline(config: PipelineConfig) -> dict:
     manifest dict. Raises typed errors. Nothing is written before the
     estimates are done, and the tables are then written one by one into a
     staged directory (`_publishing`), so a failure anywhere leaves
-    config.output_dir as it was.
+    config.output_dir as it was. Runs on one BLAS thread (`one_blas_thread`),
+    so the outputs do not depend on the core count.
     """
     config.validate()
 
@@ -347,7 +356,8 @@ def run_pipeline(config: PipelineConfig) -> dict:
         },
         "boosted_params": None if best_params is None else asdict(best_params),
         "residual_summary": residual_diagnostics(diagnostics_res),
-        # the linear solve's last bits depend on the LAPACK numpy ships with
+        # the linear solve's last bits depend on the BLAS/LAPACK numpy ships with;
+        # under OpenBLAS not on the core count, as the run holds one BLAS thread
         "versions": {"macrodml": __version__, "numpy": np.__version__,
                      "python": platform.python_version()},
     }
@@ -381,11 +391,11 @@ def run_pipeline(config: PipelineConfig) -> dict:
             ["model", "r2_y", "r2_d"],
             [names, [res.r2_y for _, res in fits], [res.r2_d for _, res in fits]],
         ))
-        u = csv_cells(diagnostics_res.u)  # printed once for both tables
-        write("residuals.csv", csv_blocks(["fitted", "residual"], [diagnostics_res.g_hat, u]))
-        write("nuisance_residuals.csv", csv_blocks(
-            ["row", "fold", "u", "v"],
-            [np.arange(panel.n_rows), diagnostics_res.fold_of, u, diagnostics_res.v],
+        # side by side, so each block of u is printed once for both tables
+        res = diagnostics_res
+        write(("residuals.csv", "nuisance_residuals.csv"), csv_tables(
+            (["fitted", "residual"], [res.g_hat, res.u]),
+            (["row", "fold", "u", "v"], [np.arange(panel.n_rows), res.fold_of, res.u, res.v]),
         ))
     return manifest
 

@@ -32,6 +32,7 @@ from .learners import (
     kfold_split,
     mse,
     ols_fit,
+    one_blas_thread,
     predict,
     r2,
     staged_predict,
@@ -453,6 +454,7 @@ def plr_estimate(
     )
 
 
+@one_blas_thread()
 def run_dml(
     problem: PlrProblem,
     learner: LearnerSpec,
@@ -463,7 +465,8 @@ def run_dml(
 ) -> tuple[DmlResult, NuisanceResiduals]:
     """End-to-end estimate: cross-fitted nuisances, residuals, score, Wald
     inference. A given `g_hat` is the y task's out-of-fold predictions (see
-    `cross_fit_nuisance`)."""
+    `cross_fit_nuisance`). Runs on one BLAS thread (`one_blas_thread`), so
+    the result does not depend on the core count."""
     res = cross_fit_nuisance(problem, learner, k, seed, g_hat)
     return plr_estimate(res, problem.d, problem.y, score=score), res
 

@@ -1,7 +1,8 @@
 """Nuisance learners: closed-form OLS and from-scratch gradient-boosted
 regression trees, plus the k-fold builder and the default tuning grid. Every
 QR factorization in the package is here: `ols_fit`'s and the ADF test's
-regression (`ols_with_se`).
+regression (`ols_with_se`). `one_blas_thread` is the scope the estimation
+entry points run in.
 
 Both learners are deterministic given their inputs. Trees find splits on
 histograms: each ensemble bins every column once, one bin per distinct value
@@ -13,6 +14,8 @@ on identical data reproduces the model bit-for-bit.
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
 import itertools
 import json
 from collections.abc import Iterator
@@ -105,6 +108,58 @@ def _as_xy(X, y, multi: bool = False) -> tuple[np.ndarray, np.ndarray]:
     if y.ndim not in ((1, 2) if multi else (1,)) or y.shape[-1] != X.shape[0]:
         raise LengthMismatch(f"y has {y.size} entries for {X.shape[0]} rows of X")
     return X, y
+
+
+def _blas_thread_calls():
+    """(get, set) of the thread count of the OpenBLAS numpy links, or None.
+
+    dlsym on numpy's own linear-algebra extension also searches the libraries
+    it links, so no library path is guessed. The names are tried in order:
+    numpy >= 2 wheels, then numpy 1.x wheels, each with and without the
+    64-bit-integer suffix. Other BLAS libraries (MKL, Accelerate, BLIS) name
+    no such pair, and on Windows the lookup does not search dependencies;
+    there this returns None."""
+    try:
+        lib = ctypes.CDLL(np.linalg._umath_linalg.__file__)
+    except OSError:
+        return None
+    for prefix, suffix in (("scipy_openblas", "64_"), ("scipy_openblas", ""),
+                           ("openblas", "64_"), ("openblas", "")):
+        try:
+            get = getattr(lib, f"{prefix}_get_num_threads{suffix}")
+            set_ = getattr(lib, f"{prefix}_set_num_threads{suffix}")
+        except AttributeError:
+            continue
+        get.argtypes, get.restype = [], ctypes.c_int
+        set_.argtypes, set_.restype = [ctypes.c_int], None
+        return get, set_
+    return None
+
+
+BLAS_THREADS = _blas_thread_calls()
+
+
+@contextlib.contextmanager
+def one_blas_thread():
+    """Run the block with OpenBLAS on one thread, then give the caller's
+    thread count back, also when the block raises. Scopes nest.
+
+    OpenBLAS splits a dot product of more than about 10,000 entries across
+    its threads, so its rounding, and with it an estimate's last bits,
+    would depend on the machine's core count; and its idle threads spin
+    between the pipeline's many small calls. The count is process-wide, so
+    a BLAS call made in another thread meanwhile runs on one thread too.
+    Where BLAS_THREADS is None this does nothing."""
+    if BLAS_THREADS is None:
+        yield
+        return
+    get, set_ = BLAS_THREADS
+    caller = get()
+    set_(1)
+    try:
+        yield
+    finally:
+        set_(caller)
 
 
 OLS_BLOCK = 8192  # design rows ols_fit factors at a time

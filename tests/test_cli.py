@@ -20,7 +20,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import macrodml
-from macrodml import cli, dml, learners, validation
+from macrodml import cli, dml, learners, panel_data, validation
 
 from macrodml.cli import (
     EXIT_CONFIG,
@@ -41,6 +41,7 @@ from macrodml.panel_data import (
     TimeSeriesMatrix,
     csv_blocks,
     csv_cells,
+    csv_tables,
     load_tscs_csv,
     read_numeric_csv,
     write_tscs_csv,
@@ -88,6 +89,31 @@ def test_bare_import_loads_no_submodule_and_no_numpy():
     proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": src}, check=True)
     assert proc.stdout == "[]\n"
+
+
+@pytest.mark.skipif(learners.BLAS_THREADS is None, reason="numpy links no OpenBLAS thread calls")
+def test_run_and_run_dml_hold_one_blas_thread_and_give_the_count_back(small_fx, tmp_path,
+                                                                      monkeypatch):
+    """run_pipeline from its first read to its last table, and run_dml called
+    on its own, run with OpenBLAS on one thread; the caller's count is back
+    after each."""
+    _, fx = small_fx
+    get, _ = learners.BLAS_THREADS
+    caller = get()
+    seen = []
+    for module, name in ((cli, "load_tscs_csv"), (dml, "ols_fit"), (cli, "csv_tables")):
+        real = getattr(module, name)
+        monkeypatch.setattr(module, name,
+                            lambda *a, real=real, **kw: seen.append(get()) or real(*a, **kw))
+    assert main(run_args(fx, tmp_path / "o", "--learner", "linear", "--lag", "2")) == EXIT_OK
+    # the two input reads, one fit a fold, the residual tables
+    assert seen == [1] * (2 + 2 + 1)
+    assert get() == caller
+    seen.clear()
+    rng = np.random.default_rng(0)
+    dml.run_dml(dml.PlrProblem(rng.standard_normal(50), rng.standard_normal(50),
+                               rng.standard_normal((50, 2))), LearnerSpec("linear"))
+    assert seen == [1, 1] and get() == caller
 
 
 def test_manifest_records_versions(full_run):
@@ -754,6 +780,22 @@ def test_numeric_table_text_matches_csv_writer():
     pieces = csv_blocks(header[:3], table[:3])
     assert [piece.count("\n") for piece in pieces] == [1, CSV_BLOCK, CSV_BLOCK, 3]
 
+
+
+def test_tables_side_by_side_print_as_each_alone_and_a_shared_column_once(monkeypatch):
+    rng = np.random.default_rng(8)
+    n = 2 * CSV_BLOCK + 3
+    shared = rng.standard_normal(n)
+    left = (["i", "x"], [np.arange(n), shared])
+    right = (["x", "name", "y"], [shared, [TEXT_CELLS[i % len(TEXT_CELLS)] for i in range(n)],
+                                  rng.standard_normal(n)])
+    printed = []
+    real = panel_data.csv_cells
+    monkeypatch.setattr(panel_data, "csv_cells", lambda column: printed.append(1) or real(column))
+    pieces = list(csv_tables(left, right))
+    assert len(printed) == 2 + 4 * 3  # the headers, then 4 distinct columns in each of 3 blocks
+    monkeypatch.undo()
+    assert ["".join(side) for side in zip(*pieces)] == [_table_text(*left), _table_text(*right)]
 
 def test_plots_reparse_returns_the_written_bits(full_run, tmp_path, monkeypatch):
     rng = np.random.default_rng(4)

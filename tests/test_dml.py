@@ -1,5 +1,7 @@
 import math
 import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -240,6 +242,30 @@ def test_run_dml_deterministic():
     a, _ = run_dml(problem, spec, k=2, seed=3)
     b, _ = run_dml(problem, spec, k=2, seed=3)
     assert a.theta == b.theta and a.se == b.se
+
+
+THREADS_PROBE = """
+from macrodml.dml import LearnerSpec, run_dml
+from macrodml.synth import SynthSpec, gen_plr
+problem, _ = gen_plr(SynthSpec(kind="plr_linear", n=20_000, seed=3))
+result, res = run_dml(problem, LearnerSpec("linear"))
+print(repr((result.theta, result.se, res.r2_y, res.r2_d)))
+"""
+
+
+@pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="OpenBLAS runs at most one thread a core")
+def test_linear_estimate_does_not_depend_on_the_blas_thread_count():
+    """OpenBLAS splits a dot product of more than about 10,000 entries
+    across its threads, so on 20,000 rows its rounding would follow the
+    thread count; run_dml runs on one BLAS thread whatever the caller set."""
+    src = os.path.dirname(os.path.dirname(dml.__file__))
+    printed = [
+        subprocess.run([sys.executable, "-c", THREADS_PROBE], capture_output=True, text=True,
+                       check=True, env={**os.environ, "PYTHONPATH": src,
+                                        "OPENBLAS_NUM_THREADS": threads}).stdout
+        for threads in ("1", "2")
+    ]
+    assert printed[0] == printed[1]
 
 
 def test_learner_errors_tagged_with_fold_and_task():

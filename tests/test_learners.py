@@ -36,6 +36,27 @@ from macrodml.learners import (
 
 
 # ---------------------------------------------------------------------------
+# BLAS threads
+# ---------------------------------------------------------------------------
+
+@pytest.mark.skipif(learners.BLAS_THREADS is None, reason="numpy links no OpenBLAS thread calls")
+def test_one_blas_thread_runs_on_one_thread_and_restores_the_callers_count():
+    get, _ = learners.BLAS_THREADS
+    caller = get()
+    with learners.one_blas_thread():
+        assert get() == 1
+        with learners.one_blas_thread():  # scopes nest
+            assert get() == 1
+        assert get() == 1
+    assert get() == caller
+    with pytest.raises(ZeroDivisionError):
+        with learners.one_blas_thread():
+            assert get() == 1
+            1 / 0
+    assert get() == caller
+
+
+# ---------------------------------------------------------------------------
 # OLS
 # ---------------------------------------------------------------------------
 
