@@ -460,17 +460,18 @@ def _build_parser() -> argparse.ArgumentParser:
 
     run = sub.add_parser("run", help="execute the estimation pipeline")
     run.add_argument("--config", help="JSON config file")
-    run.add_argument("--funds", help="fund returns CSV (wide, date column)")
-    run.add_argument("--macro", help="macro levels CSV (wide, date column)")
-    run.add_argument("--meta", help="fund metadata CSV")
-    run.add_argument("--treatment", help="macro column used as treatment")
+    # each flag's dest is the PipelineConfig field it overrides
+    run.add_argument("--funds", dest="funds_csv", help="fund returns CSV (wide, date column)")
+    run.add_argument("--macro", dest="macro_csv", help="macro levels CSV (wide, date column)")
+    run.add_argument("--meta", dest="meta_csv", help="fund metadata CSV")
+    run.add_argument("--treatment", dest="treatment_name", help="macro column used as treatment")
     run.add_argument("--learner", choices=LEARNER_CHOICES)
-    run.add_argument("--lag", help="lag order: integer or 'auto'")
+    run.add_argument("--lag", dest="lag_order", help="lag order: integer or 'auto'")
     run.add_argument("--k", type=int, help="number of cross-fitting folds")
     run.add_argument("--seed", type=int)
     run.add_argument("--level", choices=("1%", "5%", "10%"), help="ADF level")
-    run.add_argument("--grid", help="hyperparameter grid JSON file")
-    run.add_argument("--out", help="output directory")
+    run.add_argument("--grid", dest="grid_path", help="hyperparameter grid JSON file")
+    run.add_argument("--out", dest="output_dir", help="output directory")
 
     plots = sub.add_parser("plots", help="render SVG figures from run outputs")
     plots.add_argument("--out", required=True, help="directory holding run outputs")
@@ -484,22 +485,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _config_from_args(args) -> PipelineConfig:
     config = config_from_json(args.config) if args.config else PipelineConfig()
-    overrides = {
-        "funds_csv": args.funds,
-        "macro_csv": args.macro,
-        "meta_csv": args.meta,
-        "treatment_name": args.treatment,
-        "learner": args.learner,
-        "lag_order": args.lag,
-        "k": args.k,
-        "seed": args.seed,
-        "level": args.level,
-        "grid_path": args.grid,
-        "output_dir": args.out,
-    }
-    for name, value in overrides.items():
-        if value is not None:
-            setattr(config, name, value)
+    for name in PipelineConfig.__dataclass_fields__:
+        if getattr(args, name, None) is not None:
+            setattr(config, name, getattr(args, name))
     return config
 
 

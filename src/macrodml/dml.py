@@ -17,6 +17,7 @@ from decimal import Decimal
 import numpy as np
 
 from .errors import (
+    BadK,
     BadKind,
     ConfigError,
     DataError,
@@ -29,7 +30,6 @@ from .learners import (
     OLS_BLOCK,
     HyperParams,
     gbt_fit,
-    kfold_split,
     mse,
     ols_fit,
     one_blas_thread,
@@ -96,6 +96,10 @@ class PlrProblem:
                 if codes.size != n:
                     raise LengthMismatch(f"{name} must match the number of rows")
                 setattr(self, name, codes)
+        # a panel's unused lag slots hold NaN; to_panel keeps only its finite rows
+        for name in ("y", "d") if isinstance(self.x, PanelTable) else ("y", "d", "x"):
+            if not np.isfinite(getattr(self, name)).all():
+                raise DataError(f"{name} holds a non-finite value")
         if self.unit_codes is not None:
             self.n_units = int(self.unit_codes.max()) + 1 if n else 0
         if n and np.ptp(self.d) == 0.0:
@@ -106,10 +110,21 @@ class PlrProblem:
         return int(self.y.size)
 
     def folds(self, k: int, seed: int = 0):
-        """The (train, test) row index pairs of K-fold cross-fitting and each
-        row's fold (`learners.kfold_split`): the one fold plan that tuning
-        and cross-fitting share."""
-        return kfold_split(self.n_obs, k, seed)
+        """The one fold plan that tuning and cross-fitting share: a seeded
+        shuffle of the rows cut into k folds, as the (train, test) row index
+        pairs, each fold in turn the test set, and each row's fold.
+
+        Fold sizes differ by at most one; the test sets are disjoint and their
+        union is every row. Every index array is sorted.
+        """
+        n = self.n_obs
+        if k < 2 or k > n:
+            raise BadK(f"k must satisfy 2 <= k <= n, got k={k}, n={n}")
+        fold_of = np.empty(n, dtype=np.int64)
+        for i, fold in enumerate(np.array_split(np.random.default_rng(seed).permutation(n), k)):
+            fold_of[fold] = i
+        pairs = [(np.flatnonzero(fold_of != i), np.flatnonzero(fold_of == i)) for i in range(k)]
+        return pairs, fold_of
 
     def fold_design(self, train):
         """(rows, order, intercept) -> those rows of the design of the fold
@@ -321,10 +336,6 @@ class CvRow:
     cv_mse: float
     cv_r2: float
     oof: np.ndarray | None = field(default=None, repr=False, compare=False)
-
-    @property
-    def failed(self) -> bool:
-        return self.oof is None
 
 
 def grid_search_cv(

@@ -1,8 +1,8 @@
 """Nuisance learners: closed-form OLS and from-scratch gradient-boosted
-regression trees, plus the k-fold builder and the default tuning grid. Every
-QR factorization in the package is here: `ols_fit`'s and the ADF test's
-regression (`ols_with_se`). `one_blas_thread` is the scope the estimation
-entry points run in.
+regression trees, plus the default tuning grid. Every QR factorization in
+the package is here: `ols_fit`'s and the ADF test's regression
+(`ols_with_se`). `one_blas_thread` is the scope the estimation entry points
+run in.
 
 Both learners are deterministic given their inputs. Trees find splits on
 histograms: each ensemble bins every column once, one bin per distinct value
@@ -24,7 +24,6 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .errors import (
-    BadK,
     ConfigError,
     ConstantTarget,
     DimensionMismatch,
@@ -538,24 +537,6 @@ def r2(y_true, y_pred) -> float:
         raise ConstantTarget("R^2 undefined for a constant target")
     diff = y_true - y_pred
     return 1.0 - float(diff @ diff) / tss
-
-
-def kfold_split(
-    n: int, k: int, seed: int = 0
-) -> tuple[list[tuple[np.ndarray, np.ndarray]], np.ndarray]:
-    """A seeded shuffle of 0..n-1 cut into k folds: the (train, test) index
-    pairs, each fold in turn the test set, and each row's fold.
-
-    Fold sizes differ by at most one; the test sets are disjoint and their
-    union is the full index range. Every index array is sorted.
-    """
-    if k < 2 or k > n:
-        raise BadK(f"k must satisfy 2 <= k <= n, got k={k}, n={n}")
-    fold_of = np.empty(n, dtype=np.int64)
-    for i, fold in enumerate(np.array_split(np.random.default_rng(seed).permutation(n), k)):
-        fold_of[fold] = i
-    pairs = [(np.flatnonzero(fold_of != i), np.flatnonzero(fold_of == i)) for i in range(k)]
-    return pairs, fold_of
 
 
 DEFAULT_GRID: list[HyperParams] = [

@@ -64,7 +64,6 @@ class AdfReport:
     lag_order: int
     critical_values: dict[str, float]
     verdict: str  # "stationary" | "non-stationary"
-    level: str
 
     @property
     def stationary(self) -> bool:
@@ -73,7 +72,6 @@ class AdfReport:
 
 @dataclass
 class CorrPcaReport:
-    corr: np.ndarray
     eigenvalues: np.ndarray
     components: np.ndarray  # orthonormal columns, one per eigenvalue
     explained_ratio: np.ndarray
@@ -140,7 +138,7 @@ def adf_test(series, level: str = "5%", max_lag="auto") -> AdfReport:
 
     crit = adf_critical_values(n)
     verdict = "stationary" if stat < crit[level] else "non-stationary"
-    return AdfReport(stat, k, crit, verdict, level)
+    return AdfReport(stat, k, crit, verdict)
 
 
 def screen_stationarity(
@@ -260,4 +258,4 @@ def pca_corr(corr: np.ndarray) -> CorrPcaReport:
         if vectors[lead, j] < 0:
             vectors[:, j] = -vectors[:, j]
     explained = eigenvalues / np.trace(corr)
-    return CorrPcaReport(corr, eigenvalues, vectors, explained)
+    return CorrPcaReport(eigenvalues, vectors, explained)

@@ -34,7 +34,7 @@ from macrodml.cli import (
 )
 from macrodml.dml import LearnerSpec, cross_fit_nuisance
 from macrodml.errors import ConfigError
-from macrodml.learners import gbt_fit, kfold_split, mse, predict, r2
+from macrodml.learners import gbt_fit, mse, predict, r2
 from macrodml.panel_data import (
     CSV_BLOCK,
     IO_BLOCK,
@@ -212,23 +212,28 @@ def test_auto_lag_selection(small_fx, tmp_path):
 # ---------------------------------------------------------------------------
 
 def test_config_json_with_flag_override(small_fx, tmp_path):
+    """Every run flag overrides the config-file value of its field; a field
+    with no flag keeps its file value."""
     root, fx = small_fx
-    out = tmp_path / "out"
+    out, grid = tmp_path / "out", tmp_path / "grid.json"
+    grid.write_text(json.dumps([BOTH_RUN_GRID]))
     config_path = tmp_path / "config.json"
     config_path.write_text(json.dumps({
-        "funds_csv": fx["funds_csv"],
-        "macro_csv": fx["macro_csv"],
-        "meta_csv": fx["meta_csv"],
-        "treatment_name": "policy_rate",
-        "output_dir": str(out),
-        "learner": "linear",
-        "lag_order": 3,
-        "seed": 1,
+        "funds_csv": "f.csv", "macro_csv": "m.csv", "meta_csv": "meta.csv",
+        "treatment_name": "nope", "output_dir": str(tmp_path / "other"),
+        "learner": "boosted", "lag_order": 9, "k": 5, "seed": 1, "level": "1%",
+        "grid_path": "g.json", "min_aum": 0.0,
     }))
-    assert main(["run", "--config", str(config_path), "--seed", "2"]) == EXIT_OK
+    assert main(run_args(fx, out, "--config", str(config_path), "--learner", "linear",
+                         "--lag", "3", "--k", "3", "--seed", "2", "--level", "10%",
+                         "--grid", str(grid))) == EXIT_OK
     manifest = read_manifest(out)
-    assert manifest["config"]["seed"] == 2  # flag wins
-    assert manifest["config"]["lag_order"] == 3  # file value sticks
+    assert manifest["config"] == {
+        "funds_csv": fx["funds_csv"], "macro_csv": fx["macro_csv"], "meta_csv": fx["meta_csv"],
+        "treatment_name": "policy_rate", "output_dir": str(out), "learner": "linear",
+        "lag_order": 3, "k": 3, "seed": 2, "level": "10%", "grid_path": str(grid),
+        "min_aum": 0.0, "score": "orthogonal",
+    }
     assert manifest["flags"]["lag_used"] == 3
 
 
@@ -1160,7 +1165,7 @@ def test_grid_cv_scores_equal_separate_fits_on_the_fold_designs(small_fx, tmp_pa
     (problem, _), kwargs, _ = _recorded_boosted_run(small_fx, tmp_path, monkeypatch, SHORTER_GRID)
     _, rows = read_csv(tmp_path / "o" / "grid_cv.csv")
     y = problem.y
-    pairs = kfold_split(problem.n_obs, kwargs["k"], kwargs["seed"])[0]
+    pairs = problem.folds(kwargs["k"], kwargs["seed"])[0]
     for entry, row in zip(SHORTER_GRID, rows):
         params = learners.HyperParams(**entry)
         losses, scores = [], []

@@ -25,6 +25,7 @@ from macrodml.dml import (
 from macrodml.errors import (
     BadKind,
     ConfigError,
+    DataError,
     DegenerateTreatment,
     LengthMismatch,
     RankDeficient,
@@ -34,7 +35,6 @@ from macrodml.learners import (
     OLS_BLOCK,
     HyperParams,
     gbt_fit,
-    kfold_split,
     ols_fit,
     predict,
 )
@@ -92,6 +92,13 @@ def test_problem_validates_shapes():
         PlrProblem(np.arange(3.0), np.arange(3.0), np.zeros((3, 1)), unit_codes=[0])
     with pytest.raises(LengthMismatch):
         PlrProblem(np.arange(3.0), np.arange(3.0), np.zeros((3, 1)), month_codes=[0, 1])
+    # a non-finite value is bad data, named, not a numerical failure later
+    with pytest.raises(DataError, match="^y holds a non-finite value"):
+        PlrProblem([0.0, np.nan, 2.0], np.arange(3.0), np.zeros((3, 1)))
+    with pytest.raises(DataError, match="^d holds a non-finite value"):
+        PlrProblem(np.arange(3.0), [0.0, np.inf, 2.0], np.zeros((3, 1)))
+    with pytest.raises(DataError, match="^x holds a non-finite value"):
+        PlrProblem(np.arange(3.0), np.arange(3.0), [[0.0], [np.nan], [1.0]])
 
 
 def test_problem_from_panel_carries_units():
@@ -311,7 +318,7 @@ def test_the_fold_plan_is_the_one_place_folds_are_decided(monkeypatch):
     months = np.tile(np.arange(30), 6)
     problem = PlrProblem(base.y, base.d, base.x, unit_codes=base.unit_codes, month_codes=months)
     month_fold = (months % 3).astype(np.int64)
-    assert not np.array_equal(month_fold, kfold_split(problem.n_obs, 3, 1)[1])
+    assert not np.array_equal(month_fold, problem.folds(3, 1)[1])
 
     def month_folds(self, k, seed=0):
         fold_of = (self.month_codes % k).astype(np.int64)
@@ -338,7 +345,7 @@ def test_linear_cross_fit_one_ols_per_fold_matches_separate_fits(monkeypatch, pa
     assert len(calls) == 3  # one fit per fold serves both tasks
 
     n = problem.n_obs
-    for train, test in kfold_split(n, 3, 1)[0]:
+    for train, test in problem.folds(3, 1)[0]:
         X = problem.x
         if panel:  # the whole encoded matrix is the reference for the row copies
             X = np.hstack([X, encode_features(problem, train)])

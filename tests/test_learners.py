@@ -26,7 +26,6 @@ from macrodml.learners import (
     LinearModel,
     gbt_fit,
     grid_from_json,
-    kfold_split,
     mse,
     ols_fit,
     predict,
@@ -568,11 +567,16 @@ def test_hyperparams_validation():
 
 
 # ---------------------------------------------------------------------------
-# k-fold utilities
+# the fold plan (dml.PlrProblem.folds)
 # ---------------------------------------------------------------------------
 
+def _folds(n, k, seed=0):
+    """The fold plan of an n-row problem; it reads only the row count."""
+    return PlrProblem(np.zeros(n), np.arange(n, dtype=float), np.zeros((n, 0))).folds(k, seed)
+
+
 def test_kfold_partition_laws():
-    pairs, fold_of = kfold_split(11, 3, seed=4)
+    pairs, fold_of = _folds(11, 3, seed=4)
     sizes = [test.size for _, test in pairs]
     assert max(sizes) - min(sizes) <= 1 and sum(sizes) == 11
     joined = np.concatenate([test for _, test in pairs])
@@ -585,25 +589,25 @@ def test_kfold_partition_laws():
 
 def test_kfold_folds_are_the_sorted_parts_of_a_seeded_permutation():
     parts = np.array_split(np.random.default_rng(7).permutation(23), 4)
-    pairs, _ = kfold_split(23, 4, seed=7)
+    pairs, _ = _folds(23, 4, seed=7)
     for i, (train, test) in enumerate(pairs):
         assert test.tobytes() == np.sort(parts[i]).tobytes()
         assert train.tobytes() == np.sort(np.concatenate(parts[:i] + parts[i + 1:])).tobytes()
 
 
 def test_kfold_seeded_and_bounds():
-    (a, fold_a), (b, fold_b) = kfold_split(20, 4, seed=1), kfold_split(20, 4, seed=1)
+    (a, fold_a), (b, fold_b) = _folds(20, 4, seed=1), _folds(20, 4, seed=1)
     assert np.array_equal(fold_a, fold_b)
     assert all(np.array_equal(x, y) for pa, pb in zip(a, b) for x, y in zip(pa, pb))
-    assert not np.array_equal(fold_a, kfold_split(20, 4, seed=2)[1])
+    assert not np.array_equal(fold_a, _folds(20, 4, seed=2)[1])
     with pytest.raises(BadK):
-        kfold_split(10, 1)
+        _folds(10, 1)
     with pytest.raises(BadK):
-        kfold_split(10, 11)
+        _folds(10, 11)
 
 
 def test_train_test_folds_complement():
-    for train, test in kfold_split(10, 2, seed=0)[0]:
+    for train, test in _folds(10, 2, seed=0)[0]:
         assert np.intersect1d(train, test).size == 0
         assert np.array_equal(np.sort(np.concatenate([train, test])), np.arange(10))
 
@@ -617,7 +621,7 @@ def test_train_test_folds_complement():
 def test_kfold_laws_hold_generally(n, k, seed):
     if k > n:
         return
-    pairs, fold_of = kfold_split(n, k, seed)
+    pairs, fold_of = _folds(n, k, seed)
     assert len(pairs) == k
     assert np.array_equal(np.sort(np.concatenate([test for _, test in pairs])), np.arange(n))
     assert np.array_equal(np.bincount(fold_of, minlength=k), [test.size for _, test in pairs])
@@ -643,7 +647,7 @@ def test_grid_singleton(rng):
     only = HyperParams(n_trees=5, max_depth=1, learning_rate=0.5, min_samples_leaf=5)
     best, table = grid_search_cv(_problem(X, y), [only], k=2)
     assert best == only
-    assert len(table) == 1 and not table[0].failed
+    assert len(table) == 1 and table[0].oof is not None
 
 
 def test_grid_prefers_depth_on_curvature(rng):
@@ -668,7 +672,7 @@ def test_grid_failure_is_row_not_crash(rng):
     ]
     best, table = grid_search_cv(_problem(X, y), grid, k=2)
     assert best == grid[0]
-    assert table[1].failed and table[1].cv_mse == float("inf")
+    assert table[1].oof is None and table[1].cv_mse == float("inf")
 
 
 def test_grid_tie_prefers_smaller_model(rng):
@@ -688,10 +692,10 @@ def test_grid_table_matches_separate_fits(rng):
     X = rng.standard_normal((240, 3))
     y = np.sin(2.0 * X[:, 0]) + X[:, 1] + 0.3 * rng.standard_normal(240)
     best, table = grid_search_cv(_problem(X, y), k=2, seed=3)
-    pairs = kfold_split(240, 2, seed=3)[0]
+    pairs = _problem(X, y).folds(2, seed=3)[0]
     for params, row in zip(DEFAULT_GRID, table):
         preds = [predict(gbt_fit(X[tr], y[tr], params), X[te]) for tr, te in pairs]
-        assert row.params == params and not row.failed
+        assert row.params == params and row.oof is not None
         assert row.cv_mse == float(np.mean([mse(y[te], p) for (_, te), p in zip(pairs, preds)]))
         assert row.cv_r2 == float(np.mean([r2(y[te], p) for (_, te), p in zip(pairs, preds)]))
     assert best == min(table, key=lambda r: (r.cv_mse, r.params.n_trees, r.params.max_depth)).params
@@ -707,13 +711,13 @@ def test_grid_keeps_each_candidates_out_of_fold_predictions(rng):
         HyperParams(n_trees=2, max_depth=1, learning_rate=0.1, min_samples_leaf=10_000),
     ]
     best, table = grid_search_cv(_problem(X, y), grid, k=3, seed=1)
-    pairs = kfold_split(120, 3, seed=1)[0]
+    pairs = _problem(X, y).folds(3, seed=1)[0]
     for params, row in zip(grid[:3], table):
         expected = np.empty(120)
         for tr, te in pairs:
             expected[te] = predict(gbt_fit(X[tr], y[tr], params), X[te])
-        assert not row.failed and row.oof.tobytes() == expected.tobytes()
-    assert table[3].failed and table[3].oof is None
+        assert row.oof.tobytes() == expected.tobytes()
+    assert table[3].oof is None
 
 
 def test_grid_fits_largest_of_each_n_trees_group_once_per_fold(rng, monkeypatch):
@@ -737,8 +741,8 @@ def test_grouped_grid_keeps_per_candidate_failures(rng):
     ]
     best, table = grid_search_cv(_problem(X, y), grid, k=2)
     # the 0-tree candidate fits on its own although its group's 2-tree fit fails
-    assert not table[0].failed and np.isfinite(table[0].cv_mse)
-    assert table[1].failed and table[1].cv_mse == float("inf")
+    assert table[0].oof is not None and np.isfinite(table[0].cv_mse)
+    assert table[1].oof is None and table[1].cv_mse == float("inf")
     assert best == grid[0]
 
 

@@ -37,7 +37,6 @@ from macrodml.panel_data import (
 
 from macrodml import dml
 from macrodml.dml import design_rows, encode_features, problem_from_panel
-from macrodml.learners import kfold_split
 
 from conftest import make_tsm, panel_x
 
@@ -556,7 +555,7 @@ def test_fold_designs_keep_the_row_loop_bits(monkeypatch, p):
     problem = problem_from_panel(panel)
     x_ref = np.array([r[4] for r in ref_rows])
     n = panel.n_rows
-    for train, test in kfold_split(n, 3, seed=2)[0]:
+    for train, test in problem.folds(3, seed=2)[0]:
         means = encode_features(problem, train)
         for rows in (train, test, np.arange(n)):
             ref = np.column_stack([np.ones(rows.size), x_ref[rows], means[rows]])
