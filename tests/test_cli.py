@@ -212,8 +212,9 @@ def test_auto_lag_selection(small_fx, tmp_path):
 # ---------------------------------------------------------------------------
 
 def test_config_json_with_flag_override(small_fx, tmp_path):
-    """Every run flag overrides the config-file value of its field; a field
-    with no flag keeps its file value."""
+    """Every run flag overrides the config-file value of its field and no
+    other; a field whose flag is left out, or that has none, keeps its file
+    value."""
     root, fx = small_fx
     out, grid = tmp_path / "out", tmp_path / "grid.json"
     grid.write_text(json.dumps([BOTH_RUN_GRID]))
@@ -224,9 +225,20 @@ def test_config_json_with_flag_override(small_fx, tmp_path):
         "learner": "boosted", "lag_order": 9, "k": 5, "seed": 1, "level": "1%",
         "grid_path": "g.json", "min_aum": 0.0,
     }))
-    assert main(run_args(fx, out, "--config", str(config_path), "--learner", "linear",
-                         "--lag", "3", "--k", "3", "--seed", "2", "--level", "10%",
-                         "--grid", str(grid))) == EXIT_OK
+    flags = run_args(fx, out, "--learner", "linear", "--lag", "3", "--k", "3",
+                     "--seed", "2", "--level", "10%", "--grid", str(grid))[1:]
+    file_config = config_from_json(str(config_path))
+    parser = cli._build_parser()
+    with_file = ["run", "--config", str(config_path)]
+    assert cli._config_from_args(parser.parse_args(with_file)) == file_config
+    for flag, value in zip(flags[::2], flags[1::2]):
+        config = cli._config_from_args(parser.parse_args([*with_file, flag, value]))
+        changed = [name for name in PipelineConfig.__dataclass_fields__
+                   if getattr(config, name) != getattr(file_config, name)]
+        assert len(changed) == 1, (flag, changed)
+        assert str(getattr(config, changed[0])) == value
+
+    assert main([*with_file, *flags]) == EXIT_OK
     manifest = read_manifest(out)
     assert manifest["config"] == {
         "funds_csv": fx["funds_csv"], "macro_csv": fx["macro_csv"], "meta_csv": fx["meta_csv"],
