@@ -58,6 +58,7 @@ from .panel_data import (
     to_panel,
 )
 from .preprocess import (
+    ADF_LEVELS,
     correlation_matrix,
     difference_matrix,
     pca_corr,
@@ -135,8 +136,8 @@ class PipelineConfig:
             raise ConfigError("k must be >= 2")
         if self.seed < 0:
             raise ConfigError("seed must be >= 0")
-        if self.level not in ("1%", "5%", "10%"):
-            raise ConfigError(f"level must be 1%, 5%, or 10%, got {self.level!r}")
+        if self.level not in ADF_LEVELS:
+            raise ConfigError(f"level must be one of {ADF_LEVELS}, got {self.level!r}")
         if self.score not in SCORES:
             raise ConfigError(f"score must be one of {SCORES}, got {self.score!r}")
         if not self.min_aum >= 0:  # NaN fails too
@@ -343,8 +344,6 @@ def run_pipeline(config: PipelineConfig) -> dict:
         "rng": RNG_IDENTITY,
         "flags": {
             "score": config.score,
-            "fold_mode": "row",
-            "adf_regression": "constant_no_trend",
             "lag_used": lag,
             "level": config.level,
         },
@@ -451,6 +450,10 @@ def emit_plots(output_dir: str) -> list[str]:
     return [os.path.join(output_dir, name) for name in PLOT_FILES]
 
 
+def _reject_argument(message: str):
+    raise ConfigError(message)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="macrodml",
@@ -469,7 +472,7 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--lag", dest="lag_order", help="lag order: integer or 'auto'")
     run.add_argument("--k", type=int, help="number of cross-fitting folds")
     run.add_argument("--seed", type=int)
-    run.add_argument("--level", choices=("1%", "5%", "10%"), help="ADF level")
+    run.add_argument("--level", choices=ADF_LEVELS, help="ADF level")
     run.add_argument("--grid", dest="grid_path", help="hyperparameter grid JSON file")
     run.add_argument("--out", dest="output_dir", help="output directory")
 
@@ -480,6 +483,8 @@ def _build_parser() -> argparse.ArgumentParser:
     val.add_argument("--seed", type=int, default=0)
     val.add_argument("--reps", type=int, default=None,
                      help="Monte Carlo replication guard (default: full counts)")
+    # a rejected argument is a config error (main's `_fail`), not argparse's exit 2
+    parser.error = run.error = plots.error = val.error = _reject_argument
     return parser
 
 
@@ -497,8 +502,8 @@ def _fail(exc: Exception, code: int) -> int:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         if args.command == "run":
             config = _config_from_args(args)
             manifest = run_pipeline(config)
@@ -517,13 +522,11 @@ def main(argv=None) -> int:
             print("insufficient reps for at least one Monte Carlo criterion",
                   file=sys.stderr)
         return EXIT_OK if n_pass == len(results) else EXIT_VALIDATION
-    except ConfigError as exc:
-        return _fail(exc, EXIT_CONFIG)
     except DataError as exc:
         return _fail(exc, EXIT_DATA)
     except NumericalError as exc:
         return _fail(exc, EXIT_NUMERICAL)
-    except MacrodmlError as exc:
+    except MacrodmlError as exc:  # ConfigError, the argument parser's among them
         return _fail(exc, EXIT_CONFIG)
 
 

@@ -51,10 +51,6 @@ class TooShort(DataError):
     """Series is shorter than the operation requires."""
 
 
-class SingularRegression(NumericalError):
-    """Test regression is rank deficient (e.g. constant input)."""
-
-
 class InsufficientData(DataError):
     """Not enough observations to fit the requested model."""
 

@@ -1,8 +1,8 @@
 """Nuisance learners: closed-form OLS and from-scratch gradient-boosted
-regression trees, plus the default tuning grid. Every QR factorization in
-the package is here: `ols_fit`'s and the ADF test's regression
-(`ols_with_se`). `one_blas_thread` is the scope the estimation entry points
-run in.
+regression trees, plus the default tuning grid. `ols_fit` is the package's
+one least-squares solve, and its `_householder_qr` the one QR factorization:
+the DML linear learner, the ADF test and the VAR lag search all fit through
+it. `one_blas_thread` is the scope the estimation entry points run in.
 
 Both learners are deterministic given their inputs. Trees find splits on
 histograms: each ensemble bins every column once, one bin per distinct value
@@ -29,7 +29,6 @@ from .errors import (
     DimensionMismatch,
     LengthMismatch,
     RankDeficient,
-    SingularRegression,
     TooFewRows,
 )
 
@@ -238,28 +237,6 @@ def ols_fit(X, y) -> LinearModel:
     if y.ndim == 1:
         return LinearModel(intercept=float(beta[0, 0]), coefficients=beta[0, 1:])
     return LinearModel(intercept=beta[:, 0], coefficients=beta[:, 1:])
-
-
-def ols_with_se(X: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """OLS via QR with coefficient standard errors: the ADF test's regression
-    (`preprocess.adf_test`). Q is formed, and Q.T @ y taken from it, so the
-    ADF statistics keep the bits they have always had.
-
-    Returns (beta, se, residuals). Raises SingularRegression when the design
-    is rank deficient or has no residual degrees of freedom.
-    """
-    n, k = X.shape
-    if n <= k:
-        raise SingularRegression("no residual degrees of freedom")
-    Q, R = np.linalg.qr(X)
-    if _rank_deficient(R, n):
-        raise SingularRegression("design matrix is rank deficient")
-    beta = np.linalg.solve(R, Q.T @ y)
-    resid = y - X @ beta
-    s2 = float(resid @ resid) / (n - k)
-    r_inv = np.linalg.solve(R, np.eye(k))
-    se = np.sqrt(s2 * np.sum(r_inv**2, axis=1))
-    return beta, se, resid
 
 
 def _rank_deficient(R: np.ndarray, n: int) -> bool:

@@ -1,7 +1,7 @@
 """Statistical preprocessing chain: differencing, unit-root screening,
-VAR lag-order selection, and correlation/PCA diagnostics. Lag columns are
-built by panel_data.to_panel; the per-fund outcome means by
-dml.encode_features.
+VAR lag-order selection, and correlation/PCA diagnostics. The ADF and VAR
+regressions take their lags from `_lag_design` and fit by learners.ols_fit;
+the panel's lag columns are built by panel_data.to_panel.
 """
 
 from __future__ import annotations
@@ -16,11 +16,11 @@ from .errors import (
     DataError,
     InsufficientData,
     NotSymmetric,
+    RankDeficient,
     SingularCovariance,
-    SingularRegression,
     TooShort,
 )
-from .learners import ols_with_se
+from .learners import ols_fit, predict
 from .panel_data import TimeSeriesMatrix
 
 ADF_LEVELS = ("1%", "5%", "10%")
@@ -103,13 +103,23 @@ def schwert_lag(n: int) -> int:
     return int(math.floor(12.0 * (n / 100.0) ** 0.25))
 
 
+def _lag_design(X: np.ndarray, p: int, start: int) -> np.ndarray:
+    """[1, X_{t-1}, ..., X_{t-p}] for t = start, ..., len(X) - 1, one row each."""
+    X, T = X.reshape(len(X), -1), len(X)
+    return np.hstack([np.ones((T - start, 1)), *(X[start - j:T - j] for j in range(1, p + 1))])
+
+
 def adf_test(series, level: str = "5%", max_lag="auto") -> AdfReport:
     """Augmented Dickey-Fuller test with a constant and no trend.
 
     Regresses the first difference on a constant, the lagged level, and
     `max_lag` lagged differences; the statistic is the t-ratio on the lagged
     level. 'auto' picks the lag by Schwert's rule, capped so the regression
-    keeps at least one residual degree of freedom.
+    keeps at least one residual degree of freedom. The t-ratio is partialled
+    out (Frisch-Waugh-Lovell) from one `ols_fit` of the difference and the
+    lagged level on [1, lagged differences]. Raises RankDeficient on a
+    rank-deficient regression (a constant series), SingularCovariance on an
+    exact fit, whose t-ratio is undefined.
     """
     if level not in ADF_LEVELS:
         raise ValueError(f"level must be one of {ADF_LEVELS}")
@@ -129,12 +139,19 @@ def adf_test(series, level: str = "5%", max_lag="auto") -> AdfReport:
 
     dy = np.diff(y)
     nobs = n - 1 - k
-    cols = [np.ones(nobs), y[k : n - 1]]
-    for j in range(1, k + 1):
-        cols.append(dy[k - j : n - 1 - j])
-    X = np.column_stack(cols)
-    beta, se, _ = ols_with_se(X, dy[k:])
-    stat = float(beta[1] / se[1])
+    Z = _lag_design(dy, k, k)
+    targets = np.stack([dy[k:], y[k:n - 1]])
+    e_dy, e_level = targets - predict(ols_fit(Z, targets), Z[:, 1:])
+    tol = (nobs * np.finfo(float).eps) ** 2  # residuals this small beside their target are rounding
+    ss_level = float(e_level @ e_level)
+    if ss_level <= tol * float(targets[1] @ targets[1]):
+        raise RankDeficient("the lagged level is collinear with the constant and lags")
+    beta = float(e_level @ e_dy) / ss_level
+    resid = e_dy - beta * e_level
+    ssr = float(resid @ resid)
+    if ssr <= tol * float(targets[0] @ targets[0]):
+        raise SingularCovariance("the test regression fits exactly; its t-ratio is undefined")
+    stat = beta / math.sqrt(ssr / (nobs - k - 2) / ss_level)
 
     crit = adf_critical_values(n)
     verdict = "stationary" if stat < crit[level] else "non-stationary"
@@ -157,7 +174,7 @@ def screen_stationarity(
         col = col[np.isfinite(col)]
         try:
             report = adf_test(col, level=level, max_lag=max_lag)
-        except (TooShort, SingularRegression) as exc:
+        except (TooShort, RankDeficient, SingularCovariance) as exc:
             raise type(exc)(f"column {name!r}: {exc}") from exc
         reports[name] = report
         if report.stationary:
@@ -170,8 +187,9 @@ def screen_stationarity(
 def select_lag_var_aic(vars: TimeSeriesMatrix, p_max: int) -> int:
     """VAR lag order minimizing AIC over p = 1..p_max.
 
-    Each candidate is fit by per-equation OLS on the common sample of length
-    T_eff = T - p_max; AIC(p) = ln det(Sigma_p) + 2(K^2 p + K)/T_eff with the
+    Each candidate is one `ols_fit` of every equation on the common sample of
+    length T_eff = T - p_max (RankDeficient if its lag design is rank
+    deficient); AIC(p) = ln det(Sigma_p) + 2(K^2 p + K)/T_eff with the
     degrees-of-freedom-adjusted residual covariance Sigma_p =
     E'E / (T_eff - (K p + 1)). Ties break toward the smaller lag.
     """
@@ -181,21 +199,15 @@ def select_lag_var_aic(vars: TimeSeriesMatrix, p_max: int) -> int:
     if not np.all(np.isfinite(X)):
         raise InsufficientData("lag selection requires a complete (no-missing) matrix")
     T, K = X.shape
-    if T <= K * p_max + 1 or T - p_max < K * p_max + 2:
-        raise InsufficientData(
-            f"T={T} is too short for K={K}, p_max={p_max}"
-        )
+    if T - p_max < K * p_max + 2:  # each fit keeps a residual degree of freedom
+        raise InsufficientData(f"T={T} is too short for K={K}, p_max={p_max}")
     t_eff = T - p_max
     targets = X[p_max:]
 
     best_p, best_aic = None, None
     for p in range(1, p_max + 1):
-        blocks = [np.ones((t_eff, 1))]
-        for j in range(1, p + 1):
-            blocks.append(X[p_max - j : T - j])
-        Z = np.hstack(blocks)
-        coef, *_ = np.linalg.lstsq(Z, targets, rcond=None)
-        resid = targets - Z @ coef
+        Z = _lag_design(X, p, p_max)
+        resid = targets - predict(ols_fit(Z, targets.T), Z[:, 1:]).T
         sigma = resid.T @ resid / (t_eff - (K * p + 1))
         sign, logdet = np.linalg.slogdet(sigma)
         if sign <= 0:

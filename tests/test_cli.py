@@ -71,10 +71,9 @@ def test_full_run_recovers_true_effect(full_run):
 def test_full_run_manifest_contents(full_run):
     manifest = read_manifest(full_run["out"])
     assert manifest["flags"]["lag_used"] == 7
-    assert manifest["flags"]["fold_mode"] == "row"
-    # constants of the one cross-fitting path are not flags
+    # constants of the one cross-fitting path and the one ADF regression are not flags
     assert not {"dml_variant", "mode", "unit_y_mean_encoding", "means_refit_per_fold",
-                "unit_x_means_encoding"} & set(manifest["flags"])
+                "unit_x_means_encoding", "fold_mode", "adf_regression"} & set(manifest["flags"])
     assert set(manifest["config"]) == set(PipelineConfig.__dataclass_fields__)
     assert manifest["panel"]["units"] == 16
     assert manifest["panel"]["dropped_nonstationary"] == ["junk_rw"]
@@ -319,6 +318,27 @@ def test_missing_treatment_flag_exits_config(small_fx, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("code=1 error=ConfigError message=")
     assert err.count("\n") == 1  # single-line report
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", "--k", "abc"], ["run", "--learner", "forest"], ["run", "--level", "2%"],
+    ["run", "--bogus", "1"], [], ["validate", "--reps", "x"],
+], ids=["k_abc", "learner_forest", "level_2pct", "unknown_flag", "no_subcommand", "reps_x"])
+def test_a_rejected_argument_exits_config_with_one_line(argv, capsys):
+    """argparse's own rejections end like every other config error: exit 1
+    and a single code= line, not the usage text and exit 2 (the data-error
+    code)."""
+    assert main(argv) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("code=1 error=ConfigError message=")
+    assert captured.err.count("\n") == 1 and "usage:" not in captured.err
+
+
+def test_help_still_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "-h"])
+    assert exc.value.code == 0 and "--learner" in capsys.readouterr().out
 
 
 def test_unknown_treatment_exits_data(small_fx, tmp_path, capsys):

@@ -10,7 +10,8 @@ from macrodml.errors import (
     ConstantColumn,
     InsufficientData,
     NotSymmetric,
-    SingularRegression,
+    RankDeficient,
+    SingularCovariance,
     TooShort,
 )
 from macrodml.panel_data import TimeSeriesMatrix, to_panel
@@ -69,8 +70,18 @@ def test_adf_affine_invariance(rng):
 
 
 def test_adf_constant_series_is_singular():
-    with pytest.raises(SingularRegression):
+    """A degenerate test regression ends in a typed error, never a statistic
+    made of rounding or a division by zero."""
+    with pytest.raises(RankDeficient):  # the lagged differences are all zero
         adf_test(np.ones(100))
+    with pytest.raises(RankDeficient):  # no lags: the lagged level is the constant
+        adf_test(np.ones(100), max_lag=0)
+    # noise-free AR(1): the lagged level is a multiple of the lagged difference
+    with pytest.raises(RankDeficient, match="lagged level"):
+        adf_test(0.9 ** np.arange(100.0), max_lag=1)
+    # a linear trend's difference is its constant: an exact fit
+    with pytest.raises(SingularCovariance, match="exactly"):
+        adf_test(np.arange(100.0), max_lag=0)
 
 
 def test_adf_white_noise_rejects_unit_root():
@@ -107,15 +118,17 @@ def test_adf_rejects_short_series_and_bad_lag():
 
 def test_adf_manual_lag_zero_matches_direct_regression():
     y = gen_unit_root(SynthSpec(kind="white_noise", n=120, seed=5))
-    report = adf_test(y, max_lag=0)
-    # direct OLS of dy on [1, y_{t-1}]
     dy = np.diff(y)
-    X = np.column_stack([np.ones(y.size - 1), y[:-1]])
-    beta, *_ = np.linalg.lstsq(X, dy, rcond=None)
-    resid = dy - X @ beta
-    s2 = resid @ resid / (dy.size - 2)
-    cov = s2 * np.linalg.inv(X.T @ X)
-    assert abs(report.statistic - beta[1] / math.sqrt(cov[1, 1])) < 1e-9
+    for k in (0, 3):
+        report = adf_test(y, max_lag=k)
+        # direct OLS of dy_t on [1, y_{t-1}, dy_{t-1}, ..., dy_{t-k}]
+        X = np.column_stack([np.ones(dy.size - k), y[k:-1],
+                             *(dy[k - j:dy.size - j] for j in range(1, k + 1))])
+        beta, *_ = np.linalg.lstsq(X, dy[k:], rcond=None)
+        resid = dy[k:] - X @ beta
+        s2 = resid @ resid / (len(X) - X.shape[1])
+        cov = s2 * np.linalg.inv(X.T @ X)
+        assert abs(report.statistic - beta[1] / math.sqrt(cov[1, 1])) < 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -173,7 +186,7 @@ def test_screen_removes_nan_per_column():
 
 def test_screen_error_names_the_column():
     mat = make_tsm(np.column_stack([np.ones(100)]), names=["flatline"])
-    with pytest.raises(SingularRegression, match="flatline"):
+    with pytest.raises(RankDeficient, match="flatline"):
         screen_stationarity(mat)
 
 
@@ -210,6 +223,30 @@ def test_select_lag_pmax1_returns_1():
 def test_select_lag_recovers_var2():
     mat = gen_var(SynthSpec(kind="var", n=400, seed=0, extra={"coeffs": VAR2_COEFFS}))
     assert select_lag_var_aic(mat, 8) == 2
+
+
+def _lstsq_aic_lag(values, p_max):
+    """The AIC lag order of select_lag_var_aic's docstring, fit by lstsq."""
+    T, K = values.shape
+    t_eff = T - p_max
+    aics = []
+    for p in range(1, p_max + 1):
+        Z = np.hstack([np.ones((t_eff, 1)), *(values[p_max - j:T - j] for j in range(1, p + 1))])
+        coef, *_ = np.linalg.lstsq(Z, values[p_max:], rcond=None)
+        resid = values[p_max:] - Z @ coef
+        _, logdet = np.linalg.slogdet(resid.T @ resid / (t_eff - (K * p + 1)))
+        aics.append(logdet + 2.0 * (K * K * p + K) / t_eff)
+    return 1 + int(np.argmin(aics))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_select_lag_matches_an_lstsq_reference(seed):
+    """Each candidate's fit through ols_fit picks the lag a least-squares
+    solver of another kind picks, on VAR(2) draws short enough that AIC
+    does not always find 2."""
+    mat = gen_var(SynthSpec(kind="var", n=60 + 40 * seed, seed=seed,
+                            extra={"coeffs": VAR2_COEFFS}))
+    assert select_lag_var_aic(mat, 6) == _lstsq_aic_lag(mat.values, 6)
 
 
 def test_select_lag_within_bounds_on_noise():
