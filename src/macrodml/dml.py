@@ -267,12 +267,6 @@ def design_rows(x: np.ndarray | PanelTable, means: np.ndarray, rows=slice(None),
     return out
 
 
-def _oof_r2(target: np.ndarray, resid: np.ndarray) -> float:
-    centered = target - target.mean()
-    tss = float(centered @ centered)
-    return 1.0 - float(resid @ resid) / tss if tss > 0 else float("nan")
-
-
 def cross_fit_nuisance(
     problem: PlrProblem,
     learner: LearnerSpec,
@@ -287,8 +281,9 @@ def cross_fit_nuisance(
     each training complement, so held-out rows never leak into the means
     they receive; the fold's training and test rows are copied straight from
     x (for a panel, its month table and fund returns) and that column
-    (`PlrProblem.fold_design`). The stored r2_y/r2_d are computed on the
-    pooled out-of-fold predictions.
+    (`PlrProblem.fold_design`). The stored r2_y/r2_d are `learners.r2` of
+    the pooled out-of-fold predictions, so a constant target raises
+    ConstantTarget.
 
     A given `g_hat` is taken as the y task's out-of-fold predictions, made
     on these folds and fold designs (`grid_search_cv`'s winner's are), and
@@ -320,11 +315,8 @@ def cross_fit_nuisance(
             except MacrodmlError as exc:
                 raise type(exc)(f"fold {i}, {next(iter(targets))}-task: {exc}") from exc
     g_hat, m_hat = preds["y"], preds["d"]
-    u = problem.y - g_hat
-    v = problem.d - m_hat
-    return NuisanceResiduals(
-        u, v, fold_of, _oof_r2(problem.y, u), _oof_r2(problem.d, v), g_hat, m_hat
-    )
+    return NuisanceResiduals(problem.y - g_hat, problem.d - m_hat, fold_of,
+                             r2(problem.y, g_hat), r2(problem.d, m_hat), g_hat, m_hat)
 
 
 @dataclass
@@ -421,42 +413,29 @@ def rescale_per_1pct(theta: float) -> float:
     return float(Decimal(repr(float(theta))) / 100)
 
 
-def plr_estimate(
-    res: NuisanceResiduals,
-    d,
-    y,
-    score: str = "orthogonal",
-) -> DmlResult:
+def plr_estimate(res: NuisanceResiduals, d, score: str = "orthogonal") -> DmlResult:
     """Solve the score on pooled residuals and attach Wald inference.
 
-    orthogonal:    theta = sum(v * (y - g_hat)) / sum(v * d),  J = mean(v d)
-    residual_ols:  theta = sum(v * u) / sum(v * v),            J = mean(v v)
-
-    psi_i = (target_i - theta * slope_i) * v_i with the matching target and
-    slope; SE = sqrt( mean(psi^2) / (n * J^2) ).
+    Both scores are psi_i = (u_i - theta * slope_i) * v_i, solved by
+    theta = sum(v * u) / sum(v * slope), with J = mean(v * slope), where
+    slope = d for orthogonal and slope = v for residual_ols (partialling
+    out); SE = sqrt( mean(psi^2) / (n * J^2) ).
     """
     if score not in SCORES:
         raise ConfigError(f"score must be one of {SCORES}, got {score!r}")
     d = np.asarray(d, dtype=float)
-    y = np.asarray(y, dtype=float)
-    v = res.v
+    u, v = res.u, res.v
     n = v.size
-    if d.size != n or y.size != n:
-        raise LengthMismatch("d and y must match the residual length")
+    if d.size != n:
+        raise LengthMismatch("d must match the residual length")
     if float(v @ v) < 1e-12 * n:
         raise DegenerateTreatment("treatment residuals are numerically zero")
-    if score == "orthogonal":
-        target = y - res.g_hat
-        jac = float(v @ d) / n
-        if abs(jac) < 1e-12:
-            raise DegenerateTreatment("score Jacobian mean(v*d) is numerically zero")
-        theta = float(v @ target) / (n * jac)
-        psi = (target - theta * d) * v
-    else:
-        u = res.u
-        jac = float(v @ v) / n
-        theta = float(v @ u) / (n * jac)
-        psi = (u - theta * v) * v
+    slope = d if score == "orthogonal" else v
+    jac = float(v @ slope) / n
+    if abs(jac) < 1e-12:
+        raise DegenerateTreatment("score Jacobian mean(v*slope) is numerically zero")
+    theta = float(v @ u) / (n * jac)
+    psi = (u - theta * slope) * v
     se = math.sqrt(float(psi @ psi) / n / (n * jac * jac))
     t, p, lo, hi = wald_inference(theta, se)
     return DmlResult(
@@ -479,7 +458,7 @@ def run_dml(
     `cross_fit_nuisance`). Runs on one BLAS thread (`one_blas_thread`), so
     the result does not depend on the core count."""
     res = cross_fit_nuisance(problem, learner, k, seed, g_hat)
-    return plr_estimate(res, problem.d, problem.y, score=score), res
+    return plr_estimate(res, problem.d, score), res
 
 
 def residual_diagnostics(res: NuisanceResiduals) -> dict[str, float]:

@@ -30,15 +30,16 @@ from .errors import (
     UnparseableTime,
 )
 
-_MONTH_RE = re.compile(r"^(\d{4})-(\d{2})$")
+_MONTH_RE = re.compile(r"([0-9]{4})-([0-9]{2})")
 
 ASSET_CLASSES = ("FixedIncome", "Equity")
 MANAGED_STYLES = ("Active", "Passive")
 
 
 def month_to_int(month: str) -> int:
-    """Map 'YYYY-MM' to a running month count (1 month apart <=> difference 1)."""
-    m = _MONTH_RE.match(month)
+    """Map 'YYYY-MM' to a running month count (1 month apart <=> difference 1).
+    The whole cell must match, with ASCII digits only."""
+    m = _MONTH_RE.fullmatch(month)
     if not m:
         raise UnparseableTime(f"expected YYYY-MM, got {month!r}")
     year, mon = int(m.group(1)), int(m.group(2))
@@ -210,6 +211,14 @@ def _y_lag_columns(width: int, p: int) -> list[int]:
     if k < 0 or extra:
         return []
     return [k + (j - 1) * (k + 2) for j in range(1, p + 1)]
+
+
+def lag_design(X: np.ndarray, p: int, start: int) -> np.ndarray:
+    """[1, X_{t-1}, ..., X_{t-p}] for t = start, ..., len(X) - 1, one row each:
+    the one builder of lag matrices (the panel's month table, the ADF and VAR
+    regressions)."""
+    X, T = X.reshape(len(X), -1), len(X)
+    return np.hstack([np.ones((T - start, 1)), *(X[start - j:T - j] for j in range(1, p + 1))])
 
 
 def x_rows(panel: PanelTable, rows: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -422,7 +431,8 @@ META_COLUMNS = ("ticker", "asset_class", "inception", "aum_musd", "managed")
 def load_fund_meta_csv(path) -> list[FundMeta]:
     """Load the fund-metadata sidecar (ticker,asset_class,inception,aum_musd,managed).
 
-    A header without one of those columns raises MalformedRow naming it.
+    A header without one of those columns, and a row with more or fewer
+    cells than the header, raise MalformedRow naming the column or the line.
     """
     catalog = []
     seen = set()
@@ -432,9 +442,12 @@ def load_fund_meta_csv(path) -> list[FundMeta]:
         if missing:
             raise MalformedRow(f"{path}: missing column(s) {', '.join(missing)}")
         for rec in reader:
+            if None in rec or None in rec.values():  # DictReader's marks of a long or short row
+                raise MalformedRow(f"{path} line {reader.line_num}: "
+                                   f"expected {len(reader.fieldnames)} cells")
             try:
                 aum = float(rec["aum_musd"])
-            except (TypeError, ValueError):
+            except ValueError:
                 raise MalformedRow(
                     f"line {reader.line_num}: cannot parse aum_musd "
                     f"{rec['aum_musd']!r} as a number"
@@ -533,14 +546,14 @@ def to_panel(
     # renumber the funds with a row 0, 1, ... in ticker order
     unit_of = np.cumsum(has_rows) - 1
 
-    # x's month-only columns, one row per month; a lag reaching before the
-    # first month stays NaN, and no row has such a lag
+    # x's month-only columns, one row per month: the controls, then each lag
+    # of [NaN for y_lag{j}, treatment, controls]; the first p months, whose
+    # lag windows reach before the first month, stay NaN, and no row has them
     K = X.shape[1]
     month_x = np.full((T, len(x_names)), np.nan)
-    month_x[:, :K] = X
-    for j, col in enumerate(_y_lag_columns(len(x_names), p), start=1):
-        month_x[j:, col + 1] = d[: max(T - j, 0)]
-        month_x[j:, col + 2 : col + 2 + K] = X[: max(T - j, 0)]
+    if T > p:
+        month_x[p:, :K] = X[p:]
+        month_x[p:, K:] = lag_design(np.column_stack([np.full(T, np.nan), d, X]), p, p)[:, 1:]
     return PanelTable(
         [ticker for ticker, kept in zip(tickers, has_rows.tolist()) if kept],
         list(funds.time_index),

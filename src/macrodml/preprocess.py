@@ -1,7 +1,7 @@
 """Statistical preprocessing chain: differencing, unit-root screening,
 VAR lag-order selection, and correlation/PCA diagnostics. The ADF and VAR
-regressions take their lags from `_lag_design` and fit by learners.ols_fit;
-the panel's lag columns are built by panel_data.to_panel.
+regressions take their lags from `panel_data.lag_design`, as the panel's
+month table does, and fit by learners.ols_fit.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from .errors import (
     TooShort,
 )
 from .learners import ols_fit, predict
-from .panel_data import TimeSeriesMatrix
+from .panel_data import TimeSeriesMatrix, lag_design
 
 ADF_LEVELS = ("1%", "5%", "10%")
 
@@ -103,12 +103,6 @@ def schwert_lag(n: int) -> int:
     return int(math.floor(12.0 * (n / 100.0) ** 0.25))
 
 
-def _lag_design(X: np.ndarray, p: int, start: int) -> np.ndarray:
-    """[1, X_{t-1}, ..., X_{t-p}] for t = start, ..., len(X) - 1, one row each."""
-    X, T = X.reshape(len(X), -1), len(X)
-    return np.hstack([np.ones((T - start, 1)), *(X[start - j:T - j] for j in range(1, p + 1))])
-
-
 def adf_test(series, level: str = "5%", max_lag="auto") -> AdfReport:
     """Augmented Dickey-Fuller test with a constant and no trend.
 
@@ -139,7 +133,7 @@ def adf_test(series, level: str = "5%", max_lag="auto") -> AdfReport:
 
     dy = np.diff(y)
     nobs = n - 1 - k
-    Z = _lag_design(dy, k, k)
+    Z = lag_design(dy, k, k)
     targets = np.stack([dy[k:], y[k:n - 1]])
     e_dy, e_level = targets - predict(ols_fit(Z, targets), Z[:, 1:])
     tol = (nobs * np.finfo(float).eps) ** 2  # residuals this small beside their target are rounding
@@ -158,12 +152,11 @@ def adf_test(series, level: str = "5%", max_lag="auto") -> AdfReport:
     return AdfReport(stat, k, crit, verdict)
 
 
-def screen_stationarity(
-    vars: TimeSeriesMatrix, level: str = "5%", max_lag="auto"
-) -> StationarityScreen:
+def screen_stationarity(vars: TimeSeriesMatrix, level: str = "5%") -> StationarityScreen:
     """Drop every column whose ADF verdict is non-stationary.
 
-    Missing values are removed per column before testing. Test errors are
+    Each column is tested at Schwert's lag (`adf_test`'s "auto"). Missing
+    values are removed per column before testing. Test errors are
     re-raised with the offending column name attached.
     """
     kept_names: list[str] = []
@@ -173,7 +166,7 @@ def screen_stationarity(
         col = vars.column(name)
         col = col[np.isfinite(col)]
         try:
-            report = adf_test(col, level=level, max_lag=max_lag)
+            report = adf_test(col, level=level)
         except (TooShort, RankDeficient, SingularCovariance) as exc:
             raise type(exc)(f"column {name!r}: {exc}") from exc
         reports[name] = report
@@ -206,7 +199,7 @@ def select_lag_var_aic(vars: TimeSeriesMatrix, p_max: int) -> int:
 
     best_p, best_aic = None, None
     for p in range(1, p_max + 1):
-        Z = _lag_design(X, p, p_max)
+        Z = lag_design(X, p, p_max)
         resid = targets - predict(ols_fit(Z, targets.T), Z[:, 1:]).T
         sigma = resid.T @ resid / (t_eff - (K * p + 1))
         sign, logdet = np.linalg.slogdet(sigma)

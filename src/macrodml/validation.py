@@ -91,7 +91,7 @@ def _fwl_equivalence(seed: int, reps: int) -> tuple[str, bool]:
         res = NuisanceResiduals(problem.y - g_hat, problem.d - m_hat,
                                 np.zeros(problem.n_obs, dtype=np.int64),
                                 float("nan"), float("nan"), g_hat, m_hat)
-        result = plr_estimate(res, problem.d, problem.y)
+        result = plr_estimate(res, problem.d)
         full = ols_fit(np.column_stack([ones, problem.d, problem.x]), problem.y)
         worst = max(worst, abs(result.theta - float(full.coefficients[0])))
     return f"max |theta_dml - theta_ols| = {worst:.3e} over {reps} instances", worst < 1e-8

@@ -533,6 +533,30 @@ def test_meta_csv_missing_column_exits_data(small_fx, tmp_path):
     assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
 
 
+def test_a_month_cell_holding_a_newline_exits_data(small_fx, tmp_path, capsys):
+    root, fx = small_fx
+    lines = open(fx["macro_csv"]).read().split("\n")
+    month, rest = lines[1].split(",", 1)
+    lines[1] = f'"{month}\n",{rest}'
+    macro = tmp_path / "macro.csv"
+    macro.write_text("\n".join(lines))
+    assert main(run_args({**fx, "macro_csv": str(macro)}, tmp_path / "o")) == EXIT_DATA
+    assert capsys.readouterr().err == (
+        f"code=2 error=UnparseableTime message=expected YYYY-MM, got '{month}\\n'\n")
+
+
+@pytest.mark.parametrize("cells", [4, 6], ids=["short", "long"])
+def test_meta_row_of_another_width_exits_data(small_fx, tmp_path, capsys, cells):
+    root, fx = small_fx
+    lines = open(fx["meta_csv"]).read().split("\n")
+    lines[2] = ",".join((lines[2].split(",") + ["x"])[:cells])
+    meta = tmp_path / "meta.csv"
+    meta.write_text("\n".join(lines))
+    assert main(run_args({**fx, "meta_csv": str(meta)}, tmp_path / "o")) == EXIT_DATA
+    assert capsys.readouterr().err == (
+        f"code=2 error=MalformedRow message={meta} line 3: expected 5 cells\n")
+
+
 @pytest.mark.parametrize("bad_line, message", [
     ("0.5,oops", "line 4: cannot parse 'oops' as a number"),
     ("0.5,0.25,0.125", "line 4: expected 2 cells"),

@@ -25,6 +25,7 @@ from macrodml.dml import (
 from macrodml.errors import (
     BadKind,
     ConfigError,
+    ConstantTarget,
     DataError,
     DegenerateTreatment,
     LengthMismatch,
@@ -127,9 +128,9 @@ def test_orthogonal_score_hand_computation(rng):
     v = rng.standard_normal(n)
     u = 0.7 * v + 0.1 * rng.standard_normal(n)
     d = v + rng.standard_normal(n)
-    y = u.copy()  # with g_hat = 0, target = y
+    y = u.copy()  # with g_hat = 0, u = y - g_hat = y
     res = _manual_residuals(u, v)
-    result = plr_estimate(res, d, y)
+    result = plr_estimate(res, d)
     theta = float(v @ y) / float(v @ d)
     assert result.theta == pytest.approx(theta, rel=1e-12)
     psi = (y - theta * d) * v
@@ -144,21 +145,21 @@ def test_residual_ols_score_is_projection(rng):
     v = rng.standard_normal(n)
     u = -2.0 * v + 0.2 * rng.standard_normal(n)
     res = _manual_residuals(u, v)
-    result = plr_estimate(res, v, u, score="residual_ols")
+    result = plr_estimate(res, v, score="residual_ols")
     assert result.theta == pytest.approx(float(v @ u) / float(v @ v), rel=1e-12)
 
 
 def test_score_name_validated(rng):
     res = _manual_residuals(rng.standard_normal(10), rng.standard_normal(10))
     with pytest.raises(ConfigError):
-        plr_estimate(res, np.ones(10), np.ones(10), score="magic")
+        plr_estimate(res, np.ones(10), score="magic")
 
 
 def test_degenerate_when_treatment_residual_vanishes():
     n = 50
     res = _manual_residuals(np.random.default_rng(0).standard_normal(n), np.zeros(n))
     with pytest.raises(DegenerateTreatment):
-        plr_estimate(res, np.arange(float(n)), np.zeros(n))
+        plr_estimate(res, np.arange(float(n)))
 
 
 # ---------------------------------------------------------------------------
@@ -172,7 +173,7 @@ def test_nosplit_linear_matches_full_ols():
                                    np.stack([problem.y, problem.d])), problem.x)
     res = NuisanceResiduals(problem.y - g_hat, problem.d - m_hat,
                             np.zeros(problem.n_obs, dtype=np.int64), 0.0, 0.0, g_hat, m_hat)
-    result = plr_estimate(res, problem.d, problem.y)
+    result = plr_estimate(res, problem.d)
     full = ols_fit(np.column_stack([ones, problem.d, problem.x]), problem.y)
     assert abs(result.theta - full.coefficients[0]) < 1e-8
 
@@ -241,6 +242,13 @@ def test_oof_r2_matches_population():
     # the best x-only predictor of y leaves theta*v + u unexplained
     resid_var = spec.theta_true**2 * spec.noise_sd**2 + spec.noise_sd**2
     assert abs(res.r2_y - (1.0 - resid_var / np.var(problem.y))) < 0.05
+
+
+def test_constant_outcome_raises_constant_target():
+    x = np.random.default_rng(13).standard_normal((40, 2))
+    problem = PlrProblem(np.full(40, 2.5), x @ [1.0, -0.5] + x[:, 0] ** 2, x)
+    with pytest.raises(ConstantTarget):
+        cross_fit_nuisance(problem, LINEAR, k=2, seed=0)
 
 
 def test_run_dml_deterministic():

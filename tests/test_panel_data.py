@@ -51,7 +51,9 @@ def test_month_to_int_consecutive():
 
 
 def test_month_rejects_garbage():
-    for bad in ("2019-13", "2019-00", "201-05", "2019/05", "2019-5", "x"):
+    # the last two: a trailing newline, and full-width digits (Unicode \d matched them)
+    for bad in ("2019-13", "2019-00", "201-05", "2019/05", "2019-5", "x", "1980-01\n",
+                "\uff11\uff19\uff18\uff10-\uff10\uff11"):
         with pytest.raises(UnparseableTime):
             month_to_int(bad)
 
@@ -318,6 +320,17 @@ def test_fund_meta_duplicate_ticker(tmp_path):
         "AAA,Equity,2000-01,10.0,Active\n"
     )
     with pytest.raises(DuplicateColumn):
+        load_fund_meta_csv(path)
+
+
+@pytest.mark.parametrize("row", ["F1,Equity,100,Active", "F1,Equity,100,Active,2000-01,x"],
+                         ids=["short", "long"])
+def test_fund_meta_rejects_a_row_of_another_width(tmp_path, row):
+    path = tmp_path / "meta.csv"
+    path.write_text("ticker,asset_class,aum_musd,managed,inception\n"
+                    "F0,Equity,50,Passive,1999-01\n"
+                    f"{row}\n")
+    with pytest.raises(MalformedRow, match="meta.csv line 3: expected 5 cells$"):
         load_fund_meta_csv(path)
 
 
