@@ -127,7 +127,7 @@ class PlrProblem:
         return pairs, fold_of
 
     def fold_design(self, train):
-        """(rows, order, intercept) -> those rows of the design of the fold
+        """(rows, order) -> those rows of the design of the fold
         whose training rows are `train`, copied in that memory order: x
         itself, or, for a problem with unit codes, x joined with the unit
         outcome means of the `train` rows (see `design_rows`)."""
@@ -172,19 +172,19 @@ def _fit_predict(rows_of, targets: dict[str, np.ndarray], preds: dict[str, np.nd
                  train, test) -> None:
     """Fit every target in `targets` (task name -> target) by OLS on the
     `train` rows and write its predictions on the `test` rows into
-    preds[task]; `rows_of(rows, order, intercept)` returns those rows of the
-    design (see `design_rows`). The predictions are written in place, so
-    none outlives its fold: a fold's predictions held into the next fold's
-    fit raised the peak RSS of a 196,800-row linear run by about 30 MB.
+    preds[task]; `rows_of(rows, order)` returns those rows of the design
+    (see `design_rows`). The predictions are written in place, so none
+    outlives its fold: a fold's predictions held into the next fold's fit
+    raised the peak RSS of a 196,800-row linear run by about 30 MB.
 
     Every task is fit from one QR of the training rows (`ols_fit`), which is
-    fed them OLS_BLOCK rows at a time, copied column-major with the
-    intercept column, and the test rows are then predicted a block at a
-    time, so the fold holds a few blocks of its design, never all its rows.
+    fed them OLS_BLOCK rows at a time, copied column-major, and the test
+    rows are then predicted a block at a time, so the fold holds a few
+    blocks of its design, never all its rows.
     A fold of at most OLS_BLOCK training rows is factored whole; each test
     row's prediction is the same product whichever block it is in.
     """
-    model = ols_fit((rows_of(train[start:start + OLS_BLOCK], "F", True)
+    model = ols_fit((rows_of(train[start:start + OLS_BLOCK], "F")
                      for start in range(0, train.size, OLS_BLOCK)),
                     np.stack([target[train] for target in targets.values()]))
     for start in range(0, test.size, OLS_BLOCK):
@@ -241,29 +241,27 @@ _ROW_BLOCK = 2048  # rows gathered per step of design_rows; a block stays in cac
 
 
 def design_rows(x: np.ndarray | PanelTable, means: np.ndarray, rows=slice(None),
-                order: str = "C", intercept: bool = False) -> np.ndarray:
-    """x[rows] with means[rows] appended, and with `intercept` a leading
-    column of ones (the design `ols_fit` factors), copied straight into one
-    array, so selecting rows never builds the full matrix first. x is a
-    matrix or a PanelTable, whose rows `panel_data.x_rows` gathers.
+                order: str = "C") -> np.ndarray:
+    """x[rows] with means[rows] appended, copied straight into one array, so
+    selecting rows never builds the full matrix first. x is a matrix or a
+    PanelTable, whose rows `panel_data.x_rows` gathers.
 
     The rows are copied a block at a time, so `order="F"` (the column-major
-    layout `ols_fit`'s QR reads) costs no more than a row-major copy.
+    layout of `ols_fit`'s copy, which then moves whole columns) costs no
+    more than a row-major copy.
     """
     panel = isinstance(x, PanelTable)
     n, p = (x.n_rows, len(x.x_names)) if panel else x.shape
     rows = np.arange(*rows.indices(n)) if isinstance(rows, slice) else np.asarray(rows)
-    lead = int(intercept)
-    out = np.empty((rows.size, lead + p + means.shape[1]), order=order)
-    out[:, :lead] = 1.0
+    out = np.empty((rows.size, p + means.shape[1]), order=order)
     for start in range(0, rows.size, _ROW_BLOCK):
         block = rows[start:start + _ROW_BLOCK]
         dest = out[start:start + _ROW_BLOCK]
         if panel:
-            x_rows(x, block, dest[:, lead:lead + p])
+            x_rows(x, block, dest[:, :p])
         else:
-            dest[:, lead:lead + p] = x[block]
-        dest[:, lead + p:] = means[block]
+            dest[:, :p] = x[block]
+        dest[:, p:] = means[block]
     return out
 
 

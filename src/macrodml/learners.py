@@ -184,9 +184,9 @@ def _householder_qr(Z: np.ndarray, targets) -> tuple[np.ndarray, list[np.ndarray
 
 
 def ols_fit(X, y) -> LinearModel:
-    """Least squares on the design X, whose column 0 is the intercept (all
-    ones), solved by QR. The model holds column 0's weight as its intercept
-    and one coefficient per other column: the features `predict` takes.
+    """Least squares of y on an intercept and the features X, the columns
+    `predict` takes, solved by QR. The model holds the intercept's weight
+    and one coefficient per column of X.
 
     `y` is one target of shape (n,) or m targets of shape (m, n). The design
     is factored once for all targets, and each target is solved on its own,
@@ -195,14 +195,15 @@ def ols_fit(X, y) -> LinearModel:
     X is a matrix, or an iterator over its row blocks in order (see
     `dml._fit_predict`), factored OLS_BLOCK rows at a time, a sequential
     tall-skinny QR (Demmel, Grigori, Hoemmen & Langou 2012): each block is
-    stacked under the R of the rows before it, each target's block under its
-    first entries of Q.T @ target so far, and both go through
-    `_householder_qr`. No n-row Q or second n-row design is formed. A design
-    of at most one block keeps the bits of an unblocked QR; a taller one
-    gives the same fit up to rounding.
+    copied, column-major and led by a column of ones, under the R of the
+    rows before it, each target's block under its first entries of Q.T @
+    target so far, and both go through `_householder_qr`. No n-row Q or
+    second n-row design is formed. A design of at most one block keeps the
+    bits of an unblocked QR of [1, X]; a taller one gives the same fit up to
+    rounding.
 
-    Raises RankDeficient when X does not have full column rank -- a constant
-    feature beside the intercept is the usual culprit.
+    Raises RankDeficient when [1, X] does not have full column rank -- a
+    constant feature is the usual culprit.
     """
     y = np.asarray(y, dtype=float)
     if isinstance(X, Iterator):
@@ -212,21 +213,21 @@ def ols_fit(X, y) -> LinearModel:
         # a matrix of no rows is still one (empty) block, which carries its width
         blocks = (X[start:start + OLS_BLOCK] for start in range(0, max(len(X), 1), OLS_BLOCK))
     targets = np.atleast_2d(y)
-    n, k, R, heads = 0, 1, None, None  # k: a design has at least its intercept column
+    # R of no rows: its one column, the intercept's, broadcasts to any width
+    n, R, heads = 0, np.empty((0, 1)), [np.empty(0)] * len(targets)
     for block in blocks:
         block = np.asarray(block, dtype=float)
-        k = block.shape[1]
-        if not (k and (block[:, 0] == 1.0).all()):
-            raise DimensionMismatch("column 0 of an OLS design must be the intercept, all ones")
         tails = targets[:, n:n + len(block)]
         n += len(block)
         if tails.shape[1] != len(block):
             raise LengthMismatch(f"y has {targets.shape[1]} entries for at least {n} rows of X")
-        if R is not None:  # the block under the R of the rows before it
-            stacked = np.empty((len(R) + len(block), k), order="F")
-            stacked[:len(R)], stacked[len(R):] = R, block
-            block, tails = stacked, [np.concatenate(pair) for pair in zip(heads, tails)]
+        # [1, block] under the R of the rows before it; rebinding `block`
+        # lets the caller's block go before the QR allocates its own
+        stacked = np.empty((len(R) + len(block), 1 + block.shape[1]), order="F")
+        stacked[:len(R)], stacked[len(R):, 0], stacked[len(R):, 1:] = R, 1.0, block
+        block, tails = stacked, [np.concatenate(pair) for pair in zip(heads, tails)]
         R, heads = _householder_qr(block, tails)
+    k = R.shape[1]
     if n != targets.shape[1]:
         raise LengthMismatch(f"y has {targets.shape[1]} entries for {n} rows of X")
     if n <= k:

@@ -214,11 +214,12 @@ def _y_lag_columns(width: int, p: int) -> list[int]:
 
 
 def lag_design(X: np.ndarray, p: int, start: int) -> np.ndarray:
-    """[1, X_{t-1}, ..., X_{t-p}] for t = start, ..., len(X) - 1, one row each:
-    the one builder of lag matrices (the panel's month table, the ADF and VAR
-    regressions)."""
+    """[X_{t-1}, ..., X_{t-p}] for t = start, ..., len(X) - 1, one row each
+    (no column at p = 0): the one builder of lag matrices (the panel's month
+    table, the ADF and VAR regressions)."""
     X, T = X.reshape(len(X), -1), len(X)
-    return np.hstack([np.ones((T - start, 1)), *(X[start - j:T - j] for j in range(1, p + 1))])
+    t = np.arange(start, T)[:, None] - np.arange(1, p + 1)
+    return X[t].reshape(T - start, p * X.shape[1])
 
 
 def x_rows(panel: PanelTable, rows: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -431,8 +432,10 @@ META_COLUMNS = ("ticker", "asset_class", "inception", "aum_musd", "managed")
 def load_fund_meta_csv(path) -> list[FundMeta]:
     """Load the fund-metadata sidecar (ticker,asset_class,inception,aum_musd,managed).
 
-    A header without one of those columns, and a row with more or fewer
-    cells than the header, raise MalformedRow naming the column or the line.
+    A header without one of those columns raises MalformedRow naming it.
+    Every error a row raises (too few or many cells, an AUM that is not a
+    number, a bad field, a repeated ticker) keeps its type and names the
+    file and line.
     """
     catalog = []
     seen = set()
@@ -442,25 +445,20 @@ def load_fund_meta_csv(path) -> list[FundMeta]:
         if missing:
             raise MalformedRow(f"{path}: missing column(s) {', '.join(missing)}")
         for rec in reader:
-            if None in rec or None in rec.values():  # DictReader's marks of a long or short row
-                raise MalformedRow(f"{path} line {reader.line_num}: "
-                                   f"expected {len(reader.fieldnames)} cells")
             try:
-                aum = float(rec["aum_musd"])
-            except ValueError:
-                raise MalformedRow(
-                    f"line {reader.line_num}: cannot parse aum_musd "
-                    f"{rec['aum_musd']!r} as a number"
-                ) from None
-            meta = FundMeta(
-                ticker=rec["ticker"],
-                asset_class=rec["asset_class"],
-                inception=rec["inception"],
-                aum_musd=aum,
-                managed=rec["managed"],
-            )
-            if meta.ticker in seen:
-                raise DuplicateColumn(f"duplicate ticker {meta.ticker!r}")
+                if None in rec or None in rec.values():  # DictReader's marks of a long or short row
+                    raise MalformedRow(f"expected {len(reader.fieldnames)} cells")
+                try:
+                    aum = float(rec["aum_musd"])
+                except ValueError:
+                    raise MalformedRow(
+                        f"cannot parse aum_musd {rec['aum_musd']!r} as a number") from None
+                meta = FundMeta(rec["ticker"], rec["asset_class"], rec["inception"], aum,
+                                rec["managed"])
+                if meta.ticker in seen:
+                    raise DuplicateColumn(f"duplicate ticker {meta.ticker!r}")
+            except MacrodmlError as exc:
+                raise type(exc)(f"{path} line {reader.line_num}: {exc}") from exc
             seen.add(meta.ticker)
             catalog.append(meta)
     return catalog
@@ -505,7 +503,7 @@ def to_panel(
     treatment, all controls, and every one of the `lag_order` lags of (return,
     treatment, controls) are present. Months with any missing required value
     are dropped per fund, not globally. Rows are ordered by fund ticker, then
-    month. A lag window longer than the series leaves the panel empty.
+    month. A lag window as long as the series raises DataError up front.
 
     The control vector x is [controls at t] followed, for each lag j = 1..p,
     by [y_lag{j}, {treatment_name}_lag{j}, <control>_lag{j}...]. The table
@@ -520,6 +518,9 @@ def to_panel(
 
     p = lag_order
     T = funds.n_months
+    if T <= p:
+        raise DataError(f"panel is empty after lag-window construction: lag order {p} "
+                        f"needs more than {p} months, the series has {T}")
     at = macro.columns.index(treatment_name)
     d = macro.values[:, at]
     controls = macro.columns[:at] + macro.columns[at + 1:]
@@ -536,11 +537,10 @@ def to_panel(
     Y = funds.select(tickers).values
     ok = base_ok[:, None] & np.isfinite(Y)
     # month t is valid when all p + 1 months of its window [t-p, t] are ok
+    seen = np.zeros((T + 1, len(tickers)), dtype=np.int64)
+    np.cumsum(ok, axis=0, out=seen[1:])
     valid = np.zeros_like(ok)
-    if T > p:
-        seen = np.zeros((T + 1, len(tickers)), dtype=np.int64)
-        np.cumsum(ok, axis=0, out=seen[1:])
-        valid[p:] = seen[p + 1 :] - seen[: T - p] == p + 1
+    valid[p:] = seen[p + 1 :] - seen[: T - p] == p + 1
     f, t = np.nonzero(valid.T)  # fund-major, months ascending
     has_rows = valid.any(axis=0)
     # renumber the funds with a row 0, 1, ... in ticker order
@@ -551,9 +551,8 @@ def to_panel(
     # lag windows reach before the first month, stay NaN, and no row has them
     K = X.shape[1]
     month_x = np.full((T, len(x_names)), np.nan)
-    if T > p:
-        month_x[p:, :K] = X[p:]
-        month_x[p:, K:] = lag_design(np.column_stack([np.full(T, np.nan), d, X]), p, p)[:, 1:]
+    month_x[p:, :K] = X[p:]
+    month_x[p:, K:] = lag_design(np.column_stack([np.full(T, np.nan), d, X]), p, p)
     return PanelTable(
         [ticker for ticker, kept in zip(tickers, has_rows.tolist()) if kept],
         list(funds.time_index),

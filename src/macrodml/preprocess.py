@@ -111,9 +111,9 @@ def adf_test(series, level: str = "5%", max_lag="auto") -> AdfReport:
     level. 'auto' picks the lag by Schwert's rule, capped so the regression
     keeps at least one residual degree of freedom. The t-ratio is partialled
     out (Frisch-Waugh-Lovell) from one `ols_fit` of the difference and the
-    lagged level on [1, lagged differences]. Raises RankDeficient on a
-    rank-deficient regression (a constant series), SingularCovariance on an
-    exact fit, whose t-ratio is undefined.
+    lagged level on the lagged differences (and ols_fit's constant). Raises
+    RankDeficient on a rank-deficient regression (a constant series),
+    SingularCovariance on an exact fit, whose t-ratio is undefined.
     """
     if level not in ADF_LEVELS:
         raise ValueError(f"level must be one of {ADF_LEVELS}")
@@ -135,7 +135,7 @@ def adf_test(series, level: str = "5%", max_lag="auto") -> AdfReport:
     nobs = n - 1 - k
     Z = lag_design(dy, k, k)
     targets = np.stack([dy[k:], y[k:n - 1]])
-    e_dy, e_level = targets - predict(ols_fit(Z, targets), Z[:, 1:])
+    e_dy, e_level = targets - predict(ols_fit(Z, targets), Z)
     tol = (nobs * np.finfo(float).eps) ** 2  # residuals this small beside their target are rounding
     ss_level = float(e_level @ e_level)
     if ss_level <= tol * float(targets[1] @ targets[1]):
@@ -200,7 +200,7 @@ def select_lag_var_aic(vars: TimeSeriesMatrix, p_max: int) -> int:
     best_p, best_aic = None, None
     for p in range(1, p_max + 1):
         Z = lag_design(X, p, p_max)
-        resid = targets - predict(ols_fit(Z, targets.T), Z[:, 1:]).T
+        resid = targets - predict(ols_fit(Z, targets.T), Z).T
         sigma = resid.T @ resid / (t_eff - (K * p + 1))
         sign, logdet = np.linalg.slogdet(sigma)
         if sign <= 0:

@@ -85,14 +85,12 @@ def _fwl_equivalence(seed: int, reps: int) -> tuple[str, bool]:
             kind="plr_linear", theta_true=theta, n=200, k_controls=5,
             noise_sd=1.0, seed=seed + i,
         ))
-        ones = np.ones(problem.n_obs)
-        g_hat, m_hat = predict(ols_fit(np.column_stack([ones, problem.x]),
-                                       np.stack([problem.y, problem.d])), problem.x)
+        g_hat, m_hat = predict(ols_fit(problem.x, np.stack([problem.y, problem.d])), problem.x)
         res = NuisanceResiduals(problem.y - g_hat, problem.d - m_hat,
                                 np.zeros(problem.n_obs, dtype=np.int64),
                                 float("nan"), float("nan"), g_hat, m_hat)
         result = plr_estimate(res, problem.d)
-        full = ols_fit(np.column_stack([ones, problem.d, problem.x]), problem.y)
+        full = ols_fit(np.column_stack([problem.d, problem.x]), problem.y)
         worst = max(worst, abs(result.theta - float(full.coefficients[0])))
     return f"max |theta_dml - theta_ols| = {worst:.3e} over {reps} instances", worst < 1e-8
 

@@ -11,6 +11,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import time
 import tracemalloc
 import xml.etree.ElementTree as ET
 
@@ -415,6 +416,23 @@ def test_lag_longer_than_series_exits_data(small_fx, tmp_path):
     assert "Traceback" not in proc.stderr
 
 
+def test_a_lag_of_a_billion_months_exits_data_at_once(small_fx, tmp_path):
+    """to_panel rejects a lag window as long as the series before it builds
+    any of its names or columns, so a typo costs no memory."""
+    root, fx = small_fx
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "macrodml", *run_args(fx, tmp_path / "o", "--lag", "1000000000")],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert time.perf_counter() - start < 20
+    assert proc.returncode == EXIT_DATA
+    assert proc.stderr == ("code=2 error=DataError message=panel is empty after lag-window "
+                           "construction: lag order 1000000000 needs more than 1000000000 "
+                           "months, the series has 299\n")
+    assert not (tmp_path / "o").exists()
+
+
 def test_plots_on_empty_dir_exits_data(tmp_path, capsys):
     assert main(["plots", "--out", str(tmp_path)]) == EXIT_DATA
     assert capsys.readouterr().err.startswith("code=2 error=MissingInput")
@@ -514,7 +532,7 @@ def test_non_numeric_aum_exits_data(small_fx, tmp_path):
     meta.write_text("\n".join(lines))
     proc = _macrodml(*run_args({**fx, "meta_csv": str(meta)}, tmp_path / "o"))
     assert proc.returncode == EXIT_DATA
-    assert proc.stderr.startswith("code=2 error=MalformedRow message=line 3: ")
+    assert proc.stderr.startswith(f"code=2 error=MalformedRow message={meta} line 3: ")
     assert "'lots'" in proc.stderr and proc.stderr.count("\n") == 1
     assert "Traceback" not in proc.stderr
 
@@ -543,6 +561,26 @@ def test_a_month_cell_holding_a_newline_exits_data(small_fx, tmp_path, capsys):
     assert main(run_args({**fx, "macro_csv": str(macro)}, tmp_path / "o")) == EXIT_DATA
     assert capsys.readouterr().err == (
         f"code=2 error=UnparseableTime message=expected YYYY-MM, got '{month}\\n'\n")
+
+
+@pytest.mark.parametrize("column, value, error, message", [
+    (1, "Bond", "DataError", "unknown asset class 'Bond'"),
+    (0, None, "DuplicateColumn", "duplicate ticker {ticker!r}"),
+    (2, "1979-13", "UnparseableTime", "month out of range in '1979-13'"),
+], ids=["asset_class", "duplicate", "inception"])
+def test_meta_row_errors_name_the_file_and_line(small_fx, tmp_path, capsys, column, value,
+                                                error, message):
+    root, fx = small_fx
+    lines = open(fx["meta_csv"]).read().split("\n")
+    ticker = lines[1].split(",")[0]
+    cells = lines[2].split(",")
+    cells[column] = ticker if value is None else value  # None: line 2's ticker again
+    lines[2] = ",".join(cells)
+    meta = tmp_path / "meta.csv"
+    meta.write_text("\n".join(lines))
+    assert main(run_args({**fx, "meta_csv": str(meta)}, tmp_path / "o")) == EXIT_DATA
+    assert capsys.readouterr().err == (
+        f"code=2 error={error} message={meta} line 3: {message.format(ticker=ticker)}\n")
 
 
 @pytest.mark.parametrize("cells", [4, 6], ids=["short", "long"])
@@ -644,8 +682,8 @@ def test_non_finite_aum_exits_data(small_fx, tmp_path, capsys, aum):
                                  f"F001,FixedIncome,1979-01,{aum},"))
     assert main(run_args({**fx, "meta_csv": str(meta)}, tmp_path / "o")) == EXIT_DATA
     assert capsys.readouterr().err == (
-        f"code=2 error=DataError message=fund 'F001': aum_musd must be finite and >= 0, "
-        f"got {aum}\n")
+        f"code=2 error=DataError message={meta} line 2: fund 'F001': aum_musd must be "
+        f"finite and >= 0, got {aum}\n")
 
 
 @pytest.mark.parametrize("flag, content, code, error", [

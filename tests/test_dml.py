@@ -166,18 +166,6 @@ def test_degenerate_when_treatment_residual_vanishes():
 # FWL equivalence and invariances
 # ---------------------------------------------------------------------------
 
-def test_nosplit_linear_matches_full_ols():
-    problem, _ = gen_plr(SynthSpec(kind="plr_linear", theta_true=1.3, n=300, seed=4))
-    ones = np.ones(problem.n_obs)
-    g_hat, m_hat = predict(ols_fit(np.column_stack([ones, problem.x]),
-                                   np.stack([problem.y, problem.d])), problem.x)
-    res = NuisanceResiduals(problem.y - g_hat, problem.d - m_hat,
-                            np.zeros(problem.n_obs, dtype=np.int64), 0.0, 0.0, g_hat, m_hat)
-    result = plr_estimate(res, problem.d)
-    full = ols_fit(np.column_stack([ones, problem.d, problem.x]), problem.y)
-    assert abs(result.theta - full.coefficients[0]) < 1e-8
-
-
 def test_outcome_scale_equivariance():
     problem, _ = gen_plr(SynthSpec(kind="plr_linear", n=400, seed=5))
     base, _ = run_dml(problem, LINEAR, k=2, seed=1)
@@ -358,8 +346,7 @@ def test_linear_cross_fit_one_ols_per_fold_matches_separate_fits(monkeypatch, pa
         if panel:  # the whole encoded matrix is the reference for the row copies
             X = np.hstack([X, encode_features(problem, train)])
         for target, fitted in ((problem.y, res.g_hat), (problem.d, res.m_hat)):
-            design = np.column_stack([np.ones(train.size), X[train]])
-            alone = predict(ols_fit(design, target[train]), X[test])
+            alone = predict(ols_fit(X[train], target[train]), X[test])
             assert np.array_equal(fitted[test], alone)
 
 

@@ -59,22 +59,23 @@ def test_one_blas_thread_runs_on_one_thread_and_restores_the_callers_count():
 # OLS
 # ---------------------------------------------------------------------------
 
-def _with_intercept(X):
-    """[1, X]: the design ols_fit takes, column 0 the intercept."""
-    X = np.asarray(X, dtype=float)
-    return np.column_stack([np.ones(X.shape[0]), X])
-
-
 def test_ols_hand_example():
-    model = ols_fit(_with_intercept([1.0, 2.0, 3.0]), [2.0, 2.0, 4.0])
+    model = ols_fit([1.0, 2.0, 3.0], [2.0, 2.0, 4.0])
     assert model.coefficients[0] == pytest.approx(1.0, abs=1e-12)
     assert model.intercept == pytest.approx(2.0 / 3.0, abs=1e-12)
+
+
+def test_ols_of_no_features_fits_the_mean():
+    model = ols_fit(np.zeros((4, 0)), [1.0, 2.0, 4.0, 5.0])
+    assert model.intercept == pytest.approx(3.0, abs=1e-12)
+    assert model.coefficients.shape == (0,)
+    assert np.allclose(predict(model, np.zeros((2, 0))), 3.0, atol=1e-12)
 
 
 def test_ols_residuals_orthogonal(rng):
     X = rng.standard_normal((60, 4))
     y = rng.standard_normal(60)
-    model = ols_fit(_with_intercept(X), y)
+    model = ols_fit(X, y)
     resid = y - predict(model, X)
     assert abs(resid.sum()) < 1e-9  # intercept absorbs the mean
     assert np.all(np.abs(X.T @ resid) < 1e-9)
@@ -84,7 +85,7 @@ def test_ols_matches_normal_equations(rng):
     X = rng.standard_normal((50, 3))
     y = X @ [1.0, -2.0, 0.5] + 0.1 * rng.standard_normal(50)
     Z = np.column_stack([np.ones(50), X])
-    model = ols_fit(Z, y)
+    model = ols_fit(X, y)
     beta = np.linalg.solve(Z.T @ Z, Z.T @ y)
     assert model.intercept == pytest.approx(beta[0], abs=1e-10)
     assert np.allclose(model.coefficients, beta[1:], atol=1e-10)
@@ -93,20 +94,14 @@ def test_ols_matches_normal_equations(rng):
 def test_ols_rank_deficient():
     x = np.arange(10.0)
     with pytest.raises(RankDeficient):
-        ols_fit(_with_intercept(np.column_stack([x, 2.0 * x])), x)
+        ols_fit(np.column_stack([x, 2.0 * x]), x)
     with pytest.raises(RankDeficient):
-        ols_fit(_with_intercept(np.ones((10, 1))), x)  # constant column collides with intercept
+        ols_fit(np.ones((10, 1)), x)  # constant column collides with intercept
 
 
 def test_ols_too_few_rows():
     with pytest.raises(TooFewRows):
-        ols_fit(_with_intercept(np.eye(3)[:, :2]), np.arange(3.0))
-
-
-@pytest.mark.parametrize("design", [np.arange(20.0).reshape(10, 2), np.zeros((10, 0))])
-def test_ols_design_must_lead_with_the_intercept(design):
-    with pytest.raises(DimensionMismatch, match="intercept"):
-        ols_fit(design, np.arange(10.0))
+        ols_fit(np.eye(3)[:, :2], np.arange(3.0))
 
 
 @pytest.mark.parametrize("n, k, m", [(50, 3, 2), (400, 38, 3), (3 * OLS_BLOCK + 5, 38, 2)])
@@ -114,12 +109,12 @@ def test_ols_shared_design_matches_single_target_fits(rng, n, k, m):
     X = rng.standard_normal((n, k))
     Y = X[:, :m].T + rng.standard_normal((m, n))
     X_new = rng.standard_normal((n // 2, k))
-    shared = ols_fit(_with_intercept(X), Y)
+    shared = ols_fit(X, Y)
     assert shared.intercept.shape == (m,) and shared.coefficients.shape == (m, k)
     preds = predict(shared, X_new)
     assert preds.shape == (m, n // 2)
     for j in range(m):
-        alone = ols_fit(_with_intercept(X), Y[j].copy())
+        alone = ols_fit(X, Y[j].copy())
         assert shared.intercept[j] == alone.intercept
         assert np.array_equal(shared.coefficients[j], alone.coefficients)
         assert np.array_equal(preds[j], predict(alone, X_new))
@@ -128,11 +123,11 @@ def test_ols_shared_design_matches_single_target_fits(rng, n, k, m):
 def test_ols_shared_design_checks():
     x = np.arange(10.0)
     with pytest.raises(RankDeficient):
-        ols_fit(_with_intercept(np.column_stack([x, 2.0 * x])), np.stack([x, -x]))
+        ols_fit(np.column_stack([x, 2.0 * x]), np.stack([x, -x]))
     with pytest.raises(LengthMismatch):
-        ols_fit(_with_intercept(x), np.zeros((2, 9)))
+        ols_fit(x, np.zeros((2, 9)))
     with pytest.raises(LengthMismatch):
-        ols_fit(_with_intercept(x), np.zeros((1, 2, 10)))
+        ols_fit(x, np.zeros((1, 2, 10)))
 
 
 def test_predict_dimension_checks():
@@ -460,9 +455,9 @@ def test_gbt_matches_the_reference_trees_bit_for_bit(rng, params):
 
 
 def _ref_ols(Z, y):
-    """ols_fit's solve from a row-major np.column_stack design Z: LAPACK's
-    Householder reflectors (leading 1 implicit) applied to each target in
-    turn, then R solved."""
+    """ols_fit's solve of y on [1, X] from the row-major np.column_stack
+    Z = [1, X]: LAPACK's Householder reflectors (leading 1 implicit) applied
+    to each target in turn, then R solved."""
     h, tau = np.linalg.qr(Z, mode="raw")
     R = np.triu(h.T[:tau.size])
     beta = []
@@ -480,9 +475,8 @@ def test_ols_column_major_design_matches_column_stack_bit_for_bit(rng, m):
     X = rng.standard_normal((3000, 39)) * rng.uniform(0.1, 50.0, 39)
     Y = X[:, :m].T + rng.standard_normal((m, 3000))
     y = Y[0] if m == 1 else Y
-    Z = np.column_stack([np.ones(3000), X])
-    beta = _ref_ols(Z, y)
-    for design in (Z, np.asfortranarray(Z)):
+    beta = _ref_ols(np.column_stack([np.ones(3000), X]), y)
+    for design in (X, np.asfortranarray(X)):
         model = ols_fit(design, y)
         assert np.array_equal(np.atleast_1d(model.intercept), beta[:, 0])
         assert np.array_equal(np.atleast_2d(model.coefficients), beta[:, 1:])
@@ -494,7 +488,7 @@ def test_ols_matches_lstsq(rng, m):
         X = rng.standard_normal((n, 39)) * rng.uniform(0.1, 50.0, 39)
         Y = X[:, :m].T + rng.standard_normal((m, n))
         Z = np.column_stack([np.ones(n), X])
-        model = ols_fit(Z, Y[0] if m == 1 else Y)
+        model = ols_fit(X, Y[0] if m == 1 else Y)
         beta = np.column_stack([np.atleast_1d(model.intercept), np.atleast_2d(model.coefficients)])
         for j in range(m):
             ref = np.linalg.lstsq(Z, Y[j], rcond=None)[0]
@@ -504,8 +498,8 @@ def test_ols_matches_lstsq(rng, m):
 def test_ols_takes_the_design_as_its_row_blocks(rng):
     """A matrix is factored as its OLS_BLOCK-row blocks, so an iterator over
     those blocks gives the same bits; the blocks' rows must match y's."""
-    X = _with_intercept(rng.standard_normal((2 * OLS_BLOCK + 7, 5)))
-    Y = X[:, 1:3].T + rng.standard_normal((2, len(X)))
+    X = rng.standard_normal((2 * OLS_BLOCK + 7, 5))
+    Y = X[:, :2].T + rng.standard_normal((2, len(X)))
 
     def blocks(Z):
         return (Z[start:start + OLS_BLOCK] for start in range(0, len(Z), OLS_BLOCK))
@@ -526,8 +520,8 @@ def test_ols_never_holds_a_second_n_row_factor(rng):
     """ols_fit factors its design OLS_BLOCK rows at a time and never copies
     more of it, or forms an n-row Q: on a design of six blocks its traced
     peak stays below three blocks' bytes."""
-    X = np.asfortranarray(_with_intercept(rng.standard_normal((6 * OLS_BLOCK, 38))))
-    Y = np.stack([X[:, 1], X[:, 2]]) + rng.standard_normal((2, len(X)))
+    X = np.asfortranarray(rng.standard_normal((6 * OLS_BLOCK, 38)))
+    Y = np.stack([X[:, 0], X[:, 1]]) + rng.standard_normal((2, len(X)))
     tracemalloc.start()
     try:
         ols_fit(X, Y)

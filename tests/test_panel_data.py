@@ -25,6 +25,7 @@ from macrodml.panel_data import (
     csv_blocks,
     filter_funds,
     int_to_month,
+    lag_design,
     load_fund_meta_csv,
     load_tscs_csv,
     month_range,
@@ -334,6 +335,22 @@ def test_fund_meta_rejects_a_row_of_another_width(tmp_path, row):
         load_fund_meta_csv(path)
 
 
+@pytest.mark.parametrize("row, error, message", [
+    ("F002,Bond,2000-01,10.0,Active", DataError, "unknown asset class 'Bond'"),
+    ("F002,Equity,2000-01,abc,Active", MalformedRow, "cannot parse aum_musd 'abc' as a number"),
+    ("F001,Equity,2000-01,10.0,Active", DuplicateColumn, "duplicate ticker 'F001'"),
+    ("F002,Equity,1979-13,10.0,Active", UnparseableTime, "month out of range in '1979-13'"),
+], ids=["asset_class", "aum", "duplicate", "inception"])
+def test_fund_meta_row_errors_name_the_file_and_line(tmp_path, row, error, message):
+    path = tmp_path / "meta.csv"
+    path.write_text("ticker,asset_class,inception,aum_musd,managed\n"
+                    "F001,Equity,2000-01,10.0,Active\n"
+                    f"{row}\n")
+    with pytest.raises(error) as info:
+        load_fund_meta_csv(path)
+    assert type(info.value) is error and str(info.value) == f"{path} line 3: {message}"
+
+
 @pytest.mark.parametrize("aum", ["nan", "inf", "-inf", "-1.0"])
 def test_fund_meta_rejects_an_aum_that_is_not_finite_and_non_negative(tmp_path, aum):
     path = tmp_path / "meta.csv"
@@ -561,8 +578,8 @@ def test_to_panel_values_match_row_loop(p):
 @pytest.mark.parametrize("p", [0, 1, 3])
 def test_fold_designs_keep_the_row_loop_bits(monkeypatch, p):
     """Every fold's design, gathered block by block from the month table and
-    the fund returns, holds the bits of [1, x, unit means] built from the row
-    loop's x, in either memory order, with and without the intercept."""
+    the fund returns, holds the bits of [x, unit means] built from the row
+    loop's x, in either memory order."""
     monkeypatch.setattr(dml, "_ROW_BLOCK", 5)  # several blocks per fold
     _, panel, ref_rows = _row_loop_case(p)
     problem = problem_from_panel(panel)
@@ -571,13 +588,11 @@ def test_fold_designs_keep_the_row_loop_bits(monkeypatch, p):
     for train, test in problem.folds(3, seed=2)[0]:
         means = encode_features(problem, train)
         for rows in (train, test, np.arange(n)):
-            ref = np.column_stack([np.ones(rows.size), x_ref[rows], means[rows]])
+            ref = np.column_stack([x_ref[rows], means[rows]])
             for order in ("C", "F"):
-                got = design_rows(problem.x, means, rows, order, intercept=True)
+                got = design_rows(problem.x, means, rows, order)
                 assert got.flags[f"{order}_CONTIGUOUS"]
                 assert np.array_equal(got.view(np.uint64), ref.view(np.uint64))
-                got = design_rows(problem.x, means, rows, order)
-                assert np.array_equal(got.view(np.uint64), ref[:, 1:].view(np.uint64))
 
 
 def test_to_panel_codes_skip_funds_without_rows():
@@ -651,13 +666,22 @@ def test_to_panel_p2_keeps_only_the_last_of_three_months():
     assert np.array_equal(panel_x(panel), [[300.0, 2.0, 20.0, 200.0, 1.0, 10.0, 100.0]])
 
 
-@pytest.mark.parametrize("p", [3, 4, 10])
+@pytest.mark.parametrize("p", [3, 4, 10, 10**9])
 def test_to_panel_lag_window_longer_than_series_is_empty(p):
     funds, macro, _, _ = _full_inputs(T=3, n_funds=2, k=2)
     assert to_panel(funds, macro, "d", lag_order=2).n_rows == 2
-    panel = to_panel(funds, macro, "d", lag_order=p)
-    assert panel.n_rows == 0 and panel.units == []
-    assert panel_x(panel).shape == (0, 2 + p * (2 + 2)) == (0, len(panel.x_names))
+    with pytest.raises(DataError, match=f"^panel is empty after lag-window construction: "
+                                        f"lag order {p} needs more than {p} months, "
+                                        f"the series has 3$"):
+        to_panel(funds, macro, "d", lag_order=p)
+
+
+def test_lag_design_stacks_the_lags_and_has_no_column_at_lag_zero():
+    X = np.arange(12.0).reshape(6, 2)
+    assert np.array_equal(lag_design(X, 2, 3), np.hstack([X[2:5], X[1:4]]))
+    assert np.array_equal(lag_design(X[:, 0], 1, 1), X[:5, :1])
+    assert lag_design(X, 0, 2).shape == (4, 0)
+    assert lag_design(X[:, 0], 0, 0).shape == (6, 0)
 
 
 def test_to_panel_never_holds_the_whole_x():
