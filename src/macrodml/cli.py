@@ -49,7 +49,6 @@ from .panel_data import (
     FundFilter,
     common_range,
     csv_blocks,
-    csv_tables,
     filter_funds,
     load_fund_meta_csv,
     load_tscs_csv,
@@ -167,12 +166,10 @@ def _publishing(out_dir: str, manifest: dict):
     blocks)`, which writes the str or bytes blocks as the file `name` in a
     new hidden sibling of out_dir, hashing them as they are written, in
     slices of IO_BLOCK characters or bytes: a long str block (a figure) is
-    never held whole as bytes too. Given a tuple of names, `write` writes
-    those files side by side, and each of `blocks` is a tuple of one block
-    per file (see `csv_tables`). On a clean exit manifest.json is
-    written last, `manifest` with those digests under "files", and the
-    sibling is swapped in for out_dir, which then holds exactly these files.
-    Any failure before the swap removes the sibling and leaves out_dir as it
+    never held whole as bytes too. On a clean exit manifest.json is written
+    last, `manifest` with those digests under "files", and the sibling is
+    swapped in for out_dir, which then holds exactly these files. Any
+    failure before the swap removes the sibling and leaves out_dir as it
     was; an OSError raised while the files are staged, written or swapped in
     ends in a ConfigError naming out_dir."""
     out_dir = os.path.realpath(out_dir)
@@ -184,23 +181,18 @@ def _publishing(out_dir: str, manifest: dict):
         os.mkdir(stage)  # mode 0o777 less the umask, as os.makedirs gives
         digests = {}
 
-        def write(names, blocks) -> None:
-            if isinstance(names, str):
-                names, blocks = (names,), ((block,) for block in blocks)
-            hashes = [hashlib.sha256() for _ in names]
-            with contextlib.ExitStack() as files:
-                handles = [files.enter_context(open(os.path.join(stage, name), "wb"))
-                           for name in names]
-                for pieces in blocks:
-                    for fh, digest, block in zip(handles, hashes, pieces):
-                        for i in range(0, len(block), IO_BLOCK):
-                            # UTF-8 encodes each character on its own, so the
-                            # slices' bytes are the block's
-                            data = block[i:i + IO_BLOCK]
-                            data = data.encode() if isinstance(data, str) else data
-                            digest.update(data)
-                            fh.write(data)
-            digests.update((name, digest.hexdigest()) for name, digest in zip(names, hashes))
+        def write(name: str, blocks) -> None:
+            digest = hashlib.sha256()
+            with open(os.path.join(stage, name), "wb") as fh:
+                for block in blocks:
+                    for i in range(0, len(block), IO_BLOCK):
+                        # UTF-8 encodes each character on its own, so the
+                        # slices' bytes are the block's
+                        data = block[i:i + IO_BLOCK]
+                        data = data.encode() if isinstance(data, str) else data
+                        digest.update(data)
+                        fh.write(data)
+            digests[name] = digest.hexdigest()
 
         try:
             yield write
@@ -351,6 +343,9 @@ def run_pipeline(config: PipelineConfig) -> dict:
             "rows": panel.n_rows,
             "units": problem.n_units,
             "x_width": len(panel.x_names),
+            # distinct months with a row: the clusters of a month-clustered SE
+            "months": int(np.count_nonzero(np.bincount(panel.month_codes))),
+            "fold_sizes": np.bincount(diagnostics_res.fold_of).tolist(),
             "dropped_nonstationary": [name for name, _ in screen.dropped],
         },
         "boosted_params": None if best_params is None else asdict(best_params),
@@ -390,12 +385,11 @@ def run_pipeline(config: PipelineConfig) -> dict:
             ["model", "r2_y", "r2_d"],
             [names, [res.r2_y for _, res in fits], [res.r2_d for _, res in fits]],
         ))
-        # side by side, so each block of u is printed once for both tables
+        # u is printed once, as residuals.csv's residual column, in the same row order
         res = diagnostics_res
-        write(("residuals.csv", "nuisance_residuals.csv"), csv_tables(
-            (["fitted", "residual"], [res.g_hat, res.u]),
-            (["row", "fold", "u", "v"], [np.arange(panel.n_rows), res.fold_of, res.u, res.v]),
-        ))
+        write("residuals.csv", csv_blocks(["fitted", "residual"], [res.g_hat, res.u]))
+        write("nuisance_residuals.csv", csv_blocks(
+            ["row", "fold", "v"], [np.arange(panel.n_rows), res.fold_of, res.v]))
     return manifest
 
 

@@ -68,7 +68,8 @@ class HyperParams:
 @dataclass
 class RegressionTree:
     """Flat-array binary tree. Leaves point to themselves so vectorized
-    routing can run a fixed number of steps."""
+    routing can run a fixed number of steps: `depth`, the longest
+    root-to-leaf path the tree grew, which may be less than its max_depth."""
 
     feature: np.ndarray
     threshold: np.ndarray
@@ -373,6 +374,7 @@ def _fit_tree(
     left: list[int] = []
     right: list[int] = []
     value: list[float] = []
+    grown = 0  # the deepest leaf's depth
 
     def can_split(node_rows: np.ndarray, depth: int) -> bool:
         return depth < max_depth and node_rows.size >= 2 * min_leaf
@@ -395,6 +397,7 @@ def _fit_tree(
         split = None if hist is None else _best_split(bins, hist, total, node_rows.size, min_leaf)
         if split is None:
             step[node_rows] = value[idx]
+            grown = max(grown, depth)
             continue
         feature[idx], threshold[idx] = split
         go_left = X[:, feature[idx]][node_rows] <= threshold[idx]
@@ -414,7 +417,7 @@ def _fit_tree(
         np.asarray(left, dtype=np.int64),
         np.asarray(right, dtype=np.int64),
         np.asarray(value, dtype=float),
-        max_depth,
+        grown,
     )
 
 

@@ -381,7 +381,7 @@ def csv_cells(column) -> list[str]:
     return repr(cells)[1:-1].replace("None", "").split(", ") if cells else []
 
 
-CSV_BLOCK = 8192  # table rows csv_tables prints at a time
+CSV_BLOCK = 8192  # table rows csv_blocks prints at a time
 
 
 def csv_blocks(header, columns) -> Iterator[str]:
@@ -392,31 +392,16 @@ def csv_blocks(header, columns) -> Iterator[str]:
     never holds its text, its cells or its numbers as Python objects all at
     once.
 
-    This, through `csv_tables`, is the one writer of every table the package
-    prints. The joined pieces are the bytes of the csv module's writer with
-    QUOTE_MINIMAL and lineterminator "\\n", as Python 3.11 writes them (a
-    lone \\r is not quoted), except that a one-column table writes an empty
-    cell as an empty line.
+    This is the one writer of every table the package prints. The joined
+    pieces are the bytes of the csv module's writer with QUOTE_MINIMAL and
+    lineterminator "\\n", as Python 3.11 writes them (a lone \\r is not
+    quoted), except that a one-column table writes an empty cell as an empty
+    line.
     """
-    for (piece,) in csv_tables((header, columns)):
-        yield piece
-
-
-def csv_tables(*tables) -> Iterator[tuple[str, ...]]:
-    """Tables of one row count side by side, each a (header, columns) pair
-    as `csv_blocks` takes it: tuples of one piece per table, the header
-    lines, then CSV_BLOCK rows at a time. A column object that is in more
-    than one table is printed once per block for all of them."""
-    yield tuple(",".join(csv_cells(header)) + "\n" for header, _ in tables)
-    first = tables[0][1]
-    for start in range(0, len(first[0]) if first else 0, CSV_BLOCK):
-        cells = {}  # id of a column -> its cells in this block
-        for _, columns in tables:
-            for column in columns:
-                if id(column) not in cells:
-                    cells[id(column)] = csv_cells(column[start:start + CSV_BLOCK])
-        yield tuple("\n".join(map(",".join, zip(*(cells[id(c)] for c in columns)))) + "\n"
-                    for _, columns in tables)
+    yield ",".join(csv_cells(header)) + "\n"
+    for start in range(0, len(columns[0]) if columns else 0, CSV_BLOCK):
+        cells = [csv_cells(column[start:start + CSV_BLOCK]) for column in columns]
+        yield "\n".join(map(",".join, zip(*cells))) + "\n"
 
 
 def write_tscs_csv(matrix: TimeSeriesMatrix, path, time_column: str = "date") -> None:

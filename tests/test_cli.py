@@ -21,7 +21,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import macrodml
-from macrodml import cli, dml, learners, panel_data, validation
+from macrodml import cli, dml, learners, validation
 
 from macrodml.cli import (
     EXIT_CONFIG,
@@ -42,7 +42,6 @@ from macrodml.panel_data import (
     TimeSeriesMatrix,
     csv_blocks,
     csv_cells,
-    csv_tables,
     load_tscs_csv,
     read_numeric_csv,
     write_tscs_csv,
@@ -78,8 +77,34 @@ def test_full_run_manifest_contents(full_run):
     assert set(manifest["config"]) == set(PipelineConfig.__dataclass_fields__)
     assert manifest["panel"]["units"] == 16
     assert manifest["panel"]["dropped_nonstationary"] == ["junk_rw"]
+    assert manifest["panel"]["months"] == 500 - 1 - 7  # every fund spans the usable months
+    _, _, folds = read_numeric_csv(os.path.join(full_run["out"], "nuisance_residuals.csv"))
+    assert manifest["panel"]["fold_sizes"] == np.bincount(folds[:, 1].astype(int)).tolist()
+    assert sum(manifest["panel"]["fold_sizes"]) == manifest["panel"]["rows"]
     assert manifest["config_hash"] and len(manifest["config_hash"]) == 64
     assert "junk_rw" not in read_csv(os.path.join(full_run["out"], "corr.csv"))[0]
+
+
+def test_residual_tables_hold_the_estimate(small_fx, tmp_path):
+    """residuals.csv's residual column is u and nuisance_residuals.csv holds
+    v, row by row, so the partialling-out estimate sum(v*u) / sum(v*v)
+    comes back from the two tables."""
+    _, fx = small_fx
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"score": "residual_ols"}))
+    out = tmp_path / "out"
+    assert main(run_args(fx, out, "--config", str(config), "--learner", "linear",
+                         "--lag", "2")) == EXIT_OK
+    header, rows = read_csv(out / "results.csv")
+    coef, n = float(rows[0][header.index("coef")]), int(rows[0][header.index("n")])
+    names, _, residuals = read_numeric_csv(out / "residuals.csv")
+    u = residuals[:, names.index("residual")]
+    names, _, nuisance = read_numeric_csv(out / "nuisance_residuals.csv")
+    assert names == ["row", "fold", "v"]
+    v = nuisance[:, 2]
+    assert u.size == v.size == n == read_manifest(out)["panel"]["rows"]
+    assert np.array_equal(nuisance[:, 0], np.arange(n))
+    assert float(v @ u) / float(v @ v) == pytest.approx(coef, rel=1e-12)
 
 
 def test_bare_import_loads_no_submodule_and_no_numpy():
@@ -101,13 +126,13 @@ def test_run_and_run_dml_hold_one_blas_thread_and_give_the_count_back(small_fx, 
     get, _ = learners.BLAS_THREADS
     caller = get()
     seen = []
-    for module, name in ((cli, "load_tscs_csv"), (dml, "ols_fit"), (cli, "csv_tables")):
+    for module, name in ((cli, "load_tscs_csv"), (dml, "ols_fit"), (cli, "csv_blocks")):
         real = getattr(module, name)
         monkeypatch.setattr(module, name,
                             lambda *a, real=real, **kw: seen.append(get()) or real(*a, **kw))
     assert main(run_args(fx, tmp_path / "o", "--learner", "linear", "--lag", "2")) == EXIT_OK
-    # the two input reads, one fit a fold, the residual tables
-    assert seen == [1] * (2 + 2 + 1)
+    # the two input reads, one fit a fold, one printer a table
+    assert seen == [1] * (2 + 2 + 8)
     assert get() == caller
     seen.clear()
     rng = np.random.default_rng(0)
@@ -879,22 +904,6 @@ def test_numeric_table_text_matches_csv_writer():
     pieces = csv_blocks(header[:3], table[:3])
     assert [piece.count("\n") for piece in pieces] == [1, CSV_BLOCK, CSV_BLOCK, 3]
 
-
-
-def test_tables_side_by_side_print_as_each_alone_and_a_shared_column_once(monkeypatch):
-    rng = np.random.default_rng(8)
-    n = 2 * CSV_BLOCK + 3
-    shared = rng.standard_normal(n)
-    left = (["i", "x"], [np.arange(n), shared])
-    right = (["x", "name", "y"], [shared, [TEXT_CELLS[i % len(TEXT_CELLS)] for i in range(n)],
-                                  rng.standard_normal(n)])
-    printed = []
-    real = panel_data.csv_cells
-    monkeypatch.setattr(panel_data, "csv_cells", lambda column: printed.append(1) or real(column))
-    pieces = list(csv_tables(left, right))
-    assert len(printed) == 2 + 4 * 3  # the headers, then 4 distinct columns in each of 3 blocks
-    monkeypatch.undo()
-    assert ["".join(side) for side in zip(*pieces)] == [_table_text(*left), _table_text(*right)]
 
 def test_plots_reparse_returns_the_written_bits(full_run, tmp_path, monkeypatch):
     rng = np.random.default_rng(4)

@@ -542,15 +542,11 @@ def test_results_csv_layout(full_run):
 def test_residuals_csv_layout(full_run):
     with open(os.path.join(full_run["out"], "nuisance_residuals.csv"), newline="") as fh:
         lines = fh.read().split("\n")
-    with open(os.path.join(full_run["out"], "residuals.csv"), newline="") as fh:
-        scatter = fh.read().split("\n")
     n = 16 * (500 - 1 - 7)
-    assert lines[0] == "row,fold,u,v"
+    assert lines[0] == "row,fold,v"
     assert len(lines) == n + 2 and lines[-1] == ""
     rows = [line.split(",") for line in lines[1:-1]]
     assert [r[0] for r in rows] == [str(i) for i in range(n)]
     assert {r[1] for r in rows} == {"0", "1"}
-    # u is the scatter's residual column, printed with the same text
-    assert [r[2] for r in rows] == [line.split(",")[1] for line in scatter[1:-1]]
     for cell in rows[2][2:] + rows[-1][2:]:
         assert repr(float(cell)) == cell

@@ -1,4 +1,5 @@
 import gc
+import time
 import tracemalloc
 from dataclasses import replace
 
@@ -353,6 +354,7 @@ def _ref_best_split(bins, hist, total, n, min_leaf):
 
 def _ref_fit_tree(X, bins, resid, rows, max_depth, min_leaf, step):
     feature, threshold, left, right, value = [], [], [], [], []
+    grown = 0
 
     def can_split(node_rows, depth):
         return depth < max_depth and node_rows.size >= 2 * min_leaf
@@ -373,6 +375,7 @@ def _ref_fit_tree(X, bins, resid, rows, max_depth, min_leaf, step):
             bins, hist, total, node_rows.size, min_leaf)
         if split is None:
             step[node_rows] = value[idx]
+            grown = max(grown, depth)
             continue
         feature[idx], threshold[idx] = split
         go_left = X[node_rows, feature[idx]] <= threshold[idx]
@@ -389,7 +392,7 @@ def _ref_fit_tree(X, bins, resid, rows, max_depth, min_leaf, step):
     return learners.RegressionTree(
         np.asarray(feature, dtype=np.int64), np.asarray(threshold, dtype=float),
         np.asarray(left, dtype=np.int64), np.asarray(right, dtype=np.int64),
-        np.asarray(value, dtype=float), max_depth,
+        np.asarray(value, dtype=float), grown,
     )
 
 
@@ -452,6 +455,30 @@ def test_gbt_matches_the_reference_trees_bit_for_bit(rng, params):
         ref_pred += params.learning_rate * _ref_tree_predict(ref, X_new)
     assert np.array_equal(predict(model, X_new).view(np.uint64), ref_pred.view(np.uint64))
     assert np.array_equal(predict(model, np.asfortranarray(X_new)), ref_pred)
+
+
+def _longest_path(tree, node=0):
+    """Edges on the longest root-to-leaf path below `node`, walked node by node."""
+    if tree.left[node] == node:
+        return 0
+    return 1 + max(_longest_path(tree, tree.left[node]), _longest_path(tree, tree.right[node]))
+
+
+def test_tree_depth_is_the_depth_grown_so_predict_never_walks_past_the_leaves(rng):
+    """A depth cap the rows never reach costs predict nothing: each tree's
+    depth is its longest root-to-leaf path, so a max_depth=10**6 ensemble
+    predicts the bits of a max_depth=64 one, and as fast."""
+    X = _mixed_columns(rng, 200)
+    y = np.sin(X[:, 1]) + X[:, 2] * X[:, 3] + rng.standard_normal(200)
+    capped, uncapped = (gbt_fit(X, y, HyperParams(n_trees=20, max_depth=depth,
+                                                  learning_rate=0.3, min_samples_leaf=20))
+                        for depth in (64, 10**6))
+    for tree in capped.trees + uncapped.trees:
+        assert tree.depth == _longest_path(tree) < 64
+    start = time.perf_counter()
+    pred = predict(uncapped, X)
+    assert time.perf_counter() - start < 0.5  # 10**6 gathers a tree would take minutes
+    assert np.array_equal(pred.view(np.uint64), predict(capped, X).view(np.uint64))
 
 
 def _ref_ols(Z, y):
