@@ -23,17 +23,13 @@ from macrodml.dml import LearnerSpec, run_dml
 from macrodml.learners import HyperParams
 from macrodml.synth import SynthSpec, gen_pipeline_fixture, gen_plr
 
-THETA_PANEL = -8.0
 THETA_PLR = 0.5
 SEED = 0
 
 
 def panel_demo(work: str) -> None:
     """The panel pipeline on a generated fixture, inputs and outputs under `work`."""
-    fx = gen_pipeline_fixture(
-        os.path.join(work, "inputs"), seed=SEED, n_funds=8, n_months=400,
-        theta=THETA_PANEL,
-    )
+    fx = gen_pipeline_fixture(os.path.join(work, "inputs"), seed=SEED, n_funds=8, n_months=400)
     out_dir = os.path.join(work, "out")
     config = PipelineConfig(
         funds_csv=fx["funds_csv"],

@@ -46,7 +46,6 @@ from .errors import (
 from .learners import DEFAULT_GRID, grid_from_json, one_blas_thread
 from .panel_data import (
     IO_BLOCK,
-    FundFilter,
     common_range,
     csv_blocks,
     filter_funds,
@@ -270,19 +269,16 @@ def run_pipeline(config: PipelineConfig) -> dict:
     if config.treatment_name not in macro.columns:
         raise DataError(f"treatment {config.treatment_name!r} is not a macro column")
 
-    kept_funds = filter_funds(catalog, FundFilter(min_aum=config.min_aum))
+    kept_funds = filter_funds(catalog, config.min_aum)
     tickers = [m.ticker for m in kept_funds if m.ticker in funds.columns]
     if not tickers:
         raise DataError("no funds left after metadata filtering")
     funds = funds.select(tickers)
 
+    # macro levels -> growths over the common months; fund returns are used as-is
     start, end = common_range(macro, funds)
-    macro = macro.restrict(start, end)
-    funds = funds.restrict(start, end)
-
-    # macro levels -> growths; fund returns are used as-is
-    growth = difference_matrix(macro)
-    funds = funds.restrict(growth.time_index[0], growth.time_index[-1])
+    growth = difference_matrix(macro.restrict(start, end))
+    funds = funds.restrict(growth.time_index[0], end)
 
     screen = screen_stationarity(growth, level=config.level)
     if config.treatment_name not in screen.kept.columns:
@@ -332,13 +328,8 @@ def run_pipeline(config: PipelineConfig) -> dict:
     manifest = {
         "config": asdict(config),
         "config_hash": _config_hash(config),
-        "seed": config.seed,
         "rng": RNG_IDENTITY,
-        "flags": {
-            "score": config.score,
-            "lag_used": lag,
-            "level": config.level,
-        },
+        "flags": {"lag_used": lag},
         "panel": {
             "rows": panel.n_rows,
             "units": problem.n_units,
@@ -379,8 +370,6 @@ def run_pipeline(config: PipelineConfig) -> dict:
             ["model", "coef", "se", "t", "p", "ci_low", "ci_high", "n", "per_1pct"],
             [names, *zip(*map(astuple, results))],
         ))
-        write("per_1pct.csv", csv_blocks(["model", "per_1pct"],
-                                         [names, [result.per_1pct for result in results]]))
         write("r2.csv", csv_blocks(
             ["model", "r2_y", "r2_d"],
             [names, [res.r2_y for _, res in fits], [res.r2_d for _, res in fits]],

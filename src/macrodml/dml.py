@@ -26,7 +26,6 @@ from .errors import (
     MacrodmlError,
 )
 from .learners import (
-    DEFAULT_GRID,
     OLS_BLOCK,
     HyperParams,
     gbt_fit,
@@ -240,7 +239,7 @@ def encode_features(problem: PlrProblem, train: np.ndarray) -> np.ndarray:
 _ROW_BLOCK = 2048  # rows gathered per step of design_rows; a block stays in cache
 
 
-def design_rows(x: np.ndarray | PanelTable, means: np.ndarray, rows=slice(None),
+def design_rows(x: np.ndarray | PanelTable, means: np.ndarray, rows: np.ndarray,
                 order: str = "C") -> np.ndarray:
     """x[rows] with means[rows] appended, copied straight into one array, so
     selecting rows never builds the full matrix first. x is a matrix or a
@@ -251,8 +250,8 @@ def design_rows(x: np.ndarray | PanelTable, means: np.ndarray, rows=slice(None),
     more than a row-major copy.
     """
     panel = isinstance(x, PanelTable)
-    n, p = (x.n_rows, len(x.x_names)) if panel else x.shape
-    rows = np.arange(*rows.indices(n)) if isinstance(rows, slice) else np.asarray(rows)
+    p = len(x.x_names) if panel else x.shape[1]
+    rows = np.asarray(rows)
     out = np.empty((rows.size, p + means.shape[1]), order=order)
     for start in range(0, rows.size, _ROW_BLOCK):
         block = rows[start:start + _ROW_BLOCK]
@@ -330,7 +329,7 @@ class CvRow:
 
 def grid_search_cv(
     problem: PlrProblem,
-    grid: list[HyperParams] | None = None,
+    grid: list[HyperParams],
     k: int = 2,
     seed: int = 0,
 ) -> tuple[HyperParams, list[CvRow]]:
@@ -352,7 +351,6 @@ def grid_search_cv(
     (mse, n_trees, max_depth) so the winner is deterministic; the winner's
     row is the first whose params equal it.
     """
-    grid = DEFAULT_GRID if grid is None else grid
     if not grid:
         raise ConfigError("hyperparameter grid is empty")
     pairs, _ = problem.folds(k, seed)

@@ -421,7 +421,7 @@ def _fit_tree(
     )
 
 
-def gbt_fit(X, y, params: HyperParams | None = None) -> GbtModel:
+def gbt_fit(X, y, params: HyperParams) -> GbtModel:
     """Stagewise least-squares boosting on raw residuals (Friedman 2001).
 
     The model starts at the training mean; each stage fits a depth-limited
@@ -430,7 +430,6 @@ def gbt_fit(X, y, params: HyperParams | None = None) -> GbtModel:
     unscaled; the learning rate is applied at prediction time. X is binned
     once for all stages.
     """
-    params = params or HyperParams()
     params.validate()
     X, y = _as_xy(X, y)
     n = X.shape[0]

@@ -143,14 +143,6 @@ class FundMeta:
 
 
 @dataclass
-class FundFilter:
-    """Metadata screen; None fields impose no constraint."""
-
-    min_aum: float | None = None
-    managed: str | None = None
-
-
-@dataclass
 class PanelTable:
     """Long-form panel, one row per (fund, month) with complete lag window:
     row i is fund units[unit_codes[i]] (the sorted tickers with a row) in
@@ -349,11 +341,11 @@ def _split_pieces(body: str) -> Iterator[tuple[np.ndarray, list[str]]]:
         yield np.diff(ends, prepend=-1), piece.replace("\n", ",").split(",")
 
 
-def load_tscs_csv(path, time_column: str = "date") -> TimeSeriesMatrix:
-    """Load a wide CSV (header row, one time column, one column per series)
+def load_tscs_csv(path) -> TimeSeriesMatrix:
+    """Load a wide CSV (header row, one "date" column, one column per series)
     through `read_numeric_csv`. Empty cells become NaN. Column order follows
     the file."""
-    names, months, values = read_numeric_csv(path, time_column)
+    names, months, values = read_numeric_csv(path, "date")
     return TimeSeriesMatrix(months, names, values)
 
 
@@ -404,11 +396,11 @@ def csv_blocks(header, columns) -> Iterator[str]:
         yield "\n".join(map(",".join, zip(*cells))) + "\n"
 
 
-def write_tscs_csv(matrix: TimeSeriesMatrix, path, time_column: str = "date") -> None:
+def write_tscs_csv(matrix: TimeSeriesMatrix, path) -> None:
     """Inverse of load_tscs_csv: NaN as an empty cell, full-precision floats."""
     values = np.where(np.isnan(matrix.values), None, matrix.values)  # Python floats and None
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.writelines(csv_blocks([time_column, *matrix.columns], [matrix.time_index, *values.T]))
+        fh.writelines(csv_blocks(["date", *matrix.columns], [matrix.time_index, *values.T]))
 
 
 META_COLUMNS = ("ticker", "asset_class", "inception", "aum_musd", "managed")
@@ -460,19 +452,9 @@ def write_fund_meta_csv(catalog: list[FundMeta], path) -> None:
 # Operations
 # ---------------------------------------------------------------------------
 
-def filter_funds(catalog: list[FundMeta], criteria: FundFilter) -> list[FundMeta]:
-    """Subset of the catalog satisfying every criterion, original order kept.
-
-    Thresholds are inclusive (min_aum keeps aum_musd >= min_aum).
-    """
-    out = []
-    for fund in catalog:
-        if criteria.min_aum is not None and fund.aum_musd < criteria.min_aum:
-            continue
-        if criteria.managed is not None and fund.managed != criteria.managed:
-            continue
-        out.append(fund)
-    return out
+def filter_funds(catalog: list[FundMeta], min_aum: float) -> list[FundMeta]:
+    """The funds of the catalog with aum_musd >= min_aum, original order kept."""
+    return [fund for fund in catalog if fund.aum_musd >= min_aum]
 
 
 def to_panel(

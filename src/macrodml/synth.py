@@ -3,8 +3,8 @@ calibration scripts: partially linear problems with known theta, VAR
 processes with known lag order, unit-root benchmark series, Dickey-Fuller
 critical-value simulation, and a full on-disk pipeline fixture.
 
-Every generator is a pure function of its SynthSpec (seed included), so
-repeated calls are bit-identical. Monte Carlo loops stream seeds as
+Every generator is a pure function of its arguments (a seed among them),
+so repeated calls are bit-identical. Monte Carlo loops stream seeds as
 base + replication index, which makes aggregation order-independent.
 """
 
@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,14 +33,11 @@ from .panel_data import (
 )
 
 PLR_KINDS = ("plr_linear", "plr_nonlinear")
-UNIT_ROOT_KINDS = ("random_walk", "white_noise", "ar1")
-KINDS = PLR_KINDS + ("var",) + UNIT_ROOT_KINDS
 
 
 @dataclass
 class SynthSpec:
-    """Recipe for one synthetic draw; `extra` holds kind-specific knobs
-    (VAR coefficient matrices under "coeffs", AR(1) phi under "phi")."""
+    """Recipe for one partially linear draw (`gen_plr`)."""
 
     kind: str = "plr_linear"
     theta_true: float = 0.5
@@ -48,17 +45,16 @@ class SynthSpec:
     k_controls: int = 5
     noise_sd: float = 1.0
     seed: int = 0
-    extra: dict = field(default_factory=dict)
 
     def validate(self) -> None:
-        if self.kind not in KINDS:
-            raise BadKind(f"kind must be one of {KINDS}, got {self.kind!r}")
+        if self.kind not in PLR_KINDS:
+            raise BadKind(f"kind must be one of {PLR_KINDS}, got {self.kind!r}")
         if self.n < 1:
             raise ConfigError("n must be >= 1")
         if self.noise_sd <= 0:
             raise ConfigError("noise_sd must be positive")
         min_k = 3 if self.kind == "plr_nonlinear" else 1
-        if self.kind in PLR_KINDS and self.k_controls < min_k:
+        if self.k_controls < min_k:
             raise ConfigError(f"{self.kind} needs at least {min_k} controls")
 
 
@@ -81,8 +77,6 @@ def gen_plr(spec: SynthSpec) -> tuple[PlrProblem, dict]:
     equation is 1 / (1 + noise_sd^2); it ships in the returned truth dict.
     """
     spec.validate()
-    if spec.kind not in PLR_KINDS:
-        raise BadKind(f"gen_plr requires a PLR kind, got {spec.kind!r}")
     rng = np.random.default_rng(spec.seed)
     n, k = spec.n, spec.k_controls
     X = rng.standard_normal((n, k))
@@ -119,19 +113,17 @@ def companion_spectral_radius(coeffs: list[np.ndarray]) -> float:
 BURN_IN = 200
 
 
-def gen_var(spec: SynthSpec, start_month: str = "2000-01") -> TimeSeriesMatrix:
-    """Simulate a stationary VAR(p): x_t = sum_j A_j x_{t-j} + eps_t.
+def gen_var(coeffs: list[np.ndarray], n: int, seed: int) -> TimeSeriesMatrix:
+    """Simulate n months, from 2000-01, of a stationary VAR(p) with iid
+    standard normal shocks: x_t = sum_j A_j x_{t-j} + eps_t, A_j = coeffs[j - 1].
 
-    Coefficient matrices come from spec.extra["coeffs"]. The recursion runs
-    200 extra steps from zero initial conditions and the transient is
-    discarded, so the first returned row is index 0 of the kept sample.
+    The recursion runs 200 extra steps from zero initial conditions and the
+    transient is discarded, so the first returned row is index 0 of the kept
+    sample.
     """
-    spec.validate()
-    if spec.kind != "var":
-        raise BadKind(f"gen_var requires kind 'var', got {spec.kind!r}")
-    coeffs = [np.asarray(A, dtype=float) for A in spec.extra.get("coeffs", [])]
+    coeffs = [np.asarray(A, dtype=float) for A in coeffs]
     if not coeffs:
-        raise ConfigError("spec.extra['coeffs'] must hold the VAR coefficient matrices")
+        raise ConfigError("coeffs must hold the VAR coefficient matrices")
     K = coeffs[0].shape[0]
     for A in coeffs:
         if A.shape != (K, K):
@@ -140,9 +132,9 @@ def gen_var(spec: SynthSpec, start_month: str = "2000-01") -> TimeSeriesMatrix:
     if radius >= 1.0:
         raise ExplosiveCoefficients(f"companion spectral radius {radius:.4f} >= 1")
     p = len(coeffs)
-    rng = np.random.default_rng(spec.seed)
-    total = spec.n + BURN_IN
-    eps = spec.noise_sd * rng.standard_normal((total, K))
+    rng = np.random.default_rng(seed)
+    total = n + BURN_IN
+    eps = rng.standard_normal((total, K))
     X = np.zeros((total + p, K))
     for t in range(total):
         row = eps[t].copy()
@@ -150,31 +142,28 @@ def gen_var(spec: SynthSpec, start_month: str = "2000-01") -> TimeSeriesMatrix:
             row += A @ X[p + t - j]
         X[p + t] = row
     names = [f"v{j + 1}" for j in range(K)]
-    return TimeSeriesMatrix(month_range(start_month, spec.n), names, X[p + BURN_IN :])
+    return TimeSeriesMatrix(month_range("2000-01", n), names, X[p + BURN_IN :])
 
 
-def gen_unit_root(spec: SynthSpec) -> np.ndarray:
-    """Benchmark series for the unit-root screen.
+def gen_unit_root(kind: str, n: int, seed: int, phi: float = 0.5) -> np.ndarray:
+    """Benchmark series for the unit-root screen, iid standard normal shocks.
 
     random_walk: y_t = y_{t-1} + e_t with y_0 = 0 included, so the first
     difference is exactly the innovation sequence; ar1: y_t = phi y_{t-1} +
     e_t from y_0 = 0 with |phi| < 1; white_noise: iid Gaussian.
     """
-    spec.validate()
-    if spec.kind not in UNIT_ROOT_KINDS:
-        raise BadKind(f"gen_unit_root requires one of {UNIT_ROOT_KINDS}, got {spec.kind!r}")
-    rng = np.random.default_rng(spec.seed)
-    n, sigma = spec.n, spec.noise_sd
-    if spec.kind == "white_noise":
-        return sigma * rng.standard_normal(n)
-    if spec.kind == "random_walk":
+    rng = np.random.default_rng(seed)
+    if kind == "white_noise":
+        return rng.standard_normal(n)
+    if kind == "random_walk":
         y = np.zeros(n)
-        y[1:] = np.cumsum(sigma * rng.standard_normal(n - 1))
+        y[1:] = np.cumsum(rng.standard_normal(n - 1))
         return y
-    phi = float(spec.extra.get("phi", 0.5))
+    if kind != "ar1":
+        raise BadKind(f"kind must be white_noise, random_walk or ar1, got {kind!r}")
     if abs(phi) >= 1.0:
         raise BadPhi(f"ar1 requires |phi| < 1, got {phi}")
-    eps = sigma * rng.standard_normal(n)
+    eps = rng.standard_normal(n)
     y = np.empty(n)
     prev = 0.0
     for t in range(n):
@@ -227,54 +216,37 @@ def df_critical_values(n: int, reps: int = 100_000, seed: int = 0) -> dict[str, 
     return {"1%": float(q[0]), "5%": float(q[1]), "10%": float(q[2])}
 
 
-def gen_pipeline_fixture(
-    out_dir,
-    seed: int = 0,
-    n_funds: int = 16,
-    n_months: int = 500,
-    theta: float = -8.0,
-    n_controls: int = 3,
-    noise_y: float = 1.0,
-    noise_d: float = 1.0,
-    fund_effect_sd: float = 0.5,
-    include_junk: bool = True,
-    start_month: str = "1980-01",
-) -> dict:
-    """Write a complete synthetic input set (macro.csv, funds.csv, meta.csv).
+def gen_pipeline_fixture(out_dir, seed: int = 0, n_funds: int = 16, n_months: int = 500) -> dict:
+    """Write a complete synthetic input set (macro.csv, funds.csv, meta.csv)
+    on n_months months from 1980-01.
 
     Macro columns are stored as levels whose first differences recover the
     generated stationary growth series, so the pipeline's differencing step
-    is exercised for real. The treatment growth is confounded with the
+    is exercised for real. The treatment growth is confounded with three
     control growths (d = X a + v); fund returns are
 
-        y_{f,t} = theta * d_t + X_t b + alpha_f + eps_{f,t}.
+        y_{f,t} = -8.0 * d_t + X_t b + alpha_f + eps_{f,t},
 
-    With `include_junk` one macro column is a cumulated random walk, which
-    stays non-stationary after differencing and must be dropped by the
-    screen. Two extra funds with tiny AUM are included to exercise catalog
-    filtering. Returns paths plus the ground truth needed by tests.
+    with v and eps standard normal and fund effects alpha_f normal with sd 0.5.
+    One more macro column, junk_rw, is a cumulated random walk, which stays
+    non-stationary after differencing and must be dropped by the screen. Two
+    extra funds with tiny AUM are included to exercise catalog filtering.
+    Returns the paths plus the ground truth tests need.
     """
     rng = np.random.default_rng(seed)
-    months = month_range(start_month, n_months)
-    k = n_controls
-    X = rng.standard_normal((n_months, k))
-    a, b = _plr_weights(k)
-    d = X @ a + noise_d * rng.standard_normal(n_months)
-    base = theta * d + X @ b
+    months = month_range("1980-01", n_months)
+    X = rng.standard_normal((n_months, 3))
+    a, b = _plr_weights(3)
+    d = X @ a + rng.standard_normal(n_months)
+    base = -8.0 * d + X @ b
 
     tickers = [f"F{str(i + 1).zfill(3)}" for i in range(n_funds)]
-    alpha = fund_effect_sd * rng.standard_normal(n_funds)
-    returns = (
-        base[:, None]
-        + alpha[None, :]
-        + noise_y * rng.standard_normal((n_months, n_funds))
-    )
+    alpha = 0.5 * rng.standard_normal(n_funds)
+    returns = base[:, None] + alpha[None, :] + rng.standard_normal((n_months, n_funds))
 
-    macro_names = ["policy_rate"] + [f"ctrl{j + 1}" for j in range(k)]
-    level_cols = [100.0 + np.cumsum(d)] + [10.0 + np.cumsum(X[:, j]) for j in range(k)]
-    if include_junk:
-        macro_names.append("junk_rw")
-        level_cols.append(np.cumsum(np.cumsum(rng.standard_normal(n_months))))
+    macro_names = ["policy_rate", "ctrl1", "ctrl2", "ctrl3", "junk_rw"]
+    level_cols = [100.0 + np.cumsum(d)] + [10.0 + np.cumsum(X[:, j]) for j in range(3)]
+    level_cols.append(np.cumsum(np.cumsum(rng.standard_normal(n_months))))
     macro = TimeSeriesMatrix(months, macro_names, np.column_stack(level_cols))
 
     funds = TimeSeriesMatrix(months, tickers, returns)
@@ -298,10 +270,7 @@ def gen_pipeline_fixture(
         "macro_csv": macro_path,
         "funds_csv": funds_path,
         "meta_csv": meta_path,
-        "theta": theta,
         "d_growth": d,
-        "x_growth": X,
-        "months": months,
         "tickers": tickers,
         "macro_names": macro_names,
     }

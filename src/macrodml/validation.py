@@ -155,10 +155,9 @@ def _adf_size_power(seed: int, reps: int) -> tuple[str, bool]:
     size_hits = 0
     power_hits = 0
     for i in range(reps):
-        walk = gen_unit_root(SynthSpec(kind="random_walk", n=500, seed=seed + i))
+        walk = gen_unit_root("random_walk", 500, seed + i)
         size_hits += adf_test(walk, level="5%").stationary
-        ar = gen_unit_root(SynthSpec(kind="ar1", n=500, seed=seed + i,
-                                     extra={"phi": 0.5}))
+        ar = gen_unit_root("ar1", 500, seed + i, phi=0.5)
         power_hits += adf_test(ar, level="5%").stationary
     size = size_hits / reps
     power = power_hits / reps
@@ -175,8 +174,7 @@ def _lag_recovery(seed: int, reps: int) -> tuple[str, bool]:
     ]
     hits = 0
     for i in range(reps):
-        mat = gen_var(SynthSpec(kind="var", n=400, seed=seed + i,
-                                extra={"coeffs": coeffs}))
+        mat = gen_var(coeffs, 400, seed + i)
         hits += select_lag_var_aic(mat, 8) == 2
     return f"selected p=2 in {hits}/{reps} runs", hits / reps >= 0.90
 

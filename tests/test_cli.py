@@ -71,9 +71,9 @@ def test_full_run_recovers_true_effect(full_run):
 def test_full_run_manifest_contents(full_run):
     manifest = read_manifest(full_run["out"])
     assert manifest["flags"]["lag_used"] == 7
-    # constants of the one cross-fitting path and the one ADF regression are not flags
-    assert not {"dml_variant", "mode", "unit_y_mean_encoding", "means_refit_per_fold",
-                "unit_x_means_encoding", "fold_mode", "adf_regression"} & set(manifest["flags"])
+    # every config value sits once, under "config"; constants of the one
+    # cross-fitting path and the one ADF regression are not flags
+    assert set(manifest["flags"]) == {"lag_used"}
     assert set(manifest["config"]) == set(PipelineConfig.__dataclass_fields__)
     assert manifest["panel"]["units"] == 16
     assert manifest["panel"]["dropped_nonstationary"] == ["junk_rw"]
@@ -132,7 +132,7 @@ def test_run_and_run_dml_hold_one_blas_thread_and_give_the_count_back(small_fx, 
                             lambda *a, real=real, **kw: seen.append(get()) or real(*a, **kw))
     assert main(run_args(fx, tmp_path / "o", "--learner", "linear", "--lag", "2")) == EXIT_OK
     # the two input reads, one fit a fold, one printer a table
-    assert seen == [1] * (2 + 2 + 8)
+    assert seen == [1] * (2 + 2 + 7)
     assert get() == caller
     seen.clear()
     rng = np.random.default_rng(0)
@@ -151,7 +151,7 @@ def test_manifest_records_versions(full_run):
 
 def test_full_run_writes_all_tables(full_run):
     expected = {
-        "adf_screen.csv", "corr.csv", "pca.csv", "results.csv", "per_1pct.csv",
+        "adf_screen.csv", "corr.csv", "pca.csv", "results.csv",
         "r2.csv", "residuals.csv", "nuisance_residuals.csv", "manifest.json",
     }
     assert expected <= set(os.listdir(full_run["out"]))
@@ -379,8 +379,29 @@ def test_screened_treatment_exits_data_without_outputs(small_fx, tmp_path, capsy
     out = tmp_path / "o"
     rc = main(run_args(fx, out, "--treatment", "junk_rw", "--learner", "linear"))
     assert rc == EXIT_DATA
-    assert "stationarity" in capsys.readouterr().err
+    assert capsys.readouterr().err == (
+        "code=2 error=DataError message=treatment 'junk_rw' failed the stationarity screen\n")
     assert not out.exists()  # staged writes mean failures leave nothing behind
+
+
+def test_the_aum_floor_keeps_the_funds_at_it(small_fx, tmp_path, capsys):
+    """Every fixture fund holds 100.0: a min_aum of 100.0 keeps all four, one of
+    100.5 leaves none and exits data."""
+    _, fx = small_fx
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"min_aum": 100.0}))
+    out = tmp_path / "kept"
+    assert main(run_args(fx, out, "--config", str(config), "--learner", "linear",
+                         "--lag", "2")) == EXIT_OK
+    assert read_manifest(out)["panel"]["units"] == 4
+    capsys.readouterr()
+    config.write_text(json.dumps({"min_aum": 100.5}))
+    out = tmp_path / "none"
+    assert main(run_args(fx, out, "--config", str(config), "--learner", "linear",
+                         "--lag", "2")) == EXIT_DATA
+    assert capsys.readouterr().err == (
+        "code=2 error=DataError message=no funds left after metadata filtering\n")
+    assert not out.exists()
 
 
 def test_missing_config_file_exits_config(tmp_path, capsys):

@@ -415,7 +415,7 @@ def test_encode_features_shapes():
     n, p = problem.x.shape
     with_y = encode_features(problem, np.ones(n, dtype=bool))
     assert with_y.shape == (n, 1)
-    assert design_rows(problem.x, with_y).shape == (n, p + 1)
+    assert design_rows(problem.x, with_y, np.arange(n)).shape == (n, p + 1)
     # the y-mean column is the per-unit outcome mean
     unit0 = problem.unit_codes == problem.unit_codes[0]
     assert np.allclose(with_y[unit0, -1], problem.y[unit0].mean())
@@ -425,14 +425,15 @@ def test_design_rows_copies_the_rows_of_the_joined_matrix():
     problem = _panel_problem()
     means = encode_features(problem, np.arange(problem.n_obs) % 3 > 0)
     joined = np.hstack([problem.x, means])
-    for rows in (np.array([5, 0, 179, 5]), np.arange(0, problem.n_obs, 2), slice(None)):
+    for rows in (np.array([5, 0, 179, 5]), np.arange(0, problem.n_obs, 2),
+                 np.arange(problem.n_obs)):
         got = design_rows(problem.x, means, rows)
         assert got.flags.c_contiguous
         assert np.array_equal(got.view(np.uint64), joined[rows].view(np.uint64))
         got = design_rows(problem.x, means, rows, order="F")
         assert got.flags.f_contiguous
         assert np.array_equal(got.view(np.uint64), joined[rows].view(np.uint64))
-    assert design_rows(problem.x, means[:, :0], slice(3)).shape == (3, problem.x.shape[1])
+    assert design_rows(problem.x, means[:, :0], np.arange(3)).shape == (3, problem.x.shape[1])
 
 
 @pytest.mark.parametrize("order", ["C", "F"])

@@ -712,7 +712,7 @@ def test_grid_tie_prefers_smaller_model(rng):
 def test_grid_table_matches_separate_fits(rng):
     X = rng.standard_normal((240, 3))
     y = np.sin(2.0 * X[:, 0]) + X[:, 1] + 0.3 * rng.standard_normal(240)
-    best, table = grid_search_cv(_problem(X, y), k=2, seed=3)
+    best, table = grid_search_cv(_problem(X, y), DEFAULT_GRID, k=2, seed=3)
     pairs = _problem(X, y).folds(2, seed=3)[0]
     for params, row in zip(DEFAULT_GRID, table):
         preds = [predict(gbt_fit(X[tr], y[tr], params), X[te]) for tr, te in pairs]
@@ -749,7 +749,8 @@ def test_grid_fits_largest_of_each_n_trees_group_once_per_fold(rng, monkeypatch)
         return gbt_fit(X, y, params)
 
     monkeypatch.setattr(dml, "gbt_fit", counting_fit)
-    grid_search_cv(_problem(rng.standard_normal((80, 2)), rng.standard_normal(80)), k=2)
+    grid_search_cv(_problem(rng.standard_normal((80, 2)), rng.standard_normal(80)),
+                   DEFAULT_GRID, k=2)
     assert sorted(fitted) == [200] * 8  # 4 (depth, rate) groups x 2 folds
 
 
@@ -777,7 +778,8 @@ def test_grid_reraises_an_error_that_is_not_the_packages(rng, monkeypatch):
 
     monkeypatch.setattr(dml, "gbt_fit", fit)
     with pytest.raises(MemoryError):
-        grid_search_cv(_problem(rng.standard_normal((80, 2)), rng.standard_normal(80)), k=2)
+        grid_search_cv(_problem(rng.standard_normal((80, 2)), rng.standard_normal(80)),
+                       DEFAULT_GRID, k=2)
 
 
 def test_grid_from_json_round_trip():

@@ -17,7 +17,6 @@ from macrodml.errors import (
 from macrodml import panel_data
 from macrodml.panel_data import (
     IO_BLOCK,
-    FundFilter,
     FundMeta,
     PanelTable,
     TimeSeriesMatrix,
@@ -377,29 +376,20 @@ def _catalog():
 
 
 def test_min_aum_is_inclusive():
-    kept = filter_funds(_catalog(), FundFilter(min_aum=20.0))
+    kept = filter_funds(_catalog(), 20.0)
     assert [m.ticker for m in kept] == ["A", "B", "D", "E"]
 
 
 def test_filter_cascade_is_monotone():
-    # applying criteria one after another only ever shrinks the catalog
+    # raising the AUM floor step by step only ever shrinks the catalog
     catalog = _catalog()
-    stages = [
-        FundFilter(),
-        FundFilter(managed="Active"),
-        FundFilter(managed="Active", min_aum=20.0),
-        FundFilter(managed="Active", min_aum=100.0),
-        FundFilter(managed="Active", min_aum=200.0),
-    ]
-    sizes = [len(filter_funds(catalog, f)) for f in stages]
-    assert sizes == [5, 4, 3, 2, 1]
-    assert sizes == sorted(sizes, reverse=True)
+    sizes = [len(filter_funds(catalog, floor)) for floor in (0.0, 20.0, 80.0, 100.0, 200.0, 1e3)]
+    assert sizes == [5, 4, 3, 2, 1, 0]
 
 
 def test_filter_idempotent():
-    crit = FundFilter(min_aum=20.0, managed="Active")
-    once = filter_funds(_catalog(), crit)
-    assert filter_funds(once, crit) == once
+    once = filter_funds(_catalog(), 20.0)
+    assert filter_funds(once, 20.0) == once
 
 
 # ---------------------------------------------------------------------------

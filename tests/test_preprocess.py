@@ -26,7 +26,7 @@ from macrodml.preprocess import (
     screen_stationarity,
     select_lag_var_aic,
 )
-from macrodml.synth import SynthSpec, gen_unit_root, gen_var
+from macrodml.synth import gen_unit_root, gen_var
 
 from conftest import make_tsm, panel_x
 
@@ -61,7 +61,7 @@ def test_schwert_lag_values():
 
 
 def test_adf_affine_invariance(rng):
-    y = gen_unit_root(SynthSpec(kind="white_noise", n=200, seed=3))
+    y = gen_unit_root("white_noise", 200, 3)
     base = adf_test(y)
     scaled = adf_test(2.5 * y + 7.0)
     assert abs(base.statistic - scaled.statistic) < 1e-9
@@ -85,29 +85,29 @@ def test_adf_constant_series_is_singular():
 
 
 def test_adf_white_noise_rejects_unit_root():
-    y = gen_unit_root(SynthSpec(kind="white_noise", n=500, seed=0))
+    y = gen_unit_root("white_noise", 500, 0)
     report = adf_test(y)
     assert report.stationary
     assert report.statistic < report.critical_values["5%"]
 
 
 def test_adf_random_walk_keeps_unit_root():
-    y = gen_unit_root(SynthSpec(kind="random_walk", n=500, seed=0))
+    y = gen_unit_root("random_walk", 500, 0)
     report = adf_test(y)
     assert not report.stationary
 
 
 def test_adf_auto_lag_is_schwert_capped():
-    y = gen_unit_root(SynthSpec(kind="white_noise", n=500, seed=1))
+    y = gen_unit_root("white_noise", 500, 1)
     assert adf_test(y).lag_order == schwert_lag(500)
-    short = gen_unit_root(SynthSpec(kind="white_noise", n=24, seed=1))
+    short = gen_unit_root("white_noise", 24, 1)
     assert adf_test(short).lag_order == min(schwert_lag(24), (24 - 4) // 2) == 8
 
 
 def test_adf_rejects_short_series_and_bad_lag():
     with pytest.raises(TooShort):
         adf_test(np.arange(10.0))
-    y = gen_unit_root(SynthSpec(kind="white_noise", n=30, seed=0))
+    y = gen_unit_root("white_noise", 30, 0)
     with pytest.raises(TooShort):
         adf_test(y, max_lag=14)
     with pytest.raises(ValueError):
@@ -117,7 +117,7 @@ def test_adf_rejects_short_series_and_bad_lag():
 
 
 def test_adf_manual_lag_zero_matches_direct_regression():
-    y = gen_unit_root(SynthSpec(kind="white_noise", n=120, seed=5))
+    y = gen_unit_root("white_noise", 120, 5)
     dy = np.diff(y)
     for k in (0, 3):
         report = adf_test(y, max_lag=k)
@@ -163,9 +163,9 @@ def test_critical_values_exact_at_knots():
 # ---------------------------------------------------------------------------
 
 def _mixed_matrix():
-    noise = gen_unit_root(SynthSpec(kind="white_noise", n=500, seed=11))
-    walk = gen_unit_root(SynthSpec(kind="random_walk", n=500, seed=11))
-    ar = gen_unit_root(SynthSpec(kind="ar1", n=500, seed=12, extra={"phi": 0.5}))
+    noise = gen_unit_root("white_noise", 500, 11)
+    walk = gen_unit_root("random_walk", 500, 11)
+    ar = gen_unit_root("ar1", 500, 12, phi=0.5)
     return make_tsm(np.column_stack([noise, walk, ar]), names=["noise", "walk", "ar"])
 
 
@@ -216,12 +216,12 @@ VAR2_COEFFS = [
 
 
 def test_select_lag_pmax1_returns_1():
-    mat = gen_var(SynthSpec(kind="var", n=200, seed=0, extra={"coeffs": VAR2_COEFFS}))
+    mat = gen_var(VAR2_COEFFS, 200, 0)
     assert select_lag_var_aic(mat, 1) == 1
 
 
 def test_select_lag_recovers_var2():
-    mat = gen_var(SynthSpec(kind="var", n=400, seed=0, extra={"coeffs": VAR2_COEFFS}))
+    mat = gen_var(VAR2_COEFFS, 400, 0)
     assert select_lag_var_aic(mat, 8) == 2
 
 
@@ -244,8 +244,7 @@ def test_select_lag_matches_an_lstsq_reference(seed):
     """Each candidate's fit through ols_fit picks the lag a least-squares
     solver of another kind picks, on VAR(2) draws short enough that AIC
     does not always find 2."""
-    mat = gen_var(SynthSpec(kind="var", n=60 + 40 * seed, seed=seed,
-                            extra={"coeffs": VAR2_COEFFS}))
+    mat = gen_var(VAR2_COEFFS, 60 + 40 * seed, seed)
     assert select_lag_var_aic(mat, 6) == _lstsq_aic_lag(mat.values, 6)
 
 

@@ -48,9 +48,7 @@ def test_generators_reject_wrong_kind():
     with pytest.raises(BadKind):
         gen_plr(SynthSpec(kind="random_walk"))
     with pytest.raises(BadKind):
-        gen_var(SynthSpec(kind="plr_linear"))
-    with pytest.raises(BadKind):
-        gen_unit_root(SynthSpec(kind="var"))
+        gen_unit_root("plr_linear", 100, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -92,8 +90,8 @@ def test_gen_plr_linear_relation_holds_exactly():
 
 def test_random_walk_starts_at_zero_and_diffs_to_innovations():
     n = 400
-    walk = gen_unit_root(SynthSpec(kind="random_walk", n=n, seed=21))
-    noise = gen_unit_root(SynthSpec(kind="white_noise", n=n, seed=21))
+    walk = gen_unit_root("random_walk", n, 21)
+    noise = gen_unit_root("white_noise", n, 21)
     assert walk[0] == 0.0
     # both kinds consume the same leading stream, so the diffs must match
     assert np.allclose(np.diff(walk), noise[: n - 1], atol=1e-12)
@@ -104,19 +102,17 @@ def test_ar1_variance_ordering():
     # Var = sigma^2 / (1 - phi^2): near-unit-root series are far wider
     wins = 0
     for seed in range(100):
-        slow = gen_unit_root(SynthSpec(kind="ar1", n=300, seed=seed,
-                                       extra={"phi": 0.99}))
-        fast = gen_unit_root(SynthSpec(kind="ar1", n=300, seed=seed,
-                                       extra={"phi": 0.2}))
+        slow = gen_unit_root("ar1", 300, seed, phi=0.99)
+        fast = gen_unit_root("ar1", 300, seed, phi=0.2)
         wins += slow.var() > fast.var()
     assert wins >= 95
 
 
 def test_ar1_rejects_unit_phi():
     with pytest.raises(BadPhi):
-        gen_unit_root(SynthSpec(kind="ar1", n=100, extra={"phi": 1.0}))
+        gen_unit_root("ar1", 100, 0, phi=1.0)
     with pytest.raises(BadPhi):
-        gen_unit_root(SynthSpec(kind="ar1", n=100, extra={"phi": -1.3}))
+        gen_unit_root("ar1", 100, 0, phi=-1.3)
 
 
 # ---------------------------------------------------------------------------
@@ -130,18 +126,16 @@ def test_companion_radius_hand_values():
 
 
 def test_gen_var_shape_and_determinism():
-    spec = SynthSpec(kind="var", n=150, seed=5, extra={"coeffs": VAR2_COEFFS})
-    mat = gen_var(spec)
+    mat = gen_var(VAR2_COEFFS, 150, 5)
     assert (mat.n_months, len(mat.columns)) == (150, 2)
     assert mat.columns == ["v1", "v2"]
     assert mat.time_index[0] == "2000-01"
-    again = gen_var(spec)
+    again = gen_var(VAR2_COEFFS, 150, 5)
     assert np.array_equal(mat.values, again.values)
 
 
 def test_gen_var_zero_coeffs_is_white_noise():
-    spec = SynthSpec(kind="var", n=800, seed=6, extra={"coeffs": [np.zeros((2, 2))]})
-    mat = gen_var(spec)
+    mat = gen_var([np.zeros((2, 2))], 800, 6)
     for j in range(2):
         col = mat.values[:, j]
         rho1 = np.corrcoef(col[:-1], col[1:])[0, 1]
@@ -153,8 +147,7 @@ def test_gen_var_stationary_mean_near_zero():
     # seeds they are iid, so a plain CLT bound on their average is valid
     reps = 100
     means = np.array([
-        gen_var(SynthSpec(kind="var", n=300, seed=7_000 + i,
-                          extra={"coeffs": VAR2_COEFFS})).values.mean(axis=0)
+        gen_var(VAR2_COEFFS, 300, 7_000 + i).values.mean(axis=0)
         for i in range(reps)
     ])
     for j in range(2):
@@ -164,16 +157,15 @@ def test_gen_var_stationary_mean_near_zero():
 
 def test_gen_var_rejects_explosive_and_missing_coeffs():
     with pytest.raises(ExplosiveCoefficients):
-        gen_var(SynthSpec(kind="var", n=50,
-                          extra={"coeffs": [np.array([[1.01, 0.0], [0.0, 0.5]])]}))
+        gen_var([np.array([[1.01, 0.0], [0.0, 0.5]])], 50, 0)
     with pytest.raises(ConfigError):
-        gen_var(SynthSpec(kind="var", n=50))
+        gen_var([], 50, 0)
     with pytest.raises(ConfigError):
-        gen_var(SynthSpec(kind="var", n=50, extra={"coeffs": [np.ones((2, 3))]}))
+        gen_var([np.ones((2, 3))], 50, 0)
 
 
 def test_gen_var_round_trips_through_csv(tmp_path):
-    mat = gen_var(SynthSpec(kind="var", n=40, seed=8, extra={"coeffs": VAR2_COEFFS}))
+    mat = gen_var(VAR2_COEFFS, 40, 8)
     path = tmp_path / "var.csv"
     write_tscs_csv(mat, path)
     back = load_tscs_csv(path)
