@@ -332,7 +332,7 @@ def run_pipeline(config: PipelineConfig) -> dict:
         "flags": {"lag_used": lag},
         "panel": {
             "rows": panel.n_rows,
-            "units": problem.n_units,
+            "units": len(panel.units),
             "x_width": len(panel.x_names),
             # distinct months with a row: the clusters of a month-clustered SE
             "months": int(np.count_nonzero(np.bincount(panel.month_codes))),

@@ -56,6 +56,8 @@ class LearnerSpec:
     def validate(self) -> None:
         if self.kind not in LEARNER_KINDS:
             raise BadKind(f"learner kind must be one of {LEARNER_KINDS}, got {self.kind!r}")
+        if self.kind == "boosted" and self.params is None:
+            raise ConfigError("a boosted learner needs its params")
 
 
 @dataclass
@@ -63,18 +65,13 @@ class PlrProblem:
     """One partially linear regression problem, optionally panel-aware.
 
     x is the (n, p) control matrix, or for a panel the PanelTable whose rows
-    `design_rows` gathers, so a panel's x is never held whole. unit_codes
-    gives each row's unit as an integer 0, 1, ..., n_units - 1 (a panel's
-    fund codes), so per-fold encoding groups rows by integers; month_codes
-    gives each row's month the same way.
+    `design_rows` gathers, so a panel's x is never held whole; the panel
+    alone holds each row's fund and month (its unit and month codes).
     """
 
     y: np.ndarray
     d: np.ndarray
     x: np.ndarray | PanelTable
-    unit_codes: np.ndarray | None = None
-    month_codes: np.ndarray | None = None
-    n_units: int = field(init=False, default=0, compare=False)
 
     def __post_init__(self) -> None:
         self.y = np.asarray(self.y, dtype=float)
@@ -89,18 +86,10 @@ class PlrProblem:
             n_x = self.x.shape[0]
         if self.d.size != n or n_x != n:
             raise LengthMismatch("y, d, and x must have the same number of rows")
-        for name in ("unit_codes", "month_codes"):
-            if getattr(self, name) is not None:
-                codes = np.asarray(getattr(self, name), dtype=np.intp)
-                if codes.size != n:
-                    raise LengthMismatch(f"{name} must match the number of rows")
-                setattr(self, name, codes)
         # a panel's unused lag slots hold NaN; to_panel keeps only its finite rows
         for name in ("y", "d") if isinstance(self.x, PanelTable) else ("y", "d", "x"):
             if not np.isfinite(getattr(self, name)).all():
                 raise DataError(f"{name} holds a non-finite value")
-        if self.unit_codes is not None:
-            self.n_units = int(self.unit_codes.max()) + 1 if n else 0
         if n and np.ptp(self.d) == 0.0:
             raise DegenerateTreatment("treatment is constant across rows")
 
@@ -128,18 +117,18 @@ class PlrProblem:
     def fold_design(self, train):
         """(rows, order) -> those rows of the design of the fold
         whose training rows are `train`, copied in that memory order: x
-        itself, or, for a problem with unit codes, x joined with the unit
-        outcome means of the `train` rows (see `design_rows`)."""
-        if self.unit_codes is None:
-            means = np.empty((self.n_obs, 0))
-        else:
+        itself, or, for a panel, x joined with the fund outcome means of the
+        `train` rows (see `design_rows`)."""
+        if isinstance(self.x, PanelTable):
             means = encode_features(self, train)
+        else:
+            means = np.empty((self.n_obs, 0))
         return functools.partial(design_rows, self.x, means)
 
 
 def problem_from_panel(panel: PanelTable) -> PlrProblem:
-    """The panel's arrays and codes, shared, not copied; x is the panel itself."""
-    return PlrProblem(panel.y, panel.d, panel, panel.unit_codes, panel.month_codes)
+    """The panel's arrays, shared, not copied; x is the panel itself."""
+    return PlrProblem(panel.y, panel.d, panel)
 
 
 @dataclass
@@ -220,20 +209,20 @@ def staged_oof(problem: PlrProblem, pairs, task: str, params: HyperParams,
 
 
 def encode_features(problem: PlrProblem, train: np.ndarray) -> np.ndarray:
-    """Each row's unit mean of the outcome over the `train` rows, a sorted
-    index array (target encoding of the unit id, a fixed-effect proxy), as
+    """Each row's fund mean of the outcome over the `train` rows, a sorted
+    index array (target encoding of the fund id, a fixed-effect proxy), as
     the (n, 1) block that `design_rows` appends to x.
 
-    Units are grouped by the problem's integer unit codes. A unit with no
-    training row gets the mean of all training rows; `train` must hold at
+    Rows are grouped by the unit codes of the problem's panel x. A fund with
+    no training row gets the mean of all training rows; `train` must hold at
     least one row (a fold complement always does).
     """
-    codes = problem.unit_codes
-    train_codes, train_y = codes[train], problem.y[train]
-    counts = np.bincount(train_codes, minlength=problem.n_units)
-    sums = np.bincount(train_codes, weights=train_y, minlength=problem.n_units)
+    panel = problem.x
+    train_codes, train_y = panel.unit_codes[train], problem.y[train]
+    counts = np.bincount(train_codes, minlength=len(panel.units))
+    sums = np.bincount(train_codes, weights=train_y, minlength=len(panel.units))
     means = np.where(counts > 0, sums / np.maximum(counts, 1), train_y.mean())
-    return means[codes][:, None]
+    return means[panel.unit_codes][:, None]
 
 
 _ROW_BLOCK = 2048  # rows gathered per step of design_rows; a block stays in cache
@@ -274,10 +263,10 @@ def cross_fit_nuisance(
     """Fit both nuisances with K-fold cross-fitting over rows.
 
     Every row is predicted by models trained on the complement of its fold.
-    For problems with unit codes the unit outcome means are recomputed inside
-    each training complement, so held-out rows never leak into the means
-    they receive; the fold's training and test rows are copied straight from
-    x (for a panel, its month table and fund returns) and that column
+    For a panel the fund outcome means are recomputed inside each training
+    complement, so held-out rows never leak into the means they receive;
+    the fold's training and test rows are copied straight from x (for a
+    panel, its month table and fund returns) and that column
     (`PlrProblem.fold_design`). The stored r2_y/r2_d are `learners.r2` of
     the pooled out-of-fold predictions, so a constant target raises
     ConstantTarget.
@@ -302,7 +291,7 @@ def cross_fit_nuisance(
         del targets["y"]
     pairs, fold_of = problem.folds(k, seed)
     if learner.kind == "boosted":
-        params = learner.params or HyperParams()
+        params = learner.params
         for task in targets:
             preds[task] = staged_oof(problem, pairs, task, params, [params.n_trees])[params.n_trees]
     else:

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
+    ConfigError,
     DataError,
     DuplicateColumn,
     IndexMismatch,
@@ -477,7 +478,7 @@ def to_panel(
     keeps it as a month table and the fund returns; `x_rows` gathers its rows.
     """
     if lag_order < 0:
-        raise ValueError("lag_order must be >= 0")
+        raise ConfigError("lag_order must be >= 0")
     if macro.time_index != funds.time_index:
         raise IndexMismatch("funds and macro must share the time index")
     if treatment_name not in macro.columns:

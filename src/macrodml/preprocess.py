@@ -12,6 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
+    ConfigError,
     ConstantColumn,
     DataError,
     InsufficientData,
@@ -116,7 +117,7 @@ def adf_test(series, level: str = "5%", max_lag="auto") -> AdfReport:
     SingularCovariance on an exact fit, whose t-ratio is undefined.
     """
     if level not in ADF_LEVELS:
-        raise ValueError(f"level must be one of {ADF_LEVELS}")
+        raise ConfigError(f"level must be one of {ADF_LEVELS}")
     y = np.asarray(series, dtype=float)
     n = int(y.size)
     if n < 20:
@@ -127,7 +128,7 @@ def adf_test(series, level: str = "5%", max_lag="auto") -> AdfReport:
     else:
         k = int(max_lag)
         if k < 0:
-            raise ValueError("max_lag must be >= 0")
+            raise ConfigError("max_lag must be >= 0")
         if k > cap:
             raise TooShort(f"max_lag {k} leaves no degrees of freedom at n={n}")
 
@@ -187,7 +188,7 @@ def select_lag_var_aic(vars: TimeSeriesMatrix, p_max: int) -> int:
     E'E / (T_eff - (K p + 1)). Ties break toward the smaller lag.
     """
     if p_max < 1:
-        raise ValueError("p_max must be >= 1")
+        raise ConfigError("p_max must be >= 1")
     X = vars.values
     if not np.all(np.isfinite(X)):
         raise InsufficientData("lag selection requires a complete (no-missing) matrix")

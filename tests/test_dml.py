@@ -89,10 +89,6 @@ def test_problem_validates_shapes():
         PlrProblem(np.zeros(3), np.zeros(4), np.zeros((3, 1)))
     with pytest.raises(DegenerateTreatment):
         PlrProblem(np.arange(3.0), np.ones(3), np.zeros((3, 1)))
-    with pytest.raises(LengthMismatch):
-        PlrProblem(np.arange(3.0), np.arange(3.0), np.zeros((3, 1)), unit_codes=[0])
-    with pytest.raises(LengthMismatch):
-        PlrProblem(np.arange(3.0), np.arange(3.0), np.zeros((3, 1)), month_codes=[0, 1])
     # a non-finite value is bad data, named, not a numerical failure later
     with pytest.raises(DataError, match="^y holds a non-finite value"):
         PlrProblem([0.0, np.nan, 2.0], np.arange(3.0), np.zeros((3, 1)))
@@ -107,10 +103,9 @@ def test_problem_from_panel_carries_units():
                        np.array([1.0, 2.0]), np.array([0.0, 1.0]),
                        np.zeros((1, 1)), np.zeros((1, 2)), ["x1"], 0)
     problem = problem_from_panel(panel)
-    assert problem.unit_codes is panel.unit_codes
-    assert problem.month_codes is panel.month_codes
-    assert problem.x is panel
-    assert problem.n_units == 2
+    assert problem.x is panel and problem.y is panel.y and problem.d is panel.d
+    # the fold designs append each fund's outcome mean, read from the panel's codes
+    assert np.array_equal(encode_features(problem, np.arange(2)), [[1.0], [2.0]])
 
 
 # ---------------------------------------------------------------------------
@@ -307,17 +302,15 @@ def test_an_error_that_is_not_the_packages_leaves_a_fold_as_raised(monkeypatch, 
 
 def test_the_fold_plan_is_the_one_place_folds_are_decided(monkeypatch):
     """Tuning and cross-fitting both take their folds from PlrProblem.folds:
-    given another partition there (whole months per fold), the tuned
+    given another partition there (by the panel's month codes), the tuned
     winner's out-of-fold predictions are still the cross-fit's g_hat, and
     each row's fold is the patched one."""
-    base = _panel_problem()
-    months = np.tile(np.arange(30), 6)
-    problem = PlrProblem(base.y, base.d, base.x, unit_codes=base.unit_codes, month_codes=months)
-    month_fold = (months % 3).astype(np.int64)
+    problem = _panel_problem()
+    month_fold = (problem.x.month_codes % 3).astype(np.int64)
     assert not np.array_equal(month_fold, problem.folds(3, 1)[1])
 
     def month_folds(self, k, seed=0):
-        fold_of = (self.month_codes % k).astype(np.int64)
+        fold_of = (self.x.month_codes % k).astype(np.int64)
         return [(np.flatnonzero(fold_of != i), np.flatnonzero(fold_of == i))
                 for i in range(k)], fold_of
 
@@ -342,9 +335,10 @@ def test_linear_cross_fit_one_ols_per_fold_matches_separate_fits(monkeypatch, pa
 
     n = problem.n_obs
     for train, test in problem.folds(3, 1)[0]:
-        X = problem.x
         if panel:  # the whole encoded matrix is the reference for the row copies
-            X = np.hstack([X, encode_features(problem, train)])
+            X = np.hstack([problem.x.month_x, encode_features(problem, train)])
+        else:
+            X = problem.x
         for target, fitted in ((problem.y, res.g_hat), (problem.d, res.m_hat)):
             alone = predict(ols_fit(X[train], target[train]), X[test])
             assert np.array_equal(fitted[test], alone)
@@ -393,11 +387,24 @@ def test_learner_kind_is_validated():
     problem, _ = gen_plr(SynthSpec(kind="plr_linear", n=50, seed=1))
     with pytest.raises(BadKind):
         run_dml(problem, LearnerSpec("forest"))
+    with pytest.raises(ConfigError, match="^a boosted learner needs its params$"):
+        run_dml(problem, LearnerSpec("boosted"))
 
 
 # ---------------------------------------------------------------------------
 # unit target encoding
 # ---------------------------------------------------------------------------
+
+def _panel(unit_codes, y, d, x):
+    """A lag-0 PanelTable with one month per row, so its `x_rows` are the
+    rows of x; unit_codes, fund-major, number the funds 0, 1, ..."""
+    x = np.asarray(x, dtype=float)
+    n, p = x.shape
+    n_units = int(max(unit_codes)) + 1
+    return PanelTable([f"F{u}" for u in range(n_units)], [f"m{t}" for t in range(n)],
+                      unit_codes, np.arange(n), y, d, x, np.zeros((n, n_units)),
+                      [f"x{j}" for j in range(p)], 0)
+
 
 def _panel_problem(n_units=6, t_len=30, seed=0):
     rng = np.random.default_rng(seed)
@@ -407,24 +414,24 @@ def _panel_problem(n_units=6, t_len=30, seed=0):
     d = x @ [0.5, -0.5] + rng.standard_normal(n)
     alpha = np.repeat(rng.standard_normal(n_units), t_len)
     y = 1.0 * d + x @ [1.0, 1.0] + alpha + 0.5 * rng.standard_normal(n)
-    return PlrProblem(y, d, x, unit_codes=units)
+    return problem_from_panel(_panel(units, y, d, x))
 
 
 def test_encode_features_shapes():
     problem = _panel_problem()
-    n, p = problem.x.shape
+    n, p = problem.n_obs, len(problem.x.x_names)
     with_y = encode_features(problem, np.ones(n, dtype=bool))
     assert with_y.shape == (n, 1)
     assert design_rows(problem.x, with_y, np.arange(n)).shape == (n, p + 1)
     # the y-mean column is the per-unit outcome mean
-    unit0 = problem.unit_codes == problem.unit_codes[0]
+    unit0 = problem.x.unit_codes == problem.x.unit_codes[0]
     assert np.allclose(with_y[unit0, -1], problem.y[unit0].mean())
 
 
 def test_design_rows_copies_the_rows_of_the_joined_matrix():
     problem = _panel_problem()
     means = encode_features(problem, np.arange(problem.n_obs) % 3 > 0)
-    joined = np.hstack([problem.x, means])
+    joined = np.hstack([problem.x.month_x, means])
     for rows in (np.array([5, 0, 179, 5]), np.arange(0, problem.n_obs, 2),
                  np.arange(problem.n_obs)):
         got = design_rows(problem.x, means, rows)
@@ -433,7 +440,7 @@ def test_design_rows_copies_the_rows_of_the_joined_matrix():
         got = design_rows(problem.x, means, rows, order="F")
         assert got.flags.f_contiguous
         assert np.array_equal(got.view(np.uint64), joined[rows].view(np.uint64))
-    assert design_rows(problem.x, means[:, :0], np.arange(3)).shape == (3, problem.x.shape[1])
+    assert design_rows(problem.x, means[:, :0], np.arange(3)).shape == (3, len(problem.x.x_names))
 
 
 @pytest.mark.parametrize("order", ["C", "F"])
@@ -452,7 +459,7 @@ def _tiny_problem():
     y = np.array([1.0, 3.0, 10.0, 4.0, 6.0])
     d = np.array([0.1, 0.2, 0.3, 0.4, 0.5])
     x = np.array([[1.0], [2.0], [9.0], [3.0], [5.0]])
-    return PlrProblem(y, d, x, unit_codes=units)
+    return problem_from_panel(_panel(units, y, d, x))
 
 
 def test_encode_features_train_only_arithmetic():
@@ -486,12 +493,12 @@ def test_encode_features_no_leakage():
 ])
 def test_encode_features_codes_give_the_string_id_means(rng, units):
     # each id's code is its rank among the sorted distinct ids, as to_panel
-    # numbers the funds
+    # numbers the funds, and a panel's rows are fund-major
+    units = sorted(units)
     code_of = {unit: code for code, unit in enumerate(sorted(set(units)))}
     n = len(units)
-    problem = PlrProblem(rng.standard_normal(n), rng.standard_normal(n),
-                         rng.standard_normal((n, 3)),
-                         unit_codes=[code_of[unit] for unit in units])
+    problem = problem_from_panel(_panel([code_of[unit] for unit in units], rng.standard_normal(n),
+                                        rng.standard_normal(n), rng.standard_normal((n, 3))))
     for mask in (np.ones(n, dtype=bool), rng.random(n) < 0.5, np.arange(n) < 40):
         got = encode_features(problem, mask)
         # each unit's training-row mean, found row by row on the string ids:
@@ -508,7 +515,7 @@ def test_encode_features_codes_give_the_string_id_means(rng, units):
 
 def test_target_encoding_improves_fixed_effect_fit():
     encoded_problem = _panel_problem(seed=3)
-    plain_problem = PlrProblem(encoded_problem.y, encoded_problem.d, encoded_problem.x)
+    plain_problem = PlrProblem(encoded_problem.y, encoded_problem.d, encoded_problem.x.month_x)
     plain = cross_fit_nuisance(plain_problem, LINEAR, k=2, seed=0)
     encoded = cross_fit_nuisance(encoded_problem, LINEAR, k=2, seed=0)
     assert encoded.r2_y > plain.r2_y

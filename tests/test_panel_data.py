@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from macrodml.errors import (
+    ConfigError,
     DataError,
     DuplicateColumn,
     IndexMismatch,
@@ -622,6 +623,7 @@ def test_panel_rows_must_be_fund_major_and_unique(units, months, message):
     (dict(x_names=["c", "y_lag1", "d_lag1"], month_x=np.zeros((2, 3))), "cannot hold 1 lags"),
     (dict(month_codes=[0, 1]), "lag window"),
     (dict(unit_codes=[0, 2]), "outside the panel"),
+    (dict(unit_codes=[0, 1, 1]), "panel column lengths disagree"),
 ])
 def test_panel_table_checks_its_gather_sources(change, message):
     args = dict(units=["A", "B"], months=["2000-01", "2000-02"], unit_codes=[0, 1],
@@ -664,6 +666,12 @@ def test_to_panel_lag_window_longer_than_series_is_empty(p):
                                         f"lag order {p} needs more than {p} months, "
                                         f"the series has 3$"):
         to_panel(funds, macro, "d", lag_order=p)
+
+
+def test_to_panel_rejects_a_negative_lag():
+    funds, macro, _, _ = _full_inputs(T=3, n_funds=2, k=2)
+    with pytest.raises(ConfigError, match="^lag_order must be >= 0$"):
+        to_panel(funds, macro, "d", lag_order=-1)
 
 
 def test_lag_design_stacks_the_lags_and_has_no_column_at_lag_zero():

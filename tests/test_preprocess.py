@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from macrodml.errors import (
+    ConfigError,
     ConstantColumn,
     InsufficientData,
     NotSymmetric,
@@ -110,9 +111,9 @@ def test_adf_rejects_short_series_and_bad_lag():
     y = gen_unit_root("white_noise", 30, 0)
     with pytest.raises(TooShort):
         adf_test(y, max_lag=14)
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         adf_test(y, max_lag=-1)
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         adf_test(y, level="2%")
 
 
@@ -265,7 +266,7 @@ def test_select_lag_too_short():
     mat = make_tsm(np.random.default_rng(0).standard_normal((12, 2)))
     with pytest.raises(InsufficientData):
         select_lag_var_aic(mat, 5)
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         select_lag_var_aic(mat, 0)
 
 
