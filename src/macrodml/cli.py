@@ -349,9 +349,9 @@ def run_pipeline(config: PipelineConfig) -> dict:
     with _publishing(config.output_dir, manifest) as write:
         reports = screen.reports.values()
         write("adf_screen.csv", csv_blocks(
-            ["variable", "adf_stat", "crit_5pct", "verdict"],
+            ["variable", "adf_stat", f"crit_{config.level[:-1]}pct", "verdict"],
             [list(screen.reports), [rep.statistic for rep in reports],
-             [rep.critical_values["5%"] for rep in reports], [rep.verdict for rep in reports]],
+             [rep.critical_value for rep in reports], [rep.verdict for rep in reports]],
         ))
         write("corr.csv", csv_blocks(["variable", *kept.columns], [kept.columns, *corr.T]))
         write("pca.csv", csv_blocks(

@@ -39,22 +39,16 @@ _ADF_CRIT_ROWS: dict[float, dict[str, float]] = {
 }
 
 
-def adf_critical_values(n: int) -> dict[str, float]:
-    """Table lookup with linear interpolation on 1/n; clamped below n=50."""
-    if n < 50:
-        return dict(_ADF_CRIT_ROWS[50])
-    # knots ordered by x = 1/n ascending: infinity first
-    knots = sorted(_ADF_CRIT_ROWS, key=lambda size: 0.0 if math.isinf(size) else 1.0 / size)
-    xs = [0.0 if math.isinf(size) else 1.0 / size for size in knots]
-    x = 1.0 / n
-    for (x0, k0), (x1, k1) in zip(zip(xs, knots), zip(xs[1:], knots[1:])):
-        if x0 <= x <= x1:
-            w = 0.0 if x1 == x0 else (x - x0) / (x1 - x0)
-            return {
-                level: (1 - w) * _ADF_CRIT_ROWS[k0][level] + w * _ADF_CRIT_ROWS[k1][level]
-                for level in ADF_LEVELS
-            }
-    return dict(_ADF_CRIT_ROWS[knots[0]])
+def adf_critical_value(n: int, level: str) -> float:
+    """The table's value at `level`, linear in x = 1/n between knots; below
+    n=50 it is the n=50 row (x = 1/50)."""
+    x = 1.0 / max(n, 50)
+    knots = sorted(_ADF_CRIT_ROWS, reverse=True)  # x ascending: infinity first
+    for big, small in zip(knots, knots[1:]):
+        x0, x1 = 1.0 / big, 1.0 / small
+        if x <= x1:
+            w = (x - x0) / (x1 - x0)
+            return (1 - w) * _ADF_CRIT_ROWS[big][level] + w * _ADF_CRIT_ROWS[small][level]
 
 
 @dataclass
@@ -63,7 +57,7 @@ class AdfReport:
 
     statistic: float
     lag_order: int
-    critical_values: dict[str, float]
+    critical_value: float  # the value at the test's level that the verdict used
     verdict: str  # "stationary" | "non-stationary"
 
     @property
@@ -104,13 +98,13 @@ def schwert_lag(n: int) -> int:
     return int(math.floor(12.0 * (n / 100.0) ** 0.25))
 
 
-def adf_test(series, level: str = "5%", max_lag="auto") -> AdfReport:
+def adf_test(series, level: str = "5%") -> AdfReport:
     """Augmented Dickey-Fuller test with a constant and no trend.
 
-    Regresses the first difference on a constant, the lagged level, and
-    `max_lag` lagged differences; the statistic is the t-ratio on the lagged
-    level. 'auto' picks the lag by Schwert's rule, capped so the regression
-    keeps at least one residual degree of freedom. The t-ratio is partialled
+    Regresses the first difference on a constant, the lagged level, and k
+    lagged differences; the statistic is the t-ratio on the lagged level.
+    k is Schwert's lag capped at (n - 4) // 2, so the regression keeps at
+    least one residual degree of freedom. The t-ratio is partialled
     out (Frisch-Waugh-Lovell) from one `ols_fit` of the difference and the
     lagged level on the lagged differences (and ols_fit's constant). Raises
     RankDeficient on a rank-deficient regression (a constant series),
@@ -122,15 +116,7 @@ def adf_test(series, level: str = "5%", max_lag="auto") -> AdfReport:
     n = int(y.size)
     if n < 20:
         raise TooShort(f"need at least 20 observations, got {n}")
-    cap = (n - 4) // 2
-    if max_lag == "auto":
-        k = min(schwert_lag(n), cap)
-    else:
-        k = int(max_lag)
-        if k < 0:
-            raise ConfigError("max_lag must be >= 0")
-        if k > cap:
-            raise TooShort(f"max_lag {k} leaves no degrees of freedom at n={n}")
+    k = min(schwert_lag(n), (n - 4) // 2)
 
     dy = np.diff(y)
     nobs = n - 1 - k
@@ -148,15 +134,15 @@ def adf_test(series, level: str = "5%", max_lag="auto") -> AdfReport:
         raise SingularCovariance("the test regression fits exactly; its t-ratio is undefined")
     stat = beta / math.sqrt(ssr / (nobs - k - 2) / ss_level)
 
-    crit = adf_critical_values(n)
-    verdict = "stationary" if stat < crit[level] else "non-stationary"
+    crit = adf_critical_value(n, level)
+    verdict = "stationary" if stat < crit else "non-stationary"
     return AdfReport(stat, k, crit, verdict)
 
 
 def screen_stationarity(vars: TimeSeriesMatrix, level: str = "5%") -> StationarityScreen:
     """Drop every column whose ADF verdict is non-stationary.
 
-    Each column is tested at Schwert's lag (`adf_test`'s "auto"). Missing
+    Each column is tested at `adf_test`'s capped Schwert lag. Missing
     values are removed per column before testing. Test errors are
     re-raised with the offending column name attached.
     """

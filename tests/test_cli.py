@@ -46,6 +46,7 @@ from macrodml.panel_data import (
     read_numeric_csv,
     write_tscs_csv,
 )
+from macrodml.preprocess import adf_critical_value, difference_matrix
 
 from conftest import BOTH_RUN_GRID, read_csv, run_args
 
@@ -230,6 +231,24 @@ def test_auto_lag_selection(small_fx, tmp_path):
     assert rc == EXIT_OK
     lag = read_manifest(out)["flags"]["lag_used"]
     assert isinstance(lag, int) and 1 <= lag <= 12
+
+
+@pytest.mark.parametrize("level", ["1%", "10%"])
+def test_adf_screen_prints_the_critical_value_of_its_level(small_fx, tmp_path, level):
+    """adf_screen.csv names the --level and prints, per column, the critical
+    value its verdict compared against."""
+    _, fx = small_fx
+    out = tmp_path / "out"
+    assert main(run_args(fx, out, "--learner", "linear", "--lag", "2", "--level", level)) == EXIT_OK
+    header, rows = read_csv(out / "adf_screen.csv")
+    assert header == ["variable", "adf_stat", f"crit_{level[:-1]}pct", "verdict"]
+    # the fixture's macro and fund files cover the same complete months
+    growth = difference_matrix(load_tscs_csv(fx["macro_csv"]))
+    assert [row[0] for row in rows] == growth.columns
+    for name, stat, crit, verdict in rows:
+        n = int(np.isfinite(growth.column(name)).sum())
+        assert float(crit) == adf_critical_value(n, level)
+        assert (float(stat) < float(crit)) == (verdict == "stationary")
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ from macrodml.errors import (
 from macrodml.panel_data import TimeSeriesMatrix, to_panel
 from macrodml.preprocess import (
     ADF_LEVELS,
-    adf_critical_values,
+    adf_critical_value,
     adf_test,
     correlation_matrix,
     difference_matrix,
@@ -73,23 +73,30 @@ def test_adf_affine_invariance(rng):
 def test_adf_constant_series_is_singular():
     """A degenerate test regression ends in a typed error, never a statistic
     made of rounding or a division by zero."""
-    with pytest.raises(RankDeficient):  # the lagged differences are all zero
-        adf_test(np.ones(100))
-    with pytest.raises(RankDeficient):  # no lags: the lagged level is the constant
-        adf_test(np.ones(100), max_lag=0)
-    # noise-free AR(1): the lagged level is a multiple of the lagged difference
+    # the lagged differences are all zero (a constant series), multiples of
+    # one another (a noise-free AR(1)) or all the constant (a linear trend):
+    # ols_fit's design is rank deficient
+    for y in (np.ones(100), 0.9 ** np.arange(100.0), np.arange(100.0)):
+        with pytest.raises(RankDeficient, match="design matrix"):
+            adf_test(y)
+    # a sawtooth of period k + 1 = 13: the constant and 12 lagged differences
+    # span every 13-periodic series, the lagged level included
     with pytest.raises(RankDeficient, match="lagged level"):
-        adf_test(0.9 ** np.arange(100.0), max_lag=1)
-    # a linear trend's difference is its constant: an exact fit
+        adf_test(np.tile(np.arange(13.0), 10)[:120])
+    # six sinusoids obey a 12-term linear recurrence, so at k = 12 the
+    # regression fits exactly
+    rng = np.random.default_rng(0)
+    freqs, phases = rng.uniform(0.2, 2.9, 6), rng.uniform(0.0, 2 * np.pi, 6)
+    waves = np.sin(np.outer(np.arange(120.0), freqs) + phases).sum(axis=1)
     with pytest.raises(SingularCovariance, match="exactly"):
-        adf_test(np.arange(100.0), max_lag=0)
+        adf_test(waves)
 
 
 def test_adf_white_noise_rejects_unit_root():
     y = gen_unit_root("white_noise", 500, 0)
     report = adf_test(y)
     assert report.stationary
-    assert report.statistic < report.critical_values["5%"]
+    assert report.statistic < report.critical_value == adf_critical_value(500, "5%")
 
 
 def test_adf_random_walk_keeps_unit_root():
@@ -105,31 +112,27 @@ def test_adf_auto_lag_is_schwert_capped():
     assert adf_test(short).lag_order == min(schwert_lag(24), (24 - 4) // 2) == 8
 
 
-def test_adf_rejects_short_series_and_bad_lag():
+def test_adf_rejects_short_series_and_bad_level():
     with pytest.raises(TooShort):
-        adf_test(np.arange(10.0))
-    y = gen_unit_root("white_noise", 30, 0)
-    with pytest.raises(TooShort):
-        adf_test(y, max_lag=14)
+        adf_test(np.arange(19.0))
     with pytest.raises(ConfigError):
-        adf_test(y, max_lag=-1)
-    with pytest.raises(ConfigError):
-        adf_test(y, level="2%")
+        adf_test(gen_unit_root("white_noise", 30, 0), level="2%")
 
 
-def test_adf_manual_lag_zero_matches_direct_regression():
-    y = gen_unit_root("white_noise", 120, 5)
+@pytest.mark.parametrize("n, k", [(120, 12), (24, 8)])  # Schwert's lag; capped at n = 24
+def test_adf_matches_direct_regression(n, k):
+    y = gen_unit_root("white_noise", n, 5)
     dy = np.diff(y)
-    for k in (0, 3):
-        report = adf_test(y, max_lag=k)
-        # direct OLS of dy_t on [1, y_{t-1}, dy_{t-1}, ..., dy_{t-k}]
-        X = np.column_stack([np.ones(dy.size - k), y[k:-1],
-                             *(dy[k - j:dy.size - j] for j in range(1, k + 1))])
-        beta, *_ = np.linalg.lstsq(X, dy[k:], rcond=None)
-        resid = dy[k:] - X @ beta
-        s2 = resid @ resid / (len(X) - X.shape[1])
-        cov = s2 * np.linalg.inv(X.T @ X)
-        assert abs(report.statistic - beta[1] / math.sqrt(cov[1, 1])) < 1e-9
+    report = adf_test(y)
+    assert report.lag_order == k
+    # direct OLS of dy_t on [1, y_{t-1}, dy_{t-1}, ..., dy_{t-k}]
+    X = np.column_stack([np.ones(dy.size - k), y[k:-1],
+                         *(dy[k - j:dy.size - j] for j in range(1, k + 1))])
+    beta, *_ = np.linalg.lstsq(X, dy[k:], rcond=None)
+    resid = dy[k:] - X @ beta
+    s2 = resid @ resid / (len(X) - X.shape[1])
+    cov = s2 * np.linalg.inv(X.T @ X)
+    assert abs(report.statistic - beta[1] / math.sqrt(cov[1, 1])) < 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -138,25 +141,24 @@ def test_adf_manual_lag_zero_matches_direct_regression():
 
 def test_critical_values_ordered_within_row():
     for n in (50, 80, 100, 250, 500, 5000):
-        crit = adf_critical_values(n)
+        crit = {level: adf_critical_value(n, level) for level in ADF_LEVELS}
         assert crit["1%"] < crit["5%"] < crit["10%"]
-        assert set(crit) == set(ADF_LEVELS)
+        assert set(crit) == {"1%", "5%", "10%"}
 
 
 def test_critical_values_interpolation_brackets():
-    lo, hi = adf_critical_values(250), adf_critical_values(500)
-    mid = adf_critical_values(330)
     for level in ADF_LEVELS:
-        a, b = sorted((lo[level], hi[level]))
-        assert a <= mid[level] <= b
+        a, b = sorted((adf_critical_value(250, level), adf_critical_value(500, level)))
+        assert a <= adf_critical_value(330, level) <= b
 
 
 def test_critical_values_clamped_below_50():
-    assert adf_critical_values(25) == adf_critical_values(50)
+    for level in ADF_LEVELS:
+        assert adf_critical_value(25, level) == adf_critical_value(50, level)
 
 
 def test_critical_values_exact_at_knots():
-    assert adf_critical_values(500)["5%"] == pytest.approx(-2.867, abs=1e-9)
+    assert adf_critical_value(500, "5%") == pytest.approx(-2.867, abs=1e-9)
 
 
 # ---------------------------------------------------------------------------
