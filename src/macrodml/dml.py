@@ -328,7 +328,9 @@ def grid_search_cv(
     (`PlrProblem.folds`) and fold designs, and each table row keeps its
     candidate's out-of-fold predictions (`CvRow.oof`): the winner's are the
     ones a cross-fit with the winner makes, bit for bit. A candidate's
-    scores are the means over the folds of its test rows' MSE and R^2.
+    scores are the MSE and R^2 of its out-of-fold predictions over all
+    rows, as the cross-fit reports its nuisances, so the winner's cv_r2 is
+    the boosted r2_y.
 
     Candidates that differ only in n_trees share one fit per fold of the
     largest (see `staged_oof`). A candidate whose fit raises a package
@@ -350,9 +352,7 @@ def grid_search_cv(
             grid[i].validate()
         stages = [grid[i].n_trees for i in batch]
         oof = staged_oof(problem, pairs, "y", grid[batch[0]], stages)
-        return [(float(np.mean([mse(y[test], oof[t][test]) for _, test in pairs])),
-                 float(np.mean([r2(y[test], oof[t][test]) for _, test in pairs])), oof[t])
-                for t in stages]
+        return [(mse(y, oof[t]), r2(y, oof[t]), oof[t]) for t in stages]
 
     groups: dict[tuple, list[int]] = {}
     for i, params in enumerate(grid):

@@ -109,10 +109,6 @@ class ExplosiveCoefficients(ConfigError):
     """VAR companion matrix has spectral radius >= 1."""
 
 
-class BadPhi(ConfigError):
-    """AR(1) coefficient outside (-1, 1)."""
-
-
 class TooFewReps(ConfigError):
     """Too few Monte Carlo replications for a critical-value table."""
 

@@ -18,7 +18,7 @@ import contextlib
 import ctypes
 import itertools
 import json
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -35,10 +35,10 @@ from .errors import (
 
 @dataclass
 class LinearModel:
-    """One fitted target, or several fitted on the same features (one row each)."""
+    """m targets fitted on the same features, one row each."""
 
-    intercept: float | np.ndarray  # (m,) for m targets
-    coefficients: np.ndarray  # one weight per feature; (m, features) for m targets
+    intercept: np.ndarray  # (m,)
+    coefficients: np.ndarray  # (m, features)
 
 
 @dataclass
@@ -96,19 +96,6 @@ class GbtModel:
     n_features: int = 0
 
 
-def _as_xy(X, y, multi: bool = False) -> tuple[np.ndarray, np.ndarray]:
-    """X as a 2-D array and y as one target, or with `multi` one target per row."""
-    X = np.asarray(X, dtype=float)
-    if X.ndim == 1:
-        X = X[:, None]
-    y = np.asarray(y, dtype=float)
-    if X.ndim != 2:
-        raise DimensionMismatch("X must be 2-dimensional")
-    if y.ndim not in ((1, 2) if multi else (1,)) or y.shape[-1] != X.shape[0]:
-        raise LengthMismatch(f"y has {y.size} entries for {X.shape[0]} rows of X")
-    return X, y
-
-
 def _blas_thread_calls():
     """(get, set) of the thread count of the OpenBLAS numpy links, or None.
 
@@ -161,7 +148,7 @@ def one_blas_thread():
         set_(caller)
 
 
-OLS_BLOCK = 8192  # design rows ols_fit factors at a time
+OLS_BLOCK = 8192  # design rows dml._fit_predict gives ols_fit at a time
 
 
 def _householder_qr(Z: np.ndarray, targets) -> tuple[np.ndarray, list[np.ndarray]]:
@@ -184,44 +171,41 @@ def _householder_qr(Z: np.ndarray, targets) -> tuple[np.ndarray, list[np.ndarray
     return R, heads
 
 
-def ols_fit(X, y) -> LinearModel:
-    """Least squares of y on an intercept and the features X, the columns
-    `predict` takes, solved by QR. The model holds the intercept's weight
-    and one coefficient per column of X.
+def ols_fit(blocks: Iterable[np.ndarray], Y) -> LinearModel:
+    """Least squares of each row of Y, an (m, n) array of m targets, on an
+    intercept and the features X, the columns `predict` takes, solved by QR.
+    The model holds each target's intercept weight and one coefficient per
+    column of X.
 
-    `y` is one target of shape (n,) or m targets of shape (m, n). The design
-    is factored once for all targets, and each target is solved on its own,
-    so every fit is bit-identical to fitting that target alone.
-
-    X is a matrix, or an iterator over its row blocks in order (see
-    `dml._fit_predict`), factored OLS_BLOCK rows at a time, a sequential
+    X comes as its 2-D row blocks in order: `[X]` for a matrix, or a stream
+    (see `dml._fit_predict`), factored a block at a time, a sequential
     tall-skinny QR (Demmel, Grigori, Hoemmen & Langou 2012): each block is
     copied, column-major and led by a column of ones, under the R of the
     rows before it, each target's block under its first entries of Q.T @
     target so far, and both go through `_householder_qr`. No n-row Q or
-    second n-row design is formed. A design of at most one block keeps the
-    bits of an unblocked QR of [1, X]; a taller one gives the same fit up to
-    rounding.
+    second n-row design is formed. One block keeps the bits of an unblocked
+    QR of [1, X]; several give the same fit up to rounding. The design is
+    factored once for all targets, and each target is solved on its own, so
+    every fit is bit-identical to fitting that target alone.
 
-    Raises RankDeficient when [1, X] does not have full column rank -- a
-    constant feature is the usual culprit.
+    Raises DimensionMismatch for a block that is not 2-D, LengthMismatch for
+    a Y that is not 2-D or not one entry per row of X, and RankDeficient
+    when [1, X] does not have full column rank -- a constant feature is the
+    usual culprit.
     """
-    y = np.asarray(y, dtype=float)
-    if isinstance(X, Iterator):
-        blocks = X
-    else:
-        X, y = _as_xy(X, y, multi=True)
-        # a matrix of no rows is still one (empty) block, which carries its width
-        blocks = (X[start:start + OLS_BLOCK] for start in range(0, max(len(X), 1), OLS_BLOCK))
-    targets = np.atleast_2d(y)
+    Y = np.asarray(Y, dtype=float)
+    if Y.ndim != 2:
+        raise LengthMismatch(f"Y must be (targets, rows), got shape {Y.shape}")
     # R of no rows: its one column, the intercept's, broadcasts to any width
-    n, R, heads = 0, np.empty((0, 1)), [np.empty(0)] * len(targets)
+    n, R, heads = 0, np.empty((0, 1)), [np.empty(0)] * len(Y)
     for block in blocks:
         block = np.asarray(block, dtype=float)
-        tails = targets[:, n:n + len(block)]
+        if block.ndim != 2:
+            raise DimensionMismatch(f"a row block must be 2-dimensional, got {block.ndim}")
+        tails = Y[:, n:n + len(block)]
         n += len(block)
         if tails.shape[1] != len(block):
-            raise LengthMismatch(f"y has {targets.shape[1]} entries for at least {n} rows of X")
+            raise LengthMismatch(f"Y has {Y.shape[1]} entries for at least {n} rows of X")
         # [1, block] under the R of the rows before it; rebinding `block`
         # lets the caller's block go before the QR allocates its own
         stacked = np.empty((len(R) + len(block), 1 + block.shape[1]), order="F")
@@ -229,15 +213,13 @@ def ols_fit(X, y) -> LinearModel:
         block, tails = stacked, [np.concatenate(pair) for pair in zip(heads, tails)]
         R, heads = _householder_qr(block, tails)
     k = R.shape[1]
-    if n != targets.shape[1]:
-        raise LengthMismatch(f"y has {targets.shape[1]} entries for {n} rows of X")
+    if n != Y.shape[1]:
+        raise LengthMismatch(f"Y has {Y.shape[1]} entries for {n} rows of X")
     if n <= k:
         raise TooFewRows(f"need more than {k} rows to fit {k - 1} features, got {n}")
     if _rank_deficient(R, n):
         raise RankDeficient("design matrix is rank deficient")
     beta = np.stack([np.linalg.solve(R, head) for head in heads])
-    if y.ndim == 1:
-        return LinearModel(intercept=float(beta[0, 0]), coefficients=beta[0, 1:])
     return LinearModel(intercept=beta[:, 0], coefficients=beta[:, 1:])
 
 
@@ -431,8 +413,12 @@ def gbt_fit(X, y, params: HyperParams) -> GbtModel:
     once for all stages.
     """
     params.validate()
-    X, y = _as_xy(X, y)
+    X, y = np.asarray(X, dtype=float), np.asarray(y, dtype=float)
+    if X.ndim != 2:
+        raise DimensionMismatch("X must be 2-dimensional")
     n = X.shape[0]
+    if y.shape != (n,):
+        raise LengthMismatch(f"y has shape {y.shape} for {n} rows of X")
     if n < max(2, 2 * params.min_samples_leaf) and params.n_trees > 0 and params.max_depth > 0:
         raise TooFewRows(
             f"need at least {2 * params.min_samples_leaf} rows to split, got {n}"
@@ -470,22 +456,16 @@ def staged_predict(model: GbtModel, X: np.ndarray) -> Iterator[np.ndarray]:
 
 
 def predict(model, X) -> np.ndarray:
-    """Evaluate a LinearModel or GbtModel on new rows; a LinearModel of m
-    targets gives an (m, rows) array."""
+    """Evaluate a LinearModel or GbtModel on the rows of a 2-D X; a
+    LinearModel of m targets gives an (m, rows) array, one row per target."""
     X = np.asarray(X, dtype=float)
-    if X.ndim == 1:
-        X = X[:, None]
     if X.ndim != 2:
         raise DimensionMismatch("X must be 2-dimensional")
     if isinstance(model, LinearModel):
         coef = model.coefficients
-        if X.shape[1] != coef.shape[-1]:
-            raise DimensionMismatch(f"model expects {coef.shape[-1]} features, got {X.shape[1]}")
-        if coef.ndim == 2:
-            # one row of predictions per target, each computed as a single
-            # target's model computes it
-            return np.stack([X @ c + b for c, b in zip(coef, model.intercept)])
-        return X @ coef + model.intercept
+        if X.shape[1] != coef.shape[1]:
+            raise DimensionMismatch(f"model expects {coef.shape[1]} features, got {X.shape[1]}")
+        return np.stack([X @ c + b for c, b in zip(coef, model.intercept)])
     if isinstance(model, GbtModel):
         if X.shape[1] != model.n_features:
             raise DimensionMismatch(

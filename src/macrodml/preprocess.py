@@ -122,7 +122,7 @@ def adf_test(series, level: str = "5%") -> AdfReport:
     nobs = n - 1 - k
     Z = lag_design(dy, k, k)
     targets = np.stack([dy[k:], y[k:n - 1]])
-    e_dy, e_level = targets - predict(ols_fit(Z, targets), Z)
+    e_dy, e_level = targets - predict(ols_fit([Z], targets), Z)
     tol = (nobs * np.finfo(float).eps) ** 2  # residuals this small beside their target are rounding
     ss_level = float(e_level @ e_level)
     if ss_level <= tol * float(targets[1] @ targets[1]):
@@ -187,7 +187,7 @@ def select_lag_var_aic(vars: TimeSeriesMatrix, p_max: int) -> int:
     best_p, best_aic = None, None
     for p in range(1, p_max + 1):
         Z = lag_design(X, p, p_max)
-        resid = targets - predict(ols_fit(Z, targets.T), Z).T
+        resid = targets - predict(ols_fit([Z], targets.T), Z).T
         sigma = resid.T @ resid / (t_eff - (K * p + 1))
         sign, logdet = np.linalg.slogdet(sigma)
         if sign <= 0:

@@ -18,7 +18,6 @@ import numpy as np
 
 from .errors import (
     BadKind,
-    BadPhi,
     ConfigError,
     ExplosiveCoefficients,
     TooFewReps,
@@ -145,29 +144,25 @@ def gen_var(coeffs: list[np.ndarray], n: int, seed: int) -> TimeSeriesMatrix:
     return TimeSeriesMatrix(month_range("2000-01", n), names, X[p + BURN_IN :])
 
 
-def gen_unit_root(kind: str, n: int, seed: int, phi: float = 0.5) -> np.ndarray:
+def gen_unit_root(kind: str, n: int, seed: int) -> np.ndarray:
     """Benchmark series for the unit-root screen, iid standard normal shocks.
 
     random_walk: y_t = y_{t-1} + e_t with y_0 = 0 included, so the first
-    difference is exactly the innovation sequence; ar1: y_t = phi y_{t-1} +
-    e_t from y_0 = 0 with |phi| < 1; white_noise: iid Gaussian.
+    difference is exactly the innovation sequence; ar1: y_t = 0.5 y_{t-1} +
+    e_t from y_0 = 0.
     """
     rng = np.random.default_rng(seed)
-    if kind == "white_noise":
-        return rng.standard_normal(n)
     if kind == "random_walk":
         y = np.zeros(n)
         y[1:] = np.cumsum(rng.standard_normal(n - 1))
         return y
     if kind != "ar1":
-        raise BadKind(f"kind must be white_noise, random_walk or ar1, got {kind!r}")
-    if abs(phi) >= 1.0:
-        raise BadPhi(f"ar1 requires |phi| < 1, got {phi}")
+        raise BadKind(f"kind must be random_walk or ar1, got {kind!r}")
     eps = rng.standard_normal(n)
     y = np.empty(n)
     prev = 0.0
     for t in range(n):
-        prev = phi * prev + eps[t]
+        prev = 0.5 * prev + eps[t]
         y[t] = prev
     return y
 

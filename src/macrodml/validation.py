@@ -85,13 +85,13 @@ def _fwl_equivalence(seed: int, reps: int) -> tuple[str, bool]:
             kind="plr_linear", theta_true=theta, n=200, k_controls=5,
             noise_sd=1.0, seed=seed + i,
         ))
-        g_hat, m_hat = predict(ols_fit(problem.x, np.stack([problem.y, problem.d])), problem.x)
+        g_hat, m_hat = predict(ols_fit([problem.x], np.stack([problem.y, problem.d])), problem.x)
         res = NuisanceResiduals(problem.y - g_hat, problem.d - m_hat,
                                 np.zeros(problem.n_obs, dtype=np.int64),
                                 float("nan"), float("nan"), g_hat, m_hat)
         result = plr_estimate(res, problem.d)
-        full = ols_fit(np.column_stack([problem.d, problem.x]), problem.y)
-        worst = max(worst, abs(result.theta - float(full.coefficients[0])))
+        full = ols_fit([np.column_stack([problem.d, problem.x])], [problem.y])
+        worst = max(worst, abs(result.theta - float(full.coefficients[0, 0])))
     return f"max |theta_dml - theta_ols| = {worst:.3e} over {reps} instances", worst < 1e-8
 
 
@@ -157,7 +157,7 @@ def _adf_size_power(seed: int, reps: int) -> tuple[str, bool]:
     for i in range(reps):
         walk = gen_unit_root("random_walk", 500, seed + i)
         size_hits += adf_test(walk, level="5%").stationary
-        ar = gen_unit_root("ar1", 500, seed + i, phi=0.5)
+        ar = gen_unit_root("ar1", 500, seed + i)
         power_hits += adf_test(ar, level="5%").stationary
     size = size_hits / reps
     power = power_hits / reps

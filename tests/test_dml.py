@@ -329,7 +329,7 @@ def test_linear_cross_fit_one_ols_per_fold_matches_separate_fits(monkeypatch, pa
     else:
         problem, _ = gen_plr(SynthSpec(kind="plr_linear", n=300, seed=4))
     calls = []
-    monkeypatch.setattr(dml, "ols_fit", lambda X, y: calls.append(1) or ols_fit(X, y))
+    monkeypatch.setattr(dml, "ols_fit", lambda blocks, Y: calls.append(1) or ols_fit(blocks, Y))
     res = cross_fit_nuisance(problem, LINEAR, k=3, seed=1)
     assert len(calls) == 3  # one fit per fold serves both tasks
 
@@ -340,7 +340,7 @@ def test_linear_cross_fit_one_ols_per_fold_matches_separate_fits(monkeypatch, pa
         else:
             X = problem.x
         for target, fitted in ((problem.y, res.g_hat), (problem.d, res.m_hat)):
-            alone = predict(ols_fit(X[train], target[train]), X[test])
+            alone = predict(ols_fit([X[train]], [target[train]]), X[test])[0]
             assert np.array_equal(fitted[test], alone)
 
 
@@ -373,7 +373,7 @@ def test_given_g_hat_is_taken_and_only_the_d_task_is_fit(monkeypatch, learner):
     problem = _panel_problem()
     full = cross_fit_nuisance(problem, learner, k=3, seed=1)
     targets = []  # the number of targets of each fit
-    monkeypatch.setattr(dml, "ols_fit", lambda X, y: targets.append(len(y)) or ols_fit(X, y))
+    monkeypatch.setattr(dml, "ols_fit", lambda blocks, Y: targets.append(len(Y)) or ols_fit(blocks, Y))
     monkeypatch.setattr(dml, "gbt_fit", lambda X, y, p: targets.append(1) or gbt_fit(X, y, p))
     given = cross_fit_nuisance(problem, learner, k=3, seed=1, g_hat=full.g_hat)
     assert targets == [1, 1, 1]  # each fold fits the d task alone

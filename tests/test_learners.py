@@ -1,4 +1,5 @@
 import gc
+import json
 import time
 import tracemalloc
 from dataclasses import replace
@@ -60,24 +61,29 @@ def test_one_blas_thread_runs_on_one_thread_and_restores_the_callers_count():
 # OLS
 # ---------------------------------------------------------------------------
 
+def _blocks(X):
+    """X's OLS_BLOCK-row blocks, in order, as `dml._fit_predict` feeds a fold."""
+    return (X[start:start + OLS_BLOCK] for start in range(0, len(X), OLS_BLOCK))
+
+
 def test_ols_hand_example():
-    model = ols_fit([1.0, 2.0, 3.0], [2.0, 2.0, 4.0])
-    assert model.coefficients[0] == pytest.approx(1.0, abs=1e-12)
-    assert model.intercept == pytest.approx(2.0 / 3.0, abs=1e-12)
+    model = ols_fit([[[1.0], [2.0], [3.0]]], [[2.0, 2.0, 4.0]])
+    assert model.coefficients[0, 0] == pytest.approx(1.0, abs=1e-12)
+    assert model.intercept[0] == pytest.approx(2.0 / 3.0, abs=1e-12)
 
 
 def test_ols_of_no_features_fits_the_mean():
-    model = ols_fit(np.zeros((4, 0)), [1.0, 2.0, 4.0, 5.0])
-    assert model.intercept == pytest.approx(3.0, abs=1e-12)
-    assert model.coefficients.shape == (0,)
+    model = ols_fit([np.zeros((4, 0))], [[1.0, 2.0, 4.0, 5.0]])
+    assert model.intercept[0] == pytest.approx(3.0, abs=1e-12)
+    assert model.coefficients.shape == (1, 0)
     assert np.allclose(predict(model, np.zeros((2, 0))), 3.0, atol=1e-12)
 
 
 def test_ols_residuals_orthogonal(rng):
     X = rng.standard_normal((60, 4))
     y = rng.standard_normal(60)
-    model = ols_fit(X, y)
-    resid = y - predict(model, X)
+    model = ols_fit([X], [y])
+    resid = y - predict(model, X)[0]
     assert abs(resid.sum()) < 1e-9  # intercept absorbs the mean
     assert np.all(np.abs(X.T @ resid) < 1e-9)
 
@@ -86,23 +92,23 @@ def test_ols_matches_normal_equations(rng):
     X = rng.standard_normal((50, 3))
     y = X @ [1.0, -2.0, 0.5] + 0.1 * rng.standard_normal(50)
     Z = np.column_stack([np.ones(50), X])
-    model = ols_fit(X, y)
+    model = ols_fit([X], [y])
     beta = np.linalg.solve(Z.T @ Z, Z.T @ y)
-    assert model.intercept == pytest.approx(beta[0], abs=1e-10)
-    assert np.allclose(model.coefficients, beta[1:], atol=1e-10)
+    assert model.intercept[0] == pytest.approx(beta[0], abs=1e-10)
+    assert np.allclose(model.coefficients[0], beta[1:], atol=1e-10)
 
 
 def test_ols_rank_deficient():
     x = np.arange(10.0)
     with pytest.raises(RankDeficient):
-        ols_fit(np.column_stack([x, 2.0 * x]), x)
+        ols_fit([np.column_stack([x, 2.0 * x])], [x])
     with pytest.raises(RankDeficient):
-        ols_fit(np.ones((10, 1)), x)  # constant column collides with intercept
+        ols_fit([np.ones((10, 1))], [x])  # constant column collides with intercept
 
 
 def test_ols_too_few_rows():
     with pytest.raises(TooFewRows):
-        ols_fit(np.eye(3)[:, :2], np.arange(3.0))
+        ols_fit([np.eye(3)[:, :2]], [np.arange(3.0)])
 
 
 @pytest.mark.parametrize("n, k, m", [(50, 3, 2), (400, 38, 3), (3 * OLS_BLOCK + 5, 38, 2)])
@@ -110,35 +116,60 @@ def test_ols_shared_design_matches_single_target_fits(rng, n, k, m):
     X = rng.standard_normal((n, k))
     Y = X[:, :m].T + rng.standard_normal((m, n))
     X_new = rng.standard_normal((n // 2, k))
-    shared = ols_fit(X, Y)
+    shared = ols_fit(_blocks(X), Y)
     assert shared.intercept.shape == (m,) and shared.coefficients.shape == (m, k)
     preds = predict(shared, X_new)
     assert preds.shape == (m, n // 2)
     for j in range(m):
-        alone = ols_fit(X, Y[j].copy())
-        assert shared.intercept[j] == alone.intercept
-        assert np.array_equal(shared.coefficients[j], alone.coefficients)
-        assert np.array_equal(preds[j], predict(alone, X_new))
+        alone = ols_fit(_blocks(X), Y[j:j + 1].copy())
+        assert shared.intercept[j] == alone.intercept[0]
+        assert np.array_equal(shared.coefficients[j], alone.coefficients[0])
+        assert np.array_equal(preds[j], predict(alone, X_new)[0])
 
 
 def test_ols_shared_design_checks():
-    x = np.arange(10.0)
+    x = np.arange(10.0)[:, None]
     with pytest.raises(RankDeficient):
-        ols_fit(np.column_stack([x, 2.0 * x]), np.stack([x, -x]))
+        ols_fit([np.column_stack([x, 2.0 * x])], np.stack([x[:, 0], -x[:, 0]]))
     with pytest.raises(LengthMismatch):
-        ols_fit(x, np.zeros((2, 9)))
+        ols_fit([x], np.zeros((2, 9)))
     with pytest.raises(LengthMismatch):
-        ols_fit(x, np.zeros((1, 2, 10)))
+        ols_fit([x], np.zeros((1, 2, 10)))
+
+
+def test_ols_takes_2d_blocks_and_a_2d_target():
+    """A 1-D block is not read as one column, nor a 1-D target as one target."""
+    x = np.arange(10.0)
+    with pytest.raises(DimensionMismatch):
+        ols_fit([x], x[None])
+    with pytest.raises(DimensionMismatch):
+        ols_fit([x[:5, None], x[5:]], x[None])
+    with pytest.raises(LengthMismatch):
+        ols_fit([x[:, None]], x)
 
 
 def test_predict_dimension_checks():
-    model = LinearModel(0.0, np.array([1.0, 2.0, 3.0]))
+    model = LinearModel(np.zeros(1), np.array([[1.0, 2.0, 3.0]]))
     with pytest.raises(DimensionMismatch):
         predict(model, np.zeros((4, 2)))
     with pytest.raises(DimensionMismatch):
         predict(LinearModel(np.zeros(2), np.ones((2, 3))), np.zeros((4, 2)))
     with pytest.raises(TypeError):
         predict(object(), np.zeros((4, 2)))
+
+
+def test_predict_takes_a_2d_x(rng):
+    """A 1-D X is not read as one column, for either model kind."""
+    X = rng.standard_normal((40, 1))
+    y = X[:, 0] + rng.standard_normal(40)
+    for model in (ols_fit([X], [y]), gbt_fit(X, y, HyperParams(n_trees=2, min_samples_leaf=5))):
+        assert predict(model, X).shape[-1] == 40
+        with pytest.raises(DimensionMismatch):
+            predict(model, X[:, 0])
+    with pytest.raises(DimensionMismatch):
+        gbt_fit(X[:, 0], y, HyperParams(n_trees=2, min_samples_leaf=5))
+    with pytest.raises(LengthMismatch):
+        gbt_fit(X, y[None], HyperParams(n_trees=2, min_samples_leaf=5))
 
 
 # ---------------------------------------------------------------------------
@@ -501,12 +532,11 @@ def _ref_ols(Z, y):
 def test_ols_column_major_design_matches_column_stack_bit_for_bit(rng, m):
     X = rng.standard_normal((3000, 39)) * rng.uniform(0.1, 50.0, 39)
     Y = X[:, :m].T + rng.standard_normal((m, 3000))
-    y = Y[0] if m == 1 else Y
-    beta = _ref_ols(np.column_stack([np.ones(3000), X]), y)
+    beta = _ref_ols(np.column_stack([np.ones(3000), X]), Y)
     for design in (X, np.asfortranarray(X)):
-        model = ols_fit(design, y)
-        assert np.array_equal(np.atleast_1d(model.intercept), beta[:, 0])
-        assert np.array_equal(np.atleast_2d(model.coefficients), beta[:, 1:])
+        model = ols_fit([design], Y)
+        assert np.array_equal(model.intercept, beta[:, 0])
+        assert np.array_equal(model.coefficients, beta[:, 1:])
 
 
 @pytest.mark.parametrize("m", [1, 2])
@@ -515,43 +545,39 @@ def test_ols_matches_lstsq(rng, m):
         X = rng.standard_normal((n, 39)) * rng.uniform(0.1, 50.0, 39)
         Y = X[:, :m].T + rng.standard_normal((m, n))
         Z = np.column_stack([np.ones(n), X])
-        model = ols_fit(X, Y[0] if m == 1 else Y)
-        beta = np.column_stack([np.atleast_1d(model.intercept), np.atleast_2d(model.coefficients)])
+        model = ols_fit(_blocks(X), Y)
+        beta = np.column_stack([model.intercept, model.coefficients])
         for j in range(m):
             ref = np.linalg.lstsq(Z, Y[j], rcond=None)[0]
             assert np.linalg.norm(beta[j] - ref) <= 1e-9 * np.linalg.norm(ref)
 
 
 def test_ols_takes_the_design_as_its_row_blocks(rng):
-    """A matrix is factored as its OLS_BLOCK-row blocks, so an iterator over
-    those blocks gives the same bits; the blocks' rows must match y's."""
+    """A design fed as a list of its blocks or as a stream of them gives the
+    same bits; the blocks' rows must match Y's."""
     X = rng.standard_normal((2 * OLS_BLOCK + 7, 5))
     Y = X[:, :2].T + rng.standard_normal((2, len(X)))
-
-    def blocks(Z):
-        return (Z[start:start + OLS_BLOCK] for start in range(0, len(Z), OLS_BLOCK))
-
-    whole, fed = ols_fit(X, Y), ols_fit(blocks(X), Y)
-    assert np.array_equal(whole.intercept, fed.intercept)
-    assert np.array_equal(whole.coefficients, fed.coefficients)
+    listed, fed = ols_fit(list(_blocks(X)), Y), ols_fit(_blocks(X), Y)
+    assert np.array_equal(listed.intercept, fed.intercept)
+    assert np.array_equal(listed.coefficients, fed.coefficients)
     for short in (Y[:, :-1], Y[:, :OLS_BLOCK - 1]):
         with pytest.raises(LengthMismatch):
-            ols_fit(blocks(X), short)
+            ols_fit(_blocks(X), short)
     with pytest.raises(LengthMismatch):
-        ols_fit(blocks(X[:-1]), Y)
+        ols_fit(_blocks(X[:-1]), Y)
     with pytest.raises(TooFewRows):
         ols_fit(iter([]), Y[:, :0])
 
 
 def test_ols_never_holds_a_second_n_row_factor(rng):
-    """ols_fit factors its design OLS_BLOCK rows at a time and never copies
-    more of it, or forms an n-row Q: on a design of six blocks its traced
-    peak stays below three blocks' bytes."""
+    """ols_fit factors its design a block at a time and never copies more
+    of it, or forms an n-row Q: on a design of six OLS_BLOCK-row blocks its
+    traced peak stays below three blocks' bytes."""
     X = np.asfortranarray(rng.standard_normal((6 * OLS_BLOCK, 38)))
     Y = np.stack([X[:, 0], X[:, 1]]) + rng.standard_normal((2, len(X)))
     tracemalloc.start()
     try:
-        ols_fit(X, Y)
+        ols_fit(_blocks(X), Y)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -715,10 +741,11 @@ def test_grid_table_matches_separate_fits(rng):
     best, table = grid_search_cv(_problem(X, y), DEFAULT_GRID, k=2, seed=3)
     pairs = _problem(X, y).folds(2, seed=3)[0]
     for params, row in zip(DEFAULT_GRID, table):
-        preds = [predict(gbt_fit(X[tr], y[tr], params), X[te]) for tr, te in pairs]
+        oof = np.empty(y.size)
+        for tr, te in pairs:
+            oof[te] = predict(gbt_fit(X[tr], y[tr], params), X[te])
         assert row.params == params and row.oof is not None
-        assert row.cv_mse == float(np.mean([mse(y[te], p) for (_, te), p in zip(pairs, preds)]))
-        assert row.cv_r2 == float(np.mean([r2(y[te], p) for (_, te), p in zip(pairs, preds)]))
+        assert row.cv_mse == mse(y, oof) and row.cv_r2 == r2(y, oof)
     assert best == min(table, key=lambda r: (r.cv_mse, r.params.n_trees, r.params.max_depth)).params
 
 
@@ -810,3 +837,16 @@ def test_grid_cv_csv_layout(both_run):
     assert lines[1].startswith("15,2,0.3,20,")
     for cell in lines[1].split(",")[4:]:
         assert repr(float(cell)) == cell
+
+
+def test_grid_winner_prints_the_cross_fits_r2(both_run):
+    """The winner's out-of-fold predictions are the boosted g_hat, and both
+    tables score them over all rows, so the two print the same R^2."""
+    winner = json.loads((both_run / "manifest.json").read_text())["boosted_params"]
+    header, *rows = [line.split(",") for line in
+                     (both_run / "grid_cv.csv").read_text().splitlines()]
+    row = next(r for r in rows if r[:4] == [str(winner[name]) for name in header[:4]])
+    r2_header, *r2_rows = [line.split(",") for line in
+                           (both_run / "r2.csv").read_text().splitlines()]
+    boosted = next(r for r in r2_rows if r[0] == "boosted")
+    assert row[header.index("cv_r2")] == boosted[r2_header.index("r2_y")]

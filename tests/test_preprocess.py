@@ -62,7 +62,7 @@ def test_schwert_lag_values():
 
 
 def test_adf_affine_invariance(rng):
-    y = gen_unit_root("white_noise", 200, 3)
+    y = np.random.default_rng(3).standard_normal(200)
     base = adf_test(y)
     scaled = adf_test(2.5 * y + 7.0)
     assert abs(base.statistic - scaled.statistic) < 1e-9
@@ -93,7 +93,7 @@ def test_adf_constant_series_is_singular():
 
 
 def test_adf_white_noise_rejects_unit_root():
-    y = gen_unit_root("white_noise", 500, 0)
+    y = np.random.default_rng(0).standard_normal(500)
     report = adf_test(y)
     assert report.stationary
     assert report.statistic < report.critical_value == adf_critical_value(500, "5%")
@@ -106,9 +106,9 @@ def test_adf_random_walk_keeps_unit_root():
 
 
 def test_adf_auto_lag_is_schwert_capped():
-    y = gen_unit_root("white_noise", 500, 1)
+    y = np.random.default_rng(1).standard_normal(500)
     assert adf_test(y).lag_order == schwert_lag(500)
-    short = gen_unit_root("white_noise", 24, 1)
+    short = np.random.default_rng(1).standard_normal(24)
     assert adf_test(short).lag_order == min(schwert_lag(24), (24 - 4) // 2) == 8
 
 
@@ -116,12 +116,12 @@ def test_adf_rejects_short_series_and_bad_level():
     with pytest.raises(TooShort):
         adf_test(np.arange(19.0))
     with pytest.raises(ConfigError):
-        adf_test(gen_unit_root("white_noise", 30, 0), level="2%")
+        adf_test(np.random.default_rng(0).standard_normal(30), level="2%")
 
 
 @pytest.mark.parametrize("n, k", [(120, 12), (24, 8)])  # Schwert's lag; capped at n = 24
 def test_adf_matches_direct_regression(n, k):
-    y = gen_unit_root("white_noise", n, 5)
+    y = np.random.default_rng(5).standard_normal(n)
     dy = np.diff(y)
     report = adf_test(y)
     assert report.lag_order == k
@@ -166,9 +166,9 @@ def test_critical_values_exact_at_knots():
 # ---------------------------------------------------------------------------
 
 def _mixed_matrix():
-    noise = gen_unit_root("white_noise", 500, 11)
+    noise = np.random.default_rng(11).standard_normal(500)
     walk = gen_unit_root("random_walk", 500, 11)
-    ar = gen_unit_root("ar1", 500, 12, phi=0.5)
+    ar = gen_unit_root("ar1", 500, 12)
     return make_tsm(np.column_stack([noise, walk, ar]), names=["noise", "walk", "ar"])
 
 
