@@ -26,7 +26,7 @@ from .errors import (
     MacrodmlError,
 )
 from .learners import (
-    OLS_BLOCK,
+    GroupedRows,
     HyperParams,
     gbt_fit,
     mse,
@@ -36,7 +36,7 @@ from .learners import (
     r2,
     staged_predict,
 )
-from .panel_data import PanelTable, x_rows
+from .panel_data import PanelTable, own_lags, x_rows
 
 Z_975 = 1.959964  # two-sided 5% normal quantile used for all intervals
 
@@ -115,10 +115,11 @@ class PlrProblem:
         return pairs, fold_of
 
     def fold_design(self, train):
-        """(rows, order) -> those rows of the design of the fold
-        whose training rows are `train`, copied in that memory order: x
-        itself, or, for a panel, x joined with the fund outcome means of the
-        `train` rows (see `design_rows`)."""
+        """rows -> those rows of the design of the fold whose training rows
+        are `train`, as one matrix: x itself, or, for a panel, x joined with
+        the fund outcome means of the `train` rows (see `design_rows`). The
+        boosted learner fits on it; a linear panel fold takes the same rows
+        as month groups (`month_rows`)."""
         if isinstance(self.x, PanelTable):
             means = encode_features(self, train)
         else:
@@ -154,31 +155,6 @@ class DmlResult:
     ci_high: float
     n: int
     per_1pct: float
-
-
-def _fit_predict(rows_of, targets: dict[str, np.ndarray], preds: dict[str, np.ndarray],
-                 train, test) -> None:
-    """Fit every target in `targets` (task name -> target) by OLS on the
-    `train` rows and write its predictions on the `test` rows into
-    preds[task]; `rows_of(rows, order)` returns those rows of the design
-    (see `design_rows`). The predictions are written in place, so none
-    outlives its fold: a fold's predictions held into the next fold's fit
-    raised the peak RSS of a 196,800-row linear run by about 30 MB.
-
-    Every task is fit from one QR of the training rows (`ols_fit`), which is
-    fed them OLS_BLOCK rows at a time, copied column-major, and the test
-    rows are then predicted a block at a time, so the fold holds a few
-    blocks of its design, never all its rows.
-    A fold of at most OLS_BLOCK training rows is factored whole; each test
-    row's prediction is the same product whichever block it is in.
-    """
-    model = ols_fit((rows_of(train[start:start + OLS_BLOCK], "F")
-                     for start in range(0, train.size, OLS_BLOCK)),
-                    np.stack([target[train] for target in targets.values()]))
-    for start in range(0, test.size, OLS_BLOCK):
-        rows = test[start:start + OLS_BLOCK]
-        for task, pred in zip(targets, predict(model, rows_of(rows))):
-            preds[task][rows] = pred
 
 
 def staged_oof(problem: PlrProblem, pairs, task: str, params: HyperParams,
@@ -228,20 +204,16 @@ def encode_features(problem: PlrProblem, train: np.ndarray) -> np.ndarray:
 _ROW_BLOCK = 2048  # rows gathered per step of design_rows; a block stays in cache
 
 
-def design_rows(x: np.ndarray | PanelTable, means: np.ndarray, rows: np.ndarray,
-                order: str = "C") -> np.ndarray:
-    """x[rows] with means[rows] appended, copied straight into one array, so
-    selecting rows never builds the full matrix first. x is a matrix or a
-    PanelTable, whose rows `panel_data.x_rows` gathers.
-
-    The rows are copied a block at a time, so `order="F"` (the column-major
-    layout of `ols_fit`'s copy, which then moves whole columns) costs no
-    more than a row-major copy.
+def design_rows(x: np.ndarray | PanelTable, means: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """x[rows] with means[rows] appended, copied straight into one
+    row-major array a block of rows at a time, so selecting rows never
+    builds the full matrix first. x is a matrix or a PanelTable, whose rows
+    `panel_data.x_rows` gathers.
     """
     panel = isinstance(x, PanelTable)
     p = len(x.x_names) if panel else x.shape[1]
     rows = np.asarray(rows)
-    out = np.empty((rows.size, p + means.shape[1]), order=order)
+    out = np.empty((rows.size, p + means.shape[1]))
     for start in range(0, rows.size, _ROW_BLOCK):
         block = rows[start:start + _ROW_BLOCK]
         dest = out[start:start + _ROW_BLOCK]
@@ -251,6 +223,20 @@ def design_rows(x: np.ndarray | PanelTable, means: np.ndarray, rows: np.ndarray,
             dest[:, :p] = x[block]
         dest[:, p:] = means[block]
     return out
+
+
+def month_rows(panel: PanelTable, means: np.ndarray, rows: np.ndarray) -> GroupedRows:
+    """The rows `design_rows(panel, means, rows)` copies, as month groups
+    (`learners.GroupedRows`): every x column but the own-return lags is the
+    month's month_x row, so only the lags and the outcome-mean column vary
+    within a month, and no x row is gathered."""
+    p = panel.lag_order
+    varying = np.empty((p + 1, len(rows))).T  # column-major
+    own_lags(panel, rows, varying[:, :p])
+    varying[:, p] = means[rows, 0]
+    shared = np.column_stack([panel.month_x, np.zeros(len(panel.months))])
+    return GroupedRows(shared, panel.month_codes[rows], varying,
+                       panel.lag_columns + [shared.shape[1] - 1])
 
 
 def cross_fit_nuisance(
@@ -264,12 +250,15 @@ def cross_fit_nuisance(
 
     Every row is predicted by models trained on the complement of its fold.
     For a panel the fund outcome means are recomputed inside each training
-    complement, so held-out rows never leak into the means they receive;
-    the fold's training and test rows are copied straight from x (for a
+    complement, so held-out rows never leak into the means they receive. A
+    boosted fold's training and test rows are copied straight from x (for a
     panel, its month table and fund returns) and that column
-    (`PlrProblem.fold_design`). The stored r2_y/r2_d are `learners.r2` of
-    the pooled out-of-fold predictions, so a constant target raises
-    ConstantTarget.
+    (`PlrProblem.fold_design`). A linear fold fits and predicts a
+    cross-sectional x's rows, and a panel's rows as month groups
+    (`month_rows`), a few rows per month, so no x row is gathered; its
+    predictions match the gathered rows' fit to rounding. The stored
+    r2_y/r2_d are `learners.r2` of the pooled out-of-fold predictions, so a
+    constant target raises ConstantTarget.
 
     A given `g_hat` is taken as the y task's out-of-fold predictions, made
     on these folds and fold designs (`grid_search_cv`'s winner's are), and
@@ -296,10 +285,16 @@ def cross_fit_nuisance(
             preds[task] = staged_oof(problem, pairs, task, params, [params.n_trees])[params.n_trees]
     else:
         for i, (train, test) in enumerate(pairs):
+            if isinstance(problem.x, PanelTable):
+                rows_of = functools.partial(month_rows, problem.x, encode_features(problem, train))
+            else:
+                rows_of = problem.x.__getitem__
             try:
-                _fit_predict(problem.fold_design(train), targets, preds, train, test)
+                model = ols_fit([rows_of(train)], np.stack([t[train] for t in targets.values()]))
             except MacrodmlError as exc:
                 raise type(exc)(f"fold {i}, {next(iter(targets))}-task: {exc}") from exc
+            for task, pred in zip(targets, predict(model, rows_of(test))):
+                preds[task][test] = pred
     g_hat, m_hat = preds["y"], preds["d"]
     return NuisanceResiduals(problem.y - g_hat, problem.d - m_hat, fold_of,
                              r2(problem.y, g_hat), r2(problem.d, m_hat), g_hat, m_hat)

@@ -148,19 +148,38 @@ def one_blas_thread():
         set_(caller)
 
 
-OLS_BLOCK = 8192  # design rows dml._fit_predict gives ols_fit at a time
+@dataclass
+class GroupedRows:
+    """The rows of a design X that is never formed whole: each row falls in
+    a group, and every column of X but those at `at` holds one value per
+    group. Row i is shared[group[i]] with varying[i] written over its
+    columns `at`; shared's own entries there are never read. In a fund panel
+    the groups are the months and the varying columns the fund's own lags
+    (see `dml.month_rows`)."""
+
+    shared: np.ndarray  # (groups, columns)
+    group: np.ndarray  # (rows,) each row's group
+    varying: np.ndarray  # (rows, len(at)), read fastest column-major
+    at: list[int]
+
+    def __len__(self) -> int:
+        return self.group.size
 
 
-def _householder_qr(Z: np.ndarray, targets) -> tuple[np.ndarray, list[np.ndarray]]:
+GROUP_BLOCK = 4096  # padded group rows a target factored per batched QR
+
+
+def _householder_qr(Z: np.ndarray, targets=()) -> tuple[np.ndarray, list[np.ndarray]]:
     """R of LAPACK's Householder QR of Z, read column-major, and each target's
     first len(R) entries of Q.T @ target: the target with the reflectors
-    applied in turn, so Q is never formed."""
-    h, tau = np.linalg.qr(np.asfortranarray(Z), mode="raw")
-    R = np.triu(h[:, :tau.size].T)
+    applied in turn, so Q is never formed. A stack of matrices gives the
+    stack of their R; it takes no targets."""
+    h, tau = np.linalg.qr(Z, mode="raw")
+    R = np.triu(np.swapaxes(h[..., :tau.shape[-1]], -1, -2))
     # Row i of h from column i on is reflector i, whose leading 1 LAPACK
     # leaves implicit (R's diagonal sits there); write it in.
-    diag = np.arange(tau.size)
-    h[diag, diag] = 1.0
+    diag = np.arange(tau.shape[-1])
+    h[..., diag, diag] = 1.0
     heads = []
     for target in targets:
         t = target.copy()
@@ -171,27 +190,81 @@ def _householder_qr(Z: np.ndarray, targets) -> tuple[np.ndarray, list[np.ndarray
     return R, heads
 
 
-def ols_fit(blocks: Iterable[np.ndarray], Y) -> LinearModel:
+def _reduce_groups(X: GroupedRows, Y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Rows Z of [1, X], a few per group, and each target's entries for them,
+    with the least-squares fit of all of X's rows.
+
+    Group g's rows of [1, X] are [1, V] @ M_g: V holds their varying
+    columns, and M_g sends the ones to [1, shared_g] (zero at `at`) and V's
+    columns to `at`. For a target y, let R_g = [[R_v, h], [0, r]] be the R of
+    the QR of the group's [1, V, y]. Then Z_g = R_v @ M_g with entries h has
+    the group's Gram matrix of [1, X] and its [1, X].T @ y, so the stacked
+    groups give the same fit. Each target gets its own QR, so its fit does
+    not depend on the other targets; R_v comes out of the same steps
+    whatever the target, and the first target's is used.
+
+    Each group's rows are copied, in row order, into a column-major block
+    padded with zero rows (exact, also for fewer rows than the block has
+    columns), and up to GROUP_BLOCK padded rows a target are factored by one
+    batched QR. A group with no rows drops out.
+    """
+    f, m = len(X.at), len(Y)
+    width = 1 + f + 1
+    sizes = np.bincount(X.group, minlength=len(X.shared))
+    present = np.flatnonzero(sizes)
+    sizes = sizes[present]
+    starts = np.cumsum(sizes) - sizes
+    order = np.argsort(X.group, kind="stable")  # the rows by group, in row order within one
+    step = max(1, GROUP_BLOCK // max(int(sizes.max(initial=0)), width))
+    R = np.empty((m, present.size, width, width))
+    for lo in range(0, present.size, step):
+        hi = min(lo + step, present.size)
+        depth = max(int(sizes[lo:hi].max()), width)
+        rows = order[starts[lo]:starts[hi - 1] + sizes[hi - 1]]
+        # each row's place: its group's block, then its slot in the group
+        pos = np.repeat(np.arange(hi - lo) * (width * depth) - (starts[lo:hi] - starts[lo]),
+                        sizes[lo:hi]) + np.arange(rows.size)
+        block = np.zeros((m, hi - lo, width, depth))
+        flat = block.reshape(-1)
+        flat[pos] = 1.0
+        for c in range(f):
+            flat[pos + (1 + c) * depth] = X.varying[rows, c]
+        block[1:, :, :-1] = block[0, :, :-1]
+        for j in range(m):
+            flat[pos + (j * (hi - lo) * width + width - 1) * depth] = Y[j, rows]
+        R[:, lo:hi] = _householder_qr(block.transpose(0, 1, 3, 2))[0]
+    at = 1 + np.asarray(X.at, dtype=np.intp)  # X's columns `at` in [1, X]
+    M = np.zeros((present.size, 1 + X.shared.shape[1]))
+    M[:, 0], M[:, 1:] = 1.0, X.shared[present]
+    M[:, at] = 0.0
+    Z = R[0, :, :-1, :1] * M[:, None, :]
+    Z[:, :, at] = R[0, :, :-1, 1:-1]
+    return Z.reshape(-1, Z.shape[2]), R[:, :, :-1, -1].reshape(m, -1)
+
+
+def ols_fit(blocks: Iterable[np.ndarray | GroupedRows], Y) -> LinearModel:
     """Least squares of each row of Y, an (m, n) array of m targets, on an
     intercept and the features X, the columns `predict` takes, solved by QR.
     The model holds each target's intercept weight and one coefficient per
     column of X.
 
-    X comes as its 2-D row blocks in order: `[X]` for a matrix, or a stream
-    (see `dml._fit_predict`), factored a block at a time, a sequential
-    tall-skinny QR (Demmel, Grigori, Hoemmen & Langou 2012): each block is
-    copied, column-major and led by a column of ones, under the R of the
-    rows before it, each target's block under its first entries of Q.T @
-    target so far, and both go through `_householder_qr`. No n-row Q or
-    second n-row design is formed. One block keeps the bits of an unblocked
-    QR of [1, X]; several give the same fit up to rounding. The design is
-    factored once for all targets, and each target is solved on its own, so
-    every fit is bit-identical to fitting that target alone.
+    X comes as its row blocks in order, each a 2-D array or a GroupedRows:
+    `[X]` for a matrix. It is factored a block at a time, a sequential
+    tall-skinny QR (Demmel, Grigori, Hoemmen & Langou 2012): each block's
+    rows of [1, X] -- a 2-D block copied column-major behind a column of
+    ones, a GroupedRows reduced to a few rows per group (`_reduce_groups`)
+    -- go under the R of the rows before it, and each target's entries
+    under its first entries of Q.T @ target so far, through
+    `_householder_qr`. No n-row Q or second n-row design is formed. One 2-D
+    block keeps the bits of an unblocked QR of [1, X]; several, or a
+    GroupedRows, give the same fit up to rounding. The design is factored
+    once for all targets, and each target is solved on its own, so every
+    fit is bit-identical to fitting that target alone on the same rows.
 
     Raises DimensionMismatch for a block that is not 2-D, LengthMismatch for
-    a Y that is not 2-D or not one entry per row of X, and RankDeficient
-    when [1, X] does not have full column rank -- a constant feature is the
-    usual culprit.
+    a Y that is not 2-D or not one entry per row of X, TooFewRows for no
+    more rows than [1, X] has columns, and RankDeficient when [1, X] does
+    not have full column rank -- a constant feature is the usual culprit.
     """
     Y = np.asarray(Y, dtype=float)
     if Y.ndim != 2:
@@ -199,17 +272,25 @@ def ols_fit(blocks: Iterable[np.ndarray], Y) -> LinearModel:
     # R of no rows: its one column, the intercept's, broadcasts to any width
     n, R, heads = 0, np.empty((0, 1)), [np.empty(0)] * len(Y)
     for block in blocks:
-        block = np.asarray(block, dtype=float)
-        if block.ndim != 2:
-            raise DimensionMismatch(f"a row block must be 2-dimensional, got {block.ndim}")
+        if not isinstance(block, GroupedRows):
+            block = np.asarray(block, dtype=float)
+            if block.ndim != 2:
+                raise DimensionMismatch(f"a row block must be 2-dimensional, got {block.ndim}")
         tails = Y[:, n:n + len(block)]
         n += len(block)
         if tails.shape[1] != len(block):
             raise LengthMismatch(f"Y has {Y.shape[1]} entries for at least {n} rows of X")
-        # [1, block] under the R of the rows before it; rebinding `block`
-        # lets the caller's block go before the QR allocates its own
-        stacked = np.empty((len(R) + len(block), 1 + block.shape[1]), order="F")
-        stacked[:len(R)], stacked[len(R):, 0], stacked[len(R):, 1:] = R, 1.0, block
+        # the block's rows of [1, X] under the R of the rows before it;
+        # rebinding `block` lets the caller's block go before the QR
+        # allocates its own
+        if isinstance(block, GroupedRows):
+            block, tails = _reduce_groups(block, tails)
+            stacked = np.empty((len(R) + len(block), block.shape[1]), order="F")
+            stacked[len(R):] = block
+        else:
+            stacked = np.empty((len(R) + len(block), 1 + block.shape[1]), order="F")
+            stacked[len(R):, 0], stacked[len(R):, 1:] = 1.0, block
+        stacked[:len(R)] = R
         block, tails = stacked, [np.concatenate(pair) for pair in zip(heads, tails)]
         R, heads = _householder_qr(block, tails)
     k = R.shape[1]
@@ -457,7 +538,19 @@ def staged_predict(model: GbtModel, X: np.ndarray) -> Iterator[np.ndarray]:
 
 def predict(model, X) -> np.ndarray:
     """Evaluate a LinearModel or GbtModel on the rows of a 2-D X; a
-    LinearModel of m targets gives an (m, rows) array, one row per target."""
+    LinearModel of m targets gives an (m, rows) array, one row per target,
+    and also takes X as a GroupedRows: each group's shared part is
+    multiplied out once, and X is never formed."""
+    if isinstance(model, LinearModel) and isinstance(X, GroupedRows):
+        coef = model.coefficients
+        if X.shared.shape[1] != coef.shape[1]:
+            raise DimensionMismatch(f"model expects {coef.shape[1]} features, "
+                                    f"got {X.shared.shape[1]}")
+        keep = np.ones(coef.shape[1], dtype=bool)
+        keep[X.at] = False
+        shared = X.shared[:, keep]
+        return np.stack([(shared @ c[keep])[X.group] + X.varying @ c[X.at] + b
+                         for c, b in zip(coef, model.intercept)])
     X = np.asarray(X, dtype=float)
     if X.ndim != 2:
         raise DimensionMismatch("X must be 2-dimensional")

@@ -195,6 +195,11 @@ class PanelTable:
     def n_rows(self) -> int:
         return self.unit_codes.size
 
+    @property
+    def lag_columns(self) -> list[int]:
+        """The x positions of y_lag1..y_lagp."""
+        return _y_lag_columns(self.month_x.shape[1], self.lag_order)
+
 
 def _y_lag_columns(width: int, p: int) -> list[int]:
     """x positions of y_lag1..y_lagp in an x of `width` columns laid out as
@@ -215,16 +220,25 @@ def lag_design(X: np.ndarray, p: int, start: int) -> np.ndarray:
     return X[t].reshape(T - start, p * X.shape[1])
 
 
+def own_lags(panel: PanelTable, rows: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Write the y_lag1..y_lagp columns of x[rows] into `out` (len(rows) x
+    lag_order, any memory order; column-major writes whole columns) and
+    return it: y_lag{j} of a row is its unit's return j months earlier."""
+    flat, units = panel.returns.ravel(), panel.returns.shape[1]
+    at = panel.month_codes[rows] * units + panel.unit_codes[rows]
+    for j in range(panel.lag_order):
+        at -= units  # the same unit a month earlier
+        out[:, j] = flat.take(at)
+    return out
+
+
 def x_rows(panel: PanelTable, rows: np.ndarray, out: np.ndarray) -> np.ndarray:
     """Write x[rows] of the panel into `out` (len(rows) x width, any memory
-    order) and return it: the month columns from month_x, then each y_lag{j}
-    from the unit's return j months earlier. The values and their column
-    order are those of the x `to_panel` describes."""
-    t = panel.month_codes[rows]
-    u = panel.unit_codes[rows]
-    out[...] = panel.month_x[t]
-    for j, col in enumerate(_y_lag_columns(panel.month_x.shape[1], panel.lag_order), start=1):
-        out[:, col] = panel.returns[t - j, u]
+    order) and return it: the month columns from month_x, then the own-return
+    lags (`own_lags`). The values and their column order are those of the x
+    `to_panel` describes."""
+    out[...] = panel.month_x[panel.month_codes[rows]]
+    out[:, panel.lag_columns] = own_lags(panel, rows, np.empty((len(rows), panel.lag_order)))
     return out
 
 

@@ -123,7 +123,7 @@ def adf_test(series, level: str = "5%") -> AdfReport:
     Z = lag_design(dy, k, k)
     targets = np.stack([dy[k:], y[k:n - 1]])
     e_dy, e_level = targets - predict(ols_fit([Z], targets), Z)
-    tol = (nobs * np.finfo(float).eps) ** 2  # residuals this small beside their target are rounding
+    tol = nobs * np.finfo(float).eps  # sums of squares this small beside their target's are rounding
     ss_level = float(e_level @ e_level)
     if ss_level <= tol * float(targets[1] @ targets[1]):
         raise RankDeficient("the lagged level is collinear with the constant and lags")

@@ -117,6 +117,21 @@ def test_bare_import_loads_no_submodule_and_no_numpy():
     assert proc.stdout == "[]\n"
 
 
+@pytest.mark.skipif(learners.BLAS_THREADS is None or (os.cpu_count() or 1) < 2,
+                    reason="needs numpy's OpenBLAS thread calls and two cores")
+def test_the_cli_module_sets_one_blas_thread_unless_the_caller_set_a_count():
+    """`python -m macrodml` sets OPENBLAS_NUM_THREADS=1 before numpy loads,
+    so OpenBLAS starts one thread; a count the caller set is kept."""
+    src = os.path.dirname(os.path.dirname(macrodml.__file__))
+    probe = ("import macrodml.__main__; from macrodml import learners; "
+             "print(learners.BLAS_THREADS[0]())")
+    env = {name: value for name, value in os.environ.items() if name != "OPENBLAS_NUM_THREADS"}
+    counts = [subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                             check=True, env={**env, "PYTHONPATH": src, **preset}).stdout
+              for preset in ({}, {"OPENBLAS_NUM_THREADS": "2"})]
+    assert counts == ["1\n", "2\n"]
+
+
 @pytest.mark.skipif(learners.BLAS_THREADS is None, reason="numpy links no OpenBLAS thread calls")
 def test_run_and_run_dml_hold_one_blas_thread_and_give_the_count_back(small_fx, tmp_path,
                                                                       monkeypatch):

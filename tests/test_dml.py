@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -30,10 +31,10 @@ from macrodml.errors import (
     DegenerateTreatment,
     LengthMismatch,
     RankDeficient,
+    TooFewRows,
 )
 from macrodml import dml
 from macrodml.learners import (
-    OLS_BLOCK,
     HyperParams,
     gbt_fit,
     ols_fit,
@@ -324,6 +325,9 @@ def test_the_fold_plan_is_the_one_place_folds_are_decided(monkeypatch):
 
 @pytest.mark.parametrize("panel", [False, True])
 def test_linear_cross_fit_one_ols_per_fold_matches_separate_fits(monkeypatch, panel):
+    """One ols_fit per fold serves both tasks. A cross-sectional fold is fit
+    on its rows of x and gives those fits' bits; a panel fold is fit on its
+    month groups and matches the fit on its gathered rows to rounding."""
     if panel:
         problem = _panel_problem()
     else:
@@ -333,23 +337,25 @@ def test_linear_cross_fit_one_ols_per_fold_matches_separate_fits(monkeypatch, pa
     res = cross_fit_nuisance(problem, LINEAR, k=3, seed=1)
     assert len(calls) == 3  # one fit per fold serves both tasks
 
-    n = problem.n_obs
     for train, test in problem.folds(3, 1)[0]:
-        if panel:  # the whole encoded matrix is the reference for the row copies
+        if panel:  # the whole encoded matrix is the reference for the month groups
             X = np.hstack([problem.x.month_x, encode_features(problem, train)])
         else:
             X = problem.x
         for target, fitted in ((problem.y, res.g_hat), (problem.d, res.m_hat)):
             alone = predict(ols_fit([X[train]], [target[train]]), X[test])[0]
-            assert np.array_equal(fitted[test], alone)
+            if panel:
+                assert np.abs(fitted[test] - alone).max() <= 1e-12 * np.abs(alone).max()
+            else:
+                assert np.array_equal(fitted[test], alone)
 
 
 def test_linear_cross_fit_holds_a_few_design_blocks_not_the_fold():
-    """A linear fold's design is fitted and predicted OLS_BLOCK rows at a
-    time: on a 58,950-row panel, whose training folds span four blocks, the
-    traced peak of a cross-fit stays below four blocks of the design plus 16
-    floats per row (residuals, predictions, fold indices, targets), where
-    one fold's whole training design is 40 floats per training row."""
+    """A linear panel fold is fit from its month groups, a few rows per
+    month, and predicted month by month: on a 58,950-row panel the traced
+    peak of a cross-fit stays below 4 * 8,192 rows of the 40-column design
+    plus 16 floats per row (residuals, predictions, fold indices, targets),
+    where one fold's whole training design is 40 floats per training row."""
     rng = np.random.default_rng(3)
     T, n_funds = 400, 150
     funds = make_tsm(rng.standard_normal((T, n_funds)), names=[f"F{i:03d}" for i in range(n_funds)])
@@ -357,14 +363,86 @@ def test_linear_cross_fit_holds_a_few_design_blocks_not_the_fold():
     problem = problem_from_panel(to_panel(funds, macro, "d", lag_order=7))
     width = 1 + len(problem.x.x_names) + 1  # intercept, x, unit mean
     n = problem.n_obs
-    assert (n - n // 2) > 3 * OLS_BLOCK
     tracemalloc.start()
     try:
         cross_fit_nuisance(problem, LINEAR, k=2, seed=0)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 4 * OLS_BLOCK * width * 8 + 16 * 8 * n
+    assert peak < 4 * 8192 * width * 8 + 16 * 8 * n
+
+
+def _unbalanced_problem(seed=0):
+    """A lag-2 panel of 12 funds over 40 months with NaN gaps and funds that
+    enter late, so months hold from 1 to 12 rows."""
+    rng = np.random.default_rng(seed)
+    T, n_funds = 40, 12
+    returns = rng.standard_normal((T, n_funds))
+    for i in range(n_funds):
+        returns[:3 * i, i] = np.nan  # fund i enters in month 3i
+    returns[20, 2] = returns[25, 5] = returns[30, 0] = np.nan
+    funds = make_tsm(returns, names=[f"F{i:02d}" for i in range(n_funds)])
+    macro = make_tsm(rng.standard_normal((T, 3)), names=["d", "c1", "c2"])
+    return problem_from_panel(to_panel(funds, macro, "d", lag_order=2))
+
+
+def _gathered_fold_fit(problem, train, test, targets):
+    """Each target's OLS predictions on the test rows from the gathered
+    design, the reference for a panel fold's month-group fit."""
+    X = design_rows(problem.x, encode_features(problem, train), np.arange(problem.n_obs))
+    return predict(ols_fit([X[train]], np.stack([t[train] for t in targets])), X[test])
+
+
+def test_unbalanced_panel_fits_its_month_groups_as_its_rows():
+    """On an unbalanced panel, with folds where a month holds fewer training
+    rows than a month group's width and a test month holds no training row,
+    the month-group fit predicts what the gathered rows' fit predicts, with
+    both tasks or with a given g_hat."""
+    problem = _unbalanced_problem()
+    panel = problem.x
+    width = 1 + panel.lag_order + 1 + 2  # ones, lags, outcome mean, y and d
+    counts = np.bincount(panel.month_codes)
+    res = cross_fit_nuisance(problem, LINEAR, k=3, seed=2)
+    pairs = problem.folds(3, 2)[0]
+    sparse = lonely = False
+    for train, test in pairs:
+        per_month = np.bincount(panel.month_codes[train], minlength=len(counts))
+        sparse |= bool(((per_month > 0) & (per_month < width)).any())
+        lonely |= bool((per_month[panel.month_codes[test]] == 0).any())
+        want = _gathered_fold_fit(problem, train, test, (problem.y, problem.d))
+        for fitted, ref in zip((res.g_hat, res.m_hat), want):
+            assert np.abs(fitted[test] - ref).max() <= 1e-12 * np.abs(ref).max()
+    assert sparse and lonely  # the cases this test is for do occur
+    given = cross_fit_nuisance(problem, LINEAR, k=3, seed=2, g_hat=res.g_hat)
+    assert given.g_hat.tobytes() == res.g_hat.tobytes()
+    assert np.abs(given.m_hat - res.m_hat).max() <= 1e-12 * np.abs(res.m_hat).max()
+
+
+def test_unbalanced_panel_errors_name_the_fold_and_task():
+    """A rank-deficient or too-short month-group fit raises the package
+    error of the gathered rows' fit, with its fold and task."""
+    problem = _unbalanced_problem()
+    month_x = problem.x.month_x.copy()
+    month_x[:, 0] = 2.5  # a constant control collides with the intercept
+    flat = replace(problem.x, month_x=month_x)
+    with pytest.raises(RankDeficient, match=r"^fold 0, y-task: design matrix is rank deficient$"):
+        cross_fit_nuisance(problem_from_panel(flat), LINEAR, k=3, seed=2)
+    g_hat = cross_fit_nuisance(problem, LINEAR, k=3, seed=2).g_hat
+    with pytest.raises(RankDeficient, match=r"^fold 0, d-task: "):
+        cross_fit_nuisance(problem_from_panel(flat), LINEAR, k=3, seed=2, g_hat=g_hat)
+    rows = np.flatnonzero(problem.x.unit_codes >= 8)[:24]  # 24 rows, 3 funds
+    short = PlrProblem(problem.y[rows], problem.d[rows], _subpanel(problem.x, rows))
+    with pytest.raises(TooFewRows, match=r"^fold 0, y-task: need more than"):
+        cross_fit_nuisance(short, LINEAR, k=2, seed=0)
+
+
+def _subpanel(panel, rows):
+    """The PanelTable of some of a panel's rows."""
+    units = np.unique(panel.unit_codes[rows])
+    return PanelTable([panel.units[u] for u in units], panel.months,
+                      np.searchsorted(units, panel.unit_codes[rows]), panel.month_codes[rows],
+                      panel.y[rows], panel.d[rows], panel.month_x, panel.returns[:, units],
+                      panel.x_names, panel.lag_order)
 
 
 @pytest.mark.parametrize("learner", [LINEAR, LearnerSpec("boosted", HyperParams(8, 2, 0.3, 10))],
@@ -437,21 +515,29 @@ def test_design_rows_copies_the_rows_of_the_joined_matrix():
         got = design_rows(problem.x, means, rows)
         assert got.flags.c_contiguous
         assert np.array_equal(got.view(np.uint64), joined[rows].view(np.uint64))
-        got = design_rows(problem.x, means, rows, order="F")
-        assert got.flags.f_contiguous
-        assert np.array_equal(got.view(np.uint64), joined[rows].view(np.uint64))
     assert design_rows(problem.x, means[:, :0], np.arange(3)).shape == (3, len(problem.x.x_names))
 
 
-@pytest.mark.parametrize("order", ["C", "F"])
-def test_design_rows_spans_several_row_blocks(rng, order):
+def test_design_rows_spans_several_row_blocks(rng):
     n = 3 * dml._ROW_BLOCK + 5
     x, means = rng.standard_normal((n, 4)), rng.standard_normal((n, 1))
     joined = np.hstack([x, means])
     rows = np.sort(rng.choice(n, size=n - 700, replace=False))
-    got = design_rows(x, means, rows, order)
-    assert got.flags[{"C": "C_CONTIGUOUS", "F": "F_CONTIGUOUS"}[order]]
+    got = design_rows(x, means, rows)
+    assert got.flags.c_contiguous
     assert np.array_equal(got.view(np.uint64), joined[rows].view(np.uint64))
+
+
+def test_month_rows_are_the_design_rows():
+    """The month groups of any rows of a panel are the rows design_rows
+    copies: shared month part, lags and outcome mean at their columns."""
+    problem = _unbalanced_problem()
+    means = encode_features(problem, np.arange(problem.n_obs) % 3 > 0)
+    rows = np.array([7, 0, problem.n_obs - 1, 7, 40])
+    got = dml.month_rows(problem.x, means, rows)
+    dense = got.shared[got.group].copy()
+    dense[:, got.at] = got.varying
+    assert np.array_equal(dense, design_rows(problem.x, means, rows))
 
 
 def _tiny_problem():

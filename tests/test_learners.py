@@ -23,7 +23,7 @@ from macrodml.errors import (
 from macrodml.learners import (
     DEFAULT_GRID,
     MAX_BINS,
-    OLS_BLOCK,
+    GroupedRows,
     HyperParams,
     LinearModel,
     gbt_fit,
@@ -61,9 +61,12 @@ def test_one_blas_thread_runs_on_one_thread_and_restores_the_callers_count():
 # OLS
 # ---------------------------------------------------------------------------
 
+BLOCK = 8192  # rows of each block `_blocks` feeds
+
+
 def _blocks(X):
-    """X's OLS_BLOCK-row blocks, in order, as `dml._fit_predict` feeds a fold."""
-    return (X[start:start + OLS_BLOCK] for start in range(0, len(X), OLS_BLOCK))
+    """X's BLOCK-row blocks, in order, as a stream."""
+    return (X[start:start + BLOCK] for start in range(0, len(X), BLOCK))
 
 
 def test_ols_hand_example():
@@ -111,7 +114,7 @@ def test_ols_too_few_rows():
         ols_fit([np.eye(3)[:, :2]], [np.arange(3.0)])
 
 
-@pytest.mark.parametrize("n, k, m", [(50, 3, 2), (400, 38, 3), (3 * OLS_BLOCK + 5, 38, 2)])
+@pytest.mark.parametrize("n, k, m", [(50, 3, 2), (400, 38, 3), (3 * BLOCK + 5, 38, 2)])
 def test_ols_shared_design_matches_single_target_fits(rng, n, k, m):
     X = rng.standard_normal((n, k))
     Y = X[:, :m].T + rng.standard_normal((m, n))
@@ -541,7 +544,7 @@ def test_ols_column_major_design_matches_column_stack_bit_for_bit(rng, m):
 
 @pytest.mark.parametrize("m", [1, 2])
 def test_ols_matches_lstsq(rng, m):
-    for n in (3000, 3 * OLS_BLOCK + 100):  # one row block, then four
+    for n in (3000, 3 * BLOCK + 100):  # one row block, then four
         X = rng.standard_normal((n, 39)) * rng.uniform(0.1, 50.0, 39)
         Y = X[:, :m].T + rng.standard_normal((m, n))
         Z = np.column_stack([np.ones(n), X])
@@ -555,12 +558,12 @@ def test_ols_matches_lstsq(rng, m):
 def test_ols_takes_the_design_as_its_row_blocks(rng):
     """A design fed as a list of its blocks or as a stream of them gives the
     same bits; the blocks' rows must match Y's."""
-    X = rng.standard_normal((2 * OLS_BLOCK + 7, 5))
+    X = rng.standard_normal((2 * BLOCK + 7, 5))
     Y = X[:, :2].T + rng.standard_normal((2, len(X)))
     listed, fed = ols_fit(list(_blocks(X)), Y), ols_fit(_blocks(X), Y)
     assert np.array_equal(listed.intercept, fed.intercept)
     assert np.array_equal(listed.coefficients, fed.coefficients)
-    for short in (Y[:, :-1], Y[:, :OLS_BLOCK - 1]):
+    for short in (Y[:, :-1], Y[:, :BLOCK - 1]):
         with pytest.raises(LengthMismatch):
             ols_fit(_blocks(X), short)
     with pytest.raises(LengthMismatch):
@@ -571,9 +574,9 @@ def test_ols_takes_the_design_as_its_row_blocks(rng):
 
 def test_ols_never_holds_a_second_n_row_factor(rng):
     """ols_fit factors its design a block at a time and never copies more
-    of it, or forms an n-row Q: on a design of six OLS_BLOCK-row blocks its
+    of it, or forms an n-row Q: on a design of six BLOCK-row blocks its
     traced peak stays below three blocks' bytes."""
-    X = np.asfortranarray(rng.standard_normal((6 * OLS_BLOCK, 38)))
+    X = np.asfortranarray(rng.standard_normal((6 * BLOCK, 38)))
     Y = np.stack([X[:, 0], X[:, 1]]) + rng.standard_normal((2, len(X)))
     tracemalloc.start()
     try:
@@ -581,7 +584,62 @@ def test_ols_never_holds_a_second_n_row_factor(rng):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 3 * OLS_BLOCK * X.shape[1] * X.itemsize
+    assert peak < 3 * BLOCK * X.shape[1] * X.itemsize
+
+
+def _grouped(rng, sizes, width=12, at=(2, 5, 11)):
+    """GroupedRows of groups with the given row counts, rows in a shuffled
+    order, and the matrix they stand for."""
+    group = rng.permutation(np.repeat(np.arange(len(sizes)), sizes))
+    shared = rng.standard_normal((len(sizes), width)) * rng.uniform(0.5, 20.0, width)
+    shared[:, list(at)] = np.nan  # never read
+    varying = rng.standard_normal((group.size, len(at)))
+    X = GroupedRows(shared, group, varying, list(at))
+    dense = shared[group]
+    dense[:, list(at)] = varying
+    return X, dense
+
+
+def test_ols_fits_grouped_rows_as_their_rows(rng):
+    """A GroupedRows block, with groups of no row, of fewer rows than the
+    group blocks are wide and of many, fits and predicts as its rows do, up
+    to rounding, also streamed after a 2-D block; each target's fit keeps
+    its bits alone."""
+    sizes = np.r_[0, 1, 3, rng.integers(20, 60, 30), 0, 2]
+    X, dense = _grouped(rng, sizes)
+    Y = np.stack([dense @ rng.standard_normal(12), dense[:, 0]]) + rng.standard_normal((2, len(X)))
+    want = ols_fit([dense], Y)
+    got = ols_fit([X], Y)
+    for a, b in ((got.intercept, want.intercept), (got.coefficients, want.coefficients)):
+        assert np.abs(a - b).max() <= 1e-12 * np.abs(b).max()
+    pred, ref = predict(got, X), predict(want, dense)
+    assert pred.shape == ref.shape == (2, len(X))
+    assert np.abs(pred - ref).max() <= 1e-12 * np.abs(ref).max()
+    for j in range(2):
+        alone = ols_fit([X], Y[j:j + 1])
+        assert np.array_equal(alone.coefficients[0], got.coefficients[j])
+        assert np.array_equal(predict(alone, X)[0], pred[j])
+    tail, tail_rows = _grouped(rng, sizes[3:])
+    Y2 = np.column_stack([Y[:, :50], Y[:, :len(tail)]])
+    streamed, ref = ols_fit([dense[:50], tail], Y2), ols_fit([np.vstack([dense[:50], tail_rows])], Y2)
+    assert np.abs(streamed.coefficients - ref.coefficients).max() <= 1e-12 * np.abs(ref.coefficients).max()
+
+
+def test_grouped_rows_keep_the_fits_checks(rng):
+    X, dense = _grouped(rng, [4, 4, 4])
+    with pytest.raises(TooFewRows, match="need more than 13 rows to fit 12 features, got 12"):
+        ols_fit([X], dense[:, :1].T)
+    X, dense = _grouped(rng, rng.integers(5, 9, 12))
+    X.shared[:, 0] = 3.0  # a constant shared column collides with the intercept
+    dense[:, 0] = 3.0
+    for design in (dense, X):
+        with pytest.raises(RankDeficient):
+            ols_fit([design], dense[:, 1:2].T)
+    with pytest.raises(LengthMismatch):
+        ols_fit([X], dense[:-1, 1:2].T)
+    model = ols_fit([dense[:, 1:]], dense[:, :1].T)
+    with pytest.raises(DimensionMismatch):
+        predict(model, X)
 
 
 def test_gbt_refit_is_bit_identical(rng):

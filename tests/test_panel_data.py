@@ -37,7 +37,7 @@ from macrodml.panel_data import (
 )
 
 from macrodml import dml
-from macrodml.dml import design_rows, encode_features, problem_from_panel
+from macrodml.dml import design_rows, encode_features, month_rows, problem_from_panel
 
 from conftest import make_tsm, panel_x
 
@@ -570,7 +570,7 @@ def test_to_panel_values_match_row_loop(p):
 def test_fold_designs_keep_the_row_loop_bits(monkeypatch, p):
     """Every fold's design, gathered block by block from the month table and
     the fund returns, holds the bits of [x, unit means] built from the row
-    loop's x, in either memory order."""
+    loop's x; so do its month groups, written out."""
     monkeypatch.setattr(dml, "_ROW_BLOCK", 5)  # several blocks per fold
     _, panel, ref_rows = _row_loop_case(p)
     problem = problem_from_panel(panel)
@@ -580,10 +580,13 @@ def test_fold_designs_keep_the_row_loop_bits(monkeypatch, p):
         means = encode_features(problem, train)
         for rows in (train, test, np.arange(n)):
             ref = np.column_stack([x_ref[rows], means[rows]])
-            for order in ("C", "F"):
-                got = design_rows(problem.x, means, rows, order)
-                assert got.flags[f"{order}_CONTIGUOUS"]
-                assert np.array_equal(got.view(np.uint64), ref.view(np.uint64))
+            got = design_rows(problem.x, means, rows)
+            assert got.flags.c_contiguous
+            assert np.array_equal(got.view(np.uint64), ref.view(np.uint64))
+            grouped = month_rows(problem.x, means, rows)
+            got = grouped.shared[grouped.group]
+            got[:, grouped.at] = grouped.varying
+            assert np.array_equal(got.view(np.uint64), ref.view(np.uint64))
 
 
 def test_to_panel_codes_skip_funds_without_rows():

@@ -83,13 +83,19 @@ def test_adf_constant_series_is_singular():
     # span every 13-periodic series, the lagged level included
     with pytest.raises(RankDeficient, match="lagged level"):
         adf_test(np.tile(np.arange(13.0), 10)[:120])
-    # six sinusoids obey a 12-term linear recurrence, so at k = 12 the
-    # regression fits exactly
+    # six sinusoids obey a 12-term linear recurrence, so at k = 12 the 12
+    # lagged differences span every such series, the lagged level included;
+    # QR rounding leaves its residual near 1e-22 of its sum of squares
     rng = np.random.default_rng(0)
     freqs, phases = rng.uniform(0.2, 2.9, 6), rng.uniform(0.0, 2 * np.pi, 6)
     waves = np.sin(np.outer(np.arange(120.0), freqs) + phases).sum(axis=1)
-    with pytest.raises(SingularCovariance, match="exactly"):
+    with pytest.raises(RankDeficient, match="lagged level is collinear"):
         adf_test(waves)
+    # with a trend the level leaves that span, but the difference, a
+    # constant plus the waves' differences, stays in it: the regression
+    # fits exactly
+    with pytest.raises(SingularCovariance, match="exactly"):
+        adf_test(waves + 0.05 * np.arange(120.0))
 
 
 def test_adf_white_noise_rejects_unit_root():
