@@ -162,9 +162,9 @@ def _config_hash(config: PipelineConfig) -> str:
 @contextlib.contextmanager
 def _publishing(out_dir: str, manifest: dict):
     """The one way files reach an output directory. Yields `write(name,
-    blocks)`, which writes the str or bytes blocks as the file `name` in a
+    pieces)`, which writes the str or bytes pieces as the file `name` in a
     new hidden sibling of out_dir, hashing them as they are written, in
-    slices of IO_BLOCK characters or bytes: a long str block (a figure) is
+    slices of IO_BLOCK characters or bytes: a long str piece (a figure) is
     never held whole as bytes too. On a clean exit manifest.json is written
     last, `manifest` with those digests under "files", and the sibling is
     swapped in for out_dir, which then holds exactly these files. Any
@@ -180,14 +180,14 @@ def _publishing(out_dir: str, manifest: dict):
         os.mkdir(stage)  # mode 0o777 less the umask, as os.makedirs gives
         digests = {}
 
-        def write(name: str, blocks) -> None:
+        def write(name: str, pieces) -> None:
             digest = hashlib.sha256()
             with open(os.path.join(stage, name), "wb") as fh:
-                for block in blocks:
-                    for i in range(0, len(block), IO_BLOCK):
+                for piece in pieces:
+                    for i in range(0, len(piece), IO_BLOCK):
                         # UTF-8 encodes each character on its own, so the
-                        # slices' bytes are the block's
-                        data = block[i:i + IO_BLOCK]
+                        # slices' bytes are the piece's
+                        data = piece[i:i + IO_BLOCK]
                         data = data.encode() if isinstance(data, str) else data
                         digest.update(data)
                         fh.write(data)

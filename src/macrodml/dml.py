@@ -36,7 +36,7 @@ from .learners import (
     r2,
     staged_predict,
 )
-from .panel_data import PanelTable, own_lags, x_rows
+from .panel_data import PanelTable, own_lags
 
 Z_975 = 1.959964  # two-sided 5% normal quantile used for all intervals
 
@@ -65,8 +65,9 @@ class PlrProblem:
     """One partially linear regression problem, optionally panel-aware.
 
     x is the (n, p) control matrix, or for a panel the PanelTable whose rows
-    `design_rows` gathers, so a panel's x is never held whole; the panel
-    alone holds each row's fund and month (its unit and month codes).
+    `month_rows` holds as month groups, so a panel's x is never held whole;
+    the panel alone holds each row's fund and month (its unit and month
+    codes).
     """
 
     y: np.ndarray
@@ -114,17 +115,15 @@ class PlrProblem:
         pairs = [(np.flatnonzero(fold_of != i), np.flatnonzero(fold_of == i)) for i in range(k)]
         return pairs, fold_of
 
-    def fold_design(self, train):
+    def fold_rows(self, train):
         """rows -> those rows of the design of the fold whose training rows
-        are `train`, as one matrix: x itself, or, for a panel, x joined with
-        the fund outcome means of the `train` rows (see `design_rows`). The
-        boosted learner fits on it; a linear panel fold takes the same rows
-        as month groups (`month_rows`)."""
+        are `train`: x[rows], or, for a panel, the rows of x joined with the
+        fund outcome means of the `train` rows (`encode_features`), as month
+        groups (`month_rows`). Both learners fit and predict on them, the
+        boosted one on np.asarray of them."""
         if isinstance(self.x, PanelTable):
-            means = encode_features(self, train)
-        else:
-            means = np.empty((self.n_obs, 0))
-        return functools.partial(design_rows, self.x, means)
+            return functools.partial(month_rows, self.x, encode_features(self, train))
+        return self.x.__getitem__
 
 
 def problem_from_panel(panel: PanelTable) -> PlrProblem:
@@ -164,7 +163,7 @@ def staged_oof(problem: PlrProblem, pairs, task: str, params: HyperParams,
     many trees, for each count in `stages`.
 
     One ensemble of max(stages) trees is fitted per fold on the fold's
-    design (`PlrProblem.fold_design`) and predicts the fold's test rows; a
+    rows (`PlrProblem.fold_rows`) and predicts the fold's test rows; a
     shorter ensemble is its prefix, because boosting is deterministic and
     stagewise, so its predictions are `staged_predict`'s at that stage, the
     bits a separate fit of that many trees gives. A package error names its
@@ -173,12 +172,13 @@ def staged_oof(problem: PlrProblem, pairs, task: str, params: HyperParams,
     target = getattr(problem, task)
     oof = {t: np.empty(problem.n_obs) for t in stages}
     for i, (train, test) in enumerate(pairs):
-        rows_of = problem.fold_design(train)
+        rows_of = problem.fold_rows(train)
         try:
-            model = gbt_fit(rows_of(train), target[train], replace(params, n_trees=max(stages)))
+            model = gbt_fit(np.asarray(rows_of(train)), target[train],
+                            replace(params, n_trees=max(stages)))
         except MacrodmlError as exc:
             raise type(exc)(f"fold {i}, {task}-task: {exc}") from exc
-        for stage, pred in enumerate(staged_predict(model, rows_of(test))):
+        for stage, pred in enumerate(staged_predict(model, np.asarray(rows_of(test)))):
             if stage in oof:
                 oof[stage][test] = pred
     return oof
@@ -187,7 +187,7 @@ def staged_oof(problem: PlrProblem, pairs, task: str, params: HyperParams,
 def encode_features(problem: PlrProblem, train: np.ndarray) -> np.ndarray:
     """Each row's fund mean of the outcome over the `train` rows, a sorted
     index array (target encoding of the fund id, a fixed-effect proxy), as
-    the (n, 1) block that `design_rows` appends to x.
+    the (n, 1) block that `month_rows` appends to x.
 
     Rows are grouped by the unit codes of the problem's panel x. A fund with
     no training row gets the mean of all training rows; `train` must hold at
@@ -201,35 +201,12 @@ def encode_features(problem: PlrProblem, train: np.ndarray) -> np.ndarray:
     return means[panel.unit_codes][:, None]
 
 
-_ROW_BLOCK = 2048  # rows gathered per step of design_rows; a block stays in cache
-
-
-def design_rows(x: np.ndarray | PanelTable, means: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """x[rows] with means[rows] appended, copied straight into one
-    row-major array a block of rows at a time, so selecting rows never
-    builds the full matrix first. x is a matrix or a PanelTable, whose rows
-    `panel_data.x_rows` gathers.
-    """
-    panel = isinstance(x, PanelTable)
-    p = len(x.x_names) if panel else x.shape[1]
-    rows = np.asarray(rows)
-    out = np.empty((rows.size, p + means.shape[1]))
-    for start in range(0, rows.size, _ROW_BLOCK):
-        block = rows[start:start + _ROW_BLOCK]
-        dest = out[start:start + _ROW_BLOCK]
-        if panel:
-            x_rows(x, block, dest[:, :p])
-        else:
-            dest[:, :p] = x[block]
-        dest[:, p:] = means[block]
-    return out
-
-
 def month_rows(panel: PanelTable, means: np.ndarray, rows: np.ndarray) -> GroupedRows:
-    """The rows `design_rows(panel, means, rows)` copies, as month groups
+    """x[rows] of the panel with means[rows] appended, as month groups
     (`learners.GroupedRows`): every x column but the own-return lags is the
-    month's month_x row, so only the lags and the outcome-mean column vary
-    within a month, and no x row is gathered."""
+    month's month_x row, so only the lags (`own_lags`) and the outcome-mean
+    column vary within a month, and no x row is gathered. The values and
+    their column order are those of the x `to_panel` describes."""
     p = panel.lag_order
     varying = np.empty((p + 1, len(rows))).T  # column-major
     own_lags(panel, rows, varying[:, :p])
@@ -250,18 +227,17 @@ def cross_fit_nuisance(
 
     Every row is predicted by models trained on the complement of its fold.
     For a panel the fund outcome means are recomputed inside each training
-    complement, so held-out rows never leak into the means they receive. A
-    boosted fold's training and test rows are copied straight from x (for a
-    panel, its month table and fund returns) and that column
-    (`PlrProblem.fold_design`). A linear fold fits and predicts a
-    cross-sectional x's rows, and a panel's rows as month groups
-    (`month_rows`), a few rows per month, so no x row is gathered; its
-    predictions match the gathered rows' fit to rounding. The stored
+    complement, so held-out rows never leak into the means they receive.
+    Both learners take a fold's rows from `PlrProblem.fold_rows`: a
+    cross-sectional x's rows, or a panel's as month groups. A boosted fold
+    fits and predicts on those rows written out; a linear fold reduces a
+    panel's month groups to a few rows per month, so no x row is gathered,
+    and its predictions match the gathered rows' fit to rounding. The stored
     r2_y/r2_d are `learners.r2` of the pooled out-of-fold predictions, so a
     constant target raises ConstantTarget.
 
     A given `g_hat` is taken as the y task's out-of-fold predictions, made
-    on these folds and fold designs (`grid_search_cv`'s winner's are), and
+    on these folds and fold rows (`grid_search_cv`'s winner's are), and
     only the d task is fit.
 
     A package error names its fold and task. A linear fold fits both tasks
@@ -285,12 +261,9 @@ def cross_fit_nuisance(
             preds[task] = staged_oof(problem, pairs, task, params, [params.n_trees])[params.n_trees]
     else:
         for i, (train, test) in enumerate(pairs):
-            if isinstance(problem.x, PanelTable):
-                rows_of = functools.partial(month_rows, problem.x, encode_features(problem, train))
-            else:
-                rows_of = problem.x.__getitem__
+            rows_of = problem.fold_rows(train)
             try:
-                model = ols_fit([rows_of(train)], np.stack([t[train] for t in targets.values()]))
+                model = ols_fit(rows_of(train), np.stack([t[train] for t in targets.values()]))
             except MacrodmlError as exc:
                 raise type(exc)(f"fold {i}, {next(iter(targets))}-task: {exc}") from exc
             for task, pred in zip(targets, predict(model, rows_of(test))):
@@ -320,12 +293,12 @@ def grid_search_cv(
     """Pick boosted-tree settings for the y task by k-fold out-of-fold MSE.
 
     Every candidate is fit on `cross_fit_nuisance`'s folds
-    (`PlrProblem.folds`) and fold designs, and each table row keeps its
-    candidate's out-of-fold predictions (`CvRow.oof`): the winner's are the
-    ones a cross-fit with the winner makes, bit for bit. A candidate's
-    scores are the MSE and R^2 of its out-of-fold predictions over all
-    rows, as the cross-fit reports its nuisances, so the winner's cv_r2 is
-    the boosted r2_y.
+    (`PlrProblem.folds`) and fold rows (`PlrProblem.fold_rows`), and each
+    table row keeps its candidate's out-of-fold predictions (`CvRow.oof`):
+    the winner's are the ones a cross-fit with the winner makes, bit for
+    bit. A candidate's scores are the MSE and R^2 of its out-of-fold
+    predictions over all rows, as the cross-fit reports its nuisances, so
+    the winner's cv_r2 is the boosted r2_y.
 
     Candidates that differ only in n_trees share one fit per fold of the
     largest (see `staged_oof`). A candidate whose fit raises a package

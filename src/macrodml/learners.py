@@ -18,7 +18,7 @@ import contextlib
 import ctypes
 import itertools
 import json
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterator
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -150,12 +150,13 @@ def one_blas_thread():
 
 @dataclass
 class GroupedRows:
-    """The rows of a design X that is never formed whole: each row falls in
-    a group, and every column of X but those at `at` holds one value per
-    group. Row i is shared[group[i]] with varying[i] written over its
-    columns `at`; shared's own entries there are never read. In a fund panel
-    the groups are the months and the varying columns the fund's own lags
-    (see `dml.month_rows`)."""
+    """The rows of a design X, held by group: each row falls in a group,
+    and every column of X but those at `at` holds one value per group. Row
+    i is shared[group[i]] with varying[i] written over its columns `at`;
+    shared's own entries there are never read. In a fund panel the groups
+    are the months and the varying columns the fund's own lags and outcome
+    mean (see `dml.month_rows`). `ols_fit` and `predict` of a LinearModel
+    take it as it is; np.asarray forms its rows."""
 
     shared: np.ndarray  # (groups, columns)
     group: np.ndarray  # (rows,) each row's group
@@ -164,6 +165,13 @@ class GroupedRows:
 
     def __len__(self) -> int:
         return self.group.size
+
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        """X's rows as a new row-major (rows, columns) array, whatever `copy`
+        asks."""
+        out = self.shared[self.group]
+        out[:, self.at] = self.varying
+        return out if dtype is None else out.astype(dtype, copy=False)
 
 
 GROUP_BLOCK = 4096  # padded group rows a target factored per batched QR
@@ -191,8 +199,8 @@ def _householder_qr(Z: np.ndarray, targets=()) -> tuple[np.ndarray, list[np.ndar
 
 
 def _reduce_groups(X: GroupedRows, Y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Rows Z of [1, X], a few per group, and each target's entries for them,
-    with the least-squares fit of all of X's rows.
+    """Rows Z of [1, X], a few per group and column-major, and each target's
+    entries for them, with the least-squares fit of all of X's rows.
 
     Group g's rows of [1, X] are [1, V] @ M_g: V holds their varying
     columns, and M_g sends the ones to [1, shared_g] (zero at `at`) and V's
@@ -239,63 +247,46 @@ def _reduce_groups(X: GroupedRows, Y: np.ndarray) -> tuple[np.ndarray, np.ndarra
     M[:, at] = 0.0
     Z = R[0, :, :-1, :1] * M[:, None, :]
     Z[:, :, at] = R[0, :, :-1, 1:-1]
-    return Z.reshape(-1, Z.shape[2]), R[:, :, :-1, -1].reshape(m, -1)
+    return np.asfortranarray(Z.reshape(-1, Z.shape[2])), R[:, :, :-1, -1].reshape(m, -1)
 
 
-def ols_fit(blocks: Iterable[np.ndarray | GroupedRows], Y) -> LinearModel:
+def ols_fit(X, Y) -> LinearModel:
     """Least squares of each row of Y, an (m, n) array of m targets, on an
     intercept and the features X, the columns `predict` takes, solved by QR.
     The model holds each target's intercept weight and one coefficient per
     column of X.
 
-    X comes as its row blocks in order, each a 2-D array or a GroupedRows:
-    `[X]` for a matrix. It is factored a block at a time, a sequential
-    tall-skinny QR (Demmel, Grigori, Hoemmen & Langou 2012): each block's
-    rows of [1, X] -- a 2-D block copied column-major behind a column of
-    ones, a GroupedRows reduced to a few rows per group (`_reduce_groups`)
-    -- go under the R of the rows before it, and each target's entries
-    under its first entries of Q.T @ target so far, through
-    `_householder_qr`. No n-row Q or second n-row design is formed. One 2-D
-    block keeps the bits of an unblocked QR of [1, X]; several, or a
-    GroupedRows, give the same fit up to rounding. The design is factored
-    once for all targets, and each target is solved on its own, so every
-    fit is bit-identical to fitting that target alone on the same rows.
+    X is a 2-D array, copied column-major behind a column of ones, or a
+    GroupedRows, reduced to a few rows of [1, X] per group
+    (`_reduce_groups`); either is factored by one `_householder_qr`, which
+    applies the reflectors to each target, so no n-row Q is formed. A 2-D X
+    keeps the bits of an unblocked QR of [1, X]; a GroupedRows gives the
+    same fit up to rounding. The design is factored once for all targets,
+    and each target is solved on its own, so every fit is bit-identical to
+    fitting that target alone on the same rows.
 
-    Raises DimensionMismatch for a block that is not 2-D, LengthMismatch for
-    a Y that is not 2-D or not one entry per row of X, TooFewRows for no
-    more rows than [1, X] has columns, and RankDeficient when [1, X] does
-    not have full column rank -- a constant feature is the usual culprit.
+    Raises DimensionMismatch for an X that is not 2-D, LengthMismatch for a
+    Y that is not 2-D or not one entry per row of X, TooFewRows for no more
+    rows than [1, X] has columns, and RankDeficient when [1, X] does not
+    have full column rank -- a constant feature is the usual culprit.
     """
     Y = np.asarray(Y, dtype=float)
     if Y.ndim != 2:
         raise LengthMismatch(f"Y must be (targets, rows), got shape {Y.shape}")
-    # R of no rows: its one column, the intercept's, broadcasts to any width
-    n, R, heads = 0, np.empty((0, 1)), [np.empty(0)] * len(Y)
-    for block in blocks:
-        if not isinstance(block, GroupedRows):
-            block = np.asarray(block, dtype=float)
-            if block.ndim != 2:
-                raise DimensionMismatch(f"a row block must be 2-dimensional, got {block.ndim}")
-        tails = Y[:, n:n + len(block)]
-        n += len(block)
-        if tails.shape[1] != len(block):
-            raise LengthMismatch(f"Y has {Y.shape[1]} entries for at least {n} rows of X")
-        # the block's rows of [1, X] under the R of the rows before it;
-        # rebinding `block` lets the caller's block go before the QR
-        # allocates its own
-        if isinstance(block, GroupedRows):
-            block, tails = _reduce_groups(block, tails)
-            stacked = np.empty((len(R) + len(block), block.shape[1]), order="F")
-            stacked[len(R):] = block
-        else:
-            stacked = np.empty((len(R) + len(block), 1 + block.shape[1]), order="F")
-            stacked[len(R):, 0], stacked[len(R):, 1:] = 1.0, block
-        stacked[:len(R)] = R
-        block, tails = stacked, [np.concatenate(pair) for pair in zip(heads, tails)]
-        R, heads = _householder_qr(block, tails)
-    k = R.shape[1]
-    if n != Y.shape[1]:
+    if not isinstance(X, GroupedRows):
+        X = np.asarray(X, dtype=float)
+        if X.ndim != 2:
+            raise DimensionMismatch(f"X must be 2-dimensional, got {X.ndim}")
+    n = len(X)
+    if Y.shape[1] != n:
         raise LengthMismatch(f"Y has {Y.shape[1]} entries for {n} rows of X")
+    if isinstance(X, GroupedRows):
+        Z, Y = _reduce_groups(X, Y)
+    else:
+        Z = np.empty((n, 1 + X.shape[1]), order="F")
+        Z[:, 0], Z[:, 1:] = 1.0, X
+    R, heads = _householder_qr(Z, Y)
+    k = R.shape[1]
     if n <= k:
         raise TooFewRows(f"need more than {k} rows to fit {k - 1} features, got {n}")
     if _rank_deficient(R, n):

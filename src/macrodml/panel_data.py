@@ -2,10 +2,10 @@
 
 The wide form is a months-by-series matrix (fund returns or macro variables);
 the long form is one row per (fund, month) with outcome, treatment, and a
-control vector including lagged values, gathered by `x_rows` from a month
-table and the fund returns. Every input file is read through
-`read_input`, every numeric CSV body is parsed by `read_numeric_csv` and
-every CSV table is printed by `csv_blocks`.
+control vector including lagged values, held as a month table and the fund
+returns. Every input file is read through `read_input`, every numeric CSV
+body is parsed by `read_numeric_csv` and every CSV table is printed by
+`csv_blocks`.
 """
 
 from __future__ import annotations
@@ -153,7 +153,7 @@ class PanelTable:
     Every column but the `lag_order` own-return lags depends on the month
     alone and sits in month_x, one row per month, at its x position; the
     y_lag{j} column of row i is returns[month_codes[i] - j, unit_codes[i]],
-    with one returns column per unit. `x_rows` gathers any rows of x.
+    with one returns column per unit. `dml.month_rows` gives any rows of x.
     """
 
     units: list[str]
@@ -229,16 +229,6 @@ def own_lags(panel: PanelTable, rows: np.ndarray, out: np.ndarray) -> np.ndarray
     for j in range(panel.lag_order):
         at -= units  # the same unit a month earlier
         out[:, j] = flat.take(at)
-    return out
-
-
-def x_rows(panel: PanelTable, rows: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Write x[rows] of the panel into `out` (len(rows) x width, any memory
-    order) and return it: the month columns from month_x, then the own-return
-    lags (`own_lags`). The values and their column order are those of the x
-    `to_panel` describes."""
-    out[...] = panel.month_x[panel.month_codes[rows]]
-    out[:, panel.lag_columns] = own_lags(panel, rows, np.empty((len(rows), panel.lag_order)))
     return out
 
 
@@ -396,8 +386,11 @@ def csv_blocks(header, columns) -> Iterator[str]:
     of one length and each a sequence that slices, as consecutive pieces:
     the header line, then CSV_BLOCK rows at a time. Each block's cells are
     made only when the block is asked for, so a table written block by block
-    never holds its text, its cells or its numbers as Python objects all at
-    once.
+    holds the text and cells of one block at a time. A block is CSV_BLOCK
+    rows of every column, so that bound grows with the table's width: the
+    401-column, 500-row funds.csv of a 400-fund fixture is one block, and
+    `write_tscs_csv` peaks at about 29 MB under tracemalloc writing its
+    3.8 MB.
 
     This is the one writer of every table the package prints. The joined
     pieces are the bytes of the csv module's writer with QUOTE_MINIMAL and
@@ -489,7 +482,8 @@ def to_panel(
 
     The control vector x is [controls at t] followed, for each lag j = 1..p,
     by [y_lag{j}, {treatment_name}_lag{j}, <control>_lag{j}...]. The table
-    keeps it as a month table and the fund returns; `x_rows` gathers its rows.
+    keeps it as a month table and the fund returns; `dml.month_rows` gives its
+    rows.
     """
     if lag_order < 0:
         raise ConfigError("lag_order must be >= 0")

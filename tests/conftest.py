@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from macrodml.cli import EXIT_OK, main
-from macrodml.panel_data import TimeSeriesMatrix, month_range, x_rows
+from macrodml.dml import month_rows
+from macrodml.panel_data import TimeSeriesMatrix, month_range
 from macrodml.synth import gen_pipeline_fixture
 
 
@@ -20,9 +21,10 @@ def make_tsm(values, start="2000-01", names=None) -> TimeSeriesMatrix:
 
 
 def panel_x(panel) -> np.ndarray:
-    """The panel's whole x, gathered row by row with x_rows."""
-    out = np.empty((panel.n_rows, len(panel.x_names)))
-    return x_rows(panel, np.arange(panel.n_rows), out)
+    """The panel's whole x, written out from its month groups (`month_rows`,
+    whose last column, the outcome means, is dropped)."""
+    rows = np.arange(panel.n_rows)
+    return np.asarray(month_rows(panel, np.zeros((panel.n_rows, 1)), rows))[:, :-1]
 
 
 def read_csv(path):

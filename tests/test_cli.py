@@ -1328,8 +1328,9 @@ def test_grid_cv_scores_equal_separate_fits_on_the_fold_designs(small_fx, tmp_pa
         params = learners.HyperParams(**entry)
         oof = np.empty(y.size)
         for train, test in pairs:
-            rows_of = problem.fold_design(train)
-            oof[test] = predict(gbt_fit(rows_of(train), y[train], params), rows_of(test))
+            rows_of = problem.fold_rows(train)
+            model = gbt_fit(np.asarray(rows_of(train)), y[train], params)
+            oof[test] = predict(model, np.asarray(rows_of(test)))
         assert [float(row[4]), float(row[5])] == [mse(y, oof), r2(y, oof)]
 
 

@@ -14,8 +14,8 @@ from macrodml.dml import (
     PlrProblem,
     Z_975,
     cross_fit_nuisance,
-    design_rows,
     encode_features,
+    month_rows,
     plr_estimate,
     problem_from_panel,
     rescale_per_1pct,
@@ -333,7 +333,7 @@ def test_linear_cross_fit_one_ols_per_fold_matches_separate_fits(monkeypatch, pa
     else:
         problem, _ = gen_plr(SynthSpec(kind="plr_linear", n=300, seed=4))
     calls = []
-    monkeypatch.setattr(dml, "ols_fit", lambda blocks, Y: calls.append(1) or ols_fit(blocks, Y))
+    monkeypatch.setattr(dml, "ols_fit", lambda X, Y: calls.append(1) or ols_fit(X, Y))
     res = cross_fit_nuisance(problem, LINEAR, k=3, seed=1)
     assert len(calls) == 3  # one fit per fold serves both tasks
 
@@ -343,7 +343,7 @@ def test_linear_cross_fit_one_ols_per_fold_matches_separate_fits(monkeypatch, pa
         else:
             X = problem.x
         for target, fitted in ((problem.y, res.g_hat), (problem.d, res.m_hat)):
-            alone = predict(ols_fit([X[train]], [target[train]]), X[test])[0]
+            alone = predict(ols_fit(X[train], [target[train]]), X[test])[0]
             if panel:
                 assert np.abs(fitted[test] - alone).max() <= 1e-12 * np.abs(alone).max()
             else:
@@ -389,8 +389,8 @@ def _unbalanced_problem(seed=0):
 def _gathered_fold_fit(problem, train, test, targets):
     """Each target's OLS predictions on the test rows from the gathered
     design, the reference for a panel fold's month-group fit."""
-    X = design_rows(problem.x, encode_features(problem, train), np.arange(problem.n_obs))
-    return predict(ols_fit([X[train]], np.stack([t[train] for t in targets])), X[test])
+    X = np.asarray(month_rows(problem.x, encode_features(problem, train), np.arange(problem.n_obs)))
+    return predict(ols_fit(X[train], np.stack([t[train] for t in targets])), X[test])
 
 
 def test_unbalanced_panel_fits_its_month_groups_as_its_rows():
@@ -451,7 +451,7 @@ def test_given_g_hat_is_taken_and_only_the_d_task_is_fit(monkeypatch, learner):
     problem = _panel_problem()
     full = cross_fit_nuisance(problem, learner, k=3, seed=1)
     targets = []  # the number of targets of each fit
-    monkeypatch.setattr(dml, "ols_fit", lambda blocks, Y: targets.append(len(Y)) or ols_fit(blocks, Y))
+    monkeypatch.setattr(dml, "ols_fit", lambda X, Y: targets.append(len(Y)) or ols_fit(X, Y))
     monkeypatch.setattr(dml, "gbt_fit", lambda X, y, p: targets.append(1) or gbt_fit(X, y, p))
     given = cross_fit_nuisance(problem, learner, k=3, seed=1, g_hat=full.g_hat)
     assert targets == [1, 1, 1]  # each fold fits the d task alone
@@ -474,8 +474,8 @@ def test_learner_kind_is_validated():
 # ---------------------------------------------------------------------------
 
 def _panel(unit_codes, y, d, x):
-    """A lag-0 PanelTable with one month per row, so its `x_rows` are the
-    rows of x; unit_codes, fund-major, number the funds 0, 1, ..."""
+    """A lag-0 PanelTable with one month per row, so the rows of its x are
+    the rows of x; unit_codes, fund-major, number the funds 0, 1, ..."""
     x = np.asarray(x, dtype=float)
     n, p = x.shape
     n_units = int(max(unit_codes)) + 1
@@ -500,44 +500,46 @@ def test_encode_features_shapes():
     n, p = problem.n_obs, len(problem.x.x_names)
     with_y = encode_features(problem, np.ones(n, dtype=bool))
     assert with_y.shape == (n, 1)
-    assert design_rows(problem.x, with_y, np.arange(n)).shape == (n, p + 1)
+    assert np.asarray(month_rows(problem.x, with_y, np.arange(n))).shape == (n, p + 1)
     # the y-mean column is the per-unit outcome mean
     unit0 = problem.x.unit_codes == problem.x.unit_codes[0]
     assert np.allclose(with_y[unit0, -1], problem.y[unit0].mean())
 
 
-def test_design_rows_copies_the_rows_of_the_joined_matrix():
+def test_fold_rows_are_the_rows_of_the_joined_matrix():
+    """A fold's rows, written out, hold the bits of the rows of x joined
+    with the fold's fund outcome means for a panel, and are x's rows for a
+    cross-sectional x."""
     problem = _panel_problem()
-    means = encode_features(problem, np.arange(problem.n_obs) % 3 > 0)
-    joined = np.hstack([problem.x.month_x, means])
+    train = np.flatnonzero(np.arange(problem.n_obs) % 3 > 0)
+    joined = np.hstack([problem.x.month_x, encode_features(problem, train)])
+    rows_of = problem.fold_rows(train)
     for rows in (np.array([5, 0, 179, 5]), np.arange(0, problem.n_obs, 2),
                  np.arange(problem.n_obs)):
-        got = design_rows(problem.x, means, rows)
+        got = np.asarray(rows_of(rows))
         assert got.flags.c_contiguous
         assert np.array_equal(got.view(np.uint64), joined[rows].view(np.uint64))
-    assert design_rows(problem.x, means[:, :0], np.arange(3)).shape == (3, len(problem.x.x_names))
-
-
-def test_design_rows_spans_several_row_blocks(rng):
-    n = 3 * dml._ROW_BLOCK + 5
-    x, means = rng.standard_normal((n, 4)), rng.standard_normal((n, 1))
-    joined = np.hstack([x, means])
-    rows = np.sort(rng.choice(n, size=n - 700, replace=False))
-    got = design_rows(x, means, rows)
-    assert got.flags.c_contiguous
-    assert np.array_equal(got.view(np.uint64), joined[rows].view(np.uint64))
+    flat, _ = gen_plr(SynthSpec(kind="plr_linear", n=50, seed=1))
+    rows = np.array([3, 0, 49, 3])
+    assert np.array_equal(flat.fold_rows(train[train < 50])(rows), flat.x[rows])
 
 
 def test_month_rows_are_the_design_rows():
-    """The month groups of any rows of a panel are the rows design_rows
-    copies: shared month part, lags and outcome mean at their columns."""
+    """The month groups of any rows of a panel are the rows of x joined with
+    the outcome means: shared month part, lags and outcome mean at their
+    columns, as np.asarray writes them out."""
     problem = _unbalanced_problem()
     means = encode_features(problem, np.arange(problem.n_obs) % 3 > 0)
     rows = np.array([7, 0, problem.n_obs - 1, 7, 40])
-    got = dml.month_rows(problem.x, means, rows)
+    got = month_rows(problem.x, means, rows)
     dense = got.shared[got.group].copy()
     dense[:, got.at] = got.varying
-    assert np.array_equal(dense, design_rows(problem.x, means, rows))
+    panel = problem.x
+    x = panel.month_x[panel.month_codes]  # y_lag{j}: the fund's return j months earlier
+    for j, c in enumerate(panel.lag_columns, 1):
+        x[:, c] = panel.returns[panel.month_codes - j, panel.unit_codes]
+    assert np.array_equal(dense, np.column_stack([x[rows], means[rows]]))
+    assert np.array_equal(np.asarray(got), dense)
 
 
 def _tiny_problem():

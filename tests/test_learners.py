@@ -61,22 +61,14 @@ def test_one_blas_thread_runs_on_one_thread_and_restores_the_callers_count():
 # OLS
 # ---------------------------------------------------------------------------
 
-BLOCK = 8192  # rows of each block `_blocks` feeds
-
-
-def _blocks(X):
-    """X's BLOCK-row blocks, in order, as a stream."""
-    return (X[start:start + BLOCK] for start in range(0, len(X), BLOCK))
-
-
 def test_ols_hand_example():
-    model = ols_fit([[[1.0], [2.0], [3.0]]], [[2.0, 2.0, 4.0]])
+    model = ols_fit([[1.0], [2.0], [3.0]], [[2.0, 2.0, 4.0]])
     assert model.coefficients[0, 0] == pytest.approx(1.0, abs=1e-12)
     assert model.intercept[0] == pytest.approx(2.0 / 3.0, abs=1e-12)
 
 
 def test_ols_of_no_features_fits_the_mean():
-    model = ols_fit([np.zeros((4, 0))], [[1.0, 2.0, 4.0, 5.0]])
+    model = ols_fit(np.zeros((4, 0)), [[1.0, 2.0, 4.0, 5.0]])
     assert model.intercept[0] == pytest.approx(3.0, abs=1e-12)
     assert model.coefficients.shape == (1, 0)
     assert np.allclose(predict(model, np.zeros((2, 0))), 3.0, atol=1e-12)
@@ -85,7 +77,7 @@ def test_ols_of_no_features_fits_the_mean():
 def test_ols_residuals_orthogonal(rng):
     X = rng.standard_normal((60, 4))
     y = rng.standard_normal(60)
-    model = ols_fit([X], [y])
+    model = ols_fit(X, [y])
     resid = y - predict(model, X)[0]
     assert abs(resid.sum()) < 1e-9  # intercept absorbs the mean
     assert np.all(np.abs(X.T @ resid) < 1e-9)
@@ -95,7 +87,7 @@ def test_ols_matches_normal_equations(rng):
     X = rng.standard_normal((50, 3))
     y = X @ [1.0, -2.0, 0.5] + 0.1 * rng.standard_normal(50)
     Z = np.column_stack([np.ones(50), X])
-    model = ols_fit([X], [y])
+    model = ols_fit(X, [y])
     beta = np.linalg.solve(Z.T @ Z, Z.T @ y)
     assert model.intercept[0] == pytest.approx(beta[0], abs=1e-10)
     assert np.allclose(model.coefficients[0], beta[1:], atol=1e-10)
@@ -104,27 +96,27 @@ def test_ols_matches_normal_equations(rng):
 def test_ols_rank_deficient():
     x = np.arange(10.0)
     with pytest.raises(RankDeficient):
-        ols_fit([np.column_stack([x, 2.0 * x])], [x])
+        ols_fit(np.column_stack([x, 2.0 * x]), [x])
     with pytest.raises(RankDeficient):
-        ols_fit([np.ones((10, 1))], [x])  # constant column collides with intercept
+        ols_fit(np.ones((10, 1)), [x])  # constant column collides with intercept
 
 
 def test_ols_too_few_rows():
     with pytest.raises(TooFewRows):
-        ols_fit([np.eye(3)[:, :2]], [np.arange(3.0)])
+        ols_fit(np.eye(3)[:, :2], [np.arange(3.0)])
 
 
-@pytest.mark.parametrize("n, k, m", [(50, 3, 2), (400, 38, 3), (3 * BLOCK + 5, 38, 2)])
+@pytest.mark.parametrize("n, k, m", [(50, 3, 2), (400, 38, 3), (3 * 8192 + 5, 38, 2)])
 def test_ols_shared_design_matches_single_target_fits(rng, n, k, m):
     X = rng.standard_normal((n, k))
     Y = X[:, :m].T + rng.standard_normal((m, n))
     X_new = rng.standard_normal((n // 2, k))
-    shared = ols_fit(_blocks(X), Y)
+    shared = ols_fit(X, Y)
     assert shared.intercept.shape == (m,) and shared.coefficients.shape == (m, k)
     preds = predict(shared, X_new)
     assert preds.shape == (m, n // 2)
     for j in range(m):
-        alone = ols_fit(_blocks(X), Y[j:j + 1].copy())
+        alone = ols_fit(X, Y[j:j + 1].copy())
         assert shared.intercept[j] == alone.intercept[0]
         assert np.array_equal(shared.coefficients[j], alone.coefficients[0])
         assert np.array_equal(preds[j], predict(alone, X_new)[0])
@@ -133,22 +125,31 @@ def test_ols_shared_design_matches_single_target_fits(rng, n, k, m):
 def test_ols_shared_design_checks():
     x = np.arange(10.0)[:, None]
     with pytest.raises(RankDeficient):
-        ols_fit([np.column_stack([x, 2.0 * x])], np.stack([x[:, 0], -x[:, 0]]))
+        ols_fit(np.column_stack([x, 2.0 * x]), np.stack([x[:, 0], -x[:, 0]]))
     with pytest.raises(LengthMismatch):
-        ols_fit([x], np.zeros((2, 9)))
+        ols_fit(x, np.zeros((2, 9)))
     with pytest.raises(LengthMismatch):
-        ols_fit([x], np.zeros((1, 2, 10)))
+        ols_fit(x, np.zeros((1, 2, 10)))
 
 
 def test_ols_takes_2d_blocks_and_a_2d_target():
-    """A 1-D block is not read as one column, nor a 1-D target as one target."""
+    """A 1-D X is not read as one column, nor a 1-D target as one target."""
     x = np.arange(10.0)
     with pytest.raises(DimensionMismatch):
-        ols_fit([x], x[None])
-    with pytest.raises(DimensionMismatch):
-        ols_fit([x[:5, None], x[5:]], x[None])
+        ols_fit(x, x[None])
     with pytest.raises(LengthMismatch):
-        ols_fit([x[:, None]], x)
+        ols_fit(x[:, None], x)
+
+
+def test_ols_rejects_a_list_of_row_blocks(rng):
+    """ols_fit takes one design: a list of designs, the one it once took as
+    row blocks, is not read as one, whether it holds matrices or grouped
+    rows."""
+    X, dense = _grouped(rng, [5, 6, 7])
+    Y = dense[:, :1].T
+    for blocks in ([dense], [dense, dense], [X]):
+        with pytest.raises(DimensionMismatch):
+            ols_fit(blocks, Y)
 
 
 def test_predict_dimension_checks():
@@ -165,7 +166,7 @@ def test_predict_takes_a_2d_x(rng):
     """A 1-D X is not read as one column, for either model kind."""
     X = rng.standard_normal((40, 1))
     y = X[:, 0] + rng.standard_normal(40)
-    for model in (ols_fit([X], [y]), gbt_fit(X, y, HyperParams(n_trees=2, min_samples_leaf=5))):
+    for model in (ols_fit(X, [y]), gbt_fit(X, y, HyperParams(n_trees=2, min_samples_leaf=5))):
         assert predict(model, X).shape[-1] == 40
         with pytest.raises(DimensionMismatch):
             predict(model, X[:, 0])
@@ -537,54 +538,54 @@ def test_ols_column_major_design_matches_column_stack_bit_for_bit(rng, m):
     Y = X[:, :m].T + rng.standard_normal((m, 3000))
     beta = _ref_ols(np.column_stack([np.ones(3000), X]), Y)
     for design in (X, np.asfortranarray(X)):
-        model = ols_fit([design], Y)
+        model = ols_fit(design, Y)
         assert np.array_equal(model.intercept, beta[:, 0])
         assert np.array_equal(model.coefficients, beta[:, 1:])
 
 
 @pytest.mark.parametrize("m", [1, 2])
 def test_ols_matches_lstsq(rng, m):
-    for n in (3000, 3 * BLOCK + 100):  # one row block, then four
+    for n in (3000, 3 * 8192 + 100):
         X = rng.standard_normal((n, 39)) * rng.uniform(0.1, 50.0, 39)
         Y = X[:, :m].T + rng.standard_normal((m, n))
         Z = np.column_stack([np.ones(n), X])
-        model = ols_fit(_blocks(X), Y)
+        model = ols_fit(X, Y)
         beta = np.column_stack([model.intercept, model.coefficients])
         for j in range(m):
             ref = np.linalg.lstsq(Z, Y[j], rcond=None)[0]
             assert np.linalg.norm(beta[j] - ref) <= 1e-9 * np.linalg.norm(ref)
 
 
-def test_ols_takes_the_design_as_its_row_blocks(rng):
-    """A design fed as a list of its blocks or as a stream of them gives the
-    same bits; the blocks' rows must match Y's."""
-    X = rng.standard_normal((2 * BLOCK + 7, 5))
+def test_ols_takes_one_design_whose_rows_match_y(rng):
+    """X's rows must match Y's, whether X is a matrix or grouped rows; a
+    design of no rows fits nothing."""
+    X = rng.standard_normal((8199, 5))
     Y = X[:, :2].T + rng.standard_normal((2, len(X)))
-    listed, fed = ols_fit(list(_blocks(X)), Y), ols_fit(_blocks(X), Y)
-    assert np.array_equal(listed.intercept, fed.intercept)
-    assert np.array_equal(listed.coefficients, fed.coefficients)
-    for short in (Y[:, :-1], Y[:, :BLOCK - 1]):
-        with pytest.raises(LengthMismatch):
-            ols_fit(_blocks(X), short)
+    grouped, dense = _grouped(rng, [40, 50, 60])
+    for design, targets in ((X, Y), (grouped, dense[:, :2].T)):
+        for short in (targets[:, :-1], targets[:, :7]):
+            with pytest.raises(LengthMismatch):
+                ols_fit(design, short)
     with pytest.raises(LengthMismatch):
-        ols_fit(_blocks(X[:-1]), Y)
+        ols_fit(X[:-1], Y)
     with pytest.raises(TooFewRows):
-        ols_fit(iter([]), Y[:, :0])
+        ols_fit(X[:0], Y[:, :0])
 
 
 def test_ols_never_holds_a_second_n_row_factor(rng):
-    """ols_fit factors its design a block at a time and never copies more
-    of it, or forms an n-row Q: on a design of six BLOCK-row blocks its
-    traced peak stays below three blocks' bytes."""
-    X = np.asfortranarray(rng.standard_normal((6 * BLOCK, 38)))
+    """ols_fit copies its design once, behind the intercept, for the QR,
+    and never forms an n-row Q: on a 49,152 x 38 design its traced peak
+    stays below 2.5 times the design's bytes, where an n-row Q would add
+    one more design's worth."""
+    X = rng.standard_normal((6 * 8192, 38))
     Y = np.stack([X[:, 0], X[:, 1]]) + rng.standard_normal((2, len(X)))
     tracemalloc.start()
     try:
-        ols_fit(_blocks(X), Y)
+        ols_fit(X, Y)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 3 * BLOCK * X.shape[1] * X.itemsize
+    assert peak < 2.5 * X.nbytes
 
 
 def _grouped(rng, sizes, width=12, at=(2, 5, 11)):
@@ -601,43 +602,50 @@ def _grouped(rng, sizes, width=12, at=(2, 5, 11)):
 
 
 def test_ols_fits_grouped_rows_as_their_rows(rng):
-    """A GroupedRows block, with groups of no row, of fewer rows than the
-    group blocks are wide and of many, fits and predicts as its rows do, up
-    to rounding, also streamed after a 2-D block; each target's fit keeps
-    its bits alone."""
+    """A GroupedRows, with groups of no row, of fewer rows than the group
+    blocks are wide and of many, fits and predicts as its rows do, up to
+    rounding; each target's fit keeps its bits alone."""
     sizes = np.r_[0, 1, 3, rng.integers(20, 60, 30), 0, 2]
     X, dense = _grouped(rng, sizes)
     Y = np.stack([dense @ rng.standard_normal(12), dense[:, 0]]) + rng.standard_normal((2, len(X)))
-    want = ols_fit([dense], Y)
-    got = ols_fit([X], Y)
+    want = ols_fit(dense, Y)
+    got = ols_fit(X, Y)
     for a, b in ((got.intercept, want.intercept), (got.coefficients, want.coefficients)):
         assert np.abs(a - b).max() <= 1e-12 * np.abs(b).max()
     pred, ref = predict(got, X), predict(want, dense)
     assert pred.shape == ref.shape == (2, len(X))
     assert np.abs(pred - ref).max() <= 1e-12 * np.abs(ref).max()
     for j in range(2):
-        alone = ols_fit([X], Y[j:j + 1])
+        alone = ols_fit(X, Y[j:j + 1])
         assert np.array_equal(alone.coefficients[0], got.coefficients[j])
         assert np.array_equal(predict(alone, X)[0], pred[j])
-    tail, tail_rows = _grouped(rng, sizes[3:])
-    Y2 = np.column_stack([Y[:, :50], Y[:, :len(tail)]])
-    streamed, ref = ols_fit([dense[:50], tail], Y2), ols_fit([np.vstack([dense[:50], tail_rows])], Y2)
-    assert np.abs(streamed.coefficients - ref.coefficients).max() <= 1e-12 * np.abs(ref.coefficients).max()
+
+
+def test_grouped_rows_write_out_as_their_rows(rng):
+    """np.asarray of a GroupedRows is a new row-major array of its rows, in
+    the dtype asked for, and leaves the groups as they were."""
+    X, dense = _grouped(rng, [3, 0, 5, 1])
+    shared = X.shared.copy()
+    got = np.asarray(X)
+    assert got.flags.c_contiguous and got.dtype == np.float64
+    assert np.array_equal(got.view(np.uint64), dense.view(np.uint64))
+    assert np.array_equal(X.shared, shared, equal_nan=True)
+    assert np.array_equal(np.asarray(X, dtype=np.float32), dense.astype(np.float32))
 
 
 def test_grouped_rows_keep_the_fits_checks(rng):
     X, dense = _grouped(rng, [4, 4, 4])
     with pytest.raises(TooFewRows, match="need more than 13 rows to fit 12 features, got 12"):
-        ols_fit([X], dense[:, :1].T)
+        ols_fit(X, dense[:, :1].T)
     X, dense = _grouped(rng, rng.integers(5, 9, 12))
     X.shared[:, 0] = 3.0  # a constant shared column collides with the intercept
     dense[:, 0] = 3.0
     for design in (dense, X):
         with pytest.raises(RankDeficient):
-            ols_fit([design], dense[:, 1:2].T)
+            ols_fit(design, dense[:, 1:2].T)
     with pytest.raises(LengthMismatch):
-        ols_fit([X], dense[:-1, 1:2].T)
-    model = ols_fit([dense[:, 1:]], dense[:, :1].T)
+        ols_fit(X, dense[:-1, 1:2].T)
+    model = ols_fit(dense[:, 1:], dense[:, :1].T)
     with pytest.raises(DimensionMismatch):
         predict(model, X)
 

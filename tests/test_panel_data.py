@@ -36,8 +36,7 @@ from macrodml.panel_data import (
     write_tscs_csv,
 )
 
-from macrodml import dml
-from macrodml.dml import design_rows, encode_features, month_rows, problem_from_panel
+from macrodml.dml import encode_features, month_rows, problem_from_panel
 
 from conftest import make_tsm, panel_x
 
@@ -567,11 +566,10 @@ def test_to_panel_values_match_row_loop(p):
 
 
 @pytest.mark.parametrize("p", [0, 1, 3])
-def test_fold_designs_keep_the_row_loop_bits(monkeypatch, p):
-    """Every fold's design, gathered block by block from the month table and
-    the fund returns, holds the bits of [x, unit means] built from the row
-    loop's x; so do its month groups, written out."""
-    monkeypatch.setattr(dml, "_ROW_BLOCK", 5)  # several blocks per fold
+def test_fold_designs_keep_the_row_loop_bits(p):
+    """Every fold's design, held as month groups of the month table and the
+    fund returns, holds the bits of [x, unit means] built from the row
+    loop's x, written out by np.asarray or by hand."""
     _, panel, ref_rows = _row_loop_case(p)
     problem = problem_from_panel(panel)
     x_ref = np.array([r[4] for r in ref_rows])
@@ -580,10 +578,10 @@ def test_fold_designs_keep_the_row_loop_bits(monkeypatch, p):
         means = encode_features(problem, train)
         for rows in (train, test, np.arange(n)):
             ref = np.column_stack([x_ref[rows], means[rows]])
-            got = design_rows(problem.x, means, rows)
+            grouped = month_rows(problem.x, means, rows)
+            got = np.asarray(grouped)
             assert got.flags.c_contiguous
             assert np.array_equal(got.view(np.uint64), ref.view(np.uint64))
-            grouped = month_rows(problem.x, means, rows)
             got = grouped.shared[grouped.group]
             got[:, grouped.at] = grouped.varying
             assert np.array_equal(got.view(np.uint64), ref.view(np.uint64))
