@@ -334,7 +334,7 @@ def run_pipeline(config: PipelineConfig) -> dict:
             "rows": panel.n_rows,
             "units": len(panel.units),
             "x_width": len(panel.x_names),
-            # distinct months with a row: the clusters of a month-clustered SE
+            # distinct months with a row; the rows of a month share its treatment value
             "months": int(np.count_nonzero(np.bincount(panel.month_codes))),
             "fold_sizes": np.bincount(diagnostics_res.fold_of).tolist(),
             "dropped_nonstationary": [name for name, _ in screen.dropped],

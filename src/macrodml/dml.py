@@ -9,7 +9,6 @@ zero, so errors in m_hat move theta to first order (see `plr_estimate`).
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import astuple, dataclass, field, replace
 from decimal import Decimal
@@ -26,7 +25,6 @@ from .errors import (
     MacrodmlError,
 )
 from .learners import (
-    GroupedRows,
     HyperParams,
     gbt_fit,
     mse,
@@ -36,7 +34,7 @@ from .learners import (
     r2,
     staged_predict,
 )
-from .panel_data import PanelTable, own_lags
+from .panel_data import PanelTable
 
 Z_975 = 1.959964  # two-sided 5% normal quantile used for all intervals
 
@@ -64,10 +62,10 @@ class LearnerSpec:
 class PlrProblem:
     """One partially linear regression problem, optionally panel-aware.
 
-    x is the (n, p) control matrix, or for a panel the PanelTable whose rows
-    `month_rows` holds as month groups, so a panel's x is never held whole;
-    the panel alone holds each row's fund and month (its unit and month
-    codes).
+    x is the (n, p) control matrix, or for a panel the PanelTable whose
+    `design` holds its rows as month groups, so a panel's x is never held
+    whole; the panel alone holds each row's fund and month (its unit and
+    month codes).
     """
 
     y: np.ndarray
@@ -87,7 +85,7 @@ class PlrProblem:
             n_x = self.x.shape[0]
         if self.d.size != n or n_x != n:
             raise LengthMismatch("y, d, and x must have the same number of rows")
-        # a panel's unused lag slots hold NaN; to_panel keeps only its finite rows
+        # a PanelTable checks the x values its rows read itself
         for name in ("y", "d") if isinstance(self.x, PanelTable) else ("y", "d", "x"):
             if not np.isfinite(getattr(self, name)).all():
                 raise DataError(f"{name} holds a non-finite value")
@@ -119,10 +117,11 @@ class PlrProblem:
         """rows -> those rows of the design of the fold whose training rows
         are `train`: x[rows], or, for a panel, the rows of x joined with the
         fund outcome means of the `train` rows (`encode_features`), as month
-        groups (`month_rows`). Both learners fit and predict on them, the
-        boosted one on np.asarray of them."""
+        groups (`PanelTable.design`). Both learners fit and predict on them,
+        the boosted one on np.asarray of them."""
         if isinstance(self.x, PanelTable):
-            return functools.partial(month_rows, self.x, encode_features(self, train))
+            means = encode_features(self, train)
+            return lambda rows: self.x.design(rows, means)
         return self.x.__getitem__
 
 
@@ -185,9 +184,9 @@ def staged_oof(problem: PlrProblem, pairs, task: str, params: HyperParams,
 
 
 def encode_features(problem: PlrProblem, train: np.ndarray) -> np.ndarray:
-    """Each row's fund mean of the outcome over the `train` rows, a sorted
-    index array (target encoding of the fund id, a fixed-effect proxy), as
-    the (n, 1) block that `month_rows` appends to x.
+    """Each fund's outcome mean over the `train` rows, a sorted index array
+    (target encoding of the fund id, a fixed-effect proxy): one value per
+    unit of the problem's panel x, as `PanelTable.design` takes them.
 
     Rows are grouped by the unit codes of the problem's panel x. A fund with
     no training row gets the mean of all training rows; `train` must hold at
@@ -197,23 +196,7 @@ def encode_features(problem: PlrProblem, train: np.ndarray) -> np.ndarray:
     train_codes, train_y = panel.unit_codes[train], problem.y[train]
     counts = np.bincount(train_codes, minlength=len(panel.units))
     sums = np.bincount(train_codes, weights=train_y, minlength=len(panel.units))
-    means = np.where(counts > 0, sums / np.maximum(counts, 1), train_y.mean())
-    return means[panel.unit_codes][:, None]
-
-
-def month_rows(panel: PanelTable, means: np.ndarray, rows: np.ndarray) -> GroupedRows:
-    """x[rows] of the panel with means[rows] appended, as month groups
-    (`learners.GroupedRows`): every x column but the own-return lags is the
-    month's month_x row, so only the lags (`own_lags`) and the outcome-mean
-    column vary within a month, and no x row is gathered. The values and
-    their column order are those of the x `to_panel` describes."""
-    p = panel.lag_order
-    varying = np.empty((p + 1, len(rows))).T  # column-major
-    own_lags(panel, rows, varying[:, :p])
-    varying[:, p] = means[rows, 0]
-    shared = np.column_stack([panel.month_x, np.zeros(len(panel.months))])
-    return GroupedRows(shared, panel.month_codes[rows], varying,
-                       panel.lag_columns + [shared.shape[1] - 1])
+    return np.where(counts > 0, sums / np.maximum(counts, 1), train_y.mean())
 
 
 def cross_fit_nuisance(

@@ -155,8 +155,8 @@ class GroupedRows:
     i is shared[group[i]] with varying[i] written over its columns `at`;
     shared's own entries there are never read. In a fund panel the groups
     are the months and the varying columns the fund's own lags and outcome
-    mean (see `dml.month_rows`). `ols_fit` and `predict` of a LinearModel
-    take it as it is; np.asarray forms its rows."""
+    mean (see `panel_data.PanelTable.design`). `ols_fit` and `predict` of a
+    LinearModel take it as it is; np.asarray forms its rows."""
 
     shared: np.ndarray  # (groups, columns)
     group: np.ndarray  # (rows,) each row's group

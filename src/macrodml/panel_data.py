@@ -30,6 +30,7 @@ from .errors import (
     NonMonotoneTime,
     UnparseableTime,
 )
+from .learners import GroupedRows
 
 _MONTH_RE = re.compile(r"([0-9]{4})-([0-9]{2})")
 
@@ -153,7 +154,9 @@ class PanelTable:
     Every column but the `lag_order` own-return lags depends on the month
     alone and sits in month_x, one row per month, at its x position; the
     y_lag{j} column of row i is returns[month_codes[i] - j, unit_codes[i]],
-    with one returns column per unit. `dml.month_rows` gives any rows of x.
+    with one returns column per unit. `design` gives any rows of x. Every
+    value a row reads must be finite; the others (month_x's lag slots and
+    months without a row, returns outside every lag window) may be anything.
     """
 
     units: list[str]
@@ -181,7 +184,8 @@ class PanelTable:
             raise DataError("month_x must hold one row per month and one column per x name")
         if self.returns.shape != (len(self.months), len(self.units)):
             raise DataError("returns must hold one row per month and one column per unit")
-        if len(_y_lag_columns(len(self.x_names), self.lag_order)) != self.lag_order:
+        lags = _y_lag_columns(len(self.x_names), self.lag_order)
+        if len(lags) != self.lag_order:
             raise DataError(f"{len(self.x_names)} x columns cannot hold {self.lag_order} lags")
         step_u = np.diff(self.unit_codes)
         if not np.all((step_u > 0) | ((step_u == 0) & (np.diff(self.month_codes) > 0))):
@@ -190,15 +194,47 @@ class PanelTable:
                       and self.lag_order <= self.month_codes.min()
                       and self.month_codes.max() < len(self.months)):
             raise DataError("a row's fund or lag window lies outside the panel")
+        fixed = np.full(len(self.x_names), True)  # the month_x columns a row reads
+        fixed[lags] = False
+        read = np.flatnonzero(np.bincount(self.month_codes, minlength=len(self.months)))
+        bad = np.argwhere(~np.isfinite(self.month_x[np.ix_(read, fixed)]))
+        if bad.size:
+            name = self.x_names[np.flatnonzero(fixed)[bad[0, 1]]]
+            raise DataError(f"x column {name!r} is not finite in month "
+                            f"{self.months[read[bad[0, 0]]]!r}, which a row reads")
+        # per fund, the non-finite returns before each month: the lag window
+        # [t - p, t) of month t is finite when the counts at t and t - p agree
+        p, before = self.lag_order, np.zeros((len(self.months) + 1, len(self.units)), np.intp)
+        np.cumsum(~np.isfinite(self.returns), axis=0, out=before[1:])
+        dirty = before[p:-1] != before[:-1 - p]  # row t - p: month t's window
+        bad = np.flatnonzero(dirty[self.month_codes - p, self.unit_codes])
+        if bad.size:
+            fund, month = self.units[self.unit_codes[bad[0]]], self.months[self.month_codes[bad[0]]]
+            raise DataError(f"fund {fund!r} has a non-finite return in the {p} months "
+                            f"before {month!r}, which its row there reads")
 
     @property
     def n_rows(self) -> int:
         return self.unit_codes.size
 
-    @property
-    def lag_columns(self) -> list[int]:
-        """The x positions of y_lag1..y_lagp."""
-        return _y_lag_columns(self.month_x.shape[1], self.lag_order)
+    def design(self, rows: np.ndarray, means: np.ndarray) -> GroupedRows:
+        """x[rows] with each row's fund mean means[unit_codes[rows]] appended
+        (`means` one value per unit), as month groups: every x column but
+        the own-return lags is the month's month_x row, so only the lags and
+        the mean vary within a month, and no x row is gathered. The values
+        and their column order are those of the x `to_panel` describes."""
+        p, units = self.lag_order, len(self.units)
+        unit_of = self.unit_codes[rows]
+        varying = np.empty((p + 1, len(rows))).T  # column-major, each column written whole
+        flat = self.returns.ravel()
+        at = self.month_codes[rows] * units + unit_of
+        for j in range(p):
+            at -= units  # the same unit a month earlier
+            varying[:, j] = flat.take(at)
+        varying[:, p] = means[unit_of]
+        shared = np.column_stack([self.month_x, np.zeros(len(self.months))])
+        return GroupedRows(shared, self.month_codes[rows], varying,
+                           _y_lag_columns(len(self.x_names), p) + [len(self.x_names)])
 
 
 def _y_lag_columns(width: int, p: int) -> list[int]:
@@ -218,18 +254,6 @@ def lag_design(X: np.ndarray, p: int, start: int) -> np.ndarray:
     X, T = X.reshape(len(X), -1), len(X)
     t = np.arange(start, T)[:, None] - np.arange(1, p + 1)
     return X[t].reshape(T - start, p * X.shape[1])
-
-
-def own_lags(panel: PanelTable, rows: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Write the y_lag1..y_lagp columns of x[rows] into `out` (len(rows) x
-    lag_order, any memory order; column-major writes whole columns) and
-    return it: y_lag{j} of a row is its unit's return j months earlier."""
-    flat, units = panel.returns.ravel(), panel.returns.shape[1]
-    at = panel.month_codes[rows] * units + panel.unit_codes[rows]
-    for j in range(panel.lag_order):
-        at -= units  # the same unit a month earlier
-        out[:, j] = flat.take(at)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -482,8 +506,8 @@ def to_panel(
 
     The control vector x is [controls at t] followed, for each lag j = 1..p,
     by [y_lag{j}, {treatment_name}_lag{j}, <control>_lag{j}...]. The table
-    keeps it as a month table and the fund returns; `dml.month_rows` gives its
-    rows.
+    keeps it as a month table and the fund returns; `PanelTable.design` gives
+    its rows.
     """
     if lag_order < 0:
         raise ConfigError("lag_order must be >= 0")

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from macrodml.cli import EXIT_OK, main
-from macrodml.dml import month_rows
 from macrodml.panel_data import TimeSeriesMatrix, month_range
 from macrodml.synth import gen_pipeline_fixture
 
@@ -21,10 +20,10 @@ def make_tsm(values, start="2000-01", names=None) -> TimeSeriesMatrix:
 
 
 def panel_x(panel) -> np.ndarray:
-    """The panel's whole x, written out from its month groups (`month_rows`,
-    whose last column, the outcome means, is dropped)."""
+    """The panel's whole x, written out from its month groups
+    (`PanelTable.design`, whose last column, the outcome means, is dropped)."""
     rows = np.arange(panel.n_rows)
-    return np.asarray(month_rows(panel, np.zeros((panel.n_rows, 1)), rows))[:, :-1]
+    return np.asarray(panel.design(rows, np.zeros(len(panel.units))))[:, :-1]
 
 
 def read_csv(path):

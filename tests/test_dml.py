@@ -15,7 +15,6 @@ from macrodml.dml import (
     Z_975,
     cross_fit_nuisance,
     encode_features,
-    month_rows,
     plr_estimate,
     problem_from_panel,
     rescale_per_1pct,
@@ -106,7 +105,7 @@ def test_problem_from_panel_carries_units():
     problem = problem_from_panel(panel)
     assert problem.x is panel and problem.y is panel.y and problem.d is panel.d
     # the fold designs append each fund's outcome mean, read from the panel's codes
-    assert np.array_equal(encode_features(problem, np.arange(2)), [[1.0], [2.0]])
+    assert np.array_equal(encode_features(problem, np.arange(2)), [1.0, 2.0])
 
 
 # ---------------------------------------------------------------------------
@@ -339,7 +338,8 @@ def test_linear_cross_fit_one_ols_per_fold_matches_separate_fits(monkeypatch, pa
 
     for train, test in problem.folds(3, 1)[0]:
         if panel:  # the whole encoded matrix is the reference for the month groups
-            X = np.hstack([problem.x.month_x, encode_features(problem, train)])
+            means = encode_features(problem, train)[problem.x.unit_codes]
+            X = np.column_stack([problem.x.month_x, means])
         else:
             X = problem.x
         for target, fitted in ((problem.y, res.g_hat), (problem.d, res.m_hat)):
@@ -389,7 +389,7 @@ def _unbalanced_problem(seed=0):
 def _gathered_fold_fit(problem, train, test, targets):
     """Each target's OLS predictions on the test rows from the gathered
     design, the reference for a panel fold's month-group fit."""
-    X = np.asarray(month_rows(problem.x, encode_features(problem, train), np.arange(problem.n_obs)))
+    X = np.asarray(problem.x.design(np.arange(problem.n_obs), encode_features(problem, train)))
     return predict(ols_fit(X[train], np.stack([t[train] for t in targets])), X[test])
 
 
@@ -499,11 +499,11 @@ def test_encode_features_shapes():
     problem = _panel_problem()
     n, p = problem.n_obs, len(problem.x.x_names)
     with_y = encode_features(problem, np.ones(n, dtype=bool))
-    assert with_y.shape == (n, 1)
-    assert np.asarray(month_rows(problem.x, with_y, np.arange(n))).shape == (n, p + 1)
-    # the y-mean column is the per-unit outcome mean
-    unit0 = problem.x.unit_codes == problem.x.unit_codes[0]
-    assert np.allclose(with_y[unit0, -1], problem.y[unit0].mean())
+    assert with_y.shape == (len(problem.x.units),)
+    assert np.asarray(problem.x.design(np.arange(n), with_y)).shape == (n, p + 1)
+    # one outcome mean per unit
+    unit0 = problem.x.unit_codes == 0
+    assert np.allclose(with_y[0], problem.y[unit0].mean())
 
 
 def test_fold_rows_are_the_rows_of_the_joined_matrix():
@@ -512,7 +512,8 @@ def test_fold_rows_are_the_rows_of_the_joined_matrix():
     cross-sectional x."""
     problem = _panel_problem()
     train = np.flatnonzero(np.arange(problem.n_obs) % 3 > 0)
-    joined = np.hstack([problem.x.month_x, encode_features(problem, train)])
+    joined = np.column_stack([problem.x.month_x,
+                              encode_features(problem, train)[problem.x.unit_codes]])
     rows_of = problem.fold_rows(train)
     for rows in (np.array([5, 0, 179, 5]), np.arange(0, problem.n_obs, 2),
                  np.arange(problem.n_obs)):
@@ -524,21 +525,22 @@ def test_fold_rows_are_the_rows_of_the_joined_matrix():
     assert np.array_equal(flat.fold_rows(train[train < 50])(rows), flat.x[rows])
 
 
-def test_month_rows_are_the_design_rows():
-    """The month groups of any rows of a panel are the rows of x joined with
-    the outcome means: shared month part, lags and outcome mean at their
-    columns, as np.asarray writes them out."""
+def test_design_rows_are_the_rows_of_x_and_the_means():
+    """The month groups of any rows of a panel (`PanelTable.design`) are the
+    rows of x joined with their funds' outcome means: shared month part,
+    lags and outcome mean at their columns, as np.asarray writes them out."""
     problem = _unbalanced_problem()
     means = encode_features(problem, np.arange(problem.n_obs) % 3 > 0)
     rows = np.array([7, 0, problem.n_obs - 1, 7, 40])
-    got = month_rows(problem.x, means, rows)
+    panel = problem.x
+    got = panel.design(rows, means)
     dense = got.shared[got.group].copy()
     dense[:, got.at] = got.varying
-    panel = problem.x
     x = panel.month_x[panel.month_codes]  # y_lag{j}: the fund's return j months earlier
-    for j, c in enumerate(panel.lag_columns, 1):
-        x[:, c] = panel.returns[panel.month_codes - j, panel.unit_codes]
-    assert np.array_equal(dense, np.column_stack([x[rows], means[rows]]))
+    for c, name in enumerate(panel.x_names):
+        if name.startswith("y_lag"):
+            x[:, c] = panel.returns[panel.month_codes - int(name[5:]), panel.unit_codes]
+    assert np.array_equal(dense, np.column_stack([x[rows], means[panel.unit_codes[rows]]]))
     assert np.array_equal(np.asarray(got), dense)
 
 
@@ -553,16 +555,16 @@ def _tiny_problem():
 def test_encode_features_train_only_arithmetic():
     train = np.array([True, True, False, True, True])
     out = encode_features(_tiny_problem(), train)
-    assert out.shape == (5, 1)
-    # unit A: train y {1, 3} -> 2 everywhere, including the held-out row
-    assert np.array_equal(out[:, 0], [2.0, 2.0, 2.0, 5.0, 5.0])
+    assert out.shape == (2,)
+    # unit A: train y {1, 3} -> 2, its held-out row not counted
+    assert np.array_equal(out, [2.0, 5.0])
 
 
 def test_encode_features_unseen_unit_gets_global_mean():
     problem = _tiny_problem()
     train = np.array([True, True, True, False, False])  # B never trains
     out = encode_features(problem, train)
-    assert np.array_equal(out[3:, 0], np.full(2, problem.y[:3].mean()))
+    assert out[1] == problem.y[:3].mean()
 
 
 def test_encode_features_no_leakage():
@@ -597,7 +599,8 @@ def test_encode_features_codes_give_the_string_id_means(rng, units):
                 sums[unit] = sums.get(unit, 0.0) + y
                 counts[unit] = counts.get(unit, 0) + 1
         overall = problem.y[mask].mean()
-        ref = np.array([[sums[u] / counts[u] if u in counts else overall] for u in units])
+        ref = np.array([sums[u] / counts[u] if u in counts else overall
+                        for u in sorted(code_of)])  # in code order
         assert np.array_equal(got.view(np.uint64), ref.view(np.uint64))
 
 

@@ -1,5 +1,6 @@
 import csv
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -36,7 +37,7 @@ from macrodml.panel_data import (
     write_tscs_csv,
 )
 
-from macrodml.dml import encode_features, month_rows, problem_from_panel
+from macrodml.dml import encode_features, problem_from_panel
 
 from conftest import make_tsm, panel_x
 
@@ -577,8 +578,8 @@ def test_fold_designs_keep_the_row_loop_bits(p):
     for train, test in problem.folds(3, seed=2)[0]:
         means = encode_features(problem, train)
         for rows in (train, test, np.arange(n)):
-            ref = np.column_stack([x_ref[rows], means[rows]])
-            grouped = month_rows(problem.x, means, rows)
+            ref = np.column_stack([x_ref[rows], means[panel.unit_codes[rows]]])
+            grouped = panel.design(rows, means)
             got = np.asarray(grouped)
             assert got.flags.c_contiguous
             assert np.array_equal(got.view(np.uint64), ref.view(np.uint64))
@@ -634,6 +635,26 @@ def test_panel_table_checks_its_gather_sources(change, message):
     assert PanelTable(**args).n_rows == 2
     with pytest.raises(DataError, match=message):
         PanelTable(**{**args, **change})
+
+
+@pytest.mark.parametrize("array, read, unread, value, message", [
+    ("returns", (5, 1), (11, 1), np.nan,
+     r"^fund 'F1' has a non-finite return in the 2 months before '2000-07', which its row"),
+    ("month_x", (6, 0), (1, 0), np.inf,
+     r"^x column 'c0' is not finite in month '2000-07', which a row reads$"),
+], ids=["lagged_return", "month_x_value"])
+def test_panel_table_rejects_a_non_finite_value_a_row_reads(array, read, unread, value, message):
+    """A non-finite lagged return or month_x value that a row reads raises a
+    DataError naming it; one that no row reads (a fund's last return, a
+    month before any row's) does not."""
+    funds, macro, _, _ = _full_inputs(T=12, n_funds=3)
+    panel = to_panel(funds, macro, "d", lag_order=2)
+    values = getattr(panel, array).copy()
+    values[unread] = value
+    assert replace(panel, **{array: values}).n_rows == panel.n_rows
+    values[read] = value
+    with pytest.raises(DataError, match=message):
+        replace(panel, **{array: values})
 
 
 def _series_inputs(values):
