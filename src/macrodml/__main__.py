@@ -1,4 +1,5 @@
-"""`python -m macrodml`: the command-line interface.
+"""`python -m macrodml` and the installed `macrodml` script: the
+command-line interface.
 
 OpenBLAS reads OPENBLAS_NUM_THREADS when numpy is first imported, and under
 its default threading that import starts worker threads that spin before

@@ -356,6 +356,9 @@ def plr_estimate(res: NuisanceResiduals, d, score: str = "orthogonal") -> DmlRes
     theta = sum(v * u) / sum(v * slope), with J = mean(v * slope), where
     slope = d for orthogonal and slope = v for residual_ols (partialling
     out); SE = sqrt( mean(psi^2) / (n * J^2) ).
+
+    DegenerateTreatment, whatever d's scale, when v.v <= 1e-12 *
+    sum((d - mean(d))^2) or |v.slope| <= 1e-12 * sqrt(v.v * slope.slope).
     """
     if score not in SCORES:
         raise ConfigError(f"score must be one of {SCORES}, got {score!r}")
@@ -364,12 +367,15 @@ def plr_estimate(res: NuisanceResiduals, d, score: str = "orthogonal") -> DmlRes
     n = v.size
     if d.size != n:
         raise LengthMismatch("d must match the residual length")
-    if float(v @ v) < 1e-12 * n:
+    centered = d - d.mean()
+    vv = float(v @ v)
+    if vv <= 1e-12 * float(centered @ centered):
         raise DegenerateTreatment("treatment residuals are numerically zero")
     slope = d if score == "orthogonal" else v
-    jac = float(v @ slope) / n
-    if abs(jac) < 1e-12:
+    v_slope = float(v @ slope)
+    if abs(v_slope) <= 1e-12 * math.sqrt(vv * float(slope @ slope)):
         raise DegenerateTreatment("score Jacobian mean(v*slope) is numerically zero")
+    jac = v_slope / n
     theta = float(v @ u) / (n * jac)
     psi = (u - theta * slope) * v
     se = math.sqrt(float(psi @ psi) / n / (n * jac * jac))

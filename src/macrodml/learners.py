@@ -1,8 +1,9 @@
 """Nuisance learners: closed-form OLS and from-scratch gradient-boosted
 regression trees, plus the default tuning grid. `ols_fit` is the package's
-one least-squares solve, and its `_householder_qr` the one QR factorization:
-the DML linear learner, the ADF test and the VAR lag search all fit through
-it. `one_blas_thread` is the scope the estimation entry points run in.
+one least-squares solve: the DML linear learner, the ADF test and the VAR
+lag search all fit through it, each target from the R of its own QR of
+[1, X, y], taken by `_householder_qr`, the one QR factorization.
+`one_blas_thread` is the scope the estimation entry points run in.
 
 Both learners are deterministic given their inputs. Trees find splits on
 histograms: each ensemble bins every column once, one bin per distinct value
@@ -174,47 +175,36 @@ class GroupedRows:
         return out if dtype is None else out.astype(dtype, copy=False)
 
 
-GROUP_BLOCK = 4096  # padded group rows a target factored per batched QR
+GROUP_BLOCK = 4096  # padded group rows a target, summed over the groups one QR call factors
 
 
-def _householder_qr(Z: np.ndarray, targets=()) -> tuple[np.ndarray, list[np.ndarray]]:
-    """R of LAPACK's Householder QR of Z, read column-major, and each target's
-    first len(R) entries of Q.T @ target: the target with the reflectors
-    applied in turn, so Q is never formed. A stack of matrices gives the
-    stack of their R; it takes no targets."""
-    h, tau = np.linalg.qr(Z, mode="raw")
-    R = np.triu(np.swapaxes(h[..., :tau.shape[-1]], -1, -2))
-    # Row i of h from column i on is reflector i, whose leading 1 LAPACK
-    # leaves implicit (R's diagonal sits there); write it in.
-    diag = np.arange(tau.shape[-1])
-    h[..., diag, diag] = 1.0
-    heads = []
-    for target in targets:
-        t = target.copy()
-        for i in range(tau.size):
-            v = h[i, i:]
-            t[i:] -= (tau[i] * (v @ t[i:])) * v
-        heads.append(t[:tau.size])
-    return R, heads
+def _householder_qr(blocks: np.ndarray) -> np.ndarray:
+    """R of LAPACK's Householder QR of a matrix, or of each matrix in a stack.
+
+    Every least-squares fit takes its R of [1, X, y], one target at a time;
+    R's last column then holds the first entries of Q.T @ y, so Q is never
+    formed (Golub and Van Loan, Matrix Computations, sec. 5.3)."""
+    return np.linalg.qr(blocks, mode="r")
 
 
 def _reduce_groups(X: GroupedRows, Y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Rows Z of [1, X], a few per group and column-major, and each target's
-    entries for them, with the least-squares fit of all of X's rows.
+    """Rows Z of [1, X], a few per group, and each target's entries for them,
+    with the least-squares fit of all of X's rows. Z is column-major with one
+    spare last column, as `ols_fit` lays out a 2-D design.
 
     Group g's rows of [1, X] are [1, V] @ M_g: V holds their varying
     columns, and M_g sends the ones to [1, shared_g] (zero at `at`) and V's
     columns to `at`. For a target y, let R_g = [[R_v, h], [0, r]] be the R of
-    the QR of the group's [1, V, y]. Then Z_g = R_v @ M_g with entries h has
-    the group's Gram matrix of [1, X] and its [1, X].T @ y, so the stacked
-    groups give the same fit. Each target gets its own QR, so its fit does
-    not depend on the other targets; R_v comes out of the same steps
-    whatever the target, and the first target's is used.
+    the group's [1, V, y]. Then Z_g = R_v @ M_g with entries h has the
+    group's Gram matrix of [1, X] and its [1, X].T @ y, so the stacked groups
+    give the same fit. Each target gets its own QR, so its fit does not
+    depend on the other targets; R_v comes out of the same steps whatever
+    the target, and the first target's is used.
 
     Each group's rows are copied, in row order, into a column-major block
     padded with zero rows (exact, also for fewer rows than the block has
-    columns), and up to GROUP_BLOCK padded rows a target are factored by one
-    batched QR. A group with no rows drops out.
+    columns), and one `_householder_qr` call factors a stack of groups of up
+    to GROUP_BLOCK padded rows a target. A group with no rows drops out.
     """
     f, m = len(X.at), len(Y)
     width = 1 + f + 1
@@ -240,14 +230,16 @@ def _reduce_groups(X: GroupedRows, Y: np.ndarray) -> tuple[np.ndarray, np.ndarra
         block[1:, :, :-1] = block[0, :, :-1]
         for j in range(m):
             flat[pos + (j * (hi - lo) * width + width - 1) * depth] = Y[j, rows]
-        R[:, lo:hi] = _householder_qr(block.transpose(0, 1, 3, 2))[0]
+        R[:, lo:hi] = _householder_qr(block.transpose(0, 1, 3, 2))
     at = 1 + np.asarray(X.at, dtype=np.intp)  # X's columns `at` in [1, X]
     M = np.zeros((present.size, 1 + X.shared.shape[1]))
     M[:, 0], M[:, 1:] = 1.0, X.shared[present]
     M[:, at] = 0.0
-    Z = R[0, :, :-1, :1] * M[:, None, :]
-    Z[:, :, at] = R[0, :, :-1, 1:-1]
-    return np.asfortranarray(Z.reshape(-1, Z.shape[2])), R[:, :, :-1, -1].reshape(m, -1)
+    Z = np.empty((present.size * (width - 1), M.shape[1] + 1), order="F")
+    groups = Z[:, :-1].reshape(present.size, width - 1, M.shape[1])
+    groups[...] = R[0, :, :-1, :1] * M[:, None, :]
+    groups[:, :, at] = R[0, :, :-1, 1:-1]
+    return Z, R[:, :, :-1, -1].reshape(m, -1)
 
 
 def ols_fit(X, Y) -> LinearModel:
@@ -258,12 +250,13 @@ def ols_fit(X, Y) -> LinearModel:
 
     X is a 2-D array, copied column-major behind a column of ones, or a
     GroupedRows, reduced to a few rows of [1, X] per group
-    (`_reduce_groups`); either is factored by one `_householder_qr`, which
-    applies the reflectors to each target, so no n-row Q is formed. A 2-D X
-    keeps the bits of an unblocked QR of [1, X]; a GroupedRows gives the
-    same fit up to rounding. The design is factored once for all targets,
-    and each target is solved on its own, so every fit is bit-identical to
-    fitting that target alone on the same rows.
+    (`_reduce_groups`); either copy has one spare last column. Each target
+    in turn is written there and `_householder_qr` takes the R of the
+    k + 1 columns [1, X, y]: R[:k, :k] is the R of [1, X], R[:k, k] the
+    target's first k entries of Q.T @ y, and their triangular solve its
+    weights, so no n-row Q is formed. A target's fit is therefore
+    bit-identical to fitting that target alone on the same rows. A
+    GroupedRows gives the fit of its rows up to rounding.
 
     Raises DimensionMismatch for an X that is not 2-D, LengthMismatch for a
     Y that is not 2-D or not one entry per row of X, TooFewRows for no more
@@ -283,23 +276,27 @@ def ols_fit(X, Y) -> LinearModel:
     if isinstance(X, GroupedRows):
         Z, Y = _reduce_groups(X, Y)
     else:
-        Z = np.empty((n, 1 + X.shape[1]), order="F")
-        Z[:, 0], Z[:, 1:] = 1.0, X
-    R, heads = _householder_qr(Z, Y)
-    k = R.shape[1]
+        Z = np.empty((n, X.shape[1] + 2), order="F")
+        Z[:, 0], Z[:, 1:-1] = 1.0, X
+    k = Z.shape[1] - 1
     if n <= k:
         raise TooFewRows(f"need more than {k} rows to fit {k - 1} features, got {n}")
-    if _rank_deficient(R, n):
-        raise RankDeficient("design matrix is rank deficient")
-    beta = np.stack([np.linalg.solve(R, head) for head in heads])
+    beta = np.empty((len(Y), k))
+    for j, target in enumerate(Y):
+        Z[:, k] = target
+        R = _householder_qr(Z)
+        if _rank_deficient(R[:k, :k], n):
+            raise RankDeficient("design matrix is rank deficient")
+        beta[j] = np.linalg.solve(R[:k, :k], R[:k, k])
     return LinearModel(intercept=beta[:, 0], coefficients=beta[:, 1:])
 
 
 def _rank_deficient(R: np.ndarray, n: int) -> bool:
-    """Whether the R of an n-row design's QR has a diagonal entry that is zero
-    to rounding beside its largest."""
+    """Whether the R of an n-row design's QR has fewer rows than columns, or
+    a diagonal entry that is zero to rounding beside its largest."""
     diag = np.abs(np.diag(R))
-    return diag.min() <= max(n, R.shape[1]) * np.finfo(float).eps * max(diag.max(), 1.0)
+    return (len(R) < R.shape[1]
+            or diag.min() <= max(n, R.shape[1]) * np.finfo(float).eps * max(diag.max(), 1.0))
 
 
 MAX_BINS = 256  # a column with at most this many distinct values is split exactly

@@ -264,7 +264,8 @@ def lag_design(X: np.ndarray, p: int, start: int) -> np.ndarray:
 def read_input(path, error: type[MacrodmlError] | None = None):
     """The input file at `path`, open as UTF-8 text with its line ends as
     they are (newline="", as the csv module reads), for a `with` block that
-    reads it.
+    reads it. A leading byte-order mark, which Excel's "CSV UTF-8" writes,
+    is skipped.
 
     Every way of reading a file fails with a typed error: one that cannot be
     opened or read raises MissingInput, and text that is not UTF-8 or that
@@ -274,7 +275,7 @@ def read_input(path, error: type[MacrodmlError] | None = None):
     each of these raises `error` instead.
     """
     try:
-        with open(path, encoding="utf-8", newline="") as fh:
+        with open(path, encoding="utf-8-sig", newline="") as fh:
             yield fh
     except OSError as exc:
         reason = "not found" if isinstance(exc, FileNotFoundError) else exc.strerror or exc

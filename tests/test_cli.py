@@ -7,6 +7,7 @@ import json
 import os
 import pathlib
 import platform
+import re
 import shutil
 import subprocess
 import sys
@@ -108,6 +109,26 @@ def test_residual_tables_hold_the_estimate(small_fx, tmp_path):
     assert float(v @ u) / float(v @ v) == pytest.approx(coef, rel=1e-12)
 
 
+def test_inputs_that_start_with_a_utf8_byte_order_mark_read_as_without_it(small_fx, tmp_path):
+    """Excel's "CSV UTF-8" starts a file with a byte-order mark: the three
+    input tables and a --config file that start with one give the run the
+    same results as the files without it."""
+    _, fx = small_fx
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"k": 3}))
+    marked = {}
+    for key in ("funds_csv", "macro_csv", "meta_csv"):
+        marked[key] = str(tmp_path / os.path.basename(fx[key]))
+        pathlib.Path(marked[key]).write_bytes(b"\xef\xbb\xbf" + pathlib.Path(fx[key]).read_bytes())
+    marked_config = tmp_path / "marked.json"
+    marked_config.write_bytes(b"\xef\xbb\xbf" + config.read_bytes())
+    for inputs, conf, out in ((fx, config, "plain"), (marked, marked_config, "marked")):
+        assert main(run_args(inputs, tmp_path / out, "--config", str(conf), "--learner", "linear",
+                             "--lag", "2")) == EXIT_OK
+    assert ((tmp_path / "marked" / "results.csv").read_bytes()
+            == (tmp_path / "plain" / "results.csv").read_bytes())
+
+
 def test_bare_import_loads_no_submodule_and_no_numpy():
     src = os.path.dirname(os.path.dirname(macrodml.__file__))
     probe = ("import sys, macrodml; "
@@ -130,6 +151,21 @@ def test_the_cli_module_sets_one_blas_thread_unless_the_caller_set_a_count():
                              check=True, env={**env, "PYTHONPATH": src, **preset}).stdout
               for preset in ({}, {"OPENBLAS_NUM_THREADS": "2"})]
     assert counts == ["1\n", "2\n"]
+
+
+def test_the_installed_script_sets_one_blas_thread_before_numpy_loads():
+    """The `macrodml` script pyproject.toml installs starts in a module that
+    asks for one OpenBLAS thread before numpy loads, as `python -m macrodml`
+    does."""
+    root = pathlib.Path(__file__).resolve().parents[1]
+    target = re.search(r'^macrodml = "([\w.]+):(\w+)"$',
+                       (root / "pyproject.toml").read_text(), re.M)
+    probe = (f"import os, sys; from {target[1]} import {target[2]}; "
+             "print(os.environ.get('OPENBLAS_NUM_THREADS'), 'numpy' in sys.modules)")
+    env = {name: value for name, value in os.environ.items() if name != "OPENBLAS_NUM_THREADS"}
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          check=True, env={**env, "PYTHONPATH": str(root / "src")})
+    assert proc.stdout == "1 True\n"
 
 
 @pytest.mark.skipif(learners.BLAS_THREADS is None, reason="numpy links no OpenBLAS thread calls")

@@ -174,10 +174,11 @@ def test_outcome_scale_equivariance():
 def test_treatment_scale_equivariance():
     problem, _ = gen_plr(SynthSpec(kind="plr_linear", n=400, seed=6))
     base, _ = run_dml(problem, LINEAR, k=2, seed=1)
-    scaled = PlrProblem(problem.y, 2.0 * problem.d, problem.x)
-    out, _ = run_dml(scaled, LINEAR, k=2, seed=1)
-    assert out.theta == pytest.approx(base.theta / 2.0, rel=1e-9)
-    assert out.t == pytest.approx(base.t, rel=1e-9)
+    for factor in (2.0, 1e-6, 1e-9):
+        scaled = PlrProblem(problem.y, factor * problem.d, problem.x)
+        out, _ = run_dml(scaled, LINEAR, k=2, seed=1)
+        assert out.theta == pytest.approx(base.theta / factor, rel=1e-9)
+        assert out.t == pytest.approx(base.t, rel=1e-9)
 
 
 def test_null_effect_covered():

@@ -518,17 +518,13 @@ def test_tree_depth_is_the_depth_grown_so_predict_never_walks_past_the_leaves(rn
 
 def _ref_ols(Z, y):
     """ols_fit's solve of y on [1, X] from the row-major np.column_stack
-    Z = [1, X]: LAPACK's Householder reflectors (leading 1 implicit) applied
-    to each target in turn, then R solved."""
-    h, tau = np.linalg.qr(Z, mode="raw")
-    R = np.triu(h.T[:tau.size])
+    Z = [1, X]: for each target, the R of [Z, target], whose leading block
+    is solved against its last column."""
+    k = Z.shape[1]
     beta = []
     for target in np.atleast_2d(y):
-        t = target.copy()
-        for i in range(tau.size):
-            v = np.concatenate([[1.0], h[i, i + 1:]])
-            t[i:] -= (tau[i] * (v @ t[i:])) * v
-        beta.append(np.linalg.solve(R, t[:tau.size]))
+        R = np.linalg.qr(np.column_stack([Z, target]), mode="r")
+        beta.append(np.linalg.solve(R[:k, :k], R[:k, k]))
     return np.stack(beta)
 
 
@@ -645,6 +641,11 @@ def test_grouped_rows_keep_the_fits_checks(rng):
             ols_fit(design, dense[:, 1:2].T)
     with pytest.raises(LengthMismatch):
         ols_fit(X, dense[:-1, 1:2].T)
+    # one group: its 4 reduced rows are fewer than the 13 columns of [1, X]
+    one, one_dense = _grouped(rng, [20], at=(0, 1, 2))
+    for design in (one_dense, one):
+        with pytest.raises(RankDeficient):
+            ols_fit(design, one_dense[:, 3:4].T)
     model = ols_fit(dense[:, 1:], dense[:, :1].T)
     with pytest.raises(DimensionMismatch):
         predict(model, X)
